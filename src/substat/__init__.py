@@ -17,9 +17,6 @@ from .estimate import (
     SubstationaryIntensity,
     bandwidth_cv_scores,
     fit_theta,
-    intensity_2d,
-    intensity_stationary,
-    intensity_substat,
     loglik,
     select_bandwidth,
 )

@@ -20,15 +20,14 @@ from .estimate import (
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
+    _pick_bandwidth,
     bandwidth_cv_scores,
     fit_theta,
-    select_bandwidth,
 )
 from .experiments import ExperimentPlan, run_table1, run_table2, write_result_csv
 from .geometry import Subspace, Window
 from .io import (
     DataError,
-    MalformedDataError,
     RegionSpec,
     export_intensity_grid,
     export_pattern_csv,
@@ -238,12 +237,7 @@ def _cmd_fit_subspace(args, cfg) -> int:
     h = _opt(args, cfg, "h", float, required=True)
     halfwidth = _opt(args, cfg, "search_halfwidth", float, None)
     threads = _opt(args, cfg, "threads", int, 1)
-    fit = fit_theta(
-        pattern,
-        h,
-        search_halfwidth_deg=halfwidth,
-        threads=threads if threads > 0 else 1,
-    )
+    fit = fit_theta(pattern, h, search_halfwidth_deg=halfwidth, threads=threads)
     print(f"theta_hat_rad={fit.theta_hat.theta!r}")
     print(f"theta_hat_deg={fit.theta_hat.degrees!r}")
     print(f"loglik={fit.loglik!r}")
@@ -262,12 +256,10 @@ def _cmd_select_bandwidth(args, cfg) -> int:
     pattern = _load_pattern(args, cfg)
     theta_deg = _opt(args, cfg, "theta_deg", float, 0.0)
     candidates = _opt(args, cfg, "candidates", _floats, required=True)
-    subspace = Subspace.from_degrees(theta_deg)
-    chosen = select_bandwidth(pattern, subspace, candidates)
-    print(f"selected_h={chosen!r}")
+    scores = bandwidth_cv_scores(pattern, Subspace.from_degrees(theta_deg), candidates)
+    print(f"selected_h={_pick_bandwidth(scores)!r}")
     out = _opt(args, cfg, "out", str, None)
     if out:
-        scores = bandwidth_cv_scores(pattern, subspace, candidates)
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("h,cv_score\n")
             for h, score in scores:
@@ -315,7 +307,7 @@ def _cmd_apply(args, cfg) -> int:
         grid_dir=_opt(args, cfg, "grid_dir", str, None),
         grid_resolution=_opt(args, cfg, "resolution", int, 512),
         search_halfwidth_deg=_opt(args, cfg, "search_halfwidth", float, None),
-        threads=threads if threads > 0 else 1,
+        threads=threads,
     )
     report.to_csv(out)
     for row in report.rows:
@@ -351,9 +343,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except MalformedDataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

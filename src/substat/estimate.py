@@ -1,7 +1,11 @@
 """Intensity estimators and the invariance-direction fit.
 
-Three estimators of the first-order intensity are provided, all evaluable
-anywhere in the observation window:
+Three estimators of the first-order intensity share one interface:
+``at_points(x, y)`` at locations in the observation window,
+``grid_values(x_mids, y_mids)`` on a tensor grid and ``integral()`` over the
+window.  ``evaluate`` takes each estimator's own coordinates: the
+orthogonal offset v for the two 1-D estimators, (x, y) for the bivariate
+one.
 
 * ``SubstationaryIntensity``: a 1-D Gaussian smoother of the orthogonal
   coordinate v = y*cos(theta) - x*sin(theta), divided by the boundary
@@ -11,18 +15,19 @@ anywhere in the observation window:
   with its boundary correction, which makes no invariance assumption;
 * ``StationaryIntensity``: the constant n / area.
 
-The direction theta is estimated by maximizing the Poisson (composite)
-log-likelihood of the substationary estimator over theta: a 1-degree
-coarse grid over [-90, 90) degrees followed by golden-section refinement.
-Bandwidths are selected by a leave-one-out cross-validated version of the
-same likelihood; the plug-in likelihood itself keeps every point (leaving
-the point in is what the profile fit uses, while cross validation removes
-it to avoid the degenerate h -> 0 optimum).
+``loglik(pattern, est, loo=False)`` is the one Poisson (composite)
+log-likelihood.  The direction theta is estimated by maximizing it for the
+substationary estimator over theta: a 1-degree coarse grid over [-90, 90)
+degrees followed by golden-section refinement.  Bandwidths are selected by
+its leave-one-out form (``loo=True``); the profile fit keeps each point in
+its own estimate, while cross validation removes it to avoid the
+degenerate h -> 0 optimum.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,9 +56,6 @@ __all__ = [
     "StationaryIntensity",
     "FitResult",
     "BandwidthSelectionError",
-    "intensity_substat",
-    "intensity_2d",
-    "intensity_stationary",
     "loglik",
     "fit_theta",
     "bandwidth_cv_scores",
@@ -66,6 +68,8 @@ _CHUNK_ELEMENTS = 4_000_000
 
 SUBSTAT_INTEGRAL_CELLS = 400
 GRID2D_INTEGRAL_CELLS = 200
+FIT_GRID_STEP_DEG = 1.0
+FIT_TOL = 1e-4
 
 
 class BandwidthSelectionError(RuntimeError):
@@ -164,6 +168,19 @@ class SubstationaryIntensity:
         _, v = project_xy(self.theta, x, y)
         return self.evaluate(v)
 
+    def grid_values(self, x_mids: np.ndarray, y_mids: np.ndarray) -> np.ndarray:
+        """Estimate on a tensor grid, shape (len(x_mids), len(y_mids))."""
+        _, v = project_xy(self.theta, x_mids[:, None], y_mids[None, :])
+        return self.evaluate(v.ravel()).reshape(v.shape)
+
+    def loo_values(self) -> np.ndarray:
+        """Estimate at each data point with that point left out.
+
+        The values follow the canonical (sorted-offset) order of the data.
+        """
+        sums = _gaussian_sums_1d(self._v_data, self._v_data, self.h) - kernel_1d(self.h, 0.0)
+        return sums / correction_substat_closed(self.theta, self.window, self.h, self._v_data)
+
     def integral(self, cells: int = SUBSTAT_INTEGRAL_CELLS) -> float:
         """Integral of the estimate over the window, by midpoint rule.
 
@@ -246,18 +263,23 @@ class StationaryIntensity:
     def window(self) -> Window:
         return self.pattern.window
 
-    def evaluate(self, x, y):
+    def evaluate(self, v):
+        """Intensity at orthogonal offset(s) v of any direction: the constant."""
+        if np.isscalar(v) or np.ndim(v) == 0:
+            return float(self.value)
+        return np.full(np.shape(v), self.value)
+
+    __call__ = evaluate
+
+    def at_points(self, x, y):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all(self.window.contains(x_arr, y_arr, tol=_DOMAIN_TOL)):
             raise ValueError("evaluation location outside the observation window")
-        out = np.full(x_arr.shape, self.value)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(self.value)
-        return out
+        return self.evaluate(x)  # the constant, shaped like x
 
-    __call__ = evaluate
-    at_points = evaluate
+    def grid_values(self, x_mids: np.ndarray, y_mids: np.ndarray) -> np.ndarray:
+        return np.full((np.size(x_mids), np.size(y_mids)), self.value)
 
     def integral(self, cells: int | None = None) -> float:
         # constant integrand: the midpoint rule is exact, so integrate directly
@@ -272,32 +294,29 @@ def _midpoints(lo: float, hi: float, cells: int) -> tuple[np.ndarray, float]:
     return mids, delta
 
 
-def intensity_substat(pattern: PointPattern, theta, h: float, v):
-    """Substationary intensity estimate at offset(s) v."""
-    return SubstationaryIntensity(pattern, theta, h).evaluate(v)
-
-
-def intensity_2d(pattern: PointPattern, h: float, x, y=None):
-    """Bivariate kernel intensity estimate at a location or arrays of them."""
-    if y is None:
-        x, y = x  # a Point or (x, y) pair
-    return KernelIntensity2D(pattern, h).evaluate(x, y)
-
-
-def intensity_stationary(pattern: PointPattern) -> float:
-    """Constant intensity estimate n / area."""
-    return StationaryIntensity(pattern).value
-
-
-def loglik(pattern: PointPattern, estimator) -> float:
+def loglik(
+    pattern: PointPattern,
+    estimator,
+    *,
+    loo: bool = False,
+    integral_cells: int | None = None,
+) -> float:
     """Poisson (composite) log-likelihood of the pattern under an estimate.
 
     sum_i log(lambda_hat(s_i)) minus the integral of lambda_hat over the
-    window.  If the estimate vanishes at any data point the result is
-    -inf and a warning is issued.
+    window.  With ``loo`` the point term uses the leave-one-out values of
+    the estimator at its own data (the substationary estimator fitted to
+    ``pattern``), as bandwidth cross validation does.  ``integral_cells``
+    overrides the estimator's integration resolution.  If the estimate
+    vanishes at any data point the result is -inf and a warning is issued.
     """
+    if loo and estimator.pattern is not pattern:
+        raise ValueError("leave-one-out scoring needs the estimator's own pattern")
     if pattern.n:
-        lam = np.atleast_1d(estimator.at_points(pattern.x, pattern.y))
+        if loo:
+            lam = estimator.loo_values()
+        else:
+            lam = np.atleast_1d(estimator.at_points(pattern.x, pattern.y))
         if np.any(lam <= 0.0):
             warnings.warn(
                 "intensity estimate is zero at a data point; log-likelihood is -inf",
@@ -308,7 +327,9 @@ def loglik(pattern: PointPattern, estimator) -> float:
         point_term = float(np.sum(np.sort(np.log(lam))))
     else:
         point_term = 0.0
-    return point_term - estimator.integral()
+    if integral_cells is None:
+        return point_term - estimator.integral()
+    return point_term - estimator.integral(integral_cells)
 
 
 @dataclass(frozen=True)
@@ -324,13 +345,6 @@ class FitResult:
     loglik: float
     trace: tuple[tuple[float, float], ...]
     degenerate: bool = False
-
-
-def _profile_loglik(pattern: PointPattern, theta: float, h: float, cells: int) -> float:
-    est = SubstationaryIntensity(pattern, Subspace(theta), h)
-    lam = est.at_points(pattern.x, pattern.y)
-    point_term = float(np.sum(np.sort(np.log(lam))))
-    return point_term - est.integral(cells)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -368,22 +382,34 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return best_x, best_f
 
 
+def _resolve_threads(threads: int) -> int:
+    if threads <= 0:
+        return os.cpu_count() or 1
+    return threads
+
+
+def _map_ordered(job, args, threads: int) -> list:
+    if threads <= 1:
+        return [job(a) for a in args]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(job, args))
+
+
 def fit_theta(
     pattern: PointPattern,
     h: float,
     *,
-    grid_step_deg: float = 1.0,
-    tol: float = 1e-4,
-    integral_cells: int = SUBSTAT_INTEGRAL_CELLS,
     search_halfwidth_deg: float | None = None,
     threads: int = 1,
 ) -> FitResult:
     """Estimate the invariance direction by profile composite likelihood.
 
-    Evaluates the profile log-likelihood on a coarse angular grid over
-    [-90, 90] degrees (the endpoints name the same subspace), then
-    refines the bracketing interval by golden-section search to ``tol``
-    radians.  The bandwidth is held fixed throughout.
+    Evaluates the profile log-likelihood on a ``FIT_GRID_STEP_DEG`` coarse
+    angular grid over [-90, 90] degrees (the endpoints name the same
+    subspace), then refines the bracketing interval by golden-section
+    search to ``FIT_TOL`` radians.  The bandwidth is held fixed throughout.
+    ``threads`` evaluates the coarse grid in a thread pool (0 = one per
+    CPU); the result does not depend on it.
 
     ``search_halfwidth_deg`` confines the search to that many degrees on
     either side of the horizontal axis.  In windows that carry little
@@ -405,18 +431,13 @@ def fit_theta(
         halfwidth = float(search_halfwidth_deg)
         if not 0.0 < halfwidth <= 90.0:
             raise ValueError("search_halfwidth_deg must be in (0, 90]")
-    n_grid = max(3, int(round(2.0 * halfwidth / grid_step_deg)) + 1)
+    n_grid = max(3, int(round(2.0 * halfwidth / FIT_GRID_STEP_DEG)) + 1)
     thetas = np.radians(np.linspace(-halfwidth, halfwidth, n_grid))
 
     def profile(theta: float) -> float:
-        return _profile_loglik(pattern, theta, h, integral_cells)
+        return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(profile, thetas))
-    else:
-        values = [profile(t) for t in thetas]
-    values = np.asarray(values)
+    values = np.asarray(_map_ordered(profile, thetas, _resolve_threads(threads)))
     trace = tuple(zip((float(t) for t in thetas), (float(g) for g in values)))
 
     degenerate = bool(values.max() - values.min() < 1e-9)
@@ -435,12 +456,12 @@ def fit_theta(
     # bracket one grid step on each side; on the unrestricted search the
     # bracket may cross +-90 degrees, where the Subspace normalization
     # wraps the angle and keeps the profile continuous
-    step = math.radians(grid_step_deg)
+    step = math.radians(FIT_GRID_STEP_DEG)
     lo, hi = best_theta - step, best_theta + step
     if search_halfwidth_deg is not None:
         bound = math.radians(halfwidth)
         lo, hi = max(lo, -bound), min(hi, bound)
-    refined_theta, refined_value = _golden_max(profile, lo, hi, tol)
+    refined_theta, refined_value = _golden_max(profile, lo, hi, FIT_TOL)
     if refined_value > best_value:
         best_theta, best_value = refined_theta, refined_value
 
@@ -464,31 +485,35 @@ def bandwidth_cv_scores(
 
     The point term drops each point from its own estimate; the integral
     term keeps all points.  Candidates whose leave-one-out estimate
-    vanishes at some point score -inf.
+    vanishes at some point score -inf, and so does every candidate on a
+    pattern of fewer than two points.
     """
     candidates = [validate_bandwidth(h) for h in candidates]
     if not candidates:
         raise ValueError("no bandwidth candidates supplied")
+    # below two points there is no leave-one-out estimate, and loglik of an
+    # empty pattern would read 0 rather than -inf
+    if pattern.n < 2:
+        return [(h, float("-inf")) for h in candidates]
     subspace = _as_subspace(theta)
-    _, v = project_xy(subspace, pattern.x, pattern.y)
-    v_data = np.sort(np.atleast_1d(v))
-    lo, hi = v_range(subspace, pattern.window)
     scores: list[tuple[float, float]] = []
     for h in candidates:
-        sums = _gaussian_sums_1d(v_data, v_data, h)
-        loo = sums - kernel_1d(h, 0.0)
-        corr = correction_substat_closed(subspace, pattern.window, h, v_data)
-        lam_loo = loo / corr
-        if pattern.n < 2 or np.any(lam_loo <= 0.0):
-            scores.append((h, float("-inf")))
-            continue
-        mids, dv = _midpoints(lo, hi, integral_cells)
-        lam_grid = _gaussian_sums_1d(v_data, mids, h) / correction_substat_closed(
-            subspace, pattern.window, h, mids
-        )
-        integral = float(np.sum(lam_grid * chord_measure(subspace, pattern.window, mids)) * dv)
-        scores.append((h, float(np.sum(np.sort(np.log(lam_loo)))) - integral))
+        est = SubstationaryIntensity(pattern, subspace, h)
+        scores.append((h, loglik(pattern, est, loo=True, integral_cells=integral_cells)))
     return scores
+
+
+def _pick_bandwidth(scores) -> float:
+    """The candidate with the best finite score; ties break to the smaller h."""
+    best_h, best_score = None, -math.inf
+    for h, score in sorted(scores, key=lambda hs: hs[0]):
+        if math.isfinite(score) and score > best_score:
+            best_h, best_score = h, score
+    if best_h is None:
+        raise BandwidthSelectionError(
+            "every bandwidth candidate produced a degenerate leave-one-out score"
+        )
+    return best_h
 
 
 def select_bandwidth(pattern: PointPattern, theta, candidates) -> float:
@@ -497,14 +522,4 @@ def select_bandwidth(pattern: PointPattern, theta, candidates) -> float:
     Ties break to the smaller bandwidth.  Raises BandwidthSelectionError
     if every candidate is degenerate.
     """
-    scores = bandwidth_cv_scores(pattern, theta, candidates)
-    scores.sort(key=lambda hs: hs[0])
-    best_h, best_score = None, -math.inf
-    for h, score in scores:
-        if math.isfinite(score) and score > best_score:
-            best_h, best_score = h, score
-    if best_h is None:
-        raise BandwidthSelectionError(
-            "every bandwidth candidate produced a degenerate leave-one-out score"
-        )
-    return best_h
+    return _pick_bandwidth(bandwidth_cv_scores(pattern, theta, candidates))

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +25,9 @@ from .estimate import (
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
+    _map_ordered,
+    _midpoints,
+    _resolve_threads,
     fit_theta,
 )
 from .geometry import PointPattern, Subspace, Window, chord_measure, project_xy, v_range
@@ -170,54 +171,27 @@ def _root_mean_with_se(squared_samples: np.ndarray) -> tuple[float, float]:
     return root, se_mean / (2.0 * root)
 
 
-def integrated_squared_error(
-    estimator,
-    truth,
-    theta_truth: Subspace,
-    *,
-    cells_1d: int = MISE_CELLS_1D,
-    cells_2d: int = MISE_CELLS_2D,
-) -> float:
+def integrated_squared_error(estimator, truth, theta_truth: Subspace) -> float:
     """Area-normalized integrated squared error of one fitted estimator.
 
     ``truth`` maps the orthogonal coordinate of ``theta_truth`` to the true
     intensity.  Estimators aligned with the true direction (the known-angle
-    smoother and the constant) integrate on a 1-D midpoint grid weighted by
-    chord length; everything else uses a 2-D midpoint grid over the window.
+    smoother and the constant) integrate on a ``MISE_CELLS_1D`` midpoint
+    grid of that coordinate weighted by chord length; everything else uses
+    a ``MISE_CELLS_2D`` x ``MISE_CELLS_2D`` midpoint grid over the window.
     """
     window = estimator.window
-    aligned = estimator.kind == "stationary" or (
-        estimator.kind == "substationary" and estimator.theta.theta == theta_truth.theta
-    )
-    if aligned:
-        lo, hi = v_range(theta_truth, window)
-        dv = (hi - lo) / cells_1d
-        mids = lo + (np.arange(cells_1d) + 0.5) * dv
-        if estimator.kind == "stationary":
-            est_vals = np.full(mids.shape, estimator.value)
-        else:
-            est_vals = estimator.evaluate(mids)
+    if estimator.kind == "stationary" or getattr(estimator, "theta", None) == theta_truth:
+        mids, dv = _midpoints(*v_range(theta_truth, window), MISE_CELLS_1D)
         chords = chord_measure(theta_truth, window, mids)
-        sq = (est_vals - np.asarray(truth(mids), dtype=float)) ** 2
+        sq = (estimator.evaluate(mids) - np.asarray(truth(mids), dtype=float)) ** 2
         return float(np.sum(sq * chords) * dv / window.area)
 
-    dx = window.z / cells_2d
-    dy = window.omega / cells_2d
-    x_mids = (np.arange(cells_2d) + 0.5) * dx
-    y_mids = (np.arange(cells_2d) + 0.5) * dy
+    x_mids, _ = _midpoints(0.0, window.z, MISE_CELLS_2D)
+    y_mids, _ = _midpoints(0.0, window.omega, MISE_CELLS_2D)
     _, v_true = project_xy(theta_truth, x_mids[:, None], y_mids[None, :])
     truth_vals = np.asarray(truth(v_true), dtype=float)
-    if estimator.kind == "kernel2d":
-        est_vals = estimator.grid_values(x_mids, y_mids)
-    elif estimator.kind == "substationary":
-        _, v_est = project_xy(estimator.theta, x_mids[:, None], y_mids[None, :])
-        est_vals = estimator.evaluate(v_est.ravel()).reshape(v_est.shape)
-    else:
-        est_vals = estimator.at_points(
-            np.broadcast_to(x_mids[:, None], v_true.shape).ravel(),
-            np.broadcast_to(y_mids[None, :], v_true.shape).ravel(),
-        ).reshape(v_true.shape)
-    return float(np.mean((est_vals - truth_vals) ** 2))
+    return float(np.mean((estimator.grid_values(x_mids, y_mids) - truth_vals) ** 2))
 
 
 def root_mise(estimates, truth, window: Window, theta_truth: Subspace) -> float:
@@ -230,19 +204,6 @@ def root_mise(estimates, truth, window: Window, theta_truth: Subspace) -> float:
             raise ValueError("all estimators must share the window")
     squared = np.array([integrated_squared_error(e, truth, theta_truth) for e in estimates])
     return float(np.sqrt(np.mean(squared)))
-
-
-def _resolve_threads(threads: int) -> int:
-    if threads <= 0:
-        return os.cpu_count() or 1
-    return threads
-
-
-def _map_ordered(job, args, threads: int) -> list:
-    if threads <= 1:
-        return [job(a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, args))
 
 
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:

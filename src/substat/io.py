@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import SubstationaryIntensity, fit_theta, loglik
-from .geometry import PointPattern, Window, v_range
+from .estimate import SubstationaryIntensity, _midpoints, fit_theta, loglik
+from .geometry import PointPattern, Subspace, Window, v_range
 
 __all__ = [
     "DataError",
@@ -167,49 +167,33 @@ def export_intensity_grid(estimator, resolution: int, path, *, seed=None) -> Gri
     """Evaluate an estimator on a midpoint grid and write it as CSV.
 
     Substationary and stationary estimates produce ``v,lambda_hat`` rows
-    on a 1-D grid over the orthogonal range; the 2-D smoother produces
-    ``x,y,lambda_hat`` rows on a resolution x resolution tensor grid.
-    Metadata (estimator kind, angle, bandwidth, seed) goes into ``#``
-    comment lines.
+    on a 1-D grid over the orthogonal range (the constant estimate over
+    the heights [0, omega]); the 2-D smoother produces ``x,y,lambda_hat``
+    rows on a resolution x resolution tensor grid.  Metadata (estimator
+    kind, angle, bandwidth, seed) goes into ``#`` comment lines.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    theta = getattr(estimator, "theta", None)
     metadata = {
         "estimator": estimator.kind,
-        "theta": repr(estimator.theta.theta) if estimator.kind == "substationary" else "none",
+        "theta": repr(theta.theta) if theta is not None else "none",
         "h": repr(estimator.h) if hasattr(estimator, "h") else "none",
         "seed": repr(seed) if seed is not None else "none",
     }
     window = estimator.window
     if estimator.kind == "kernel2d":
-        dx = window.z / resolution
-        dy = window.omega / resolution
-        x_mids = (np.arange(resolution) + 0.5) * dx
-        y_mids = (np.arange(resolution) + 0.5) * dy
+        x_mids, _ = _midpoints(0.0, window.z, resolution)
+        y_mids, _ = _midpoints(0.0, window.omega, resolution)
         values_grid = estimator.grid_values(x_mids, y_mids)
-        coords = []
-        values = []
-        for i, xm in enumerate(x_mids):
-            for j, ym in enumerate(y_mids):
-                coords.append((float(xm), float(ym)))
-                values.append(float(values_grid[i, j]))
-        rows = (
-            (repr(c[0]), repr(c[1]), repr(val)) for c, val in zip(coords, values)
-        )
+        coords = [(float(xm), float(ym)) for xm in x_mids for ym in y_mids]
+        values = [float(v) for v in values_grid.ravel()]
+        rows = ((repr(x), repr(y), repr(val)) for (x, y), val in zip(coords, values))
         header = "x,y,lambda_hat"
     else:
-        if estimator.kind == "substationary":
-            lo, hi = v_range(estimator.theta, window)
-        else:
-            lo, hi = 0.0, window.omega
-        dv = (hi - lo) / resolution
-        mids = lo + (np.arange(resolution) + 0.5) * dv
-        if estimator.kind == "substationary":
-            vals = np.atleast_1d(estimator.evaluate(mids))
-        else:
-            vals = np.full(mids.shape, estimator.value)
+        mids, _ = _midpoints(*v_range(theta or Subspace(0.0), window), resolution)
         coords = [float(m) for m in mids]
-        values = [float(v) for v in vals]
+        values = [float(v) for v in estimator.evaluate(mids)]
         rows = ((repr(c), repr(val)) for c, val in zip(coords, values))
         header = "v,lambda_hat"
     _write_csv(path, (f"{k}: {v}" for k, v in metadata.items()), header, rows)

@@ -10,7 +10,7 @@ deflated.  Two forms of that correction are provided for the 1-D
 * an adaptive quadrature of the same integral, used as the reference
   oracle for the closed form.
 
-Only the Gaussian kernel ships (``KERNELS``); the normal CDF is evaluated
+Only the Gaussian kernel ships; the normal CDF is evaluated
 through the complementary error function so deep tails underflow to zero
 instead of losing precision to cancellation.
 """
@@ -26,7 +26,6 @@ from scipy.special import erfc
 from .geometry import Subspace, Window, chord_measure, chord_segments, v_range
 
 __all__ = [
-    "KERNELS",
     "QuadratureError",
     "normal_pdf",
     "normal_cdf",
@@ -36,8 +35,6 @@ __all__ = [
     "correction_2d",
     "validate_bandwidth",
 ]
-
-KERNELS = ("gaussian",)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)

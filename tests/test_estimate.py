@@ -10,9 +10,6 @@ from substat.estimate import (
     SubstationaryIntensity,
     bandwidth_cv_scores,
     fit_theta,
-    intensity_2d,
-    intensity_stationary,
-    intensity_substat,
     loglik,
     select_bandwidth,
 )
@@ -65,7 +62,7 @@ class TestSubstationaryIntensity:
                 / (SQRT_2PI * h)
                 / (normal_cdf((1 - v) / h) - normal_cdf(-v / h))
             )
-            assert intensity_substat(pat, 0.0, h, v) == pytest.approx(want, rel=1e-12)
+            assert SubstationaryIntensity(pat, 0.0, h).evaluate(v) == pytest.approx(want, rel=1e-12)
 
     def test_empty_pattern_is_zero(self):
         pat = PointPattern.empty(Window(2, 1))
@@ -86,7 +83,7 @@ class TestSubstationaryIntensity:
         vals = []
         for i in range(50):
             pat = simulate_poisson_beta(model, RngStream(61, i))
-            vals.append(intensity_substat(pat, 0.0, 0.1, 0.5))
+            vals.append(SubstationaryIntensity(pat, 0.0, 0.1).evaluate(0.5))
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - 100.0) < 3 * se
@@ -122,25 +119,66 @@ class TestSubstationaryIntensity:
         )
 
 
+ESTIMATORS = {
+    "substationary": lambda pat: SubstationaryIntensity(pat, 0.3, 0.1),
+    "kernel2d": lambda pat: KernelIntensity2D(pat, 0.1),
+    "stationary": StationaryIntensity,
+}
+
+
+class TestEstimatorInterface:
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_grid_values_match_pointwise_evaluation(self, kind):
+        rng = np.random.default_rng(10)
+        pat = random_pattern(rng, z=2.0, n=50)
+        est = ESTIMATORS[kind](pat)
+        assert est.kind == kind
+        x_mids = np.array([0.3, 0.9, 1.7])
+        y_mids = np.array([0.2, 0.6])
+        grid = est.grid_values(x_mids, y_mids)
+        assert grid.shape == (3, 2)
+        for i, xm in enumerate(x_mids):
+            for j, ym in enumerate(y_mids):
+                assert grid[i, j] == pytest.approx(est.at_points(xm, ym), rel=1e-12)
+
+    def test_loo_values_drop_each_point_from_its_own_estimate(self):
+        rng = np.random.default_rng(13)
+        pat = random_pattern(rng, z=2.0, n=30)
+        est = SubstationaryIntensity(pat, 0.3, 0.1)
+        order = np.argsort(pat.y * math.cos(0.3) - pat.x * math.sin(0.3))
+        want = []
+        for i in order:
+            keep = np.arange(pat.n) != i
+            rest = PointPattern(pat.x[keep], pat.y[keep], pat.window)
+            want.append(SubstationaryIntensity(rest, 0.3, 0.1).at_points(pat.x[i], pat.y[i]))
+        assert np.allclose(est.loo_values(), want, rtol=1e-12, atol=0)
+
+    def test_loo_loglik_needs_the_estimators_own_pattern(self):
+        rng = np.random.default_rng(14)
+        pat, other = random_pattern(rng), random_pattern(rng)
+        with pytest.raises(ValueError):
+            loglik(other, SubstationaryIntensity(pat, 0.0, 0.1), loo=True)
+
+
 class TestKernelIntensity2D:
     def test_single_point_mode(self):
         pat = PointPattern([0.5], [0.5], Window(1, 1))
         h = 0.05
-        got = intensity_2d(pat, h, 0.5, 0.5)
+        got = KernelIntensity2D(pat, h).evaluate(0.5, 0.5)
         corr = (normal_cdf(10.0) - normal_cdf(-10.0)) ** 2
         assert got == pytest.approx(1.0 / (2 * math.pi * h * h) / corr, rel=1e-12)
 
     def test_location_outside_window_rejected(self):
         pat = PointPattern([0.5], [0.5], Window(1, 1))
         with pytest.raises(ValueError):
-            intensity_2d(pat, 0.1, 1.2, 0.5)
+            KernelIntensity2D(pat, 0.1).evaluate(1.2, 0.5)
 
     def test_monte_carlo_mean_recovers_flat_intensity(self):
         model = PoissonBetaModel(1.0, Window(1.0))
         vals = []
         for i in range(100):
             pat = simulate_poisson_beta(model, RngStream(62, i))
-            vals.append(intensity_2d(pat, 0.1, 0.5, 0.5))
+            vals.append(KernelIntensity2D(pat, 0.1).evaluate(0.5, 0.5))
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - 100.0) < 3 * se
@@ -159,17 +197,6 @@ class TestKernelIntensity2D:
         )
         assert abs(corner.mean() - center.mean()) < 3 * se
 
-    def test_grid_values_match_pointwise_evaluation(self):
-        rng = np.random.default_rng(10)
-        pat = random_pattern(rng, z=2.0, n=50)
-        est = KernelIntensity2D(pat, 0.1)
-        x_mids = np.array([0.3, 0.9, 1.7])
-        y_mids = np.array([0.2, 0.6])
-        grid = est.grid_values(x_mids, y_mids)
-        for i, xm in enumerate(x_mids):
-            for j, ym in enumerate(y_mids):
-                assert grid[i, j] == pytest.approx(est.evaluate(xm, ym), rel=1e-12)
-
     def test_point_order_never_changes_output(self):
         rng = np.random.default_rng(11)
         pat = random_pattern(rng, z=2.0, n=80)
@@ -183,17 +210,17 @@ class TestKernelIntensity2D:
 class TestStationaryIntensity:
     def test_count_over_area(self):
         pat = PointPattern(np.linspace(0.1, 0.9, 50), np.full(50, 0.5), Window(1, 1))
-        assert intensity_stationary(pat) == 50.0
+        assert StationaryIntensity(pat).value == 50.0
 
     def test_empty_pattern(self):
-        assert intensity_stationary(PointPattern.empty(Window(1, 1))) == 0.0
+        assert StationaryIntensity(PointPattern.empty(Window(1, 1))).value == 0.0
 
     def test_sampling_error_matches_poisson_variance(self):
         # sd of n/|S| is sqrt(100 z)/(z omega) = 10/sqrt(z)
         model = PoissonBetaModel(1.0, Window(10.0))
         vals = np.array(
             [
-                intensity_stationary(simulate_poisson_beta(model, RngStream(64, i)))
+                StationaryIntensity(simulate_poisson_beta(model, RngStream(64, i))).value
                 for i in range(200)
             ]
         )
@@ -263,6 +290,12 @@ class TestFitTheta:
         fit_rot = fit_theta(rot, 0.05)
         want = fit.theta_hat.theta + math.pi / 2
         assert angle_gap(fit_rot.theta_hat.theta, want) < 2.5e-4
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_thread_count_never_changes_fit(self, threads):
+        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 2))
+        serial = fit_theta(pat, 0.05, search_halfwidth_deg=10.0, threads=1)
+        assert fit_theta(pat, 0.05, search_halfwidth_deg=10.0, threads=threads) == serial
 
     def test_point_order_never_changes_fit(self):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 1))

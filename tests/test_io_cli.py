@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from substat.cli import load_config, main
-from substat.estimate import KernelIntensity2D, StationaryIntensity, SubstationaryIntensity
+from substat.estimate import (
+    KernelIntensity2D,
+    StationaryIntensity,
+    SubstationaryIntensity,
+    bandwidth_cv_scores,
+)
 from substat.geometry import PointPattern, Window
 from substat.io import (
     ApplicationReport,
@@ -260,6 +265,35 @@ class TestCli:
         )
         assert code == 0
         assert "selected_h=" in capsys.readouterr().out
+
+    def test_select_bandwidth_scores_once_and_prints_the_best_row(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import substat.cli as cli
+
+        data = self.simulate_file(tmp_path)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bandwidth_cv_scores(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bandwidth_cv_scores", counted)
+        out = tmp_path / "cv.csv"
+        with pytest.warns(RuntimeWarning):  # h=1e-5 isolates points: -inf
+            code = main(
+                [
+                    "select-bandwidth", "--data", str(data), "--region", "0,2,0,1",
+                    "--candidates", "0.00001,0.05,0.1,0.2", "--out", str(out),
+                ]
+            )
+        assert code == 0
+        assert len(calls) == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        scores = {float(h): float(s) for h, s in rows}
+        assert scores[1e-5] == -math.inf
+        best = max((s, h) for h, s in scores.items() if math.isfinite(s))[1]
+        assert f"selected_h={best!r}" in capsys.readouterr().out.splitlines()
 
     def test_experiment_smoke(self, tmp_path):
         out = tmp_path / "cells.csv"

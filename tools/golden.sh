@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Fixed-seed CLI run whose output listing shows whether two source trees
+# behave the same.
+#
+#   tools/golden.sh SRC OUT
+#
+# SRC is a directory holding the ``substat`` package (a checkout's ``src``);
+# OUT is an empty or missing directory for the outputs.  Every command runs
+# inside OUT with relative paths, its stdout is kept as ``NN-name.stdout``,
+# and the script prints one ``sha256  path`` line per file written, sorted by
+# path.  Run it on two trees and diff the listings:
+#
+#   tools/golden.sh parent/src /tmp/g-parent > parent.txt
+#   tools/golden.sh src /tmp/g-change > change.txt
+#   diff parent.txt change.txt
+#
+# Set PYTHON to choose the interpreter (default python3).
+set -euo pipefail
+
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 1
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+cd "$2"
+python=${PYTHON:-python3}
+
+step=0
+run() {
+    local name=$1
+    shift
+    step=$((step + 1))
+    PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 "$python" -m substat.cli "$@" \
+        > "$(printf '%02d' "$step")-$name.stdout"
+}
+
+run simulate simulate --process poisson --a 3 --z 2 --seed 7 --out pattern.csv
+run simulate-thomas simulate --process thomas --a 2 --z 2 --seed 8 --out thomas.csv
+run table1 experiment table1 --process poisson --a-values 2,3 --z-values 1 \
+    --h-values 0.02,0.05 --replications 4 --seed 3 --threads 2 --out table1.csv
+run table2-poisson experiment table2 --process poisson --a-values 3 --z-values 1,2 \
+    --h-values 0.05 --replications 3 --seed 4 --threads 2 --out table2-poisson.csv
+run table2-thomas experiment table2 --process thomas --a-values 2 --z-values 1 \
+    --h-values 0.05 --replications 3 --seed 5 --threads 1 --out table2-thomas.csv
+# h=1e-5 leaves isolated points with a vanishing leave-one-out estimate: -inf
+run select-bandwidth select-bandwidth --data pattern.csv --region 0,2,0,1 \
+    --theta-deg 10 --candidates 0.00001,0.02,0.05,0.1 --out cv.csv
+run fit-subspace fit-subspace --data pattern.csv --region 0,2,0,1 --h 0.05 \
+    --threads 2 --out trace.csv
+mkdir -p grids
+run apply apply --data thomas.csv --region 0,2,0,1 --h-values 0.05,0.1 \
+    --search-halfwidth 10 --resolution 64 --grid-dir grids --out report.csv
+run estimate-substationary estimate-intensity --data pattern.csv --region 0,2,0,1 \
+    --estimator substationary --theta-deg 15 --h 0.05 --resolution 64 \
+    --out substationary.csv --svg substationary.svg
+run estimate-kernel2d estimate-intensity --data pattern.csv --region 0,2,0,1 \
+    --estimator kernel2d --h 0.1 --resolution 16 --out kernel2d.csv --svg kernel2d.svg
+run estimate-stationary estimate-intensity --data pattern.csv --region 0,2,0,1 \
+    --estimator stationary --resolution 8 --out stationary.csv --svg stationary.svg
+
+find . -type f | LC_ALL=C sort | xargs sha256sum
