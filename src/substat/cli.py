@@ -27,6 +27,8 @@ from .estimate import (
 from .experiments import ExperimentPlan, run_table1, run_table2, write_result_csv
 from .geometry import Subspace, Window
 from .io import (
+    DEFAULT_GRID_RESOLUTION,
+    DEFAULT_IGNORABLE_GAIN,
     DataError,
     RegionSpec,
     export_intensity_grid,
@@ -303,9 +305,9 @@ def _cmd_apply(args, cfg) -> int:
     report = run_application_pipeline(
         pattern,
         h_values,
-        threshold=_opt(args, cfg, "threshold", float, 10.0),
+        threshold=_opt(args, cfg, "threshold", float, DEFAULT_IGNORABLE_GAIN),
         grid_dir=_opt(args, cfg, "grid_dir", str, None),
-        grid_resolution=_opt(args, cfg, "resolution", int, 512),
+        grid_resolution=_opt(args, cfg, "resolution", int, DEFAULT_GRID_RESOLUTION),
         search_halfwidth_deg=_opt(args, cfg, "search_halfwidth", float, None),
         threads=threads,
     )

@@ -43,10 +43,11 @@ from .geometry import (
     v_range,
 )
 from .kernels import (
+    _gaussian_sums,
+    _gaussian_weights,
     correction_2d,
     correction_substat_closed,
     kernel_1d,
-    normal_cdf,
     validate_bandwidth,
 )
 
@@ -62,9 +63,7 @@ __all__ = [
     "select_bandwidth",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _DOMAIN_TOL = 1e-9
-_CHUNK_ELEMENTS = 4_000_000
 
 SUBSTAT_INTEGRAL_CELLS = 400
 GRID2D_INTEGRAL_CELLS = 200
@@ -80,47 +79,6 @@ def _as_subspace(theta) -> Subspace:
     if isinstance(theta, Subspace):
         return theta
     return Subspace(float(theta))
-
-
-def _gaussian_sums_1d(data: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
-    """sum_j phi((data_j - t) / h) / h for each target t.
-
-    Summation always runs over ``data`` in its stored (canonical) order,
-    chunked over targets to bound memory.
-    """
-    if data.size == 0:
-        return np.zeros(targets.shape, dtype=float)
-    out = np.empty(targets.shape, dtype=float)
-    step = max(1, _CHUNK_ELEMENTS // data.size)
-    for i in range(0, targets.size, step):
-        d = (data[None, :] - targets[i : i + step, None]) / h
-        np.multiply(d, d, out=d)
-        d *= -0.5
-        with np.errstate(under="ignore"):
-            np.exp(d, out=d)
-        out[i : i + step] = d.sum(axis=1)
-    return out / (h * _SQRT_2PI)
-
-
-def _gaussian_sums_2d(
-    xd: np.ndarray, yd: np.ndarray, xt: np.ndarray, yt: np.ndarray, h: float
-) -> np.ndarray:
-    """sum_j phi((xd_j - x)/h) phi((yd_j - y)/h) / h^2 at each target."""
-    if xd.size == 0:
-        return np.zeros(xt.shape, dtype=float)
-    out = np.empty(xt.shape, dtype=float)
-    step = max(1, _CHUNK_ELEMENTS // xd.size)
-    for i in range(0, xt.size, step):
-        dx = (xd[None, :] - xt[i : i + step, None]) / h
-        dy = (yd[None, :] - yt[i : i + step, None]) / h
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        dx += dy
-        dx *= -0.5
-        with np.errstate(under="ignore"):
-            np.exp(dx, out=dx)
-        out[i : i + step] = dx.sum(axis=1)
-    return out / (h * h * 2.0 * math.pi)
 
 
 class SubstationaryIntensity:
@@ -155,7 +113,7 @@ class SubstationaryIntensity:
             raise ValueError(
                 f"offset outside the projection range [{self._v_lo:.6g}, {self._v_hi:.6g}]"
             )
-        sums = _gaussian_sums_1d(self._v_data, v_arr, self.h)
+        sums = _gaussian_sums(self.h, (self._v_data, v_arr))
         corr = correction_substat_closed(self.theta, self.window, self.h, v_arr)
         out = sums / corr
         if np.isscalar(v) or np.ndim(v) == 0:
@@ -171,14 +129,14 @@ class SubstationaryIntensity:
     def grid_values(self, x_mids: np.ndarray, y_mids: np.ndarray) -> np.ndarray:
         """Estimate on a tensor grid, shape (len(x_mids), len(y_mids))."""
         _, v = project_xy(self.theta, x_mids[:, None], y_mids[None, :])
-        return self.evaluate(v.ravel()).reshape(v.shape)
+        return self.evaluate(v)
 
     def loo_values(self) -> np.ndarray:
         """Estimate at each data point with that point left out.
 
         The values follow the canonical (sorted-offset) order of the data.
         """
-        sums = _gaussian_sums_1d(self._v_data, self._v_data, self.h) - kernel_1d(self.h, 0.0)
+        sums = _gaussian_sums(self.h, (self._v_data, self._v_data)) - kernel_1d(self.h, 0.0)
         return sums / correction_substat_closed(self.theta, self.window, self.h, self._v_data)
 
     def integral(self, cells: int = SUBSTAT_INTEGRAL_CELLS) -> float:
@@ -215,7 +173,7 @@ class KernelIntensity2D:
             raise ValueError("x and y must have the same shape")
         if not np.all(self.window.contains(x_arr, y_arr, tol=_DOMAIN_TOL)):
             raise ValueError("evaluation location outside the observation window")
-        sums = _gaussian_sums_2d(self._x_data, self._y_data, x_arr, y_arr, self.h)
+        sums = _gaussian_sums(self.h, (self._x_data, x_arr), (self._y_data, y_arr))
         corr = correction_2d(self.window, self.h, x_arr, y_arr)
         out = sums / corr
         if np.isscalar(x) or np.ndim(x) == 0:
@@ -232,17 +190,10 @@ class KernelIntensity2D:
         sum over the data factorizes into a matrix product, which is far
         cheaper than evaluating every grid node separately.
         """
-        if self._x_data.size == 0:
-            sums = np.zeros((x_mids.size, y_mids.size))
-        else:
-            with np.errstate(under="ignore"):
-                ax = np.exp(-0.5 * ((self._x_data[:, None] - x_mids[None, :]) / self.h) ** 2)
-                ay = np.exp(-0.5 * ((self._y_data[:, None] - y_mids[None, :]) / self.h) ** 2)
-            sums = (ax.T @ ay) / (self.h * self.h * 2.0 * math.pi)
-        # the correction factorizes over the axes just like the kernel
-        fx = normal_cdf((self.window.z - x_mids) / self.h) - normal_cdf(-x_mids / self.h)
-        fy = normal_cdf((self.window.omega - y_mids) / self.h) - normal_cdf(-y_mids / self.h)
-        return sums / (fx[:, None] * fy[None, :])
+        wx = _gaussian_weights(self._x_data, x_mids, self.h)
+        wy = _gaussian_weights(self._y_data, y_mids, self.h)
+        sums = (wx.T @ wy) / (self.h * self.h * 2.0 * math.pi)
+        return sums / correction_2d(self.window, self.h, x_mids[:, None], y_mids[None, :])
 
     def integral(self, cells: int = GRID2D_INTEGRAL_CELLS) -> float:
         x_mids, dx = _midpoints(0.0, self.window.z, cells)
@@ -336,8 +287,9 @@ def loglik(
 class FitResult:
     """Outcome of the invariance-direction fit.
 
-    trace holds the (theta, log-likelihood) pairs of the coarse grid;
-    the refined maximizer never scores below any of them.
+    trace holds the (theta, log-likelihood) pairs of the coarse grid,
+    which always includes theta = 0; the refined maximizer never scores
+    below any of them.
     """
 
     theta_hat: Subspace
@@ -404,10 +356,11 @@ def fit_theta(
 ) -> FitResult:
     """Estimate the invariance direction by profile composite likelihood.
 
-    Evaluates the profile log-likelihood on a ``FIT_GRID_STEP_DEG`` coarse
-    angular grid over [-90, 90] degrees (the endpoints name the same
-    subspace), then refines the bracketing interval by golden-section
-    search to ``FIT_TOL`` radians.  The bandwidth is held fixed throughout.
+    Evaluates the profile log-likelihood on a coarse angular grid over
+    [-90, 90] degrees (the endpoints name the same subspace), symmetric
+    about 0 with steps of at most ``FIT_GRID_STEP_DEG``, then refines the
+    bracketing interval by golden-section search to ``FIT_TOL`` radians.
+    The bandwidth is held fixed throughout.
     ``threads`` evaluates the coarse grid in a thread pool (0 = one per
     CPU); the result does not depend on it.
 
@@ -431,8 +384,9 @@ def fit_theta(
         halfwidth = float(search_halfwidth_deg)
         if not 0.0 < halfwidth <= 90.0:
             raise ValueError("search_halfwidth_deg must be in (0, 90]")
-    n_grid = max(3, int(round(2.0 * halfwidth / FIT_GRID_STEP_DEG)) + 1)
-    thetas = np.radians(np.linspace(-halfwidth, halfwidth, n_grid))
+    # symmetric about 0, so the horizontal axis is always a grid node
+    half = np.linspace(0.0, halfwidth, math.ceil(halfwidth / FIT_GRID_STEP_DEG) + 1)
+    thetas = np.radians(np.concatenate((-half[:0:-1], half)))
 
     def profile(theta: float) -> float:
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))

@@ -158,7 +158,7 @@ def root_mse_theta(theta_hats) -> float:
     arr = np.degrees(np.asarray(list(theta_hats), dtype=float))
     if arr.size == 0:
         raise ValueError("need at least one fitted angle")
-    return float(np.sqrt(np.mean(arr * arr)))
+    return _root_mean_with_se(arr * arr)[0]
 
 
 def _root_mean_with_se(squared_samples: np.ndarray) -> tuple[float, float]:
@@ -203,7 +203,7 @@ def root_mise(estimates, truth, window: Window, theta_truth: Subspace) -> float:
         if est.window != window:
             raise ValueError("all estimators must share the window")
     squared = np.array([integrated_squared_error(e, truth, theta_truth) for e in estimates])
-    return float(np.sqrt(np.mean(squared)))
+    return _root_mean_with_se(squared)[0]
 
 
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import SubstationaryIntensity, _midpoints, fit_theta, loglik
+from .estimate import SubstationaryIntensity, _midpoints, fit_theta
 from .geometry import PointPattern, Subspace, Window, v_range
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_IGNORABLE_GAIN = 10.0
+DEFAULT_GRID_RESOLUTION = 512
 
 
 class DataError(ValueError):
@@ -241,18 +242,18 @@ def run_application_pipeline(
     *,
     threshold: float = DEFAULT_IGNORABLE_GAIN,
     grid_dir=None,
-    grid_resolution: int = 512,
+    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
     search_halfwidth_deg: float | None = None,
     threads: int = 1,
 ) -> ApplicationReport:
     """Fit the direction per bandwidth and score it against the axis.
 
     For each bandwidth: fit the invariance direction, compare its
-    log-likelihood with the horizontal-axis (theta = 0) fit, and flag the
-    difference as ignorable when it falls below ``threshold``.  The fitted
-    gain is nonnegative by construction because theta = 0 is in the
-    search grid.  With ``grid_dir`` set, the axis-aligned intensity curve
-    for each bandwidth is exported there.
+    log-likelihood with that of the horizontal axis (theta = 0), and flag
+    the difference as ignorable when it falls below ``threshold``.  The
+    fit's coarse grid always holds theta = 0, so the axis value is read
+    from its trace and the gain is nonnegative.  With ``grid_dir`` set,
+    the axis-aligned intensity curve for each bandwidth is exported there.
     """
     h_list = [float(h) for h in h_values]
     if not h_list:
@@ -264,8 +265,7 @@ def run_application_pipeline(
         fit = fit_theta(
             pattern, h, search_halfwidth_deg=search_halfwidth_deg, threads=threads
         )
-        axis_est = SubstationaryIntensity(pattern, 0.0, h)
-        ll_axis = loglik(pattern, axis_est)
+        ll_axis = dict(fit.trace)[0.0]
         delta = fit.loglik - ll_axis
         rows.append(
             ApplicationRow(
@@ -280,5 +280,6 @@ def run_application_pipeline(
         )
         if grid_dir is not None:
             out = os.path.join(str(grid_dir), f"intensity_axis_h{h:g}.csv")
+            axis_est = SubstationaryIntensity(pattern, 0.0, h)
             export_intensity_grid(axis_est, grid_resolution, out)
     return ApplicationReport(tuple(rows), threshold)

@@ -13,6 +13,12 @@ deflated.  Two forms of that correction are provided for the 1-D
 Only the Gaussian kernel ships; the normal CDF is evaluated
 through the complementary error function so deep tails underflow to zero
 instead of losing precision to cancellation.
+
+One engine, ``_gaussian_sums``, takes the kernel sums of the 1-D smoother,
+its leave-one-out term and the 2-D smoother at scattered locations; on a
+tensor grid the 2-D smoother multiplies ``_gaussian_weights`` matrices.  The
+engine is the direct sum, exact up to rounding, and the oracle for any faster
+approximation.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
+_CHUNK_ELEMENTS = 4_000_000
 
 
 class QuadratureError(RuntimeError):
@@ -75,6 +82,39 @@ def kernel_1d(h: float, t):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _gaussian_sums(h: float, *axes) -> np.ndarray:
+    """sum_j prod_k phi((data_kj - t_k) / h) / h at each target t.
+
+    One ``(data, targets)`` pair per axis; the targets share one shape,
+    which the result takes.  Offsets are squared and added over the axes
+    before one ``exp`` per pair; the data are summed in stored order, in
+    chunks of targets to bound memory.  Empty data sum to zero.
+    """
+    shape = axes[0][1].shape
+    axes = [(data, targets.ravel()) for data, targets in axes]
+    out = np.empty(axes[0][1].size, dtype=float)
+    step = max(1, _CHUNK_ELEMENTS // max(1, axes[0][0].size))
+    for i in range(0, out.size, step):
+        d = None
+        for data, targets in axes:
+            e = (data[None, :] - targets[i : i + step, None]) / h
+            e *= e
+            d = e if d is None else np.add(d, e, out=d)
+        d *= -0.5
+        with np.errstate(under="ignore"):
+            np.exp(d, out=d)
+        out[i : i + step] = d.sum(axis=1)
+    return (out / (h * _SQRT_2PI) ** len(axes)).reshape(shape)
+
+
+def _gaussian_weights(data: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
+    """exp(-((data_j - t_k) / h)^2 / 2) as a (data, targets) matrix; a 2-D grid
+    sum is the x-matrix, transposed, times the y-matrix, over 2*pi*h^2."""
+    d = (data[:, None] - targets[None, :]) / h
+    with np.errstate(under="ignore"):
+        return np.exp(-0.5 * d**2)
 
 
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):

@@ -141,6 +141,16 @@ class TestEstimatorInterface:
             for j, ym in enumerate(y_mids):
                 assert grid[i, j] == pytest.approx(est.at_points(xm, ym), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_at_points_keeps_the_shape_of_the_locations(self, kind):
+        rng = np.random.default_rng(11)
+        pat = random_pattern(rng, z=2.0, n=50)
+        est = ESTIMATORS[kind](pat)
+        x, y = rng.uniform(0, 2, (3, 4)), rng.uniform(0, 1, (3, 4))
+        got = est.at_points(x, y)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), est.at_points(x.ravel(), y.ravel()))
+
     def test_loo_values_drop_each_point_from_its_own_estimate(self):
         rng = np.random.default_rng(13)
         pat = random_pattern(rng, z=2.0, n=30)
@@ -271,6 +281,14 @@ class TestFitTheta:
         assert all(fit.loglik >= v for _, v in fit.trace)
         assert fit.h == 0.05
         assert not fit.degenerate
+
+    def test_grid_holds_the_axis_at_any_halfwidth(self):
+        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(66, 1))
+        thetas = [t for t, _ in fit_theta(pat, 0.05, search_halfwidth_deg=2.5).trace]
+        assert 0.0 in thetas
+        assert thetas == [-t for t in reversed(thetas)]  # symmetric about 0
+        assert thetas[0] == math.radians(-2.5) and thetas[-1] == math.radians(2.5)
+        assert max(np.diff(np.degrees(thetas))) <= 1.0 + 1e-12
 
     def test_bounded_search_respects_limits(self):
         pat = simulate_poisson_beta(PoissonBetaModel(1.5, Window(1.0)), RngStream(67, 3))

@@ -9,6 +9,7 @@ from substat.estimate import (
     StationaryIntensity,
     SubstationaryIntensity,
     bandwidth_cv_scores,
+    loglik,
 )
 from substat.geometry import PointPattern, Window
 from substat.io import (
@@ -161,6 +162,14 @@ class TestApplicationPipeline:
             assert row.theta_hat_deg == pytest.approx(math.degrees(row.theta_hat_rad))
         assert (tmp_path / "intensity_axis_h0.05.csv").exists()
         assert (tmp_path / "intensity_axis_h0.1.csv").exists()
+
+    def test_axis_likelihood_comes_from_the_fit_grid(self):
+        # a +-2.5 degree search whose grid once skipped theta = 0 and
+        # reported a negative gain on this pattern
+        pat = simulate_poisson_beta(PoissonBetaModel(1.0, Window(2, 1)), RngStream(11, 30))
+        row = run_application_pipeline(pat, [0.05], search_halfwidth_deg=2.5).rows[0]
+        assert row.delta_loglik >= 0.0
+        assert row.loglik_axis == loglik(pat, SubstationaryIntensity(pat, 0.0, 0.05))
 
     def test_report_csv_layout(self, pattern, tmp_path):
         report = run_application_pipeline(pattern, [0.05])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from substat import kernels
 from substat.geometry import Subspace, Window, chord_measure, v_range
 from substat.kernels import (
     QuadratureError,
+    _gaussian_sums,
     correction_2d,
     correction_substat_closed,
     correction_substat_quadrature,
@@ -189,3 +191,41 @@ class TestCorrection2D:
             assert err < 1e-7
             got = correction_2d(w, h, x0, y0)
             assert got == pytest.approx(oracle, rel=1e-6)
+
+
+class TestGaussianSums:
+    def test_1d_matches_a_double_loop(self):
+        rng = np.random.default_rng(11)
+        data, targets, h = rng.uniform(0, 1, 40), rng.uniform(0, 1, 25), 0.07
+        want = [sum(kernel_1d(h, d - t) for d in data) for t in targets]
+        got = _gaussian_sums(h, (data, targets))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_2d_matches_a_double_loop(self):
+        rng = np.random.default_rng(12)
+        xd, yd = rng.uniform(0, 2, 30), rng.uniform(0, 1, 30)
+        xt, yt = rng.uniform(0, 2, 20), rng.uniform(0, 1, 20)
+        h = 0.2
+        want = [
+            sum(kernel_1d(h, a - x) * kernel_1d(h, b - y) for a, b in zip(xd, yd))
+            for x, y in zip(xt, yt)
+        ]
+        got = _gaussian_sums(h, (xd, xt), (yd, yt))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_empty_data_gives_zeros_shaped_like_the_targets(self):
+        empty, targets = np.empty(0), np.linspace(0, 1, 7)
+        for axes in [((empty, targets),), ((empty, targets), (empty, targets))]:
+            got = _gaussian_sums(0.1, *axes)
+            assert got.shape == (7,)
+            assert np.all(got == 0.0)
+
+    def test_chunking_never_changes_the_sums(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        xd, yd = rng.uniform(0, 2, 50), rng.uniform(0, 1, 50)
+        xt, yt = rng.uniform(0, 2, 37), rng.uniform(0, 1, 37)
+        whole_1d = _gaussian_sums(0.05, (xd, xt))
+        whole_2d = _gaussian_sums(0.05, (xd, xt), (yd, yt))
+        monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 50 * 4)  # 4 targets per chunk
+        assert np.array_equal(_gaussian_sums(0.05, (xd, xt)), whole_1d)
+        assert np.array_equal(_gaussian_sums(0.05, (xd, xt), (yd, yt)), whole_2d)

@@ -58,5 +58,13 @@ run estimate-kernel2d estimate-intensity --data pattern.csv --region 0,2,0,1 \
     --estimator kernel2d --h 0.1 --resolution 16 --out kernel2d.csv --svg kernel2d.svg
 run estimate-stationary estimate-intensity --data pattern.csv --region 0,2,0,1 \
     --estimator stationary --resolution 8 --out stationary.csv --svg stationary.svg
+# n of about 5000: the leave-one-out sums and the 2000-node export each
+# span several target chunks of the kernel-sum engine
+run simulate-large simulate --process poisson --a 3 --z 50 --seed 9 --out large.csv
+run select-bandwidth-large select-bandwidth --data large.csv --region 0,50,0,1 \
+    --candidates 0.02,0.05 --out cv-large.csv
+run estimate-large estimate-intensity --data large.csv --region 0,50,0,1 \
+    --estimator substationary --theta-deg 1 --h 0.05 --resolution 2000 \
+    --out substationary-large.csv
 
 find . -type f | LC_ALL=C sort | xargs sha256sum
