@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: simulate, estimate-intensity, fit-subspace, select-bandwidth,
-experiment, ingest, apply.  Every subcommand accepts --seed, --threads,
---config and --out; a config file holds ``key = value`` lines whose keys
-match the option names (underscores), with command-line values taking
-precedence.
+experiment, ingest, apply.  Every subcommand accepts --config and --out;
+simulate, estimate-intensity and experiment take --seed, and fit-subspace,
+experiment and apply take --threads.  ``substat COMMAND --help`` shows each
+option's default.  A config file holds ``key = value`` lines whose keys match
+the option names (underscores); its values replace the option defaults, so
+command-line values take precedence.  A key that names no option of any
+subcommand is a usage error; keys of other subcommands are ignored, so one
+file can serve a whole session.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -31,6 +35,7 @@ from .io import (
     DEFAULT_IGNORABLE_GAIN,
     DataError,
     RegionSpec,
+    _write_csv,
     export_intensity_grid,
     export_pattern_csv,
     ingest_csv,
@@ -45,6 +50,12 @@ from .simulate import (
     simulate_poisson_beta,
     simulate_thomas,
 )
+
+
+# the 2-D grid has resolution**2 nodes, so it gets a coarser default
+_KERNEL2D_RESOLUTION = 128
+_GRID_HELP = f"grid nodes; None: {DEFAULT_GRID_RESOLUTION}, kernel2d {_KERNEL2D_RESOLUTION}**2"
+_HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
 
 
 class _UsageError(Exception):
@@ -85,270 +96,216 @@ def load_config(path) -> dict[str, str]:
     return out
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    common.add_argument("--threads", type=int, default=None, help="worker threads, 0 = auto")
-    common.add_argument("--config", default=None, help="key = value file supplying defaults")
-    common.add_argument("--out", default=None, help="output file path")
+def _halfwidth(text: str) -> float | None:
+    return None if text.strip().lower() in ("none", "full") else float(text)
 
+
+class _Help(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):  # no "(default: None)" on required options
+        return action.help if action.required else super()._get_help_string(action)
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subcommand parsers; every option is declared here once."""
     parser = _Parser(prog="substat", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="draw a seeded point pattern")
-    p.add_argument("--process", choices=("poisson", "thomas"), default=None)
-    p.add_argument("--a", type=float, default=None, help="Beta shape parameter, >= 1")
-    p.add_argument("--z", type=float, default=None, help="horizontal window extent")
-    p.add_argument("--gamma", type=float, default=None, help="mean offspring per parent")
-    p.add_argument("--sigma", type=float, default=None, help="offspring displacement scale")
-    p.add_argument("--buffer", type=float, default=None, help="parent strip buffer")
-    p.add_argument("--stream", type=int, default=None, help="stream index under the seed")
+    def command(name, run, help, *, needs_out=True, pattern=True) -> _Parser:
+        p = sub.add_parser(name, help=help, formatter_class=_Help)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="key = value file supplying defaults")
+        p.add_argument("--out", required=needs_out, help="output file path")
+        if pattern:
+            p.add_argument("--data", required=True, help="input x,y CSV")
+            p.add_argument("--region", type=_region, required=True, help="x_min,x_max,y_min,y_max")
+        return p
 
-    p = sub.add_parser("ingest", parents=[common], help="load and canonicalize a point CSV")
-    p.add_argument("--data", default=None, help="input x,y CSV")
-    p.add_argument("--region", type=_region, default=None, help="x_min,x_max,y_min,y_max")
+    p = command("simulate", _cmd_simulate, "draw a seeded point pattern", pattern=False)
+    p.add_argument("--process", choices=("poisson", "thomas"), required=True, help="point process")
+    p.add_argument("--a", type=float, required=True, help="Beta shape parameter, >= 1")
+    p.add_argument("--z", type=float, required=True, help="horizontal window extent")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--stream", type=int, default=0, help="stream index under the seed")
+    p.add_argument("--gamma", type=float, default=ThomasModel.gamma, help="offspring per parent")
+    p.add_argument("--sigma", type=float, default=ThomasModel.sigma, help="offspring spread")
+    p.add_argument("--buffer", type=float, default=ThomasModel.parent_buffer, help="parent buffer")
 
-    p = sub.add_parser("estimate-intensity", parents=[common], help="export an intensity grid")
-    p.add_argument("--data", default=None)
-    p.add_argument("--region", type=_region, default=None)
-    p.add_argument("--estimator", choices=("substationary", "kernel2d", "stationary"), default=None)
-    p.add_argument("--theta-deg", type=float, default=None, help="subspace angle in degrees")
-    p.add_argument("--h", type=float, default=None, help="bandwidth")
-    p.add_argument("--resolution", type=int, default=None, help="grid resolution")
-    p.add_argument("--svg", default=None, help="also render the grid to this SVG path")
+    command("ingest", _cmd_ingest, "load and canonicalize a point CSV")
 
-    p = sub.add_parser("fit-subspace", parents=[common], help="fit the invariance direction")
-    p.add_argument("--data", default=None)
-    p.add_argument("--region", type=_region, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--search-halfwidth", type=float, default=None, help="restrict search, degrees")
+    p = command("estimate-intensity", _cmd_estimate_intensity, "export an intensity grid")
+    estimators = ("substationary", "kernel2d", "stationary")
+    p.add_argument("--estimator", choices=estimators, required=True, help="intensity estimator")
+    p.add_argument("--h", type=float, help="bandwidth, needed by substationary and kernel2d")
+    p.add_argument("--theta-deg", type=float, default=0.0, help="subspace angle in degrees")
+    p.add_argument("--resolution", type=int, help=_GRID_HELP)
+    p.add_argument("--seed", type=int, help="seed recorded in the grid metadata")
+    p.add_argument("--svg", help="also render the grid to this SVG path")
 
-    p = sub.add_parser("select-bandwidth", parents=[common], help="cross-validated bandwidth choice")
-    p.add_argument("--data", default=None)
-    p.add_argument("--region", type=_region, default=None)
-    p.add_argument("--theta-deg", type=float, default=None)
-    p.add_argument("--candidates", type=_floats, default=None, help="comma-separated bandwidths")
+    p = command("fit-subspace", _cmd_fit_subspace, "fit the invariance direction", needs_out=False)
+    p.add_argument("--h", type=float, required=True, help="bandwidth")
+    p.add_argument("--search-halfwidth", type=_halfwidth, help=_HALFWIDTH_HELP)
+    p.add_argument("--threads", type=int, default=1, help="worker threads, 0 = auto")
 
-    p = sub.add_parser("experiment", parents=[common], help="run a replication sweep")
+    about = "cross-validated bandwidth choice"
+    p = command("select-bandwidth", _cmd_select_bandwidth, about, needs_out=False)
+    p.add_argument("--candidates", type=_floats, required=True, help="comma-separated bandwidths")
+    p.add_argument("--theta-deg", type=float, default=0.0, help="subspace angle in degrees")
+
+    p = command("experiment", _cmd_experiment, "run a replication sweep", pattern=False)
     p.add_argument("target", choices=("table1", "table2"))
-    p.add_argument("--process", choices=("poisson", "thomas"), default=None)
-    p.add_argument("--a-values", type=_floats, default=None)
-    p.add_argument("--z-values", type=_floats, default=None)
-    p.add_argument("--h-values", type=_floats, default=None)
-    p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--search-halfwidth", type=float, default=None)
+    p.add_argument("--process", choices=("poisson", "thomas"), required=True, help="point process")
+    p.add_argument("--a-values", type=_floats, required=True, help="Beta shape parameters")
+    p.add_argument("--z-values", type=_floats, required=True, help="horizontal window extents")
+    p.add_argument("--h-values", type=_floats, required=True, help="bandwidths")
+    p.add_argument("--replications", type=int, default=100, help="patterns per cell")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--gamma", type=float, default=ExperimentPlan.gamma, help="offspring per parent")
+    p.add_argument("--sigma", type=float, default=ExperimentPlan.sigma, help="offspring spread")
+    halfwidth = ExperimentPlan.search_halfwidth_deg
+    p.add_argument("--search-halfwidth", type=_halfwidth, default=halfwidth, help=_HALFWIDTH_HELP)
+    p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
 
-    p = sub.add_parser("apply", parents=[common], help="fit directions across bandwidths")
-    p.add_argument("--data", default=None)
-    p.add_argument("--region", type=_region, default=None)
-    p.add_argument("--h-values", type=_floats, default=None)
-    p.add_argument("--threshold", type=float, default=None, help="ignorable likelihood gain")
-    p.add_argument("--grid-dir", default=None, help="directory for per-bandwidth grids")
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--search-halfwidth", type=float, default=None)
+    p = command("apply", _cmd_apply, "fit directions across bandwidths")
+    p.add_argument("--h-values", type=_floats, required=True, help="bandwidths")
+    p.add_argument("--threshold", type=float, default=DEFAULT_IGNORABLE_GAIN, help="ignorable gain")
+    p.add_argument("--grid-dir", help="directory for per-bandwidth grids")
+    p.add_argument("--resolution", type=int, default=DEFAULT_GRID_RESOLUTION, help="grid nodes")
+    p.add_argument("--search-halfwidth", type=_halfwidth, help=_HALFWIDTH_HELP)
+    p.add_argument("--threads", type=int, default=1, help="worker threads, 0 = auto")
 
-    return parser
-
-
-def _opt(args, cfg: dict, name: str, conv, default=None, required: bool = False):
-    value = getattr(args, name, None)
-    if value is None and name in cfg:
-        raw = cfg[name]
-        try:
-            value = conv(raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise _UsageError(f"config key {name!r}: {exc}")
-    if value is None:
-        if required:
-            flag = "--" + name.replace("_", "-")
-            raise _UsageError(f"missing required option {flag} (or config key '{name}')")
-        value = default
-    return value
+    return parser, sub.choices
 
 
-def _load_pattern(args, cfg):
-    data = _opt(args, cfg, "data", str, required=True)
-    region = _opt(args, cfg, "region", _region, required=True)
-    return ingest_csv(data, region)
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` with the values of its --config file as the option defaults.
+
+    A config value is a string default, which argparse runs through the
+    option's type only when the command line leaves that option out.
+    """
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    cfg = load_config(path) if path else {}
+    parser, commands = _build_parser()
+    options = [a for p in commands.values() for a in p._actions if a.option_strings]
+    unknown = sorted(set(cfg) - {a.dest for a in options})
+    if unknown:
+        raise _UsageError(f"{path}: config key {unknown[0]!r} names no option")
+    for action in options:
+        if action.dest in cfg:
+            action.default, action.required = cfg[action.dest], False
+    args = parser.parse_args(argv)
+    for action in commands[args.command]._actions:  # argparse checks no default's choices
+        value = getattr(args, action.dest, None)
+        if action.dest in cfg and action.choices and value not in action.choices:
+            parser.error(f"argument {action.option_strings[0]}: invalid choice: {value!r}")
+    return args
 
 
-def _cmd_simulate(args, cfg) -> int:
-    process = _opt(args, cfg, "process", str, required=True)
-    a = _opt(args, cfg, "a", float, required=True)
-    z = _opt(args, cfg, "z", float, required=True)
-    seed = _opt(args, cfg, "seed", int, 0)
-    stream_index = _opt(args, cfg, "stream", int, 0)
-    out = _opt(args, cfg, "out", str, required=True)
-    base = PoissonBetaModel(a, Window(z, 1.0))
-    stream = RngStream(seed, stream_index)
-    metadata = {"process": process, "a": repr(a), "z": repr(z), "seed": seed, "stream": stream_index}
-    if process == "thomas":
-        gamma = _opt(args, cfg, "gamma", float, 5.0)
-        sigma = _opt(args, cfg, "sigma", float, 0.02)
-        buffer = _opt(args, cfg, "buffer", float, 0.0)
-        model = ThomasModel(base, gamma=gamma, sigma=sigma, parent_buffer=buffer)
+def _cmd_simulate(args) -> None:
+    base = PoissonBetaModel(args.a, Window(args.z, 1.0))
+    stream = RngStream(args.seed, args.stream)
+    metadata = {"process": args.process, "a": repr(args.a), "z": repr(args.z)}
+    metadata.update(seed=args.seed, stream=args.stream)
+    if args.process == "thomas":
+        model = ThomasModel(base, gamma=args.gamma, sigma=args.sigma, parent_buffer=args.buffer)
         pattern = simulate_thomas(model, stream)
-        metadata.update({"gamma": repr(gamma), "sigma": repr(sigma), "buffer": repr(buffer)})
+        metadata.update(gamma=repr(args.gamma), sigma=repr(args.sigma), buffer=repr(args.buffer))
     else:
         pattern = simulate_poisson_beta(base, stream)
-    export_pattern_csv(pattern, out, metadata)
-    print(f"wrote {pattern.n} points to {out}")
-    return 0
+    export_pattern_csv(pattern, args.out, metadata)
+    print(f"wrote {pattern.n} points to {args.out}")
 
 
-def _cmd_ingest(args, cfg) -> int:
-    pattern = _load_pattern(args, cfg)
-    out = _opt(args, cfg, "out", str, required=True)
-    export_pattern_csv(
-        pattern, out, {"z": repr(pattern.window.z), "omega": repr(pattern.window.omega)}
-    )
-    print(f"kept {pattern.n} points; window z={pattern.window.z!r} omega={pattern.window.omega!r}")
-    return 0
+def _cmd_ingest(args) -> None:
+    pattern = ingest_csv(args.data, args.region)
+    window = pattern.window
+    export_pattern_csv(pattern, args.out, {"z": repr(window.z), "omega": repr(window.omega)})
+    print(f"kept {pattern.n} points; window z={window.z!r} omega={window.omega!r}")
 
 
-def _cmd_estimate_intensity(args, cfg) -> int:
-    pattern = _load_pattern(args, cfg)
-    kind = _opt(args, cfg, "estimator", str, required=True)
-    out = _opt(args, cfg, "out", str, required=True)
-    seed = _opt(args, cfg, "seed", int, None)
+def _cmd_estimate_intensity(args) -> None:
+    pattern = ingest_csv(args.data, args.region)
+    kind = args.estimator
+    if kind != "stationary" and args.h is None:
+        raise _UsageError(f"--estimator {kind} needs --h")
     if kind == "substationary":
-        h = _opt(args, cfg, "h", float, required=True)
-        theta_deg = _opt(args, cfg, "theta_deg", float, 0.0)
-        est = SubstationaryIntensity(pattern, Subspace.from_degrees(theta_deg), h)
-        resolution = _opt(args, cfg, "resolution", int, 512)
+        est = SubstationaryIntensity(pattern, Subspace.from_degrees(args.theta_deg), args.h)
     elif kind == "kernel2d":
-        h = _opt(args, cfg, "h", float, required=True)
-        est = KernelIntensity2D(pattern, h)
-        resolution = _opt(args, cfg, "resolution", int, 128)
+        est = KernelIntensity2D(pattern, args.h)
     else:
         est = StationaryIntensity(pattern)
-        resolution = _opt(args, cfg, "resolution", int, 512)
-    grid = export_intensity_grid(est, resolution, out, seed=seed)
-    print(f"wrote {len(grid.values)} grid values to {out}")
-    svg = _opt(args, cfg, "svg", str, None)
-    if svg:
-        render_grid_svg(grid, svg)
-        print(f"rendered {svg}")
-    return 0
+    resolution = args.resolution
+    if resolution is None:
+        resolution = _KERNEL2D_RESOLUTION if kind == "kernel2d" else DEFAULT_GRID_RESOLUTION
+    grid = export_intensity_grid(est, resolution, args.out, seed=args.seed)
+    print(f"wrote {len(grid.values)} grid values to {args.out}")
+    if args.svg:
+        render_grid_svg(grid, args.svg)
+        print(f"rendered {args.svg}")
 
 
-def _cmd_fit_subspace(args, cfg) -> int:
-    pattern = _load_pattern(args, cfg)
-    h = _opt(args, cfg, "h", float, required=True)
-    halfwidth = _opt(args, cfg, "search_halfwidth", float, None)
-    threads = _opt(args, cfg, "threads", int, 1)
-    fit = fit_theta(pattern, h, search_halfwidth_deg=halfwidth, threads=threads)
+def _cmd_fit_subspace(args) -> None:
+    pattern = ingest_csv(args.data, args.region)
+    halfwidth, threads = args.search_halfwidth, args.threads
+    fit = fit_theta(pattern, args.h, search_halfwidth_deg=halfwidth, threads=threads)
     print(f"theta_hat_rad={fit.theta_hat.theta!r}")
     print(f"theta_hat_deg={fit.theta_hat.degrees!r}")
     print(f"loglik={fit.loglik!r}")
     print(f"degenerate={str(fit.degenerate).lower()}")
-    out = _opt(args, cfg, "out", str, None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("theta_rad,loglik\n")
-            for theta, value in fit.trace:
-                fh.write(f"{theta!r},{value!r}\n")
-        print(f"wrote trace to {out}")
-    return 0
+    if args.out:
+        _write_csv(args.out, (), "theta_rad,loglik", ((repr(t), repr(v)) for t, v in fit.trace))
+        print(f"wrote trace to {args.out}")
 
 
-def _cmd_select_bandwidth(args, cfg) -> int:
-    pattern = _load_pattern(args, cfg)
-    theta_deg = _opt(args, cfg, "theta_deg", float, 0.0)
-    candidates = _opt(args, cfg, "candidates", _floats, required=True)
-    scores = bandwidth_cv_scores(pattern, Subspace.from_degrees(theta_deg), candidates)
+def _cmd_select_bandwidth(args) -> None:
+    pattern = ingest_csv(args.data, args.region)
+    scores = bandwidth_cv_scores(pattern, Subspace.from_degrees(args.theta_deg), args.candidates)
     print(f"selected_h={_pick_bandwidth(scores)!r}")
-    out = _opt(args, cfg, "out", str, None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("h,cv_score\n")
-            for h, score in scores:
-                fh.write(f"{h!r},{score!r}\n")
-        print(f"wrote scores to {out}")
-    return 0
+    if args.out:
+        _write_csv(args.out, (), "h,cv_score", ((repr(h), repr(s)) for h, s in scores))
+        print(f"wrote scores to {args.out}")
 
 
-def _cmd_experiment(args, cfg) -> int:
-    out = _opt(args, cfg, "out", str, required=True)
-    halfwidth_raw = _opt(args, cfg, "search_halfwidth", str, None)
-    kwargs = {}
-    if halfwidth_raw is not None:
-        text = str(halfwidth_raw).strip().lower()
-        kwargs["search_halfwidth_deg"] = None if text in ("none", "full") else float(halfwidth_raw)
+def _cmd_experiment(args) -> None:
     plan = ExperimentPlan(
-        process=_opt(args, cfg, "process", str, required=True),
-        a_values=_opt(args, cfg, "a_values", _floats, required=True),
-        z_values=_opt(args, cfg, "z_values", _floats, required=True),
-        h_values=_opt(args, cfg, "h_values", _floats, required=True),
-        replications=_opt(args, cfg, "replications", int, 100),
-        master_seed=_opt(args, cfg, "seed", int, 0),
-        target=args.target,
-        gamma=_opt(args, cfg, "gamma", float, 5.0),
-        sigma=_opt(args, cfg, "sigma", float, 0.02),
-        **kwargs,
+        process=args.process, target=args.target, master_seed=args.seed,
+        a_values=args.a_values, z_values=args.z_values, h_values=args.h_values,
+        replications=args.replications, gamma=args.gamma, sigma=args.sigma,
+        search_halfwidth_deg=args.search_halfwidth,
     )
-    threads = _opt(args, cfg, "threads", int, 0)
     runner = run_table1 if args.target == "table1" else run_table2
-    result = runner(plan, threads=threads)
-    write_result_csv(result, out)
-    print(f"wrote {len(result.cells)} cells to {out}")
-    return 0
+    result = runner(plan, threads=args.threads)
+    write_result_csv(result, args.out)
+    print(f"wrote {len(result.cells)} cells to {args.out}")
 
 
-def _cmd_apply(args, cfg) -> int:
-    pattern = _load_pattern(args, cfg)
-    h_values = _opt(args, cfg, "h_values", _floats, required=True)
-    out = _opt(args, cfg, "out", str, required=True)
-    threads = _opt(args, cfg, "threads", int, 1)
+def _cmd_apply(args) -> None:
+    pattern = ingest_csv(args.data, args.region)
     report = run_application_pipeline(
-        pattern,
-        h_values,
-        threshold=_opt(args, cfg, "threshold", float, DEFAULT_IGNORABLE_GAIN),
-        grid_dir=_opt(args, cfg, "grid_dir", str, None),
-        grid_resolution=_opt(args, cfg, "resolution", int, DEFAULT_GRID_RESOLUTION),
-        search_halfwidth_deg=_opt(args, cfg, "search_halfwidth", float, None),
-        threads=threads,
+        pattern, args.h_values, threshold=args.threshold, grid_dir=args.grid_dir,
+        grid_resolution=args.resolution, search_halfwidth_deg=args.search_halfwidth,
+        threads=args.threads,
     )
-    report.to_csv(out)
+    report.to_csv(args.out)
     for row in report.rows:
         print(
             f"h={row.h:g} theta_hat_deg={row.theta_hat_deg:.6f} "
             f"delta_loglik={row.delta_loglik:.6f} ignorable={str(row.ignorable).lower()}"
         )
-    print(f"wrote report to {out}")
-    return 0
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "ingest": _cmd_ingest,
-    "estimate-intensity": _cmd_estimate_intensity,
-    "fit-subspace": _cmd_fit_subspace,
-    "select-bandwidth": _cmd_select_bandwidth,
-    "experiment": _cmd_experiment,
-    "apply": _cmd_apply,
-}
+    print(f"wrote report to {args.out}")
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            parser.print_usage(sys.stderr)
-            return 1
-        cfg = load_config(args.config) if getattr(args, "config", None) else {}
-        return _COMMANDS[args.command](args, cfg)
+        args = _parse(argv)
+        args.run(args)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, BandwidthSelectionError) as exc:

@@ -362,6 +362,47 @@ class TestCli:
         assert main(["simulate", "--process", "poisson", "--a", "2"]) == 1  # no --z/--out
         assert main(["no-such-command"]) == 1
         assert main([]) == 1
+        out = str(tmp_path / "out.csv")
+        sim = ["simulate", "--process", "poisson", "--a", "2", "--z", "1", "--out", out]
+        assert main([*sim, "--threads", "2"]) == 1  # simulate takes no --threads
+        data = ["--data", str(tmp_path / "missing.csv"), "--region", "0,1,0,1", "--out", out]
+        assert main(["ingest", *data, "--seed", "1"]) == 1  # not 2: the usage fails first
+        cfg = tmp_path / "bad-choice.cfg"
+        cfg.write_text("estimator = kernel\n")  # not one of the choices
+        assert main(["estimate-intensity", *data, "--config", str(cfg)]) == 1
+
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys):
+        data = self.simulate_file(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("estimator = stationary\nrezolution = 4\n")
+        args = ["estimate-intensity", "--data", str(data), "--region", "0,2,0,1"]
+        assert main([*args, "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 1
+        assert "'rezolution'" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_config_keys_of_other_subcommands_are_ignored(self, tmp_path):
+        data = self.simulate_file(tmp_path)
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("h_values = 0.05\nsearch_halfwidth = 10\ncandidates = 0.02, 0.05\n")
+        args = ["apply", "--data", str(data), "--region", "0,2,0,1", "--config", str(cfg)]
+        assert main([*args, "--out", str(tmp_path / "report.csv")]) == 0
+
+    def test_open_search_halfwidth_on_command_line_and_in_config(self, tmp_path):
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text("search_halfwidth = none\n")
+        plan = [
+            "experiment", "table1", "--process", "poisson", "--a-values", "2",
+            "--z-values", "1", "--h-values", "0.05", "--replications", "2", "--seed", "3",
+        ]
+        outputs = []
+        for name, extra in (
+            ("cli.csv", ["--search-halfwidth", "none"]),
+            ("full.csv", ["--search-halfwidth", "full"]),
+            ("cfg.csv", ["--config", str(cfg)]),
+        ):
+            assert main([*plan, *extra, "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -66,5 +66,11 @@ run select-bandwidth-large select-bandwidth --data large.csv --region 0,50,0,1 \
 run estimate-large estimate-intensity --data large.csv --region 0,50,0,1 \
     --estimator substationary --theta-deg 1 --h 0.05 --resolution 2000 \
     --out substationary-large.csv
+# a config file: a shared-session key of another subcommand (candidates) is
+# ignored, and search_halfwidth = none opens the search
+printf '%s\n' 'seed = 12' 'threads = 2' 'h_values = 0.05, 0.1' 'search_halfwidth = none' \
+    'candidates = 0.02, 0.05' > sweep.cfg
+run table1-config experiment table1 --config sweep.cfg --process poisson --a-values 2 \
+    --z-values 1 --replications 2 --out table1-config.csv
 
 find . -type f | LC_ALL=C sort | xargs sha256sum
