@@ -26,19 +26,15 @@ from .experiments import (
     ExperimentResult,
     integrated_squared_error,
     replication_stream,
-    root_mise,
-    root_mse_theta,
     run_table1,
     run_table2,
     write_result_csv,
 )
 from .geometry import (
-    Point,
     PointPattern,
     Subspace,
     Window,
     chord_measure,
-    project,
     project_xy,
     unproject_xy,
     v_range,

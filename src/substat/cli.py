@@ -28,7 +28,7 @@ from .estimate import (
     bandwidth_cv_scores,
     fit_theta,
 )
-from .experiments import ExperimentPlan, run_table1, run_table2, write_result_csv
+from .experiments import PROCESSES, ExperimentPlan, run_table1, run_table2, write_result_csv
 from .geometry import Subspace, Window
 from .io import (
     DEFAULT_GRID_RESOLUTION,
@@ -121,7 +121,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         return p
 
     p = command("simulate", _cmd_simulate, "draw a seeded point pattern", pattern=False)
-    p.add_argument("--process", choices=("poisson", "thomas"), required=True, help="point process")
+    p.add_argument("--process", choices=PROCESSES, required=True, help="point process")
     p.add_argument("--a", type=float, required=True, help="Beta shape parameter, >= 1")
     p.add_argument("--z", type=float, required=True, help="horizontal window extent")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -153,7 +153,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = command("experiment", _cmd_experiment, "run a replication sweep", pattern=False)
     p.add_argument("target", choices=("table1", "table2"))
-    p.add_argument("--process", choices=("poisson", "thomas"), required=True, help="point process")
+    p.add_argument("--process", choices=PROCESSES, required=True, help="point process")
     p.add_argument("--a-values", type=_floats, required=True, help="Beta shape parameters")
     p.add_argument("--z-values", type=_floats, required=True, help="horizontal window extents")
     p.add_argument("--h-values", type=_floats, required=True, help="bandwidths")

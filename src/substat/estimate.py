@@ -75,6 +75,11 @@ class BandwidthSelectionError(RuntimeError):
     """Raised when no bandwidth candidate yields a finite criterion."""
 
 
+def _require_inside(window: Window, x, y) -> None:
+    if not np.all(window.contains(x, y, tol=_DOMAIN_TOL)):
+        raise ValueError("evaluation location outside the observation window")
+
+
 def _as_subspace(theta) -> Subspace:
     if isinstance(theta, Subspace):
         return theta
@@ -120,9 +125,8 @@ class SubstationaryIntensity:
             return float(out[0])
         return out
 
-    __call__ = evaluate
-
     def at_points(self, x, y):
+        _require_inside(self.window, x, y)
         _, v = project_xy(self.theta, x, y)
         return self.evaluate(v)
 
@@ -171,8 +175,7 @@ class KernelIntensity2D:
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         if x_arr.shape != y_arr.shape:
             raise ValueError("x and y must have the same shape")
-        if not np.all(self.window.contains(x_arr, y_arr, tol=_DOMAIN_TOL)):
-            raise ValueError("evaluation location outside the observation window")
+        _require_inside(self.window, x_arr, y_arr)
         sums = _gaussian_sums(self.h, (self._x_data, x_arr), (self._y_data, y_arr))
         corr = correction_2d(self.window, self.h, x_arr, y_arr)
         out = sums / corr
@@ -180,7 +183,6 @@ class KernelIntensity2D:
             return float(out[0])
         return out
 
-    __call__ = evaluate
     at_points = evaluate
 
     def grid_values(self, x_mids: np.ndarray, y_mids: np.ndarray) -> np.ndarray:
@@ -220,13 +222,8 @@ class StationaryIntensity:
             return float(self.value)
         return np.full(np.shape(v), self.value)
 
-    __call__ = evaluate
-
     def at_points(self, x, y):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if not np.all(self.window.contains(x_arr, y_arr, tol=_DOMAIN_TOL)):
-            raise ValueError("evaluation location outside the observation window")
+        _require_inside(self.window, x, y)
         return self.evaluate(x)  # the constant, shaped like x
 
     def grid_values(self, x_mids: np.ndarray, y_mids: np.ndarray) -> np.ndarray:

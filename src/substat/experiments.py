@@ -31,6 +31,7 @@ from .estimate import (
     fit_theta,
 )
 from .geometry import PointPattern, Subspace, Window, chord_measure, project_xy, v_range
+from .io import _write_csv
 from .simulate import (
     PoissonBetaModel,
     RngStream,
@@ -47,9 +48,7 @@ __all__ = [
     "CellSummary",
     "ExperimentResult",
     "replication_stream",
-    "root_mse_theta",
     "integrated_squared_error",
-    "root_mise",
     "run_table1",
     "run_table2",
     "write_result_csv",
@@ -83,8 +82,8 @@ class ExperimentPlan:
     replications: int
     master_seed: int
     target: str
-    gamma: float = 5.0
-    sigma: float = 0.02
+    gamma: float = ThomasModel.gamma
+    sigma: float = ThomasModel.sigma
     search_halfwidth_deg: float | None = 6.0
 
     def __post_init__(self) -> None:
@@ -140,27 +139,6 @@ def replication_stream(
     return RngStream(master_seed, index)
 
 
-def _make_model(plan: ExperimentPlan, a: float, z: float):
-    base = PoissonBetaModel(a, Window(z, 1.0))
-    if plan.process == "poisson":
-        return base
-    return ThomasModel(base, gamma=plan.gamma, sigma=plan.sigma)
-
-
-def _simulate(model, stream: RngStream) -> PointPattern:
-    if isinstance(model, ThomasModel):
-        return simulate_thomas(model, stream)
-    return simulate_poisson_beta(model, stream)
-
-
-def root_mse_theta(theta_hats) -> float:
-    """Root mean squared fitted angle, reported in degrees (truth is 0)."""
-    arr = np.degrees(np.asarray(list(theta_hats), dtype=float))
-    if arr.size == 0:
-        raise ValueError("need at least one fitted angle")
-    return _root_mean_with_se(arr * arr)[0]
-
-
 def _root_mean_with_se(squared_samples: np.ndarray) -> tuple[float, float]:
     """Root of the mean of the samples, with a delta-method standard error."""
     mean = float(np.mean(squared_samples))
@@ -194,42 +172,52 @@ def integrated_squared_error(estimator, truth, theta_truth: Subspace) -> float:
     return float(np.mean((estimator.grid_values(x_mids, y_mids) - truth_vals) ** 2))
 
 
-def root_mise(estimates, truth, window: Window, theta_truth: Subspace) -> float:
-    """Root mean integrated squared error over a list of fitted estimators."""
-    estimates = list(estimates)
-    if not estimates:
-        raise ValueError("need at least one estimator")
-    for est in estimates:
-        if est.window != window:
-            raise ValueError("all estimators must share the window")
-    squared = np.array([integrated_squared_error(e, truth, theta_truth) for e in estimates])
-    return _root_mean_with_se(squared)[0]
+def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -> dict:
+    """One CellSummary per (a, z, h) cell of the plan and per name.
+
+    ``replicate(model, h, pattern)`` scores one simulated replication and
+    returns one value per name.  A cell's metric is the root mean of
+    ``squared(values)`` over its replications (of the values themselves when
+    ``squared`` is None); its samples are the values.
+    """
+    workers = _resolve_threads(threads)
+    thomas = plan.process == "thomas"
+    simulate = simulate_thomas if thomas else simulate_poisson_beta
+    cells: dict[tuple, CellSummary] = {}
+    for a in plan.a_values:
+        for z in plan.z_values:
+            model = PoissonBetaModel(a, Window(z, 1.0))
+            if thomas:
+                model = ThomasModel(model, gamma=plan.gamma, sigma=plan.sigma)
+            for h in plan.h_values:
+                # the map returns before the loop moves on, so job may read a, z, h
+                def job(rep: int) -> tuple:
+                    stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)
+                    return replicate(model, h, simulate(model, stream))
+
+                values = np.array(_map_ordered(job, range(plan.replications), workers))
+                for j, name in enumerate(names):
+                    samples = values[:, j]
+                    metric, se = _root_mean_with_se(
+                        samples if squared is None else squared(samples)
+                    )
+                    cells[(plan.process, a, z, h, name)] = CellSummary(
+                        metric, se, plan.replications, tuple(map(float, samples))
+                    )
+    return cells
 
 
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Root-MSE of the fitted angle for every (a, z, h) cell of the plan."""
     if plan.target != "table1":
         raise ValueError("plan target must be 'table1'")
-    workers = _resolve_threads(threads)
-    cells: dict[tuple, CellSummary] = {}
-    for a in plan.a_values:
-        for z in plan.z_values:
-            model = _make_model(plan, a, z)
-            for h in plan.h_values:
 
-                def job(rep: int, model=model, a=a, z=z, h=h) -> float:
-                    stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)
-                    pattern = _simulate(model, stream)
-                    fit = fit_theta(
-                        pattern, h, search_halfwidth_deg=plan.search_halfwidth_deg
-                    )
-                    return fit.theta_hat.theta
+    def replicate(model, h: float, pattern: PointPattern) -> tuple:
+        fit = fit_theta(pattern, h, search_halfwidth_deg=plan.search_halfwidth_deg)
+        return (fit.theta_hat.theta,)
 
-                thetas = np.array(_map_ordered(job, range(plan.replications), workers))
-                deg_sq = np.degrees(thetas) ** 2
-                metric, se = _root_mean_with_se(deg_sq)
-                key = (plan.process, a, z, h, THETA_ESTIMATOR)
-                cells[key] = CellSummary(metric, se, plan.replications, tuple(map(float, thetas)))
+    # the truth is the horizontal axis, angle 0; errors are scored in degrees
+    cells = _sweep(plan, threads, (THETA_ESTIMATOR,), replicate, lambda t: np.degrees(t) ** 2)
     return ExperimentResult("table1", cells)
 
 
@@ -237,47 +225,29 @@ def run_table2(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Root-MISE of the four intensity estimators for every plan cell."""
     if plan.target != "table2":
         raise ValueError("plan target must be 'table2'")
-    workers = _resolve_threads(threads)
     theta_truth = Subspace(0.0)
-    cells: dict[tuple, CellSummary] = {}
-    for a in plan.a_values:
-        for z in plan.z_values:
-            model = _make_model(plan, a, z)
-            truth = model.intensity
-            for h in plan.h_values:
 
-                def job(rep: int, model=model, truth=truth, a=a, z=z, h=h) -> tuple:
-                    stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)
-                    pattern = _simulate(model, stream)
-                    known = SubstationaryIntensity(pattern, theta_truth, h)
-                    fitted_angle = fit_theta(
-                        pattern, h, search_halfwidth_deg=plan.search_halfwidth_deg
-                    ).theta_hat
-                    fitted = SubstationaryIntensity(pattern, fitted_angle, h)
-                    smooth2d = KernelIntensity2D(pattern, h)
-                    constant = StationaryIntensity(pattern)
-                    return tuple(
-                        integrated_squared_error(est, truth, theta_truth)
-                        for est in (known, fitted, smooth2d, constant)
-                    )
+    def replicate(model, h: float, pattern: PointPattern) -> tuple:
+        known = SubstationaryIntensity(pattern, theta_truth, h)
+        fitted_angle = fit_theta(
+            pattern, h, search_halfwidth_deg=plan.search_halfwidth_deg
+        ).theta_hat
+        fitted = SubstationaryIntensity(pattern, fitted_angle, h)
+        smooth2d = KernelIntensity2D(pattern, h)
+        constant = StationaryIntensity(pattern)
+        return tuple(
+            integrated_squared_error(est, model.intensity, theta_truth)
+            for est in (known, fitted, smooth2d, constant)
+        )
 
-                ises = np.array(_map_ordered(job, range(plan.replications), workers))
-                for j, name in enumerate(TABLE2_ESTIMATORS):
-                    metric, se = _root_mean_with_se(ises[:, j])
-                    key = (plan.process, a, z, h, name)
-                    cells[key] = CellSummary(
-                        metric, se, plan.replications, tuple(map(float, ises[:, j]))
-                    )
-    return ExperimentResult("table2", cells)
+    return ExperimentResult("table2", _sweep(plan, threads, TABLE2_ESTIMATORS, replicate))
 
 
 def write_result_csv(result: ExperimentResult, path) -> None:
     """Write cells as CSV; float repr keeps the file bitwise reproducible."""
-    lines = ["process,a,z,h,estimator,metric,mc_se,replications"]
-    for (process, a, z, h, estimator), summary in result.cells.items():
-        lines.append(
-            f"{process},{a!r},{z!r},{h!r},{estimator},"
-            f"{summary.metric_value!r},{summary.mc_standard_error!r},{summary.replications}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        (process, repr(a), repr(z), repr(h), estimator,
+         repr(s.metric_value), repr(s.mc_standard_error), str(s.replications))
+        for (process, a, z, h, estimator), s in result.cells.items()
+    )
+    _write_csv(path, (), "process,a,z,h,estimator,metric,mc_se,replications", rows)

@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Window",
     "Subspace",
-    "Point",
     "PointPattern",
-    "project",
     "project_xy",
     "unproject_xy",
     "v_range",
@@ -102,11 +99,6 @@ class Subspace:
         return cls(math.radians(deg))
 
 
-class Point(NamedTuple):
-    x: float
-    y: float
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class PointPattern:
     """An observed point pattern: coordinate arrays plus their window.
@@ -139,10 +131,6 @@ class PointPattern:
     def __len__(self) -> int:
         return self.n
 
-    @property
-    def points(self) -> list[Point]:
-        return [Point(float(a), float(b)) for a, b in zip(self.x, self.y)]
-
     @classmethod
     def empty(cls, window: Window) -> "PointPattern":
         return cls(np.empty(0), np.empty(0), window)
@@ -172,12 +160,6 @@ def unproject_xy(subspace: Subspace, u, v):
     x = u * c - v * s
     y = u * s + v * c
     return x, y
-
-
-def project(subspace: Subspace, p: Point) -> tuple[float, float]:
-    """Project a single point; returns the (u, v) coordinate pair."""
-    u, v = project_xy(subspace, p.x, p.y)
-    return float(u), float(v)
 
 
 def v_range(subspace: Subspace, window: Window) -> tuple[float, float]:

@@ -83,7 +83,8 @@ def ingest_csv(path, region: RegionSpec) -> PointPattern:
     xs: list[float] = []
     ys: list[float] = []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig also strips the byte-order mark that spreadsheet exports start with
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

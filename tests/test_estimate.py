@@ -151,6 +151,14 @@ class TestEstimatorInterface:
         assert got.shape == (3, 4)
         assert np.array_equal(got.ravel(), est.at_points(x.ravel(), y.ravel()))
 
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_location_outside_window_rejected(self, kind):
+        est = ESTIMATORS[kind](PointPattern([0.5], [0.5], Window(2, 1)))
+        # outside the window, but inside the substationary projection range
+        for x, y in ((2.2, 0.5), (-0.5, 0.5), (1.0, 1.2)):
+            with pytest.raises(ValueError):
+                est.at_points(x, y)
+
     def test_loo_values_drop_each_point_from_its_own_estimate(self):
         rng = np.random.default_rng(13)
         pat = random_pattern(rng, z=2.0, n=30)
@@ -177,11 +185,6 @@ class TestKernelIntensity2D:
         got = KernelIntensity2D(pat, h).evaluate(0.5, 0.5)
         corr = (normal_cdf(10.0) - normal_cdf(-10.0)) ** 2
         assert got == pytest.approx(1.0 / (2 * math.pi * h * h) / corr, rel=1e-12)
-
-    def test_location_outside_window_rejected(self):
-        pat = PointPattern([0.5], [0.5], Window(1, 1))
-        with pytest.raises(ValueError):
-            KernelIntensity2D(pat, 0.1).evaluate(1.2, 0.5)
 
     def test_monte_carlo_mean_recovers_flat_intensity(self):
         model = PoissonBetaModel(1.0, Window(1.0))

@@ -10,8 +10,6 @@ from substat.experiments import (
     ExperimentPlan,
     integrated_squared_error,
     replication_stream,
-    root_mise,
-    root_mse_theta,
     run_table1,
     run_table2,
     write_result_csv,
@@ -79,45 +77,25 @@ class TestReplicationStream:
         assert a == b
 
 
-class TestRootMseTheta:
-    def test_all_zero(self):
-        assert root_mse_theta([0.0, 0.0, 0.0]) == 0.0
-
-    def test_symmetric_pair(self):
-        one_deg = math.radians(1.0)
-        assert root_mse_theta([one_deg, -one_deg]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            root_mse_theta([])
-
-
 class TestRootMise:
     def test_perfect_estimator_scores_zero(self):
         pat = PointPattern([0.3, 0.6], [0.2, 0.8], Window(1, 1))
         est = StationaryIntensity(pat)
         truth = lambda v: np.full_like(np.asarray(v, dtype=float), est.value)
-        assert root_mise([est], truth, pat.window, Subspace(0.0)) == 0.0
-
-    def test_windows_must_match(self):
-        p1 = PointPattern([0.3], [0.2], Window(1, 1))
-        p2 = PointPattern([0.3], [0.2], Window(2, 1))
-        with pytest.raises(ValueError):
-            root_mise(
-                [StationaryIntensity(p1), StationaryIntensity(p2)],
-                lambda v: np.zeros_like(np.asarray(v, dtype=float)),
-                p1.window,
-                Subspace(0.0),
-            )
+        assert integrated_squared_error(est, truth, Subspace(0.0)) == 0.0
 
     def test_stationary_estimator_matches_poisson_variance(self):
         # flat truth: root-MISE of n/|S| is sqrt(Var(n)) / |S| = 10 at z=1
         model = PoissonBetaModel(1.0, Window(1.0))
-        ests = [
-            StationaryIntensity(simulate_poisson_beta(model, RngStream(81, i)))
+        ises = [
+            integrated_squared_error(
+                StationaryIntensity(simulate_poisson_beta(model, RngStream(81, i))),
+                model.intensity,
+                Subspace(0.0),
+            )
             for i in range(200)
         ]
-        got = root_mise(ests, model.intensity, Window(1.0), Subspace(0.0))
+        got = math.sqrt(np.mean(ises))
         assert 8.0 <= got <= 12.5
 
     def test_known_direction_cell_matches_published_value(self):
@@ -145,6 +123,15 @@ class TestRunTable1:
         with pytest.raises(ValueError):
             run_table2(table1_plan())
 
+    def test_metric_is_the_root_mean_squared_angle_in_degrees(self):
+        plan = table1_plan(a_values=(1.5, 2.0), z_values=(1.0, 2.0), replications=3)
+        result = run_table1(plan, threads=2)
+        assert len(result.cells) == 4
+        for summary in result.cells.values():
+            deg = np.degrees(summary.samples)
+            assert len(deg) == 3
+            assert summary.metric_value == pytest.approx(math.sqrt(np.mean(deg**2)), rel=1e-12)
+
     def test_rmse_not_increasing_in_window_width(self):
         # wider windows carry more directional information and pin the
         # angle better; one inversion within 2 MC SEs would be tolerated
@@ -169,6 +156,14 @@ class TestRunTable2:
         for summary in result.cells.values():
             assert summary.metric_value >= 0.0
             assert len(summary.samples) == 2
+
+    def test_metric_is_the_root_mean_ise(self):
+        plan = table1_plan(target="table2", z_values=(1.0, 2.0), replications=2)
+        result = run_table2(plan, threads=2)
+        assert len(result.cells) == 2 * len(TABLE2_ESTIMATORS)
+        for summary in result.cells.values():
+            want = math.sqrt(np.mean(summary.samples))
+            assert summary.metric_value == pytest.approx(want, rel=1e-12)
 
     def test_known_direction_never_loses_to_fitted(self):
         plan = table1_plan(

@@ -5,13 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from substat.geometry import (
-    Point,
     PointPattern,
     Subspace,
     Window,
     chord_measure,
     chord_segments,
-    project,
     project_xy,
     unproject_xy,
     v_range,
@@ -42,15 +40,15 @@ class TestSubspaceNormalization:
 
 class TestProject:
     def test_horizontal_axis_projects_to_y(self):
-        _, v = project(Subspace(0.0), Point(3.0, 0.7))
+        _, v = project_xy(Subspace(0.0), 3.0, 0.7)
         assert v == pytest.approx(0.7, abs=1e-12)
 
     def test_vertical_axis_projects_to_x(self):
-        _, v = project(Subspace(-math.pi / 2), Point(3.0, 0.7))
+        _, v = project_xy(Subspace(-math.pi / 2), 3.0, 0.7)
         assert v == pytest.approx(3.0, abs=1e-12)
 
     def test_point_on_diagonal_subspace_has_zero_offset(self):
-        _, v = project(Subspace(math.pi / 4), Point(1.0, 1.0))
+        _, v = project_xy(Subspace(math.pi / 4), 1.0, 1.0)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_reconstruction_on_a_million_random_points(self):
@@ -182,8 +180,4 @@ class TestWindowAndPattern:
     def test_empty_pattern(self):
         pat = PointPattern.empty(Window(1, 1))
         assert pat.n == 0
-        assert len(pat.points) == 0
-
-    def test_points_property_round_trips(self):
-        pat = PointPattern([0.1, 0.2], [0.3, 0.4], Window(1, 1))
-        assert pat.points == [Point(0.1, 0.3), Point(0.2, 0.4)]
+        assert len(pat) == 0

@@ -77,6 +77,12 @@ class TestIngest:
         with pytest.raises(MalformedDataError, match="line 2"):
             ingest_csv(f, RegionSpec(0, 1, 0, 1))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        f = tmp_path / "pts.csv"
+        f.write_bytes(b"\xef\xbb\xbfx,y\n0.5,0.5\n")
+        pat = ingest_csv(f, RegionSpec(0, 1, 0, 1))
+        assert pat.n == 1 and pat.x[0] == 0.5
+
     def test_missing_header_rejected(self, tmp_path):
         f = tmp_path / "pts.csv"
         f.write_text("0.5,0.5\n")

@@ -72,5 +72,8 @@ printf '%s\n' 'seed = 12' 'threads = 2' 'h_values = 0.05, 0.1' 'search_halfwidth
     'candidates = 0.02, 0.05' > sweep.cfg
 run table1-config experiment table1 --config sweep.cfg --process poisson --a-values 2 \
     --z-values 1 --replications 2 --out table1-config.csv
+# several table-1 cells of the cluster process
+run table1-thomas experiment table1 --process thomas --a-values 2 --z-values 1,2 \
+    --h-values 0.02,0.05 --replications 3 --threads 2 --out table1-thomas.csv
 
 find . -type f | LC_ALL=C sort | xargs sha256sum
