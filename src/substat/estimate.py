@@ -18,7 +18,7 @@ one.
 ``loglik(pattern, est, loo=False)`` is the one Poisson (composite)
 log-likelihood.  The direction theta is estimated by maximizing it for the
 substationary estimator over theta: a 1-degree coarse grid over [-90, 90)
-degrees followed by golden-section refinement.  Bandwidths are selected by
+degrees followed by a bounded Brent search.  Bandwidths are selected by
 its leave-one-out form (``loo=True``); the profile fit keeps each point in
 its own estimate, while cross validation removes it to avoid the
 degenerate h -> 0 optimum.
@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .geometry import (
     PointPattern,
@@ -296,41 +297,6 @@ class FitResult:
     degenerate: bool = False
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximizer; returns the best probed (x, f(x))."""
-    span = hi - lo
-    best_x, best_f = 0.5 * (lo + hi), -math.inf
-    if span <= tol:
-        return best_x, f(best_x)
-    n_iter = int(math.ceil(math.log(tol / span) / math.log(_INV_PHI)))
-    c = lo + _INV_PHI_SQ * span
-    d = lo + _INV_PHI * span
-    fc, fd = f(c), f(d)
-    for x, fx in ((c, fc), (d, fd)):
-        if fx > best_f:
-            best_x, best_f = x, fx
-    for _ in range(max(0, n_iter - 1)):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            span *= _INV_PHI
-            c = lo + _INV_PHI_SQ * span
-            fc = f(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            lo, c, fc = c, d, fd
-            span *= _INV_PHI
-            d = lo + _INV_PHI * span
-            fd = f(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def _resolve_threads(threads: int) -> int:
     if threads <= 0:
         return os.cpu_count() or 1
@@ -353,10 +319,12 @@ def fit_theta(
 ) -> FitResult:
     """Estimate the invariance direction by profile composite likelihood.
 
-    Evaluates the profile log-likelihood on a coarse angular grid over
-    [-90, 90] degrees (the endpoints name the same subspace), symmetric
-    about 0 with steps of at most ``FIT_GRID_STEP_DEG``, then refines the
-    bracketing interval by golden-section search to ``FIT_TOL`` radians.
+    Evaluates the profile log-likelihood on a coarse angular grid,
+    symmetric about 0 with steps of at most ``FIT_GRID_STEP_DEG``, then
+    refines the bracketing interval by a bounded Brent search
+    (``scipy.optimize.minimize_scalar``) to ``FIT_TOL`` radians.  The open
+    search covers [-90, 90) degrees in 180 nodes, since +90 degrees names
+    the same subspace as -90; a half-width of 90 is the open search.
     The bandwidth is held fixed throughout.
     ``threads`` evaluates the coarse grid in a thread pool (0 = one per
     CPU); the result does not depend on it.
@@ -381,9 +349,12 @@ def fit_theta(
         halfwidth = float(search_halfwidth_deg)
         if not 0.0 < halfwidth <= 90.0:
             raise ValueError("search_halfwidth_deg must be in (0, 90]")
+    open_search = halfwidth == 90.0
     # symmetric about 0, so the horizontal axis is always a grid node
     half = np.linspace(0.0, halfwidth, math.ceil(halfwidth / FIT_GRID_STEP_DEG) + 1)
     thetas = np.radians(np.concatenate((-half[:0:-1], half)))
+    if open_search:
+        thetas = thetas[:-1]  # +90 degrees names the same subspace as -90
 
     def profile(theta: float) -> float:
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
@@ -404,17 +375,19 @@ def fit_theta(
     best_theta = float(thetas[best_idx])
     best_value = float(values[best_idx])
 
-    # bracket one grid step on each side; on the unrestricted search the
-    # bracket may cross +-90 degrees, where the Subspace normalization
-    # wraps the angle and keeps the profile continuous
+    # bracket one grid step on each side; on the open search the bracket
+    # may cross +-90 degrees, where the Subspace normalization wraps the
+    # angle and keeps the profile continuous
     step = math.radians(FIT_GRID_STEP_DEG)
     lo, hi = best_theta - step, best_theta + step
-    if search_halfwidth_deg is not None:
+    if not open_search:
         bound = math.radians(halfwidth)
         lo, hi = max(lo, -bound), min(hi, bound)
-    refined_theta, refined_value = _golden_max(profile, lo, hi, FIT_TOL)
-    if refined_value > best_value:
-        best_theta, best_value = refined_theta, refined_value
+    res = minimize_scalar(
+        lambda t: -profile(t), bounds=(lo, hi), method="bounded", options={"xatol": FIT_TOL}
+    )
+    if -res.fun > best_value:
+        best_theta, best_value = float(res.x), float(-res.fun)
 
     return FitResult(
         theta_hat=Subspace(best_theta),

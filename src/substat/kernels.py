@@ -157,7 +157,6 @@ def correction_substat_quadrature(
     window: Window,
     h: float,
     v: float,
-    abs_tol: float = 1e-10,
 ) -> float:
     """Reference oracle for the 1-D boundary correction, by quadrature.
 
@@ -165,7 +164,8 @@ def correction_substat_quadrature(
     seeding the subdivision with the chord knots and the kernel's center
     so narrow kernels inside wide windows are not missed.
 
-    Raises QuadratureError if the estimated error exceeds the tolerance.
+    Raises QuadratureError if the estimated error exceeds 1e-10 absolute
+    and 1e-9 relative to the value.
     """
     h = validate_bandwidth(h)
     v = float(v)
@@ -186,7 +186,7 @@ def correction_substat_quadrature(
         epsabs=1e-12,
         epsrel=1e-12,
     )
-    if err > max(abs_tol, 1e-9 * abs(value)):
+    if err > max(1e-10, 1e-9 * abs(value)):
         raise QuadratureError(
             f"boundary-correction quadrature error {err:.3e} exceeds "
             f"tolerance (value {value:.6e})"

@@ -27,6 +27,17 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
+def _write_svg(path, body) -> None:
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        *body,
+        "</svg>",
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def render_line_svg(grid: GridExport, path) -> None:
     """Line plot of a 1-D grid (offset on x, intensity on y)."""
     xs = [float(c) for c in grid.coordinates]
@@ -36,9 +47,7 @@ def render_line_svg(grid: GridExport, path) -> None:
     px = _scale(xs, x_lo, x_hi, _MARGIN, _W - _MARGIN)
     py = _scale(ys, y_lo, y_hi, _H - _MARGIN, _MARGIN)
     pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+    body = [
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - _MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
         f'<polyline points="{pts}" fill="none" stroke="#1f5fbf" stroke-width="1.5"/>',
@@ -46,10 +55,8 @@ def render_line_svg(grid: GridExport, path) -> None:
         f'<text x="{_W - _MARGIN - 20}" y="{_H - _MARGIN + 16}" font-size="11">{x_hi:.4g}</text>',
         f'<text x="4" y="{_MARGIN + 4}" font-size="11">{y_hi:.4g}</text>',
         f'<text x="4" y="{_H - _MARGIN}" font-size="11">0</text>',
-        "</svg>",
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, body)
 
 
 def _heat_color(t: float) -> str:
@@ -69,23 +76,18 @@ def render_heatmap_svg(grid: GridExport, path) -> None:
     v_hi = max(max(grid.values), 1e-12)
     cell_w = (_W - 2 * _MARGIN) / len(xs)
     cell_h = (_H - 2 * _MARGIN) / len(ys)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
+    body = []
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             val = lookup[(x, y)]
             px = _MARGIN + i * cell_w
             py = _H - _MARGIN - (j + 1) * cell_h
-            parts.append(
+            body.append(
                 f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
                 f'height="{_fmt(cell_h + 0.5)}" fill="{_heat_color(val / v_hi)}"/>'
             )
-    parts.append(f'<text x="4" y="14" font-size="11">max {v_hi:.4g}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    body.append(f'<text x="4" y="14" font-size="11">max {v_hi:.4g}</text>')
+    _write_svg(path, body)
 
 
 def render_grid_svg(grid: GridExport, path) -> None:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import substat.estimate as estimate_module
 from substat.estimate import (
+    FIT_TOL,
     BandwidthSelectionError,
     KernelIntensity2D,
     StationaryIntensity,
@@ -311,6 +313,45 @@ class TestFitTheta:
         fit_rot = fit_theta(rot, 0.05)
         want = fit.theta_hat.theta + math.pi / 2
         assert angle_gap(fit_rot.theta_hat.theta, want) < 2.5e-4
+
+    def test_open_grid_scores_each_subspace_once(self):
+        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(90, 25))
+        thetas = [t for t, _ in fit_theta(pat, 0.05).trace]
+        assert len(thetas) == 180
+        assert len({Subspace(t) for t in thetas}) == 180
+
+    def test_halfwidth_90_is_the_open_search(self):
+        # quarter-turned a=3 pattern whose best subspace lies just past -90
+        # degrees, near +89.5: a bracket clipped at -90 cannot reach it
+        pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(90, 26))
+        rot = PointPattern(1.0 - pat.y, pat.x, pat.window)
+        fit = fit_theta(rot, 0.05)
+        assert fit_theta(rot, 0.05, search_halfwidth_deg=90.0) == fit
+        assert 89.0 < fit.theta_hat.degrees < 90.0
+
+    def _fit_known_profile(self, monkeypatch, curve):
+        # loglik replaced by a known smooth curve of the estimator's angle;
+        # every call scores one freshly built estimator
+        calls = []
+
+        def fake_loglik(pattern, est, **kwargs):
+            calls.append(est.theta.theta)
+            return curve(est.theta.theta)
+
+        monkeypatch.setattr(estimate_module, "loglik", fake_loglik)
+        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(90, 27))
+        return fit_theta(pat, 0.05, search_halfwidth_deg=10.0), len(calls)
+
+    def test_refinement_finds_an_off_grid_peak(self, monkeypatch):
+        peak = math.radians(0.37)
+        fit, built = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2))
+        assert abs(fit.theta_hat.theta - peak) <= FIT_TOL
+        assert built - len(fit.trace) <= 10
+
+    def test_refinement_never_scores_below_the_coarse_best(self, monkeypatch):
+        fit, _ = self._fit_known_profile(monkeypatch, lambda t: -abs(t))
+        assert fit.theta_hat.theta == 0.0
+        assert fit.loglik == max(v for _, v in fit.trace)
 
     @pytest.mark.parametrize("threads", [0, 2])
     def test_thread_count_never_changes_fit(self, threads):

@@ -8,11 +8,11 @@
 # OUT is an empty or missing directory for the outputs.  Every command runs
 # inside OUT with relative paths, its stdout is kept as ``NN-name.stdout``,
 # and the script prints one ``sha256  path`` line per file written, sorted by
-# path.  Run it on two trees and diff the listings:
+# path, after a first ``# python ... numpy ... scipy ...`` line that names the
+# toolchain, so a diff also flags a toolchain change.  The listing of the
+# current tree is kept in ``tools/golden.expected``; diff against it:
 #
-#   tools/golden.sh parent/src /tmp/g-parent > parent.txt
-#   tools/golden.sh src /tmp/g-change > change.txt
-#   diff parent.txt change.txt
+#   tools/golden.sh src /tmp/g | diff tools/golden.expected -
 #
 # Set PYTHON to choose the interpreter (default python3).
 set -euo pipefail
@@ -25,6 +25,9 @@ src=$(cd "$1" && pwd)
 mkdir -p "$2"
 cd "$2"
 python=${PYTHON:-python3}
+
+"$python" -c 'import platform, numpy, scipy
+print(f"# python {platform.python_version()} numpy {numpy.__version__} scipy {scipy.__version__}")'
 
 step=0
 run() {
