@@ -247,6 +247,8 @@ def _cmd_estimate_intensity(args) -> None:
 
 def _cmd_fit_subspace(args) -> None:
     pattern = ingest_csv(args.data, args.region)
+    if pattern.n < 2:
+        raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
     halfwidth, threads = args.search_halfwidth, args.threads
     fit = fit_theta(pattern, args.h, search_halfwidth_deg=halfwidth, threads=threads)
     print(f"theta_hat_rad={fit.theta_hat.theta!r}")

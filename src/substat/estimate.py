@@ -141,8 +141,9 @@ class SubstationaryIntensity:
 
         The values follow the canonical (sorted-offset) order of the data.
         """
-        sums = _gaussian_sums(self.h, (self._v_data, self._v_data)) - kernel_1d(self.h, 0.0)
-        return sums / correction_substat_closed(self.theta, self.window, self.h, self._v_data)
+        v = self._v_data
+        sums = _gaussian_sums(self.h, (v, v), leave_out=kernel_1d(self.h, 0.0))
+        return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
     def integral(self, cells: int = SUBSTAT_INTEGRAL_CELLS) -> float:
         """Integral of the estimate over the window, by midpoint rule.

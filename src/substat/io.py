@@ -259,8 +259,8 @@ def run_application_pipeline(
     h_list = [float(h) for h in h_values]
     if not h_list:
         raise ValueError("no bandwidths supplied")
-    if pattern.n == 0:
-        raise DataError("the application pipeline needs a nonempty pattern")
+    if pattern.n < 2:
+        raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
     rows = []
     for h in h_list:
         fit = fit_theta(

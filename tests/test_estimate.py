@@ -17,7 +17,7 @@ from substat.estimate import (
 )
 from substat.experiments import integrated_squared_error
 from substat.geometry import PointPattern, Subspace, Window, v_range
-from substat.kernels import normal_cdf
+from substat.kernels import _direct_sums, correction_substat_closed, kernel_1d, normal_cdf
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -172,6 +172,23 @@ class TestEstimatorInterface:
             rest = PointPattern(pat.x[keep], pat.y[keep], pat.window)
             want.append(SubstationaryIntensity(rest, 0.3, 0.1).at_points(pat.x[i], pat.y[i]))
         assert np.allclose(est.loo_values(), want, rtol=1e-12, atol=0)
+
+    def test_loo_values_of_a_large_clustered_pattern_match_the_direct_sum(self):
+        # n=2000 takes the interpolated kernel sums; the points at 0.05 and
+        # 5.95 lie beyond the kernel's reach, so they leave exactly nothing
+        rng = np.random.default_rng(15)
+        h, window = 0.05, Window(1.0, 6.0)
+        isolated = 3.0 + h * rng.uniform(3, 10, 8)
+        y = np.concatenate((rng.normal(3.0, 0.02, 1990), isolated, [0.05, 5.95]))
+        pat = PointPattern(rng.uniform(0, 1, y.size), y, window)
+        v = np.sort(y)  # the offsets at theta = 0
+        sums = _direct_sums(h, (v, v)) - kernel_1d(h, 0.0)
+        want = sums / correction_substat_closed(Subspace(0.0), window, h, v)
+        got = SubstationaryIntensity(pat, 0.0, h).loo_values()
+        vanishing = want <= 0.0
+        assert np.count_nonzero(vanishing) == 2
+        assert np.array_equal(got[vanishing], want[vanishing])
+        assert np.allclose(got[~vanishing], want[~vanishing], rtol=1e-10, atol=0)
 
     def test_loo_loglik_needs_the_estimators_own_pattern(self):
         rng = np.random.default_rng(14)

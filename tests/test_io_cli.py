@@ -193,6 +193,8 @@ class TestApplicationPipeline:
             run_application_pipeline(pattern, [])
         with pytest.raises(DataError):
             run_application_pipeline(PointPattern.empty(Window(1, 1)), [0.05])
+        with pytest.raises(DataError):
+            run_application_pipeline(PointPattern([0.5], [0.5], Window(1, 1)), [0.05])
 
 
 class TestRender:
@@ -424,6 +426,19 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("rows", ["", "0.5,0.5\n"])
+    @pytest.mark.parametrize("command", ["fit-subspace", "apply"])
+    def test_too_few_points_is_a_data_error(self, tmp_path, capsys, command, rows):
+        data = tmp_path / "few.csv"
+        data.write_text("x,y\n" + rows + "5,5\n")  # the last row lies outside the region
+        args = [command, "--data", str(data), "--region", "0,1,0,1"]
+        if command == "fit-subspace":
+            args += ["--h", "0.05"]
+        else:
+            args += ["--h-values", "0.05", "--out", str(tmp_path / "report.csv")]
+        assert main(args) == 2
+        assert "at least two points" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path):
         lonely = tmp_path / "one.csv"

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from substat import kernels
 from substat.geometry import Subspace, Window, chord_measure, v_range
 from substat.kernels import (
     QuadratureError,
+    _direct_sums,
     _gaussian_sums,
+    _interpolated_sums,
     correction_2d,
     correction_substat_closed,
     correction_substat_quadrature,
@@ -20,6 +24,42 @@ from substat.kernels import (
 ORACLE_THETAS = (0.0, -math.pi / 2, math.pi / 4, -1.2, 0.3)
 ORACLE_WINDOWS = ((1, 1), (10, 1), (2, 3))
 ORACLE_BANDWIDTHS = (0.01, 0.05, 0.1)
+
+
+def synthetic_data(kind, n, span, h, seed):
+    """Sorted data on [0, span]: Beta, one cluster, or a cluster plus isolated points."""
+    rng = np.random.default_rng(seed)
+    if kind == "beta":
+        data = span * rng.beta(3.0, 3.0, n)
+    else:
+        data = rng.normal(span / 2, h * rng.uniform(0.1, 2.0), n)
+        if kind == "cluster+isolated":
+            gaps = h * rng.uniform(3.0, 10.0, 5) * rng.choice([-1.0, 1.0], 5)
+            data[:5] = span / 2 + gaps
+    return np.sort(np.clip(data, 0.0, span))
+
+
+def midpoint_grid(span, cells=400):
+    return (np.arange(cells) + 0.5) * span / cells
+
+
+def assert_relative(got, want, rtol):
+    """Within rtol of want relative to each value; zeros and negatives exactly."""
+    positive = want > 0
+    assert np.array_equal(got[~positive], want[~positive])
+    assert np.all(np.abs(got[positive] - want[positive]) <= rtol * want[positive])
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``kernels.<name>`` to log the arguments of every call."""
+    calls, original = [], getattr(kernels, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, name, recording)
+    return calls
 
 
 def open_range_grid(sub, w, count=20):
@@ -226,6 +266,62 @@ class TestGaussianSums:
         xt, yt = rng.uniform(0, 2, 37), rng.uniform(0, 1, 37)
         whole_1d = _gaussian_sums(0.05, (xd, xt))
         whole_2d = _gaussian_sums(0.05, (xd, xt), (yd, yt))
+        big = rng.uniform(0, 2, 2000)
+        whole_interpolated = _interpolated_sums(0.05, big, big, 0.0)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 50 * 4)  # 4 targets per chunk
         assert np.array_equal(_gaussian_sums(0.05, (xd, xt)), whole_1d)
         assert np.array_equal(_gaussian_sums(0.05, (xd, xt), (yd, yt)), whole_2d)
+        assert np.array_equal(_interpolated_sums(0.05, big, big, 0.0), whole_interpolated)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["beta", "cluster", "cluster+isolated"]),
+        n=st.integers(300, 1500),
+        h=st.floats(0.01, 0.1),
+        span=st.floats(1.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_interpolated_sums_match_the_direct_sums(self, kind, n, h, span, seed):
+        data = synthetic_data(kind, n, span, h, seed)
+        own = kernel_1d(h, 0.0)
+        for targets, leave_out in ((data, 0.0), (midpoint_grid(span), 0.0), (data, own)):
+            got = _interpolated_sums(h, data, targets, leave_out)
+            assert_relative(got, _direct_sums(h, (data, targets)) - leave_out, 1e-10)
+
+    def test_guard_takes_the_tails_of_isolated_points_directly(self, monkeypatch):
+        h, span = 0.01, 1.0
+        data = synthetic_data("cluster+isolated", 2000, span, h, seed=5)
+        targets = midpoint_grid(span, 4000)
+        want = _direct_sums(h, (data, targets))
+        calls = record_calls(monkeypatch, "_direct_sums")
+        assert_relative(_interpolated_sums(h, data, targets, 0.0), want, 1e-10)
+        assert len(calls) == 2  # the nodes, then the guarded targets
+        assert 0 < calls[1][1][1].size < targets.size
+        # without the guard the same tails are off by far more
+        monkeypatch.setattr(kernels, "_GUARD", -1.0)
+        unguarded = _interpolated_sums(h, data, targets, 0.0)
+        positive = want > 0
+        assert np.max(np.abs(unguarded - want)[positive] / want[positive]) > 1e-10
+
+    def test_dispatch_follows_the_cost_model(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        calls = record_calls(monkeypatch, "_interpolated_sums")
+        small, grid = rng.uniform(0, 1, 100), np.linspace(0.0, 1.0, 400)
+        for h in (0.01, 0.05, 0.2):
+            assert np.array_equal(_gaussian_sums(h, (small, grid)), _direct_sums(h, (small, grid)))
+        assert calls == []
+        large = rng.uniform(0, 1, 2000)
+        _gaussian_sums(0.05, (large, large))
+        assert len(calls) == 1
+        # two axes always take the direct sum
+        _gaussian_sums(0.05, (large, large), (large, large))
+        assert len(calls) == 1
+
+    def test_targets_on_nodes_take_the_node_values(self, monkeypatch):
+        h = 0.05
+        data = synthetic_data("beta", 500, 1.0, h, seed=7)
+        targets = np.arange(101) * (kernels._NODE_STEP * h)  # every target on a node
+        want = _direct_sums(h, (data, targets))
+        calls = record_calls(monkeypatch, "_direct_sums")
+        assert_relative(_interpolated_sums(h, data, targets, 0.0), want, 1e-12)
+        assert len(calls) == 1  # the nodes only: no target fell to the guard

@@ -78,5 +78,9 @@ run table1-config experiment table1 --config sweep.cfg --process poisson --a-val
 # several table-1 cells of the cluster process
 run table1-thomas experiment table1 --process thomas --a-values 2 --z-values 1,2 \
     --h-values 0.02,0.05 --replications 3 --threads 2 --out table1-thomas.csv
+# a bounded fit at n of about 5000: every profile evaluation takes the
+# interpolated kernel sums
+run fit-subspace-large fit-subspace --data large.csv --region 0,50,0,1 --h 0.05 \
+    --search-halfwidth 6 --threads 2 --out trace-large.csv
 
 find . -type f | LC_ALL=C sort | xargs sha256sum
