@@ -44,11 +44,11 @@ from .geometry import (
     v_range,
 )
 from .kernels import (
+    _SQRT_2PI,
     _gaussian_sums,
     _gaussian_weights,
     correction_2d,
     correction_substat_closed,
-    kernel_1d,
     validate_bandwidth,
 )
 
@@ -115,7 +115,8 @@ class SubstationaryIntensity:
     def evaluate(self, v):
         """Intensity at orthogonal offset(s) v inside the projection range."""
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        if np.any(v_arr < self._v_lo - _DOMAIN_TOL) or np.any(v_arr > self._v_hi + _DOMAIN_TOL):
+        # written so that NaN fails it
+        if not np.all((v_arr >= self._v_lo - _DOMAIN_TOL) & (v_arr <= self._v_hi + _DOMAIN_TOL)):
             raise ValueError(
                 f"offset outside the projection range [{self._v_lo:.6g}, {self._v_hi:.6g}]"
             )
@@ -140,9 +141,11 @@ class SubstationaryIntensity:
         """Estimate at each data point with that point left out.
 
         The values follow the canonical (sorted-offset) order of the data.
+        The own kernel is rounded as the kernel sum rounds it, so a point
+        with no neighbour within reach gets exactly 0.
         """
         v = self._v_data
-        sums = _gaussian_sums(self.h, (v, v), leave_out=kernel_1d(self.h, 0.0))
+        sums = _gaussian_sums(self.h, (v, v), leave_out=1.0 / (self.h * _SQRT_2PI))
         return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
     def integral(self, cells: int = SUBSTAT_INTEGRAL_CELLS) -> float:

@@ -17,24 +17,36 @@ instead of losing precision to cancellation.
 One engine, ``_gaussian_sums``, takes the kernel sums of the 1-D smoother,
 its leave-one-out term and the 2-D smoother at scattered locations; on a
 tensor grid the 2-D smoother multiplies ``_gaussian_weights`` matrices.  The
-engine has two paths:
+engine has three paths:
 
 * ``_direct_sums``, the direct sum over every data-target pair, exact up to
   rounding: the oracle, the two-axis path and the path for small inputs;
-* ``_interpolated_sums`` for one axis: the direct sum on a node grid of
+* ``_banded_sums`` for one axis: each target sums only the sorted data
+  within 12 bandwidths of it, a slice found by ``searchsorted``, as the fast
+  Gauss transform cuts each interaction off at a few sigma (Greengard and
+  Strain 1991);
+* ``_interpolated_sums`` for one axis: the banded sum on a node grid of
   spacing h/5 over the targets, read off at each target by 20-point
   (degree-19) barycentric Lagrange interpolation, as in the grid stage of
-  the fast Gauss transform (Greengard and Strain 1991).
+  the fast Gauss transform.
 
 A cost model in units of direct kernel pairs picks the interpolated path
-when n*G + 80*m + 2e4 < n*m (n data, m targets, G nodes).  A guard
-recomputes by the direct sum every value, less a leave-one-out term, that
-falls below 1/100 of the largest node of its stencil, where the
-interpolation error is large against the value.  Measured against the
-direct sum on 300 random Beta, clustered and cluster-plus-isolated data sets
-(n 300-3000, h 0.01-0.1), the largest relative errors were 8.8e-12 at the
-data, 1.5e-11 on grids and 5.6e-11 leave-one-out; nonpositive values are
-the direct sum's own.
+when n*G + 80*m + 2e4 < n*m (n data, m targets, G nodes).  The band serves
+every other one-axis call, and the node stage of the interpolated path, if
+the call holds at least 1e5 pairs, the data span more than two bands and
+the widest band holds at most half the data; otherwise the sum is direct.
+
+Each path guards its values against the direct sum.  The band drops terms
+below exp(-72)/(h*sqrt(2*pi)) each; a value, less a leave-one-out term, is
+recomputed directly unless the dropped terms and a rounding allowance of
+1e-14 of the leave-one-out term stay under 1e-12 of it.  The interpolated
+path recomputes every value, less a leave-one-out term, below 1/100 of the
+largest node of its stencil.  Measured against the direct sum on 200 random
+Beta, clustered and cluster-plus-isolated data sets (n 300-3000, h
+0.01-0.1, span 5-50), the band's largest relative errors were 7.9e-16 at
+the data, 6.7e-15 on grids and 3.4e-14 leave-one-out; the interpolated
+path's, on 300 sets (span 1-12), 8.8e-12 at the data, 1.5e-11 on grids and
+5.6e-11 leave-one-out.  Nonpositive values are the direct sum's own.
 """
 
 from __future__ import annotations
@@ -74,6 +86,16 @@ _CALL_COST = 20_000
 _OFFSETS = np.arange(_STENCIL)
 # barycentric weights of equispaced nodes: (-1)^k C(19, k)
 _BARY = np.array([(-1.0) ** k * math.comb(_STENCIL - 1, k) for k in range(_STENCIL)])
+
+# banded kernel sums: the reach in bandwidths, the largest term beyond it
+# (times h), the guard's tolerance relative to a value, a bound on the
+# relative rounding difference of two summation orders of one sum, and the
+# fewest direct kernel pairs that pay for the band's searches (measured)
+_REACH = 12.0
+_TAIL = math.exp(-0.5 * _REACH**2) / _SQRT_2PI
+_BAND_RTOL = 1e-12
+_ROUNDING = 1e-14
+_BAND_MIN_PAIRS = 100_000
 
 
 class QuadratureError(RuntimeError):
@@ -118,16 +140,21 @@ def _gaussian_sums(h: float, *axes, leave_out: float = 0.0) -> np.ndarray:
 
     One ``(data, targets)`` pair per axis; the targets share one shape,
     which the result takes.  A target that is itself a datum leaves its own
-    kernel out by passing that kernel's value as ``leave_out``.
+    kernel out by passing that kernel's value, 1/(h*sqrt(2*pi)) per axis, as
+    ``leave_out``.
 
-    Two paths: ``_direct_sums`` (exact; two axes and small inputs) and, for
+    Three paths: ``_direct_sums`` (exact; two axes and small inputs) and, for
     one axis, ``_interpolated_sums`` (a node grid of spacing h/5, read off by
-    20-point Lagrange interpolation).  The interpolated path is taken when it
-    costs less in direct kernel pairs: n*G + _TARGET_COST*m + _CALL_COST < n*m
-    for n data, m targets and G nodes.  Its guard recomputes directly every
-    value below ``_GUARD`` of its stencil's largest node, which holds it
-    within 1e-10 relative error of the direct sum (5.6e-11 at worst
-    measured, leave-one-out), with the same nonpositive values.
+    20-point Lagrange interpolation) or ``_banded_sums`` (each target sums
+    the sorted data within ``_REACH`` bandwidths).  The interpolated path is
+    taken when it costs less in direct kernel pairs: n*G + _TARGET_COST*m +
+    _CALL_COST < n*m for n data, m targets and G nodes; its guard recomputes
+    directly every value below ``_GUARD`` of its stencil's largest node,
+    which holds it within 1e-10 relative error of the direct sum (5.6e-11 at
+    worst measured, leave-one-out).  Every other call, and the node stage of
+    the interpolated path, takes the band where ``_banded_sums`` finds it
+    cheaper; its guard holds it within 1e-12 (3.4e-14 at worst measured).
+    Both give the direct sum's own nonpositive values.
     """
     if len(axes) == 1:
         data, targets = axes[0]
@@ -138,6 +165,7 @@ def _gaussian_sums(h: float, *axes, leave_out: float = 0.0) -> np.ndarray:
             node_count = (targets.max() - targets.min()) / (_NODE_STEP * h) + _STENCIL
             if n * node_count + fixed < n * m:
                 return _interpolated_sums(h, data, targets, leave_out)
+        return _banded_sums(h, data, targets, leave_out)
     sums = _direct_sums(h, *axes)
     return sums - leave_out if leave_out else sums
 
@@ -172,11 +200,12 @@ def _interpolated_sums(
     """One-axis kernel sums interpolated from a node grid, for ``_gaussian_sums``.
 
     The nodes are spaced h/5 and span the targets with half a stencil to
-    spare on either side.  Each target reads the 20 nodes centred on it by
-    barycentric Lagrange interpolation.  The interpolation error is a
-    fraction of the stencil's largest node, so a value, less ``leave_out``,
-    not above ``_GUARD`` of that node (a Gaussian tail, or a leave-one-out
-    cancellation) is taken by ``_direct_sums`` instead.
+    spare on either side; their sums are ``_banded_sums``.  Each target
+    reads the 20 nodes centred on it by barycentric Lagrange interpolation.
+    The interpolation error is a fraction of the stencil's largest node, so
+    a value, less ``leave_out``, not above ``_GUARD`` of that node (a
+    Gaussian tail, or a leave-one-out cancellation) is taken by
+    ``_direct_sums`` instead.
     """
     shape = targets.shape
     targets = targets.ravel()
@@ -184,7 +213,7 @@ def _interpolated_sums(
     origin = targets.min() - (_HALF - 1) * step
     q = (targets - origin) / step  # node i sits at q = i
     count = int(q.max()) + _HALF + 1
-    nodes = _direct_sums(h, (data, origin + step * np.arange(count)))
+    nodes = _banded_sums(h, data, origin + step * np.arange(count), 0.0)
     peaks = sliding_window_view(nodes, _STENCIL).max(axis=1)
     out = np.empty(targets.size, dtype=float)
     chunk = _CHUNK_ELEMENTS // _STENCIL
@@ -203,6 +232,54 @@ def _interpolated_sums(
             vals[redo] = _direct_sums(h, (data, targets[i : i + chunk][redo])) - leave_out
         out[i : i + chunk] = vals
     return out.reshape(shape)
+
+
+def _banded_sums(
+    h: float, data: np.ndarray, targets: np.ndarray, leave_out: float
+) -> np.ndarray:
+    """One-axis kernel sums over the data within 12 bandwidths of each target.
+
+    The data are sorted (sorted here if they are not), so the data within
+    ``_REACH`` bandwidths of a target are one slice, found by
+    ``searchsorted``.  The slices are read as rows of one block over the
+    data padded with +inf (whose terms vanish).  Each dropped term is below
+    ``_TAIL / h``; a value, less ``leave_out``, is taken by ``_direct_sums``
+    unless the dropped terms together with a rounding allowance for
+    ``leave_out`` stay under ``_BAND_RTOL`` of it, so nonpositive values are
+    the direct sum's own.  A call too small to pay for the searches (judged
+    from n, m and the two ends of the data) and a call whose widest band
+    holds more than half the data take the direct sum.
+    """
+    n, m = data.size, targets.size
+    reach = _REACH * h
+    if n * m >= _BAND_MIN_PAIRS and data[-1] - data[0] > 4.0 * reach:
+        if not np.all(data[:-1] <= data[1:]):
+            data = np.sort(data)
+        flat = targets.ravel()
+        first = np.searchsorted(data, flat - reach)
+        inside = np.searchsorted(data, flat + reach, side="right") - first
+        width = int(inside.max())
+        if 2 * width <= n:
+            rows = sliding_window_view(np.concatenate((data, np.full(width, np.inf))), width)
+            out = np.empty(m, dtype=float)
+            step = max(1, _CHUNK_ELEMENTS // max(1, width))
+            for i in range(0, m, step):
+                d = rows[first[i : i + step]]
+                d -= flat[i : i + step, None]
+                d /= h
+                d *= d
+                d *= -0.5
+                with np.errstate(under="ignore"):
+                    np.exp(d, out=d)
+                out[i : i + step] = d.sum(axis=1)
+            out /= h * _SQRT_2PI
+            out -= leave_out
+            dropped = (n - inside) * (_TAIL / h) + _ROUNDING * leave_out
+            redo = ~(dropped < _BAND_RTOL * out)
+            if redo.any():
+                out[redo] = _direct_sums(h, (data, flat[redo])) - leave_out
+            return out.reshape(targets.shape)
+    return _direct_sums(h, (data, targets)) - leave_out
 
 
 def _gaussian_weights(data: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from substat.estimate import (
 )
 from substat.experiments import integrated_squared_error
 from substat.geometry import PointPattern, Subspace, Window, v_range
-from substat.kernels import _direct_sums, correction_substat_closed, kernel_1d, normal_cdf
+from substat.kernels import _direct_sums, correction_substat_closed, normal_cdf
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -79,6 +79,12 @@ class TestSubstationaryIntensity:
             est.evaluate(1.5)
         with pytest.raises(ValueError):
             est.evaluate(-0.2)
+
+    def test_non_finite_offset_rejected(self):
+        est = SubstationaryIntensity(PointPattern([0.5], [0.5], Window(1, 1)), 0.0, 0.1)
+        for bad in (np.nan, np.inf, -np.inf, [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                est.evaluate(bad)
 
     def test_monte_carlo_mean_recovers_flat_intensity(self):
         model = PoissonBetaModel(1.0, Window(10.0))
@@ -182,7 +188,7 @@ class TestEstimatorInterface:
         y = np.concatenate((rng.normal(3.0, 0.02, 1990), isolated, [0.05, 5.95]))
         pat = PointPattern(rng.uniform(0, 1, y.size), y, window)
         v = np.sort(y)  # the offsets at theta = 0
-        sums = _direct_sums(h, (v, v)) - kernel_1d(h, 0.0)
+        sums = _direct_sums(h, (v, v)) - 1.0 / (h * SQRT_2PI)
         want = sums / correction_substat_closed(Subspace(0.0), window, h, v)
         got = SubstationaryIntensity(pat, 0.0, h).loo_values()
         vanishing = want <= 0.0
@@ -414,6 +420,19 @@ class TestSelectBandwidth:
         pat = PointPattern([0.5], [0.5], Window(1, 1))
         with pytest.raises(BandwidthSelectionError):
             select_bandwidth(pat, 0.0, [0.01, 0.05])
+
+    def test_a_point_beyond_every_kernels_reach_scores_minus_inf(self):
+        # its leave-one-out estimate is exactly 0 at every bandwidth, not a
+        # few ulps left by rounding its own kernel differently
+        rng = np.random.default_rng(75)
+        y = np.concatenate((rng.uniform(0.0, 0.4, 200), [0.95]))
+        pat = PointPattern(rng.uniform(0.0, 2.0, y.size), y, Window(2, 1))
+        candidates = (0.005, 0.01, 0.02, 0.06)
+        with pytest.warns(RuntimeWarning):
+            scores = bandwidth_cv_scores(pat, 0.0, candidates)
+        assert [s for _, s in scores] == [-math.inf] * len(candidates)
+        with pytest.raises(BandwidthSelectionError), pytest.warns(RuntimeWarning):
+            select_bandwidth(pat, 0.0, candidates)
 
     def test_scores_cover_all_candidates(self):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(72, 2))

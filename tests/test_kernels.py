@@ -10,6 +10,7 @@ from substat import kernels
 from substat.geometry import Subspace, Window, chord_measure, v_range
 from substat.kernels import (
     QuadratureError,
+    _banded_sums,
     _direct_sums,
     _gaussian_sums,
     _interpolated_sums,
@@ -26,17 +27,30 @@ ORACLE_WINDOWS = ((1, 1), (10, 1), (2, 3))
 ORACLE_BANDWIDTHS = (0.01, 0.05, 0.1)
 
 
-def synthetic_data(kind, n, span, h, seed):
-    """Sorted data on [0, span]: Beta, one cluster, or a cluster plus isolated points."""
+def synthetic_data(kind, n, span, h, seed, clusters=1):
+    """Sorted data on [0, span]: Beta, clusters, or clusters plus isolated points.
+
+    One cluster sits at span/2; several are centred uniformly over the span.
+    The five isolated points lie 3-10 h from the centre of their cluster.
+    """
     rng = np.random.default_rng(seed)
     if kind == "beta":
         data = span * rng.beta(3.0, 3.0, n)
     else:
-        data = rng.normal(span / 2, h * rng.uniform(0.1, 2.0), n)
+        sd = h * rng.uniform(0.1, 2.0)
+        centres = np.full(n, span / 2)
+        if clusters > 1:
+            centres = rng.uniform(0.0, span, clusters)[rng.integers(0, clusters, n)]
+        data = rng.normal(centres, sd, n)
         if kind == "cluster+isolated":
             gaps = h * rng.uniform(3.0, 10.0, 5) * rng.choice([-1.0, 1.0], 5)
-            data[:5] = span / 2 + gaps
+            data[:5] = centres[:5] + gaps
     return np.sort(np.clip(data, 0.0, span))
+
+
+def own_kernel(h):
+    """A datum's own kernel, rounded as the kernel sums round it."""
+    return 1.0 / (h * math.sqrt(2.0 * math.pi))
 
 
 def midpoint_grid(span, cells=400):
@@ -50,15 +64,15 @@ def assert_relative(got, want, rtol):
     assert np.all(np.abs(got[positive] - want[positive]) <= rtol * want[positive])
 
 
-def record_calls(monkeypatch, name):
-    """Wrap ``kernels.<name>`` to log the arguments of every call."""
-    calls, original = [], getattr(kernels, name)
+def record_calls(monkeypatch, name, owner=kernels):
+    """Wrap ``owner.<name>`` to log the arguments of every call."""
+    calls, original = [], getattr(owner, name)
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, name, recording)
+    monkeypatch.setattr(owner, name, recording)
     return calls
 
 
@@ -268,10 +282,13 @@ class TestGaussianSums:
         whole_2d = _gaussian_sums(0.05, (xd, xt), (yd, yt))
         big = rng.uniform(0, 2, 2000)
         whole_interpolated = _interpolated_sums(0.05, big, big, 0.0)
+        wide = np.sort(rng.uniform(0, 20, 2000))
+        whole_banded = _banded_sums(0.05, wide, wide, 0.0)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 50 * 4)  # 4 targets per chunk
         assert np.array_equal(_gaussian_sums(0.05, (xd, xt)), whole_1d)
         assert np.array_equal(_gaussian_sums(0.05, (xd, xt), (yd, yt)), whole_2d)
         assert np.array_equal(_interpolated_sums(0.05, big, big, 0.0), whole_interpolated)
+        assert np.array_equal(_banded_sums(0.05, wide, wide, 0.0), whole_banded)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -283,7 +300,7 @@ class TestGaussianSums:
     )
     def test_interpolated_sums_match_the_direct_sums(self, kind, n, h, span, seed):
         data = synthetic_data(kind, n, span, h, seed)
-        own = kernel_1d(h, 0.0)
+        own = own_kernel(h)
         for targets, leave_out in ((data, 0.0), (midpoint_grid(span), 0.0), (data, own)):
             got = _interpolated_sums(h, data, targets, leave_out)
             assert_relative(got, _direct_sums(h, (data, targets)) - leave_out, 1e-10)
@@ -306,10 +323,24 @@ class TestGaussianSums:
     def test_dispatch_follows_the_cost_model(self, monkeypatch):
         rng = np.random.default_rng(14)
         calls = record_calls(monkeypatch, "_interpolated_sums")
-        small, grid = rng.uniform(0, 1, 100), np.linspace(0.0, 1.0, 400)
+        searches = record_calls(monkeypatch, "searchsorted", owner=np)
+        small, grid = np.sort(rng.uniform(0, 1, 100)), np.linspace(0.0, 1.0, 400)
+        # small calls, and large ones whose data span at most two bands,
+        # are the direct sums, bit for bit, without a search
         for h in (0.01, 0.05, 0.2):
-            assert np.array_equal(_gaussian_sums(h, (small, grid)), _direct_sums(h, (small, grid)))
-        assert calls == []
+            for data in (small, 10 * small):
+                want = _direct_sums(h, (data, grid))
+                assert np.array_equal(_gaussian_sums(h, (data, grid)), want)
+        short = np.sort(rng.uniform(0, 1, 3000))
+        for h in (0.05, 0.2):
+            assert np.array_equal(_banded_sums(h, short, grid, 0.0), _direct_sums(h, (short, grid)))
+        assert calls == [] and searches == []
+        # so is a call whose widest band holds more than half the data
+        crowded = np.sort(np.concatenate((rng.normal(5.0, 0.01, 2000), rng.uniform(0, 20, 1000))))
+        wide_grid = 20 * grid
+        want = _direct_sums(0.05, (crowded, wide_grid))
+        assert np.array_equal(_banded_sums(0.05, crowded, wide_grid, 0.0), want)
+        assert len(searches) == 2
         large = rng.uniform(0, 1, 2000)
         _gaussian_sums(0.05, (large, large))
         assert len(calls) == 1
@@ -325,3 +356,62 @@ class TestGaussianSums:
         calls = record_calls(monkeypatch, "_direct_sums")
         assert_relative(_interpolated_sums(h, data, targets, 0.0), want, 1e-12)
         assert len(calls) == 1  # the nodes only: no target fell to the guard
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["beta", "cluster", "cluster+isolated"]),
+        n=st.integers(300, 2000),
+        h=st.floats(0.01, 0.1),
+        span=st.floats(5.0, 50.0),
+        clusters=st.integers(5, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_banded_sums_match_the_direct_sums(self, kind, n, h, span, clusters, seed):
+        data = synthetic_data(kind, n, span, h, seed, clusters)
+        own = own_kernel(h)
+        for targets, leave_out in ((data, 0.0), (midpoint_grid(span), 0.0), (data, own)):
+            got = _banded_sums(h, data, targets, leave_out)
+            assert_relative(got, _direct_sums(h, (data, targets)) - leave_out, 1e-12)
+
+    def test_band_guard_takes_cancelling_and_far_values_directly(self, monkeypatch):
+        h = 0.02
+        rng = np.random.default_rng(4)
+        centres = np.arange(1.0, 20.0, 2.0)  # 100 h apart
+        isolated = centres[:6] + h * np.array([5.0, -6.0, 6.5, -7.0, 7.5, -8.0])
+        data = np.sort(np.concatenate((rng.normal(np.repeat(centres, 200), 0.5 * h), isolated)))
+        own = own_kernel(h)
+        want = _direct_sums(h, (data, data)) - own
+        calls = record_calls(monkeypatch, "_direct_sums")
+        assert_relative(_banded_sums(h, data, data, own), want, 1e-12)
+        # the leave-one-out values of isolated points cancel against their own
+        # kernel, and two summation orders round that differently
+        assert len(calls) == 1
+        redone = calls[0][1][1]
+        assert np.all(np.isin(isolated, redone)) and redone.size < data.size
+        # a target about 12 h from a cluster keeps part of it in the band and
+        # drops the rest, a tail not small against its value
+        far = np.repeat([13.0 + 11.9 * h, 15.0 - 11.9 * h, 17.0 + 12.05 * h], 50)
+        near = _direct_sums(h, (data, far))
+        assert_relative(_banded_sums(h, data, far, 0.0), near, 1e-12)
+        # without the guard both sets are off
+        monkeypatch.setattr(kernels, "_TAIL", 0.0)
+        monkeypatch.setattr(kernels, "_ROUNDING", 0.0)
+        for targets, leave_out, exact in ((data, own, want), (far, 0.0, near)):
+            got = _banded_sums(h, data, targets, leave_out)
+            positive = exact > 0
+            assert np.max(np.abs(got - exact)[positive] / exact[positive]) > 1e-12
+
+    def test_unsorted_data_are_sorted_before_the_band(self):
+        h = 0.05
+        data = synthetic_data("beta", 2000, 20.0, h, seed=8)
+        # one datum out of place: searching the data as given would leave its
+        # kernel out of the sums near the middle, unseen by the guard
+        shuffled = data.copy()
+        shuffled[[1000, -2]] = data[[-2, 1000]]
+        grid = midpoint_grid(20.0)
+        for targets, leave_out in ((data, own_kernel(h)), (grid, 0.0)):
+            want = _direct_sums(h, (data, targets)) - leave_out
+            assert_relative(_banded_sums(h, shuffled, targets, leave_out), want, 1e-12)
+            # at the data the engine interpolates, from banded nodes
+            got = _gaussian_sums(h, (shuffled, targets), leave_out=leave_out)
+            assert_relative(got, want, 1e-10)

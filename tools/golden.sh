@@ -82,5 +82,10 @@ run table1-thomas experiment table1 --process thomas --a-values 2 --z-values 1,2
 # interpolated kernel sums
 run fit-subspace-large fit-subspace --data large.csv --region 0,50,0,1 --h 0.05 \
     --search-halfwidth 6 --threads 2 --out trace-large.csv
+# n of about 1000 in a 10x1 window with the open search: at oblique angles
+# the point terms take the banded kernel sums
+run simulate-open simulate --process poisson --a 3 --z 10 --seed 10 --out open.csv
+run fit-subspace-open fit-subspace --data open.csv --region 0,10,0,1 --h 0.05 \
+    --threads 2 --out trace-open.csv
 
 find . -type f | LC_ALL=C sort | xargs sha256sum
