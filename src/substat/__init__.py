@@ -31,6 +31,7 @@ from .experiments import (
     write_result_csv,
 )
 from .geometry import (
+    DataError,
     PointPattern,
     Subspace,
     Window,
@@ -42,7 +43,6 @@ from .geometry import (
 from .io import (
     ApplicationReport,
     ApplicationRow,
-    DataError,
     GridExport,
     MalformedDataError,
     RegionSpec,

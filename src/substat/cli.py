@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .estimate import (
@@ -35,6 +36,7 @@ from .io import (
     DEFAULT_IGNORABLE_GAIN,
     DataError,
     RegionSpec,
+    _field,
     _write_csv,
     export_intensity_grid,
     export_pattern_csv,
@@ -205,12 +207,11 @@ def _parse(argv) -> argparse.Namespace:
 def _cmd_simulate(args) -> None:
     base = PoissonBetaModel(args.a, Window(args.z, 1.0))
     stream = RngStream(args.seed, args.stream)
-    metadata = {"process": args.process, "a": repr(args.a), "z": repr(args.z)}
-    metadata.update(seed=args.seed, stream=args.stream)
+    metadata = dict(process=args.process, a=args.a, z=args.z, seed=args.seed, stream=args.stream)
     if args.process == "thomas":
         model = ThomasModel(base, gamma=args.gamma, sigma=args.sigma, parent_buffer=args.buffer)
         pattern = simulate_thomas(model, stream)
-        metadata.update(gamma=repr(args.gamma), sigma=repr(args.sigma), buffer=repr(args.buffer))
+        metadata.update(gamma=args.gamma, sigma=args.sigma, buffer=args.buffer)
     else:
         pattern = simulate_poisson_beta(base, stream)
     export_pattern_csv(pattern, args.out, metadata)
@@ -220,8 +221,8 @@ def _cmd_simulate(args) -> None:
 def _cmd_ingest(args) -> None:
     pattern = ingest_csv(args.data, args.region)
     window = pattern.window
-    export_pattern_csv(pattern, args.out, {"z": repr(window.z), "omega": repr(window.omega)})
-    print(f"kept {pattern.n} points; window z={window.z!r} omega={window.omega!r}")
+    export_pattern_csv(pattern, args.out, {"z": window.z, "omega": window.omega})
+    print(f"kept {pattern.n} points; window z={_field(window.z)} omega={_field(window.omega)}")
 
 
 def _cmd_estimate_intensity(args) -> None:
@@ -239,7 +240,7 @@ def _cmd_estimate_intensity(args) -> None:
     if resolution is None:
         resolution = _KERNEL2D_RESOLUTION if kind == "kernel2d" else DEFAULT_GRID_RESOLUTION
     grid = export_intensity_grid(est, resolution, args.out, seed=args.seed)
-    print(f"wrote {len(grid.values)} grid values to {args.out}")
+    print(f"wrote {grid.values.size} grid values to {args.out}")
     if args.svg:
         render_grid_svg(grid, args.svg)
         print(f"rendered {args.svg}")
@@ -247,25 +248,23 @@ def _cmd_estimate_intensity(args) -> None:
 
 def _cmd_fit_subspace(args) -> None:
     pattern = ingest_csv(args.data, args.region)
-    if pattern.n < 2:
-        raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
     halfwidth, threads = args.search_halfwidth, args.threads
     fit = fit_theta(pattern, args.h, search_halfwidth_deg=halfwidth, threads=threads)
-    print(f"theta_hat_rad={fit.theta_hat.theta!r}")
-    print(f"theta_hat_deg={fit.theta_hat.degrees!r}")
-    print(f"loglik={fit.loglik!r}")
-    print(f"degenerate={str(fit.degenerate).lower()}")
+    print(f"theta_hat_rad={_field(fit.theta_hat.theta)}")
+    print(f"theta_hat_deg={_field(fit.theta_hat.degrees)}")
+    print(f"loglik={_field(fit.loglik)}")
+    print(f"degenerate={_field(fit.degenerate)}")
     if args.out:
-        _write_csv(args.out, (), "theta_rad,loglik", ((repr(t), repr(v)) for t, v in fit.trace))
+        _write_csv(args.out, {}, "theta_rad,loglik", fit.trace)
         print(f"wrote trace to {args.out}")
 
 
 def _cmd_select_bandwidth(args) -> None:
     pattern = ingest_csv(args.data, args.region)
     scores = bandwidth_cv_scores(pattern, Subspace.from_degrees(args.theta_deg), args.candidates)
-    print(f"selected_h={_pick_bandwidth(scores)!r}")
+    print(f"selected_h={_field(_pick_bandwidth(scores))}")
     if args.out:
-        _write_csv(args.out, (), "h,cv_score", ((repr(h), repr(s)) for h, s in scores))
+        _write_csv(args.out, {}, "h,cv_score", scores)
         print(f"wrote scores to {args.out}")
 
 
@@ -293,15 +292,24 @@ def _cmd_apply(args) -> None:
     for row in report.rows:
         print(
             f"h={row.h:g} theta_hat_deg={row.theta_hat_deg:.6f} "
-            f"delta_loglik={row.delta_loglik:.6f} ignorable={str(row.ignorable).lower()}"
+            f"delta_loglik={row.delta_loglik:.6f} ignorable={_field(row.ignorable)}"
         )
     print(f"wrote report to {args.out}")
+
+
+def _check_destinations(args) -> None:
+    """Refuse, before any work, to write into a directory that does not exist."""
+    dirs = (os.path.dirname(args.out or ""), getattr(args, "grid_dir", None))
+    missing = [d for d in dirs if d and not os.path.isdir(d)]
+    if missing:
+        raise DataError(f"output directory {missing[0]!r} does not exist")
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args = _parse(argv)
+        _check_destinations(args)
         args.run(args)
         return 0
     except _UsageError as exc:

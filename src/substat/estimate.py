@@ -36,6 +36,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .geometry import (
+    DataError,
     PointPattern,
     Subspace,
     Window,
@@ -44,9 +45,8 @@ from .geometry import (
     v_range,
 )
 from .kernels import (
-    _SQRT_2PI,
     _gaussian_sums,
-    _gaussian_weights,
+    _grid_sums,
     correction_2d,
     correction_substat_closed,
     validate_bandwidth,
@@ -140,12 +140,11 @@ class SubstationaryIntensity:
     def loo_values(self) -> np.ndarray:
         """Estimate at each data point with that point left out.
 
-        The values follow the canonical (sorted-offset) order of the data.
-        The own kernel is rounded as the kernel sum rounds it, so a point
-        with no neighbour within reach gets exactly 0.
+        The values follow the canonical (sorted-offset) order of the data;
+        a point with no neighbour within reach gets exactly 0.
         """
         v = self._v_data
-        sums = _gaussian_sums(self.h, (v, v), leave_out=1.0 / (self.h * _SQRT_2PI))
+        sums = _gaussian_sums(self.h, (v, v), loo=True)
         return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
     def integral(self, cells: int = SUBSTAT_INTEGRAL_CELLS) -> float:
@@ -197,9 +196,7 @@ class KernelIntensity2D:
         sum over the data factorizes into a matrix product, which is far
         cheaper than evaluating every grid node separately.
         """
-        wx = _gaussian_weights(self._x_data, x_mids, self.h)
-        wy = _gaussian_weights(self._y_data, y_mids, self.h)
-        sums = (wx.T @ wy) / (self.h * self.h * 2.0 * math.pi)
+        sums = _grid_sums(self.h, (self._x_data, x_mids), (self._y_data, y_mids))
         return sums / correction_2d(self.window, self.h, x_mids[:, None], y_mids[None, :])
 
     def integral(self, cells: int = GRID2D_INTEGRAL_CELLS) -> float:
@@ -302,9 +299,9 @@ class FitResult:
 
 
 def _resolve_threads(threads: int) -> int:
-    if threads <= 0:
-        return os.cpu_count() or 1
-    return threads
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
+    return threads or os.cpu_count() or 1
 
 
 def _map_ordered(job, args, threads: int) -> list:
@@ -331,7 +328,7 @@ def fit_theta(
     the same subspace as -90; a half-width of 90 is the open search.
     The bandwidth is held fixed throughout.
     ``threads`` evaluates the coarse grid in a thread pool (0 = one per
-    CPU); the result does not depend on it.
+    CPU, negative raises ValueError); the result does not depend on it.
 
     ``search_halfwidth_deg`` confines the search to that many degrees on
     either side of the horizontal axis.  In windows that carry little
@@ -342,11 +339,13 @@ def fit_theta(
     harness, which fixes its own half-width as part of the protocol).
 
     A spread of less than 1e-9 across the grid is flagged as a degenerate
-    fit.  Ties prefer the smallest angle.  Requires at least two points.
+    fit.  Ties prefer the smallest angle.  A pattern of fewer than two
+    points raises DataError.
     """
     if pattern.n < 2:
-        raise ValueError("subspace fitting requires at least two points")
+        raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
     h = validate_bandwidth(h)
+    workers = _resolve_threads(threads)
     if search_halfwidth_deg is None:
         halfwidth = 90.0
     else:
@@ -363,7 +362,7 @@ def fit_theta(
     def profile(theta: float) -> float:
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
 
-    values = np.asarray(_map_ordered(profile, thetas, _resolve_threads(threads)))
+    values = np.asarray(_map_ordered(profile, thetas, workers))
     trace = tuple(zip((float(t) for t in thetas), (float(g) for g in values)))
 
     degenerate = bool(values.max() - values.min() < 1e-9)

@@ -246,8 +246,7 @@ def run_table2(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
 def write_result_csv(result: ExperimentResult, path) -> None:
     """Write cells as CSV; float repr keeps the file bitwise reproducible."""
     rows = (
-        (process, repr(a), repr(z), repr(h), estimator,
-         repr(s.metric_value), repr(s.mc_standard_error), str(s.replications))
-        for (process, a, z, h, estimator), s in result.cells.items()
+        (*key, s.metric_value, s.mc_standard_error, s.replications)
+        for key, s in result.cells.items()
     )
-    _write_csv(path, (), "process,a,z,h,estimator,metric,mc_se,replications", rows)
+    _write_csv(path, {}, "process,a,z,h,estimator,metric,mc_se,replications", rows)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DataError",
     "Window",
     "Subspace",
     "PointPattern",
@@ -36,6 +37,11 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+class DataError(ValueError):
+    """Input data cannot be used (empty, inconsistent, or out of range)."""
 
 
 @dataclass(frozen=True)
@@ -165,30 +171,29 @@ def unproject_xy(subspace: Subspace, u, v):
 def v_range(subspace: Subspace, window: Window) -> tuple[float, float]:
     """Image of the window under the orthogonal projection v.
 
-    The extremes are attained at window corners:
-    v_min = min(0, -z*sin(theta)) and
+    The extremes are the outer knots of the chord trapezoid, attained at
+    window corners: v_min = min(0, -z*sin(theta)) and
     v_max = omega*cos(theta) + max(0, -z*sin(theta)).
     """
-    c = math.cos(subspace.theta)
-    s = math.sin(subspace.theta)
-    lo = min(0.0, -window.z * s)
-    hi = window.omega * c + max(0.0, -window.z * s)
-    return lo, hi
+    knots, _ = _trapezoid(subspace, window)
+    return float(knots[0]), float(knots[-1])
 
 
-def _corner_offsets(subspace: Subspace, window: Window) -> np.ndarray:
+def _trapezoid(subspace: Subspace, window: Window) -> tuple[np.ndarray, tuple]:
+    """Knots (the corners' offsets v, sorted) and heights of the chord profile.
+
+    The heights are 0 at the outer knots and, at the inner ones, the
+    plateau: the shorter of the window's extents along the subspace.
+    """
     c = math.cos(subspace.theta)
-    s = math.sin(subspace.theta)
+    # a subnormal angle is the axis: the rise's slope, about 1/sin, would overflow
+    s = math.sin(subspace.theta) if abs(subspace.theta) >= _TINY else 0.0
     z, w = window.z, window.omega
-    return np.sort(np.array([0.0, -z * s, w * c, w * c - z * s]))
-
-
-def _plateau_height(subspace: Subspace, window: Window) -> float:
-    c = math.cos(subspace.theta)
-    s = abs(math.sin(subspace.theta))
-    along = window.z / c if c > 0.0 else math.inf
-    across = window.omega / s if s > 0.0 else math.inf
-    return min(along, across)
+    knots = np.sort(np.array([0.0, -z * s, w * c, w * c - z * s]))
+    along = z / c if c > 0.0 else math.inf
+    across = w / abs(s) if s != 0.0 else math.inf
+    top = min(along, across)
+    return knots, (0.0, top, top, 0.0)
 
 
 def chord_segments(subspace: Subspace, window: Window) -> list[tuple[float, float, float, float]]:
@@ -198,9 +203,7 @@ def chord_segments(subspace: Subspace, window: Window) -> list[tuple[float, floa
     axis-aligned subspace (rectangle profile) and up to three otherwise
     (rise, plateau, fall).
     """
-    knots = _corner_offsets(subspace, window)
-    height = _plateau_height(subspace, window)
-    heights = (0.0, height, height, 0.0)
+    knots, heights = _trapezoid(subspace, window)
     segments = []
     for lo, hi, hl, hr in zip(knots[:-1], knots[1:], heights[:-1], heights[1:]):
         if hi <= lo:
@@ -217,9 +220,7 @@ def chord_measure(subspace: Subspace, window: Window, v):
     Zero outside the projection range, piecewise linear inside.  Accepts
     scalars or arrays.
     """
-    knots = _corner_offsets(subspace, window)
-    height = _plateau_height(subspace, window)
-    heights = np.array([0.0, height, height, 0.0])
+    knots, heights = _trapezoid(subspace, window)
     v_arr = np.asarray(v, dtype=float)
     out = np.interp(v_arr, knots, heights, left=0.0, right=0.0)
     if np.isscalar(v) or v_arr.ndim == 0:

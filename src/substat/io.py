@@ -1,9 +1,10 @@
 """CSV ingestion and export, plus the end-to-end application pipeline.
 
 File conventions: comma-separated, ``.`` decimal point, UTF-8, LF line
-endings, mandatory header, ``#``-prefixed comment lines skipped.  Floats
-are written with ``repr``, whose shortest-roundtrip form makes exports
-bit-reproducible and re-ingestable without loss.
+endings, mandatory header, ``#``-prefixed comment lines skipped.  ``_field``
+is the one place values are written, in fields and ``# key: value`` comments
+alike: floats with ``repr``, whose shortest-roundtrip form makes exports
+bit-reproducible and re-ingestable without loss, booleans in lower case.
 
 Geographic coordinates are treated as planar: a rectangle in degrees maps
 affinely onto the canonical window with no map projection.  That keeps
@@ -14,15 +15,16 @@ should project before ingesting.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .estimate import SubstationaryIntensity, _midpoints, fit_theta
-from .geometry import PointPattern, Subspace, Window, v_range
+from .geometry import DataError, PointPattern, Subspace, Window, v_range
 
 __all__ = [
     "DataError",
@@ -41,10 +43,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_IGNORABLE_GAIN = 10.0
 DEFAULT_GRID_RESOLUTION = 512
-
-
-class DataError(ValueError):
-    """Input data cannot be used (empty, inconsistent, or out of range)."""
 
 
 class MalformedDataError(DataError):
@@ -134,34 +132,51 @@ def ingest_csv(path, region: RegionSpec) -> PointPattern:
     return PointPattern(shifted_x, shifted_y, window)
 
 
-def _write_csv(path, comment_lines, header: str, rows) -> None:
+def _field(value) -> str:
+    """One CSV field or comment value: the only place output is formatted."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if value is None:
+        return "none"
+    return str(value)
+
+
+def _write_csv(path, comments: dict, header: str, rows) -> None:
+    """Write ``# key: value`` comments, the header, then one line per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in comment_lines:
-            fh.write(f"# {line}\n")
+        for key, value in comments.items():
+            fh.write(f"# {key}: {_field(value)}\n")
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(map(_field, row)) + "\n")
 
 
 def export_pattern_csv(pattern: PointPattern, path, metadata: dict | None = None) -> None:
     """Write a pattern as an ``x,y`` CSV with optional ``#`` metadata lines."""
-    comments = [f"{k}: {v}" for k, v in (metadata or {}).items()]
-    rows = ((repr(float(x)), repr(float(y))) for x, y in zip(pattern.x, pattern.y))
-    _write_csv(path, comments, "x,y", rows)
+    _write_csv(path, metadata or {}, "x,y", zip(pattern.x, pattern.y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridExport:
-    """Evaluated intensity grid plus the metadata it was produced with."""
+    """Evaluated intensity grid plus the metadata it was produced with.
 
-    coordinates: tuple
-    values: tuple
+    ``axes`` holds the grid's midpoints: one array for a 1-D grid, the x
+    then the y midpoints for a 2-D tensor grid.  ``values`` is an array
+    shaped by the axes, ``values[i, j]`` at ``(axes[0][i], axes[1][j])``.
+    """
+
+    axes: tuple
+    values: np.ndarray
     metadata: dict
 
     def __post_init__(self) -> None:
-        if len(self.coordinates) != len(self.values):
-            raise ValueError("coordinates and values must have equal length")
-        if any(v < 0 for v in self.values):
+        if self.values.shape != tuple(len(a) for a in self.axes):
+            raise ValueError("values must hold one value per grid node")
+        if np.any(self.values < 0):
             raise ValueError("intensity values must be nonnegative")
 
 
@@ -177,29 +192,23 @@ def export_intensity_grid(estimator, resolution: int, path, *, seed=None) -> Gri
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     theta = getattr(estimator, "theta", None)
-    metadata = {
-        "estimator": estimator.kind,
-        "theta": repr(theta.theta) if theta is not None else "none",
-        "h": repr(estimator.h) if hasattr(estimator, "h") else "none",
-        "seed": repr(seed) if seed is not None else "none",
-    }
+    metadata = {"estimator": estimator.kind, "theta": getattr(theta, "theta", None)}
+    metadata.update(h=getattr(estimator, "h", None), seed=seed)
     window = estimator.window
     if estimator.kind == "kernel2d":
         x_mids, _ = _midpoints(0.0, window.z, resolution)
         y_mids, _ = _midpoints(0.0, window.omega, resolution)
-        values_grid = estimator.grid_values(x_mids, y_mids)
-        coords = [(float(xm), float(ym)) for xm in x_mids for ym in y_mids]
-        values = [float(v) for v in values_grid.ravel()]
-        rows = ((repr(x), repr(y), repr(val)) for (x, y), val in zip(coords, values))
+        grid = GridExport((x_mids, y_mids), estimator.grid_values(x_mids, y_mids), metadata)
         header = "x,y,lambda_hat"
     else:
         mids, _ = _midpoints(*v_range(theta or Subspace(0.0), window), resolution)
-        coords = [float(m) for m in mids]
-        values = [float(v) for v in estimator.evaluate(mids)]
-        rows = ((repr(c), repr(val)) for c, val in zip(coords, values))
+        grid = GridExport((mids,), estimator.evaluate(mids), metadata)
         header = "v,lambda_hat"
-    _write_csv(path, (f"{k}: {v}" for k, v in metadata.items()), header, rows)
-    return GridExport(tuple(coords), tuple(values), metadata)
+    # product() runs the last axis fastest, as the values are laid out
+    nodes = itertools.product(*grid.axes)
+    rows = ((*node, value) for node, value in zip(nodes, grid.values.ravel()))
+    _write_csv(path, metadata, header, rows)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -222,19 +231,7 @@ class ApplicationReport:
 
     def to_csv(self, path) -> None:
         header = "h,theta_hat_rad,theta_hat_deg,loglik_fitted,loglik_axis,delta_loglik,ignorable"
-        rows = (
-            (
-                repr(r.h),
-                repr(r.theta_hat_rad),
-                repr(r.theta_hat_deg),
-                repr(r.loglik_fitted),
-                repr(r.loglik_axis),
-                repr(r.delta_loglik),
-                str(r.ignorable).lower(),
-            )
-            for r in self.rows
-        )
-        _write_csv(path, (f"ignorable_threshold: {self.threshold!r}",), header, rows)
+        _write_csv(path, {"ignorable_threshold": self.threshold}, header, map(astuple, self.rows))
 
 
 def run_application_pipeline(
@@ -259,8 +256,6 @@ def run_application_pipeline(
     h_list = [float(h) for h in h_values]
     if not h_list:
         raise ValueError("no bandwidths supplied")
-    if pattern.n < 2:
-        raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
     rows = []
     for h in h_list:
         fit = fit_theta(

@@ -14,10 +14,11 @@ Only the Gaussian kernel ships; the normal CDF is evaluated
 through the complementary error function so deep tails underflow to zero
 instead of losing precision to cancellation.
 
-One engine, ``_gaussian_sums``, takes the kernel sums of the 1-D smoother,
-its leave-one-out term and the 2-D smoother at scattered locations; on a
-tensor grid the 2-D smoother multiplies ``_gaussian_weights`` matrices.  The
-engine has three paths:
+This module owns the kernel's arithmetic, its normalizing constants
+included.  One engine, ``_gaussian_sums``, takes the kernel sums of the 1-D
+smoother, its leave-one-out values and the 2-D smoother at scattered
+locations; ``_grid_sums`` takes the 2-D smoother's sums on a tensor grid as
+one matrix product.  The engine has three paths:
 
 * ``_direct_sums``, the direct sum over every data-target pair, exact up to
   rounding: the oracle, the two-axis path and the path for small inputs;
@@ -40,8 +41,10 @@ Each path guards its values against the direct sum.  The band drops terms
 below exp(-72)/(h*sqrt(2*pi)) each; a value, less a leave-one-out term, is
 recomputed directly unless the dropped terms and a rounding allowance of
 1e-14 of the leave-one-out term stay under 1e-12 of it.  The interpolated
-path recomputes every value, less a leave-one-out term, below 1/100 of the
-largest node of its stencil.  Measured against the direct sum on 200 random
+path recomputes every value, less a leave-one-out term, not above 1/100 of
+the largest node of its stencil.  The guards hold the band within 1e-12
+relative error of the direct sum and the interpolation within 1e-10.
+Measured against the direct sum on 200 random
 Beta, clustered and cluster-plus-isolated data sets (n 300-3000, h
 0.01-0.1, span 5-50), the band's largest relative errors were 7.9e-16 at
 the data, 6.7e-15 on grids and 3.4e-14 leave-one-out; the interpolated
@@ -135,27 +138,21 @@ def kernel_1d(h: float, t):
     return out
 
 
-def _gaussian_sums(h: float, *axes, leave_out: float = 0.0) -> np.ndarray:
-    """sum_j prod_k phi((data_kj - t_k) / h) / h at each target t, less ``leave_out``.
+def _gaussian_sums(h: float, *axes, loo: bool = False) -> np.ndarray:
+    """sum_j prod_k phi((data_kj - t_k) / h) / h at each target t.
 
     One ``(data, targets)`` pair per axis; the targets share one shape,
-    which the result takes.  A target that is itself a datum leaves its own
-    kernel out by passing that kernel's value, 1/(h*sqrt(2*pi)) per axis, as
-    ``leave_out``.
+    which the result takes.  With ``loo`` each target is itself a datum and
+    leaves its own kernel out: the sum less 1/(h*sqrt(2*pi)) per axis,
+    rounded as the sums round it, so a target with no other datum within
+    reach gets exactly 0.
 
-    Three paths: ``_direct_sums`` (exact; two axes and small inputs) and, for
-    one axis, ``_interpolated_sums`` (a node grid of spacing h/5, read off by
-    20-point Lagrange interpolation) or ``_banded_sums`` (each target sums
-    the sorted data within ``_REACH`` bandwidths).  The interpolated path is
-    taken when it costs less in direct kernel pairs: n*G + _TARGET_COST*m +
-    _CALL_COST < n*m for n data, m targets and G nodes; its guard recomputes
-    directly every value below ``_GUARD`` of its stencil's largest node,
-    which holds it within 1e-10 relative error of the direct sum (5.6e-11 at
-    worst measured, leave-one-out).  Every other call, and the node stage of
-    the interpolated path, takes the band where ``_banded_sums`` finds it
-    cheaper; its guard holds it within 1e-12 (3.4e-14 at worst measured).
-    Both give the direct sum's own nonpositive values.
+    The module docstring gives the paths, the cost model that picks one,
+    their guards and their measured accuracy: every path stays within
+    1e-10 relative error of ``_direct_sums`` and gives its nonpositive
+    values exactly.
     """
+    own = 1.0 / (h * _SQRT_2PI) ** len(axes) if loo else 0.0
     if len(axes) == 1:
         data, targets = axes[0]
         n, m = data.size, targets.size
@@ -164,10 +161,9 @@ def _gaussian_sums(h: float, *axes, leave_out: float = 0.0) -> np.ndarray:
         if n * (m - _STENCIL) > fixed:
             node_count = (targets.max() - targets.min()) / (_NODE_STEP * h) + _STENCIL
             if n * node_count + fixed < n * m:
-                return _interpolated_sums(h, data, targets, leave_out)
-        return _banded_sums(h, data, targets, leave_out)
-    sums = _direct_sums(h, *axes)
-    return sums - leave_out if leave_out else sums
+                return _interpolated_sums(h, data, targets, own)
+        return _banded_sums(h, data, targets, own)
+    return _direct_sums(h, *axes) - own
 
 
 def _direct_sums(h: float, *axes) -> np.ndarray:
@@ -282,12 +278,15 @@ def _banded_sums(
     return _direct_sums(h, (data, targets)) - leave_out
 
 
-def _gaussian_weights(data: np.ndarray, targets: np.ndarray, h: float) -> np.ndarray:
-    """exp(-((data_j - t_k) / h)^2 / 2) as a (data, targets) matrix; a 2-D grid
-    sum is the x-matrix, transposed, times the y-matrix, over 2*pi*h^2."""
-    d = (data[:, None] - targets[None, :]) / h
+def _grid_sums(h: float, x_axis, y_axis) -> np.ndarray:
+    """Two-axis kernel sums on the (len(x_mids), len(y_mids)) grid of ``(data, mids)`` pairs.
+
+    The product kernel factorizes: the x-matrix of exp(-((data_j - t_k)/h)^2/2),
+    transposed, times the y-matrix, over 2*pi*h^2.
+    """
     with np.errstate(under="ignore"):
-        return np.exp(-0.5 * d**2)
+        wx, wy = (np.exp(-0.5 * ((d[:, None] - t[None, :]) / h) ** 2) for d, t in (x_axis, y_axis))
+    return (wx.T @ wy) / (h * h * 2.0 * math.pi)
 
 
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):

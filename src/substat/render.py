@@ -40,8 +40,8 @@ def _write_svg(path, body) -> None:
 
 def render_line_svg(grid: GridExport, path) -> None:
     """Line plot of a 1-D grid (offset on x, intensity on y)."""
-    xs = [float(c) for c in grid.coordinates]
-    ys = [float(v) for v in grid.values]
+    xs = grid.axes[0].tolist()
+    ys = grid.values.tolist()
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, max(max(ys), 1e-12)
     px = _scale(xs, x_lo, x_hi, _MARGIN, _W - _MARGIN)
@@ -70,21 +70,19 @@ def _heat_color(t: float) -> str:
 
 def render_heatmap_svg(grid: GridExport, path) -> None:
     """Heat map of a 2-D tensor grid export."""
-    xs = sorted({c[0] for c in grid.coordinates})
-    ys = sorted({c[1] for c in grid.coordinates})
-    lookup = {c: v for c, v in zip(grid.coordinates, grid.values)}
-    v_hi = max(max(grid.values), 1e-12)
-    cell_w = (_W - 2 * _MARGIN) / len(xs)
-    cell_h = (_H - 2 * _MARGIN) / len(ys)
+    values = grid.values
+    v_hi = max(float(values.max()), 1e-12)
+    nx, ny = values.shape
+    cell_w = (_W - 2 * _MARGIN) / nx
+    cell_h = (_H - 2 * _MARGIN) / ny
     body = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            val = lookup[(x, y)]
+    for i in range(nx):
+        for j in range(ny):
             px = _MARGIN + i * cell_w
             py = _H - _MARGIN - (j + 1) * cell_h
             body.append(
                 f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{_heat_color(val / v_hi)}"/>'
+                f'height="{_fmt(cell_h + 0.5)}" fill="{_heat_color(values[i, j] / v_hi)}"/>'
             )
     body.append(f'<text x="4" y="14" font-size="11">max {v_hi:.4g}</text>')
     _write_svg(path, body)
@@ -92,7 +90,7 @@ def render_heatmap_svg(grid: GridExport, path) -> None:
 
 def render_grid_svg(grid: GridExport, path) -> None:
     """Dispatch on grid dimensionality: line plot for 1-D, heat map for 2-D."""
-    if grid.coordinates and isinstance(grid.coordinates[0], tuple):
+    if len(grid.axes) == 2:
         render_heatmap_svg(grid, path)
     else:
         render_line_svg(grid, path)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import substat.estimate as estimate_module
 from substat.estimate import (
@@ -16,7 +18,15 @@ from substat.estimate import (
     select_bandwidth,
 )
 from substat.experiments import integrated_squared_error
-from substat.geometry import PointPattern, Subspace, Window, v_range
+from substat.geometry import (
+    DataError,
+    PointPattern,
+    Subspace,
+    Window,
+    project_xy,
+    unproject_xy,
+    v_range,
+)
 from substat.kernels import _direct_sums, correction_substat_closed, normal_cdf
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
 
@@ -111,6 +121,33 @@ class TestSubstationaryIntensity:
         a = SubstationaryIntensity(pat, theta, 0.05).evaluate(grid)
         b = SubstationaryIntensity(pat2, theta, 0.05).evaluate(grid)
         assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        theta=st.floats(-math.pi / 2, math.pi / 2, exclude_max=True),
+        h=st.floats(0.02, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_at_points_is_invariant_under_shifts_along_the_subspace(self, theta, h, seed):
+        rng = np.random.default_rng(seed)
+        pat = random_pattern(rng, z=2.0)
+        est = SubstationaryIntensity(pat, theta, h)
+        x, y = rng.uniform(0, 2, 200), rng.uniform(0, 1, 200)
+        u, v = project_xy(est.theta, x, y)
+        x2, y2 = unproject_xy(est.theta, u + rng.uniform(-2, 2, 200), v)
+        inside = pat.window.contains(x2, y2)
+        want = est.at_points(x[inside], y[inside])
+        got = est.at_points(x2[inside], y2[inside])
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("theta", [1e-310, -5e-324])
+    def test_a_subnormal_angle_is_the_axis(self, theta):
+        # the chord profile's rise would have a slope beyond the largest float
+        pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(2.0)), RngStream(17, 0))
+        tiny, axis = (SubstationaryIntensity(pat, t, 0.05) for t in (theta, 0.0))
+        grid = np.linspace(0.0, 1.0, 21)
+        assert np.array_equal(tiny.evaluate(grid), axis.evaluate(grid))
+        assert tiny.integral() == axis.integral()
 
     def test_point_order_never_changes_output(self):
         rng = np.random.default_rng(9)
@@ -301,6 +338,16 @@ class TestFitTheta:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             fit_theta(PointPattern([0.5], [0.5], Window(1, 1)), 0.05)
+
+    def test_fewer_than_two_points_is_a_data_error(self):
+        for x in ([], [0.5]):
+            with pytest.raises(DataError, match=f"at least two points, got {len(x)}"):
+                fit_theta(PointPattern(x, x, Window(1, 1)), 0.05)
+
+    def test_negative_thread_count_is_rejected(self):
+        pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(5, 0))
+        with pytest.raises(ValueError, match="threads"):
+            fit_theta(pat, 0.05, search_halfwidth_deg=2.0, threads=-1)
 
     def test_fit_value_dominates_trace(self):
         pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(2.0)), RngStream(66, 0))

@@ -212,6 +212,10 @@ class TestDeterminism:
         write_result_csv(parallel, f2)
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_negative_thread_count_is_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            run_table1(table1_plan(replications=1), threads=-1)
+
     def test_adding_cells_never_perturbs_existing_ones(self):
         small = table1_plan(a_values=(2.0,), replications=5)
         big = table1_plan(a_values=(2.0, 3.0), replications=5)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from substat.geometry import (
@@ -14,6 +16,12 @@ from substat.geometry import (
     unproject_xy,
     v_range,
 )
+
+ANGLES = st.floats(-math.pi / 2, math.pi / 2, exclude_max=True)
+# within 1e-9 of an axis, where the chord profile has steep slivers
+NEAR_AXIS = st.tuples(st.sampled_from((0.0, -math.pi / 2)), st.floats(-1e-9, 1e-9)).map(sum)
+EXTENTS = st.floats(0.05, 20.0)
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 class TestSubspaceNormalization:
@@ -33,6 +41,17 @@ class TestSubspaceNormalization:
         for t in rng.uniform(-10, 10, 200):
             once = Subspace(t).theta
             assert Subspace(once).theta == once
+
+    @PROPERTY
+    @given(theta=ANGLES, k=st.integers(-20, 20))
+    @example(theta=-math.pi / 2, k=1)  # +pi/2 maps to -pi/2
+    def test_theta_plus_k_pi_normalizes_to_one_value(self, theta, k):
+        assert Subspace(theta).theta == theta  # a normalized angle is its own value
+        got = Subspace(theta + k * math.pi).theta
+        assert -math.pi / 2 <= got < math.pi / 2
+        assert Subspace(got).theta == got
+        # the same line as theta, up to the rounding of theta + k*pi
+        assert abs(math.remainder(got - theta, math.pi)) <= 1e-15 * (1 + abs(k) * math.pi)
 
     def test_degrees_round_trip(self):
         assert Subspace.from_degrees(30.0).degrees == pytest.approx(30.0, abs=1e-12)
@@ -157,6 +176,38 @@ class TestChordMeasure:
         assert len(segs) == 1
         lo, hi, a, b = segs[0]
         assert (lo, hi, a, b) == (0.0, 1.0, 4.0, 0.0)
+
+
+class TestChordProperties:
+    @PROPERTY
+    @given(theta=ANGLES | NEAR_AXIS, z=EXTENTS, omega=EXTENTS)
+    @example(theta=2.225073858507e-311, z=1.0, omega=1.0)  # a subnormal angle
+    def test_v_range_is_the_outer_knots_of_the_chord_pieces(self, theta, z, omega):
+        sub, w = Subspace(theta), Window(z, omega)
+        segs = chord_segments(sub, w)
+        assert v_range(sub, w) == (segs[0][0], segs[-1][1])
+
+    @PROPERTY
+    @given(theta=ANGLES | NEAR_AXIS, z=EXTENTS, omega=EXTENTS)
+    @example(theta=2.225073858507e-311, z=1.0, omega=1.0)  # a subnormal angle
+    def test_chord_measure_is_continuous_and_integrates_to_the_area(self, theta, z, omega):
+        sub, w = Subspace(theta), Window(z, omega)
+        segs = chord_segments(sub, w)
+        lo, hi, _, _ = np.array(segs).T
+        mids = 0.5 * (lo + hi)
+        # no jump where two pieces meet: a step to either side moves the chord
+        # length by no more than the steepest piece allows
+        top = chord_measure(sub, w, mids).max()
+        slope = max(abs(seg[3]) for seg in segs)
+        step = 1e-9 * (hi[-1] - lo[0])
+        bound = slope * step * 1.000001 + 1e-12 * top
+        for k in hi[:-1]:
+            at = chord_measure(sub, w, k)
+            for side in (k - step, k + step):
+                assert abs(chord_measure(sub, w, side) - at) <= bound
+        # linear pieces, so the midpoint rule on each is exact
+        area = np.sum((hi - lo) * chord_measure(sub, w, mids))
+        assert area == pytest.approx(w.area, rel=1e-9)
 
 
 class TestWindowAndPattern:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import substat.cli as cli
 from substat.cli import load_config, main
 from substat.estimate import (
     KernelIntensity2D,
@@ -18,6 +21,7 @@ from substat.io import (
     GridExport,
     MalformedDataError,
     RegionSpec,
+    _field,
     export_intensity_grid,
     export_pattern_csv,
     ingest_csv,
@@ -30,6 +34,23 @@ from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
 @pytest.fixture
 def pattern():
     return simulate_poisson_beta(PoissonBetaModel(3.0, Window(2.0)), RngStream(17, 0))
+
+
+class TestField:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(value=st.floats())
+    @example(value=-math.inf)
+    @example(value=1e-300)
+    def test_floats_are_written_as_their_repr(self, value):
+        assert _field(value) == repr(value)
+        assert _field(np.float64(value)) == repr(value)
+
+    def test_other_values_are_written_as_by_hand(self):
+        assert _field(np.bool_(True)) == _field(True) == "true"
+        assert _field(np.bool_(False)) == _field(False) == "false"
+        assert _field(7) == _field(np.int64(7)) == "7"
+        assert _field("poisson") == "poisson"
+        assert _field(None) == "none"
 
 
 class TestRegionSpec:
@@ -109,9 +130,11 @@ class TestIngest:
 class TestGridExport:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            GridExport((1.0, 2.0), (1.0,), {})
+            GridExport((np.array([1.0, 2.0]),), np.array([1.0]), {})
         with pytest.raises(ValueError):
-            GridExport((1.0,), (-0.5,), {})
+            GridExport((np.array([1.0, 2.0]), np.array([1.0])), np.array([1.0, 2.0]), {})
+        with pytest.raises(ValueError):
+            GridExport((np.array([1.0]),), np.array([-0.5]), {})
 
     def test_rejects_tiny_resolution(self, tmp_path, pattern):
         est = StationaryIntensity(pattern)
@@ -128,24 +151,25 @@ class TestGridExport:
     def test_axis_grid_spans_open_height_range(self, tmp_path, pattern):
         est = SubstationaryIntensity(pattern, 0.0, 0.1)
         grid = export_intensity_grid(est, 64, tmp_path / "g.csv")
-        assert min(grid.coordinates) > 0.0
-        assert max(grid.coordinates) < 1.0
+        assert min(grid.axes[0]) > 0.0
+        assert max(grid.axes[0]) < 1.0
 
     def test_grid_rows_match_direct_evaluation(self, tmp_path, pattern):
         est = SubstationaryIntensity(pattern, 0.0, 0.1)
         grid = export_intensity_grid(est, 16, tmp_path / "g.csv")
-        direct = est.evaluate(np.array(grid.coordinates))
-        assert np.array_equal(np.array(grid.values), direct)
+        direct = est.evaluate(grid.axes[0])
+        assert np.array_equal(grid.values, direct)
         text = (tmp_path / "g.csv").read_text().splitlines()
         assert text[4] == "v,lambda_hat"
-        assert text[5] == f"{grid.coordinates[0]!r},{grid.values[0]!r}"
+        assert text[5] == f"{float(grid.axes[0][0])!r},{float(grid.values[0])!r}"
 
     def test_2d_grid_rows_match_direct_evaluation(self, tmp_path, pattern):
         est = KernelIntensity2D(pattern, 0.1)
         grid = export_intensity_grid(est, 8, tmp_path / "g.csv")
-        assert len(grid.values) == 64
-        for (x, y), val in list(zip(grid.coordinates, grid.values))[:5]:
-            assert val == pytest.approx(est.evaluate(x, y), rel=1e-12)
+        assert grid.values.shape == (8, 8)
+        x_mids, y_mids = grid.axes
+        for j in range(5):
+            assert grid.values[0, j] == pytest.approx(est.evaluate(x_mids[0], y_mids[j]), rel=1e-12)
 
     def test_metadata_header(self, tmp_path, pattern):
         est = SubstationaryIntensity(pattern, 0.0, 0.1)
@@ -439,6 +463,36 @@ class TestCli:
             args += ["--h-values", "0.05", "--out", str(tmp_path / "report.csv")]
         assert main(args) == 2
         assert "at least two points" in capsys.readouterr().err
+
+    def test_negative_thread_count_is_a_usage_error(self, tmp_path, capsys):
+        data = self.simulate_file(tmp_path)
+        args = ["fit-subspace", "--data", str(data), "--region", "0,2,0,1", "--h", "0.05"]
+        assert main([*args, "--threads", "-3"]) == 1
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment", "apply-grid-dir", "apply-out"])
+    def test_missing_output_directory_fails_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        def runner(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        for name in ("run_table1", "run_application_pipeline", "ingest_csv"):
+            monkeypatch.setattr(cli, name, runner)
+        missing = tmp_path / "missing"
+        if command == "experiment":
+            args = [
+                "experiment", "table1", "--process", "poisson", "--a-values", "2",
+                "--z-values", "1", "--h-values", "0.05", "--out", str(missing / "out.csv"),
+            ]
+        else:
+            args = ["apply", "--data", "pat.csv", "--region", "0,2,0,1", "--h-values", "0.05"]
+            if command == "apply-grid-dir":
+                args += ["--grid-dir", str(missing), "--out", str(tmp_path / "report.csv")]
+            else:
+                args += ["--out", str(missing / "report.csv")]
+        assert main(args) == 2
+        assert "missing" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path):
         lonely = tmp_path / "one.csv"

@@ -145,6 +145,23 @@ class TestClosedFormCorrection:
             closed = correction_substat_closed(sub, w, h, float(v))
             assert abs(closed - oracle) / oracle < 1e-6
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        theta=st.floats(-math.pi / 2, math.pi / 2, exclude_max=True)
+        | st.tuples(st.sampled_from((0.0, -math.pi / 2)), st.floats(-1e-9, 1e-9)).map(sum),
+        z=st.floats(0.2, 10.0),
+        omega=st.floats(0.2, 10.0),
+        h=st.floats(0.005, 0.5),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_matches_quadrature_oracle_anywhere(self, theta, z, omega, h, t):
+        # angles within 1e-9 of an axis give the steep slivers of the profile
+        sub, w = Subspace(theta), Window(z, omega)
+        lo, hi = v_range(sub, w)
+        v = lo + t * (hi - lo)
+        oracle = correction_substat_quadrature(sub, w, h, v)
+        assert abs(correction_substat_closed(sub, w, h, v) - oracle) <= 1e-6 * oracle
+
     def test_continuity_across_horizontal_branch(self):
         w = Window(2, 1)
         for h in ORACLE_BANDWIDTHS:
@@ -409,9 +426,10 @@ class TestGaussianSums:
         shuffled = data.copy()
         shuffled[[1000, -2]] = data[[-2, 1000]]
         grid = midpoint_grid(20.0)
-        for targets, leave_out in ((data, own_kernel(h)), (grid, 0.0)):
+        for targets, loo in ((data, True), (grid, False)):
+            leave_out = own_kernel(h) if loo else 0.0
             want = _direct_sums(h, (data, targets)) - leave_out
             assert_relative(_banded_sums(h, shuffled, targets, leave_out), want, 1e-12)
             # at the data the engine interpolates, from banded nodes
-            got = _gaussian_sums(h, (shuffled, targets), leave_out=leave_out)
+            got = _gaussian_sums(h, (shuffled, targets), loo=loo)
             assert_relative(got, want, 1e-10)

@@ -87,5 +87,8 @@ run fit-subspace-large fit-subspace --data large.csv --region 0,50,0,1 --h 0.05 
 run simulate-open simulate --process poisson --a 3 --z 10 --seed 10 --out open.csv
 run fit-subspace-open fit-subspace --data open.csv --region 0,10,0,1 --h 0.05 \
     --threads 2 --out trace-open.csv
+# a region inside the window: points outside it are dropped and the rest
+# shifted to its lower-left corner
+run ingest ingest --data pattern.csv --region 0.5,1.75,0.2,0.9 --out ingested.csv
 
 find . -type f | LC_ALL=C sort | xargs sha256sum
