@@ -291,7 +291,7 @@ def _cmd_apply(args) -> None:
     report.to_csv(args.out)
     for row in report.rows:
         print(
-            f"h={row.h:g} theta_hat_deg={row.theta_hat_deg:.6f} "
+            f"h={_field(row.h)} theta_hat_deg={row.theta_hat_deg:.6f} "
             f"delta_loglik={row.delta_loglik:.6f} ignorable={_field(row.ignorable)}"
         )
     print(f"wrote report to {args.out}")
@@ -299,7 +299,8 @@ def _cmd_apply(args) -> None:
 
 def _check_destinations(args) -> None:
     """Refuse, before any work, to write into a directory that does not exist."""
-    dirs = (os.path.dirname(args.out or ""), getattr(args, "grid_dir", None))
+    files = (args.out, getattr(args, "svg", None))
+    dirs = [os.path.dirname(f) for f in files if f] + [getattr(args, "grid_dir", None)]
     missing = [d for d in dirs if d and not os.path.isdir(d)]
     if missing:
         raise DataError(f"output directory {missing[0]!r} does not exist")

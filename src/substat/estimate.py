@@ -1,11 +1,11 @@
 """Intensity estimators and the invariance-direction fit.
 
 Three estimators of the first-order intensity share one interface:
-``at_points(x, y)`` at locations in the observation window,
-``grid_values(x_mids, y_mids)`` on a tensor grid and ``integral()`` over the
-window.  ``evaluate`` takes each estimator's own coordinates: the
-orthogonal offset v for the two 1-D estimators, (x, y) for the bivariate
-one.
+``at_points(x, y)`` at locations in the observation window and
+``integral()`` over the window.  ``evaluate`` takes each estimator's own
+coordinates: the orthogonal offset v for the two 1-D estimators, (x, y) for
+the bivariate one, which alone also has ``grid_values(x_mids, y_mids)`` on a
+tensor grid.
 
 * ``SubstationaryIntensity``: a 1-D Gaussian smoother of the orthogonal
   coordinate v = y*cos(theta) - x*sin(theta), divided by the boundary
@@ -132,11 +132,6 @@ class SubstationaryIntensity:
         _, v = project_xy(self.theta, x, y)
         return self.evaluate(v)
 
-    def grid_values(self, x_mids: np.ndarray, y_mids: np.ndarray) -> np.ndarray:
-        """Estimate on a tensor grid, shape (len(x_mids), len(y_mids))."""
-        _, v = project_xy(self.theta, x_mids[:, None], y_mids[None, :])
-        return self.evaluate(v)
-
     def loo_values(self) -> np.ndarray:
         """Estimate at each data point with that point left out.
 
@@ -227,9 +222,6 @@ class StationaryIntensity:
     def at_points(self, x, y):
         _require_inside(self.window, x, y)
         return self.evaluate(x)  # the constant, shaped like x
-
-    def grid_values(self, x_mids: np.ndarray, y_mids: np.ndarray) -> np.ndarray:
-        return np.full((np.size(x_mids), np.size(y_mids)), self.value)
 
     def integral(self, cells: int | None = None) -> float:
         # constant integrand: the midpoint rule is exact, so integrate directly

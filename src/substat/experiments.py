@@ -7,6 +7,11 @@ mean integrated squared error, area-normalized:
 
     sqrt( mean over replications of (1/|S|) * integral_S (est - truth)^2 )
 
+The three 1-D estimators (known angle, fitted angle, constant) share one
+rule: the integral runs over midpoint cells of the estimator's own
+orthogonal offset v and, along each cell's chord, Gauss-Legendre nodes in
+u.  Only the bivariate smoother is scored on a tensor grid over the window.
+
 Every (process, a, z, h, replication) cell draws from its own RNG stream,
 keyed by a stable hash of the cell coordinates, so results are bitwise
 reproducible at any parallelism level and adding cells never perturbs
@@ -30,7 +35,7 @@ from .estimate import (
     _resolve_threads,
     fit_theta,
 )
-from .geometry import PointPattern, Subspace, Window, chord_measure, project_xy, v_range
+from .geometry import PointPattern, Subspace, Window, _chord_ends, unproject_xy, v_range
 from .io import _write_csv
 from .simulate import (
     PoissonBetaModel,
@@ -60,6 +65,8 @@ THETA_ESTIMATOR = "theta_hat"
 
 MISE_CELLS_1D = 512
 MISE_CELLS_2D = 128
+# nodes and weights on [-1, 1] for the truth along each chord
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -149,27 +156,30 @@ def _root_mean_with_se(squared_samples: np.ndarray) -> tuple[float, float]:
     return root, se_mean / (2.0 * root)
 
 
-def integrated_squared_error(estimator, truth, theta_truth: Subspace) -> float:
+def integrated_squared_error(estimator, truth) -> float:
     """Area-normalized integrated squared error of one fitted estimator.
 
-    ``truth`` maps the orthogonal coordinate of ``theta_truth`` to the true
-    intensity.  Estimators aligned with the true direction (the known-angle
-    smoother and the constant) integrate on a ``MISE_CELLS_1D`` midpoint
-    grid of that coordinate weighted by chord length; everything else uses
-    a ``MISE_CELLS_2D`` x ``MISE_CELLS_2D`` midpoint grid over the window.
+    ``truth`` maps the vertical coordinate y to the true intensity.  The
+    2-D smoother is scored on a ``MISE_CELLS_2D`` x ``MISE_CELLS_2D``
+    midpoint grid over the window.  A 1-D estimator is constant along each
+    line of its own offset v (the constant estimate takes the horizontal
+    axis's), so it is scored on ``MISE_CELLS_1D`` midpoint cells of v, the
+    squared error integrated along each cell's chord by Gauss-Legendre.
     """
     window = estimator.window
-    if estimator.kind == "stationary" or getattr(estimator, "theta", None) == theta_truth:
-        mids, dv = _midpoints(*v_range(theta_truth, window), MISE_CELLS_1D)
-        chords = chord_measure(theta_truth, window, mids)
-        sq = (estimator.evaluate(mids) - np.asarray(truth(mids), dtype=float)) ** 2
-        return float(np.sum(sq * chords) * dv / window.area)
+    if estimator.kind == "kernel2d":
+        x_mids, _ = _midpoints(0.0, window.z, MISE_CELLS_2D)
+        y_mids, _ = _midpoints(0.0, window.omega, MISE_CELLS_2D)
+        truth_vals = np.asarray(truth(y_mids), dtype=float)
+        return float(np.mean((estimator.grid_values(x_mids, y_mids) - truth_vals) ** 2))
 
-    x_mids, _ = _midpoints(0.0, window.z, MISE_CELLS_2D)
-    y_mids, _ = _midpoints(0.0, window.omega, MISE_CELLS_2D)
-    _, v_true = project_xy(theta_truth, x_mids[:, None], y_mids[None, :])
-    truth_vals = np.asarray(truth(v_true), dtype=float)
-    return float(np.mean((estimator.grid_values(x_mids, y_mids) - truth_vals) ** 2))
+    subspace = getattr(estimator, "theta", None) or Subspace(0.0)
+    v, dv = _midpoints(*v_range(subspace, window), MISE_CELLS_1D)
+    lo, hi = _chord_ends(subspace, window, v)
+    u = (lo + hi)[:, None] / 2.0 + (hi - lo)[:, None] / 2.0 * _GAUSS_NODES
+    _, y = unproject_xy(subspace, u, v[:, None])
+    sq = (estimator.evaluate(v)[:, None] - np.asarray(truth(y), dtype=float)) ** 2
+    return float(np.sum(sq @ _GAUSS_WEIGHTS * (hi - lo) / 2.0) * dv / window.area)
 
 
 def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -> dict:
@@ -225,10 +235,9 @@ def run_table2(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Root-MISE of the four intensity estimators for every plan cell."""
     if plan.target != "table2":
         raise ValueError("plan target must be 'table2'")
-    theta_truth = Subspace(0.0)
-
     def replicate(model, h: float, pattern: PointPattern) -> tuple:
-        known = SubstationaryIntensity(pattern, theta_truth, h)
+        # the truth varies in y alone: the known direction is the horizontal axis
+        known = SubstationaryIntensity(pattern, Subspace(0.0), h)
         fitted_angle = fit_theta(
             pattern, h, search_halfwidth_deg=plan.search_halfwidth_deg
         ).theta_hat
@@ -236,7 +245,7 @@ def run_table2(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
         smooth2d = KernelIntensity2D(pattern, h)
         constant = StationaryIntensity(pattern)
         return tuple(
-            integrated_squared_error(est, model.intensity, theta_truth)
+            integrated_squared_error(est, model.intensity)
             for est in (known, fitted, smooth2d, constant)
         )
 

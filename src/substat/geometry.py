@@ -196,6 +196,25 @@ def _trapezoid(subspace: Subspace, window: Window) -> tuple[np.ndarray, tuple]:
     return knots, (0.0, top, top, 0.0)
 
 
+def _chord_ends(subspace: Subspace, window: Window, v) -> tuple[np.ndarray, np.ndarray]:
+    """Along-subspace coordinates u at which the line of offset v enters and leaves.
+
+    The line (x, y) = u*(cos, sin) + v*(-sin, cos) crosses each pair of
+    opposite sides of the window at two values of u; the chord is the
+    overlap of the two intervals.  Offsets inside the projection range only.
+    """
+    c = math.cos(subspace.theta)  # positive on [-pi/2, pi/2)
+    # a subnormal angle is the axis, as in _trapezoid: 1/sin would overflow
+    s = math.sin(subspace.theta) if abs(subspace.theta) >= _TINY else 0.0
+    v = np.asarray(v, dtype=float)
+    lo, hi = v * s / c, (window.z + v * s) / c
+    if s != 0.0:
+        bottom, top = -v * c / s, (window.omega - v * c) / s
+        lo = np.maximum(lo, np.minimum(bottom, top))
+        hi = np.minimum(hi, np.maximum(bottom, top))
+    return lo, hi
+
+
 def chord_segments(subspace: Subspace, window: Window) -> list[tuple[float, float, float, float]]:
     """Linear pieces (lo, hi, a, b) of the chord profile: length = a + b*v.
 

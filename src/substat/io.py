@@ -275,7 +275,7 @@ def run_application_pipeline(
             )
         )
         if grid_dir is not None:
-            out = os.path.join(str(grid_dir), f"intensity_axis_h{h:g}.csv")
+            out = os.path.join(str(grid_dir), f"intensity_axis_h{_field(h)}.csv")
             axis_est = SubstationaryIntensity(pattern, 0.0, h)
             export_intensity_grid(axis_est, grid_resolution, out)
     return ApplicationReport(tuple(rows), threshold)

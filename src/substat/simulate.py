@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import beta as beta_fn
 
 from .geometry import PointPattern, Window
 
@@ -86,7 +86,11 @@ class PoissonBetaModel:
 
     def intensity(self, y):
         """True first-order intensity as a function of the vertical coordinate."""
-        return POINTS_PER_UNIT_LENGTH * beta_dist.pdf(np.asarray(y, dtype=float), self.a, self.a)
+        y = np.asarray(y, dtype=float)
+        inside = (y >= 0.0) & (y <= 1.0)
+        # the Beta(a, a) density; 0 ** 0 is 1, so a = 1 is 1 on the closed [0, 1]
+        density = np.where(inside, y * (1.0 - y), 0.0) ** (self.a - 1.0) / beta_fn(self.a, self.a)
+        return POINTS_PER_UNIT_LENGTH * np.where(inside, density, 0.0)
 
 
 @dataclass(frozen=True)

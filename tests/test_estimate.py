@@ -172,7 +172,8 @@ ESTIMATORS = {
 
 
 class TestEstimatorInterface:
-    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    # the tensor grid belongs to the bivariate smoother alone
+    @pytest.mark.parametrize("kind", ["kernel2d"])
     def test_grid_values_match_pointwise_evaluation(self, kind):
         rng = np.random.default_rng(10)
         pat = random_pattern(rng, z=2.0, n=50)
@@ -502,7 +503,7 @@ class TestSelectBandwidth:
             chosen = select_bandwidth(pat, theta0, candidates)
             for h in candidates:
                 est = SubstationaryIntensity(pat, theta0, h)
-                ise = integrated_squared_error(est, model.intensity, theta0)
+                ise = integrated_squared_error(est, model.intensity)
                 ise_by_h[h].append(ise)
                 if h == chosen:
                     ise_sel.append(ise)

@@ -5,6 +5,7 @@ import pytest
 
 from substat.estimate import StationaryIntensity, SubstationaryIntensity
 from substat.experiments import (
+    MISE_CELLS_1D,
     TABLE2_ESTIMATORS,
     CellSummary,
     ExperimentPlan,
@@ -14,7 +15,7 @@ from substat.experiments import (
     run_table2,
     write_result_csv,
 )
-from substat.geometry import PointPattern, Subspace, Window
+from substat.geometry import PointPattern, Window, project_xy
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
 
 
@@ -82,7 +83,7 @@ class TestRootMise:
         pat = PointPattern([0.3, 0.6], [0.2, 0.8], Window(1, 1))
         est = StationaryIntensity(pat)
         truth = lambda v: np.full_like(np.asarray(v, dtype=float), est.value)
-        assert integrated_squared_error(est, truth, Subspace(0.0)) == 0.0
+        assert integrated_squared_error(est, truth) == 0.0
 
     def test_stationary_estimator_matches_poisson_variance(self):
         # flat truth: root-MISE of n/|S| is sqrt(Var(n)) / |S| = 10 at z=1
@@ -91,7 +92,6 @@ class TestRootMise:
             integrated_squared_error(
                 StationaryIntensity(simulate_poisson_beta(model, RngStream(81, i))),
                 model.intensity,
-                Subspace(0.0),
             )
             for i in range(200)
         ]
@@ -105,9 +105,46 @@ class TestRootMise:
         for i in range(100):
             pat = simulate_poisson_beta(model, RngStream(82, i))
             est = SubstationaryIntensity(pat, 0.0, 0.1)
-            ises.append(integrated_squared_error(est, model.intensity, Subspace(0.0)))
+            ises.append(integrated_squared_error(est, model.intensity))
         got = math.sqrt(np.mean(ises))
         assert 4.0 <= got <= 7.5  # published 5.64
+
+    def test_fitted_angle_score_is_continuous_at_the_axis(self):
+        # the fitted angle once switched integration rules when it hit 0 exactly
+        model = PoissonBetaModel(1.5, Window(1.0))
+        pat = simulate_poisson_beta(model, RngStream(83, 0))
+        on_axis, near_axis = (
+            integrated_squared_error(SubstationaryIntensity(pat, t, 0.01), model.intensity)
+            for t in (0.0, 1e-9)
+        )
+        assert near_axis == pytest.approx(on_axis, rel=1e-6)
+
+    # at a=1.5 the profile has square-root edges, where the 2048-cell
+    # reference itself is off by about 1.3e-5 (against 4096 cells); 16 Gauss
+    # nodes instead of 64 miss it by 1.2e-4
+    @pytest.mark.parametrize("a, theta, rel", [(3.0, 0.1, 1e-6), (1.5, 0.5, 5e-5)])
+    def test_oblique_score_matches_a_fine_midpoint_reference(self, a, theta, rel):
+        model = PoissonBetaModel(a, Window(1.0))
+        pat = simulate_poisson_beta(model, RngStream(84, 0))
+        est = SubstationaryIntensity(pat, theta, 0.02)
+        cells = 2048
+        mids = (np.arange(cells) + 0.5) / cells
+        truth = model.intensity(mids)
+        total = 0.0
+        for rows in np.split(mids, 8):  # 2048 x 256 targets at a time
+            _, v = project_xy(est.theta, rows[:, None], mids[None, :])
+            total += np.sum((est.evaluate(v) - truth) ** 2)
+        reference = total / cells**2
+        assert integrated_squared_error(est, model.intensity) == pytest.approx(reference, rel=rel)
+
+    def test_axis_score_is_the_chord_weighted_midpoint_sum(self):
+        # on the axis the truth is constant along each chord
+        model = PoissonBetaModel(2.0, Window(3.0))
+        pat = simulate_poisson_beta(model, RngStream(85, 0))
+        est = SubstationaryIntensity(pat, 0.0, 0.05)
+        v = (np.arange(MISE_CELLS_1D) + 0.5) / MISE_CELLS_1D
+        want = np.mean((est.evaluate(v) - model.intensity(v)) ** 2)
+        assert integrated_squared_error(est, model.intensity) == pytest.approx(want, rel=1e-14)
 
 
 class TestRunTable1:

@@ -10,6 +10,7 @@ from substat.geometry import (
     PointPattern,
     Subspace,
     Window,
+    _chord_ends,
     chord_measure,
     chord_segments,
     project_xy,
@@ -208,6 +209,30 @@ class TestChordProperties:
         # linear pieces, so the midpoint rule on each is exact
         area = np.sum((hi - lo) * chord_measure(sub, w, mids))
         assert area == pytest.approx(w.area, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow at a subnormal angle
+    @PROPERTY
+    @given(theta=ANGLES | NEAR_AXIS, z=EXTENTS, omega=EXTENTS)
+    @example(theta=1e-9, z=1.0, omega=1.0)
+    @example(theta=-1e-9, z=20.0, omega=0.05)
+    @example(theta=-math.pi / 2 + 1e-9, z=1.0, omega=1.0)
+    @example(theta=-math.pi / 2 + 1e-9, z=0.05, omega=20.0)
+    @example(theta=2.225073858507e-311, z=1.0, omega=1.0)  # a subnormal angle
+    def test_chord_ends_span_the_chord_and_lie_on_the_boundary(self, theta, z, omega):
+        sub, w = Subspace(theta), Window(z, omega)
+        v_lo, v_hi = v_range(sub, w)
+        mids = v_lo + (np.arange(101) + 0.5) / 101 * (v_hi - v_lo)
+        lo, hi = _chord_ends(sub, w, mids)
+        tol = 1e-12 * (z + omega)
+        assert np.all(np.abs((hi - lo) - chord_measure(sub, w, mids)) <= tol)
+        # the inner knots too, where the line passes through a corner; there
+        # the length is as ill-conditioned as the profile is steep
+        v = np.concatenate((mids, [seg[0] for seg in chord_segments(sub, w)[1:]]))
+        for u in _chord_ends(sub, w, v):
+            x, y = unproject_xy(sub, u, v)
+            assert np.all(w.contains(x, y, tol=tol))
+            gap = np.minimum.reduce([np.abs(x), np.abs(x - z), np.abs(y), np.abs(y - omega)])
+            assert np.all(gap <= tol)
 
 
 class TestWindowAndPattern:

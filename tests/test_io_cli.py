@@ -361,6 +361,25 @@ class TestCli:
         assert code == 0
         assert out.exists()
 
+    def test_apply_keeps_bandwidths_that_agree_to_six_digits_apart(self, tmp_path, capsys):
+        data = self.simulate_file(tmp_path, a=3.0, z=2.0)
+        grids = tmp_path / "grids"
+        grids.mkdir()
+        code = main(
+            [
+                "apply", "--data", str(data), "--region", "0,2,0,1",
+                "--h-values", "0.05,0.05000001", "--search-halfwidth", "2",
+                "--resolution", "8", "--grid-dir", str(grids),
+                "--out", str(tmp_path / "report.csv"),
+            ]
+        )
+        assert code == 0
+        names = sorted(p.name for p in grids.iterdir())
+        assert names == ["intensity_axis_h0.05.csv", "intensity_axis_h0.05000001.csv"]
+        lines = capsys.readouterr().out.splitlines()
+        fields = [line.split()[0] for line in lines if line.startswith("h=")]
+        assert fields == ["h=0.05", "h=0.05000001"]
+
     def test_config_supplies_defaults_and_cli_overrides(self, tmp_path):
         data = self.simulate_file(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -470,17 +489,26 @@ class TestCli:
         assert main([*args, "--threads", "-3"]) == 1
         assert "threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["experiment", "apply-grid-dir", "apply-out"])
+    @pytest.mark.parametrize(
+        "command", ["experiment", "apply-grid-dir", "apply-out", "estimate-svg"]
+    )
     def test_missing_output_directory_fails_before_any_work(
         self, tmp_path, monkeypatch, capsys, command
     ):
         def runner(*args, **kwargs):
             raise AssertionError("the work started")
 
-        for name in ("run_table1", "run_application_pipeline", "ingest_csv"):
+        work = ("run_table1", "run_application_pipeline", "ingest_csv", "export_intensity_grid")
+        for name in work:
             monkeypatch.setattr(cli, name, runner)
         missing = tmp_path / "missing"
-        if command == "experiment":
+        if command == "estimate-svg":
+            args = [
+                "estimate-intensity", "--data", "pat.csv", "--region", "0,2,0,1",
+                "--estimator", "stationary", "--out", str(tmp_path / "g.csv"),
+                "--svg", str(missing / "g.svg"),
+            ]
+        elif command == "experiment":
             args = [
                 "experiment", "table1", "--process", "poisson", "--a-values", "2",
                 "--z-values", "1", "--h-values", "0.05", "--out", str(missing / "out.csv"),
@@ -493,6 +521,7 @@ class TestCli:
                 args += ["--out", str(missing / "report.csv")]
         assert main(args) == 2
         assert "missing" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # no output written, not even --out
 
     def test_numerical_error_exit_code(self, tmp_path):
         lonely = tmp_path / "one.csv"

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, kstest
 from scipy.stats import beta as beta_dist
 
+import substat
 from substat.geometry import Window
 from substat.simulate import (
     PoissonBetaModel,
@@ -124,9 +129,22 @@ class TestPoissonBeta:
         assert np.array_equal(p1.x, p2.x) and np.array_equal(p1.y, p2.y)
 
     def test_intensity_is_scaled_beta_density(self):
-        model = PoissonBetaModel(2.0, Window(1.0))
-        y = np.array([0.25, 0.5])
-        assert np.allclose(model.intensity(y), 100 * beta_dist.pdf(y, 2, 2), rtol=1e-12)
+        # the endpoints, points just outside [0, 1] and a dense interior grid
+        y = np.concatenate(([-0.01, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 1.01], np.linspace(0, 1, 1001)))
+        for a in (1.0, 1.5, 2.0, 2.5, 3.0):
+            got = PoissonBetaModel(a, Window(1.0)).intensity(y)
+            want = 100 * beta_dist.pdf(y, a, a)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        # a = 1 is the uniform profile: exactly 100 on the closed interval
+        inside = (y >= 0.0) & (y <= 1.0)
+        assert np.all(PoissonBetaModel(1.0, Window(1.0)).intensity(y[inside]) == 100.0)
+
+    def test_package_import_leaves_scipy_stats_out(self):
+        code = "import sys, substat; assert 'scipy.stats' not in sys.modules"
+        src = os.path.dirname(os.path.dirname(substat.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
     def test_translation_equality_within_invariance_subspace(self):
         # counts in a box and its horizontal translate agree in expectation
