@@ -47,6 +47,7 @@ from .geometry import (
 from .kernels import (
     _gaussian_sums,
     _grid_sums,
+    _node_grid,
     correction_2d,
     correction_substat_closed,
     validate_bandwidth,
@@ -112,6 +113,17 @@ class SubstationaryIntensity:
     def window(self) -> Window:
         return self.pattern.window
 
+    def _grid(self):
+        """The one node grid (or None) that every call reads, built by the first.
+
+        It spans the projection range and is priced against what a profile
+        evaluation asks for: the data and the integral cells.
+        """
+        if not hasattr(self, "_nodes"):
+            targets = self._v_data.size + SUBSTAT_INTEGRAL_CELLS
+            self._nodes = _node_grid(self.h, self._v_data, self._v_lo, self._v_hi, targets)
+        return self._nodes
+
     def evaluate(self, v):
         """Intensity at orthogonal offset(s) v inside the projection range."""
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
@@ -120,7 +132,7 @@ class SubstationaryIntensity:
             raise ValueError(
                 f"offset outside the projection range [{self._v_lo:.6g}, {self._v_hi:.6g}]"
             )
-        sums = _gaussian_sums(self.h, (self._v_data, v_arr))
+        sums = _gaussian_sums(self.h, (self._v_data, v_arr), nodes=self._grid())
         corr = correction_substat_closed(self.theta, self.window, self.h, v_arr)
         out = sums / corr
         if np.isscalar(v) or np.ndim(v) == 0:
@@ -139,7 +151,7 @@ class SubstationaryIntensity:
         a point with no neighbour within reach gets exactly 0.
         """
         v = self._v_data
-        sums = _gaussian_sums(self.h, (v, v), loo=True)
+        sums = _gaussian_sums(self.h, (v, v), loo=True, nodes=self._grid())
         return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
     def integral(self, cells: int = SUBSTAT_INTEGRAL_CELLS) -> float:

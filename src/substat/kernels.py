@@ -26,16 +26,26 @@ one matrix product.  The engine has three paths:
   within 12 bandwidths of it, a slice found by ``searchsorted``, as the fast
   Gauss transform cuts each interaction off at a few sigma (Greengard and
   Strain 1991);
-* ``_interpolated_sums`` for one axis: the banded sum on a node grid of
-  spacing h/5 over the targets, read off at each target by 20-point
-  (degree-19) barycentric Lagrange interpolation, as in the grid stage of
-  the fast Gauss transform.
+* ``_interpolated_sums`` for one axis: the values are read off a node grid
+  by 20-point (degree-19) barycentric Lagrange interpolation, as in the
+  grid stage of the fast Gauss transform.
 
-A cost model in units of direct kernel pairs picks the interpolated path
-when n*G + 80*m + 2e4 < n*m (n data, m targets, G nodes).  The band serves
-every other one-axis call, and the node stage of the interpolated path, if
-the call holds at least 1e5 pairs, the data span more than two bands and
-the widest band holds at most half the data; otherwise the sum is direct.
+The node grid belongs to an estimator, not to a call.  ``_node_grid``
+decides once, for the data and a range [lo, hi] that holds every target
+(the 1-D smoother's projection range), whether a grid pays, and if so
+takes the banded sums at nodes spaced h/5 over that range; every call of
+that estimator then reads the same nodes, so a value at a given offset
+does not depend on the calls before it.  The grid is priced once, in
+kernel pairs, against all the targets those calls ask for (the 1-D
+smoother's n data and integral cells): it pays when w*G + 80*m + 2e4 <
+w*m, with G nodes, m targets and w the data one target sums over without
+it: the band's width, the most data within 24 bandwidths, where the band
+would serve (at least 1e5 pairs, data spanning more than two bands, the
+widest band holding at most half the data), and n where the direct sum
+would.  Without a grid, a one-axis call takes the band where it would
+serve and the direct sum otherwise.  Every path works through the targets
+in blocks of 2**16 elements (512 KB), so each temporary stays in the L2
+cache.
 
 Each path guards its values against the direct sum.  The band drops terms
 below exp(-72)/(h*sqrt(2*pi)) each; a value, less a leave-one-out term, is
@@ -48,13 +58,15 @@ Measured against the direct sum on 200 random
 Beta, clustered and cluster-plus-isolated data sets (n 300-3000, h
 0.01-0.1, span 5-50), the band's largest relative errors were 7.9e-16 at
 the data, 6.7e-15 on grids and 3.4e-14 leave-one-out; the interpolated
-path's, on 300 sets (span 1-12), 8.8e-12 at the data, 1.5e-11 on grids and
-5.6e-11 leave-one-out.  Nonpositive values are the direct sum's own.
+path's, on 300 sets (span 1-12, one grid over [0, span] for all three),
+6.0e-12 at the data, 1.1e-11 on grids and 5.7e-11 leave-one-out.
+Nonpositive values are the direct sum's own.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,16 +88,18 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
-_CHUNK_ELEMENTS = 4_000_000
+# elements per temporary block: 512 KB, so a block and its sibling
+# temporaries stay within a 2 MB L2 cache (2**16 timed fastest of 2**16-2**20)
+_CHUNK_ELEMENTS = 2**16
 
 # interpolated kernel sums: node spacing in bandwidths, stencil size, guard,
-# and the measured costs of one target and one call, in direct kernel pairs
+# and the measured costs of one target and one node grid, in kernel pairs
 _NODE_STEP = 0.2
 _STENCIL = 20
 _HALF = _STENCIL // 2
 _GUARD = 1e-2
 _TARGET_COST = 80
-_CALL_COST = 20_000
+_GRID_COST = 20_000
 _OFFSETS = np.arange(_STENCIL)
 # barycentric weights of equispaced nodes: (-1)^k C(19, k)
 _BARY = np.array([(-1.0) ** k * math.comb(_STENCIL - 1, k) for k in range(_STENCIL)])
@@ -138,30 +152,30 @@ def kernel_1d(h: float, t):
     return out
 
 
-def _gaussian_sums(h: float, *axes, loo: bool = False) -> np.ndarray:
+def _gaussian_sums(
+    h: float, *axes, loo: bool = False, nodes: _NodeGrid | None = None
+) -> np.ndarray:
     """sum_j prod_k phi((data_kj - t_k) / h) / h at each target t.
 
     One ``(data, targets)`` pair per axis; the targets share one shape,
     which the result takes.  With ``loo`` each target is itself a datum and
     leaves its own kernel out: the sum less 1/(h*sqrt(2*pi)) per axis,
     rounded as the sums round it, so a target with no other datum within
-    reach gets exactly 0.
+    reach gets exactly 0.  ``nodes``, for one axis, is the ``_node_grid`` of
+    the same h and data over a range that holds the targets: the sums are
+    then read off it.  Without it one axis takes the band (or the direct
+    sum, for a call too small for the band) and two axes the direct sum.
 
-    The module docstring gives the paths, the cost model that picks one,
-    their guards and their measured accuracy: every path stays within
-    1e-10 relative error of ``_direct_sums`` and gives its nonpositive
-    values exactly.
+    The module docstring gives the paths, the cost model that decides on a
+    node grid, the guards and the measured accuracy: every path stays
+    within 1e-10 relative error of ``_direct_sums`` and gives its
+    nonpositive values exactly.
     """
     own = 1.0 / (h * _SQRT_2PI) ** len(axes) if loo else 0.0
     if len(axes) == 1:
         data, targets = axes[0]
-        n, m = data.size, targets.size
-        fixed = _TARGET_COST * m + _CALL_COST
-        # at least _STENCIL nodes: small inputs go direct without a scan
-        if n * (m - _STENCIL) > fixed:
-            node_count = (targets.max() - targets.min()) / (_NODE_STEP * h) + _STENCIL
-            if n * node_count + fixed < n * m:
-                return _interpolated_sums(h, data, targets, own)
+        if nodes is not None:
+            return _interpolated_sums(h, data, targets, own, nodes)
         return _banded_sums(h, data, targets, own)
     return _direct_sums(h, *axes) - own
 
@@ -190,40 +204,84 @@ def _direct_sums(h: float, *axes) -> np.ndarray:
     return (out / (h * _SQRT_2PI) ** len(axes)).reshape(shape)
 
 
-def _interpolated_sums(
-    h: float, data: np.ndarray, targets: np.ndarray, leave_out: float
-) -> np.ndarray:
-    """One-axis kernel sums interpolated from a node grid, for ``_gaussian_sums``.
+class _NodeGrid(NamedTuple):
+    """Kernel sums at the nodes origin + i*step; ``peaks[i]``, the largest from node i on of 20."""
 
-    The nodes are spaced h/5 and span the targets with half a stencil to
-    spare on either side; their sums are ``_banded_sums``.  Each target
-    reads the 20 nodes centred on it by barycentric Lagrange interpolation.
-    The interpolation error is a fraction of the stencil's largest node, so
-    a value, less ``leave_out``, not above ``_GUARD`` of that node (a
-    Gaussian tail, or a leave-one-out cancellation) is taken by
-    ``_direct_sums`` instead.
+    origin: float
+    step: float
+    sums: np.ndarray
+    peaks: np.ndarray
+
+
+def _node_grid(
+    h: float, data: np.ndarray, lo: float, hi: float, targets: int
+) -> _NodeGrid | None:
+    """The node grid for one-axis sums of the sorted data over [lo, hi], where it pays.
+
+    The grid is priced once against ``targets`` values, all the calls it is
+    meant to serve, in kernel pairs: w per node plus ``_TARGET_COST`` per
+    target and ``_GRID_COST``, against w per target without it.  w is the
+    band's width (the most data within 24 bandwidths) where the band would
+    serve the targets, and n where the direct sum would.
+    """
+    n, reach = data.size, _REACH * h
+    count = math.ceil((hi - lo) / (_NODE_STEP * h)) + _STENCIL
+    width = n
+    if n * targets >= _BAND_MIN_PAIRS and data[-1] - data[0] > 4.0 * reach:
+        band = int((np.searchsorted(data, data + 2.0 * reach, side="right") - np.arange(n)).max())
+        width = band if 2 * band <= n else n
+    if width * (targets - count) <= _TARGET_COST * targets + _GRID_COST:
+        return None
+    return _build_node_grid(h, data, lo, hi)
+
+
+def _build_node_grid(h: float, data: np.ndarray, lo: float, hi: float) -> _NodeGrid:
+    """The ``_banded_sums`` of the data at nodes spaced h/5 over [lo, hi].
+
+    Node i sits at lo + (i - 9) h/5, and the last one at least 10 nodes
+    above hi, so a target in [lo, hi] has its 20-node stencil centred on it.
+    """
+    step = _NODE_STEP * h
+    origin = lo - (_HALF - 1) * step
+    count = math.ceil((hi - lo) / step) + _STENCIL
+    sums = _banded_sums(h, data, origin + step * np.arange(count), 0.0)
+    return _NodeGrid(origin, step, sums, sliding_window_view(sums, _STENCIL).max(axis=1))
+
+
+def _interpolated_sums(
+    h: float, data: np.ndarray, targets: np.ndarray, leave_out: float, nodes: _NodeGrid
+) -> np.ndarray:
+    """One-axis kernel sums read off a node grid, for ``_gaussian_sums``.
+
+    Each target reads the 20 nodes centred on it (the 20 at the grid's
+    end, for a target just outside its range) by barycentric Lagrange
+    interpolation.  The interpolation error is a fraction of the stencil's
+    largest node, so a value, less ``leave_out``, not above ``_GUARD`` of
+    that node (a Gaussian tail, or a leave-one-out cancellation) is taken
+    by ``_direct_sums`` instead.
     """
     shape = targets.shape
     targets = targets.ravel()
-    step = _NODE_STEP * h
-    origin = targets.min() - (_HALF - 1) * step
-    q = (targets - origin) / step  # node i sits at q = i
-    count = int(q.max()) + _HALF + 1
-    nodes = _banded_sums(h, data, origin + step * np.arange(count), 0.0)
-    peaks = sliding_window_view(nodes, _STENCIL).max(axis=1)
+    q = (targets - nodes.origin) / nodes.step  # node i sits at q = i
+    last = nodes.sums.size - _STENCIL
+    windows = sliding_window_view(nodes.sums, _STENCIL)
     out = np.empty(targets.size, dtype=float)
     chunk = _CHUNK_ELEMENTS // _STENCIL
     for i in range(0, out.size, chunk):
         qi = q[i : i + chunk]
-        first = np.clip(qi.astype(np.intp) - (_HALF - 1), 0, count - _STENCIL)
-        d = (qi - first)[:, None] - _OFFSETS
+        first = np.clip(qi.astype(np.intp) - (_HALF - 1), 0, last)
+        d = (qi - first)[:, None] - _OFFSETS  # exact: q less an integer
+        stencils = windows[first]
         with np.errstate(divide="ignore", invalid="ignore"):
             w = _BARY / d
-            vals = (w * nodes[first[:, None] + _OFFSETS]).sum(axis=1) / w.sum(axis=1)
-        rows, cols = np.nonzero(d == 0.0)  # a target on a node takes its value
-        vals[rows] = nodes[first[rows] + cols]
+            vals = (w * stencils).sum(axis=1) / w.sum(axis=1)
+        # a target on a node (an integer q, the only rows where d can be 0)
+        # takes that node's value
+        on = np.flatnonzero(qi == np.floor(qi))
+        rows, cols = np.nonzero(d[on] == 0.0)
+        vals[on[rows]] = stencils[on[rows], cols]
         vals -= leave_out
-        redo = ~(vals > _GUARD * peaks[first])
+        redo = ~(vals > _GUARD * nodes.peaks[first])
         if redo.any():
             vals[redo] = _direct_sums(h, (data, targets[i : i + chunk][redo])) - leave_out
         out[i : i + chunk] = vals
@@ -301,6 +359,8 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
 
     The piecewise assembly reproduces the axis-aligned rectangle cases
     (single flat piece) and the oblique rise/plateau/fall cases alike.
+    Phi and phi are taken once at each knot: a piece reuses them at the
+    knot it shares with the previous one.
     Pieces much narrower than h (steep slivers produced by angles within
     float rounding of the axis-aligned ones) are integrated by the
     midpoint rule instead; differencing Phi across such a piece would
@@ -309,16 +369,25 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
     h = validate_bandwidth(h)
     v_arr = np.asarray(v, dtype=float)
     total = np.zeros_like(v_arr, dtype=float)
+    last = None  # (knot, t, Phi, phi) at the upper end of the previous piece
     for lo, hi, a, b in chord_segments(subspace, window):
         if hi - lo < 1e-6 * h:
             mid = 0.5 * (lo + hi)
             total = total + (hi - lo) * (a + b * mid) * normal_pdf((mid - v_arr) / h) / h
             continue
-        tl = (lo - v_arr) / h
+        if last is not None and last[0] == lo:
+            _, tl, cl, pl = last
+        else:
+            tl = (lo - v_arr) / h
+            cl, pl = normal_cdf(tl), None
         tu = (hi - v_arr) / h
-        total = total + (a + b * v_arr) * (normal_cdf(tu) - normal_cdf(tl))
+        cu, pu = normal_cdf(tu), None
+        total = total + (a + b * v_arr) * (cu - cl)
         if b != 0.0:
-            total = total + b * h * (normal_pdf(tl) - normal_pdf(tu))
+            pl = normal_pdf(tl) if pl is None else pl
+            pu = normal_pdf(tu)
+            total = total + b * h * (pl - pu)
+        last = (hi, tu, cu, pu)
     if total.ndim == 0:
         return float(total)
     return total

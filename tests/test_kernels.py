@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from substat import kernels
-from substat.geometry import Subspace, Window, chord_measure, v_range
+from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, loglik
+from substat.geometry import PointPattern, Subspace, Window, chord_measure, project_xy, v_range
 from substat.kernels import (
     QuadratureError,
     _banded_sums,
+    _build_node_grid,
     _direct_sums,
     _gaussian_sums,
     _interpolated_sums,
+    _node_grid,
     correction_2d,
     correction_substat_closed,
     correction_substat_quadrature,
@@ -62,6 +65,12 @@ def assert_relative(got, want, rtol):
     positive = want > 0
     assert np.array_equal(got[~positive], want[~positive])
     assert np.all(np.abs(got[positive] - want[positive]) <= rtol * want[positive])
+
+
+def interpolated(h, data, targets, leave_out):
+    """Sums read off a node grid over the targets' range."""
+    nodes = _build_node_grid(h, data, targets.min(), targets.max())
+    return _interpolated_sums(h, data, targets, leave_out, nodes)
 
 
 def record_calls(monkeypatch, name, owner=kernels):
@@ -298,13 +307,13 @@ class TestGaussianSums:
         whole_1d = _gaussian_sums(0.05, (xd, xt))
         whole_2d = _gaussian_sums(0.05, (xd, xt), (yd, yt))
         big = rng.uniform(0, 2, 2000)
-        whole_interpolated = _interpolated_sums(0.05, big, big, 0.0)
+        whole_interpolated = interpolated(0.05, big, big, 0.0)
         wide = np.sort(rng.uniform(0, 20, 2000))
         whole_banded = _banded_sums(0.05, wide, wide, 0.0)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 50 * 4)  # 4 targets per chunk
         assert np.array_equal(_gaussian_sums(0.05, (xd, xt)), whole_1d)
         assert np.array_equal(_gaussian_sums(0.05, (xd, xt), (yd, yt)), whole_2d)
-        assert np.array_equal(_interpolated_sums(0.05, big, big, 0.0), whole_interpolated)
+        assert np.array_equal(interpolated(0.05, big, big, 0.0), whole_interpolated)
         assert np.array_equal(_banded_sums(0.05, wide, wide, 0.0), whole_banded)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -318,8 +327,10 @@ class TestGaussianSums:
     def test_interpolated_sums_match_the_direct_sums(self, kind, n, h, span, seed):
         data = synthetic_data(kind, n, span, h, seed)
         own = own_kernel(h)
+        # one grid over the range, as an estimator builds it, serves every target set
+        nodes = _build_node_grid(h, data, 0.0, span)
         for targets, leave_out in ((data, 0.0), (midpoint_grid(span), 0.0), (data, own)):
-            got = _interpolated_sums(h, data, targets, leave_out)
+            got = _interpolated_sums(h, data, targets, leave_out, nodes)
             assert_relative(got, _direct_sums(h, (data, targets)) - leave_out, 1e-10)
 
     def test_guard_takes_the_tails_of_isolated_points_directly(self, monkeypatch):
@@ -328,12 +339,13 @@ class TestGaussianSums:
         targets = midpoint_grid(span, 4000)
         want = _direct_sums(h, (data, targets))
         calls = record_calls(monkeypatch, "_direct_sums")
-        assert_relative(_interpolated_sums(h, data, targets, 0.0), want, 1e-10)
-        assert len(calls) == 2  # the nodes, then the guarded targets
-        assert 0 < calls[1][1][1].size < targets.size
+        assert_relative(interpolated(h, data, targets, 0.0), want, 1e-10)
+        # the nodes, then the guarded targets of each of the two target chunks
+        assert len(calls) == 3 and -(-targets.size // (kernels._CHUNK_ELEMENTS // 20)) == 2
+        assert 0 < sum(call[1][1].size for call in calls[1:]) < targets.size
         # without the guard the same tails are off by far more
         monkeypatch.setattr(kernels, "_GUARD", -1.0)
-        unguarded = _interpolated_sums(h, data, targets, 0.0)
+        unguarded = interpolated(h, data, targets, 0.0)
         positive = want > 0
         assert np.max(np.abs(unguarded - want)[positive] / want[positive]) > 1e-10
 
@@ -343,11 +355,13 @@ class TestGaussianSums:
         searches = record_calls(monkeypatch, "searchsorted", owner=np)
         small, grid = np.sort(rng.uniform(0, 1, 100)), np.linspace(0.0, 1.0, 400)
         # small calls, and large ones whose data span at most two bands,
-        # are the direct sums, bit for bit, without a search
+        # are the direct sums, bit for bit, without a search; so small data
+        # get no node grid, priced against a profile's 100 + 400 targets
         for h in (0.01, 0.05, 0.2):
             for data in (small, 10 * small):
                 want = _direct_sums(h, (data, grid))
                 assert np.array_equal(_gaussian_sums(h, (data, grid)), want)
+                assert _node_grid(h, data, data[0], data[-1], data.size + 400) is None
         short = np.sort(rng.uniform(0, 1, 3000))
         for h in (0.05, 0.2):
             assert np.array_equal(_banded_sums(h, short, grid, 0.0), _direct_sums(h, (short, grid)))
@@ -358,9 +372,22 @@ class TestGaussianSums:
         want = _direct_sums(0.05, (crowded, wide_grid))
         assert np.array_equal(_banded_sums(0.05, crowded, wide_grid, 0.0), want)
         assert len(searches) == 2
+        # data within two bands: the grid is priced against the direct sum
+        # (no search), and a 1-D call with it reads the sums off it
         large = rng.uniform(0, 1, 2000)
-        _gaussian_sums(0.05, (large, large))
+        nodes = _node_grid(0.05, np.sort(large), 0.0, 1.0, 2400)
+        assert nodes is not None and len(searches) == 2
+        assert nodes.sums.size == 5 * 20 + 20  # 1/(h/5) nodes over the range, 20 beside
+        _gaussian_sums(0.05, (large, large), nodes=nodes)
         assert len(calls) == 1
+        # data over many bands: the grid is priced against the band's width
+        # (one search), which 1000 data over 10 units at h = 0.05 keep near
+        # 150, too few for 1020 nodes to pay on 1400 targets; 5000 data pay
+        for n, pays in ((1000, False), (5000, True)):
+            spread = np.sort(rng.uniform(0, 10, n))
+            got = _node_grid(0.05, spread, 0.0, 10.0, n + 400)
+            assert (got is not None) == pays
+        assert len(searches) == 2 + 2 + 2  # each width, then the two of the nodes' band
         # two axes always take the direct sum
         _gaussian_sums(0.05, (large, large), (large, large))
         assert len(calls) == 1
@@ -371,7 +398,7 @@ class TestGaussianSums:
         targets = np.arange(101) * (kernels._NODE_STEP * h)  # every target on a node
         want = _direct_sums(h, (data, targets))
         calls = record_calls(monkeypatch, "_direct_sums")
-        assert_relative(_interpolated_sums(h, data, targets, 0.0), want, 1e-12)
+        assert_relative(interpolated(h, data, targets, 0.0), want, 1e-12)
         assert len(calls) == 1  # the nodes only: no target fell to the guard
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -430,6 +457,78 @@ class TestGaussianSums:
             leave_out = own_kernel(h) if loo else 0.0
             want = _direct_sums(h, (data, targets)) - leave_out
             assert_relative(_banded_sums(h, shuffled, targets, leave_out), want, 1e-12)
-            # at the data the engine interpolates, from banded nodes
-            got = _gaussian_sums(h, (shuffled, targets), loo=loo)
+            # a node grid of the same data gives the same sums, from banded nodes
+            nodes = _build_node_grid(h, shuffled, 0.0, 20.0)
+            got = _gaussian_sums(h, (shuffled, targets), loo=loo, nodes=nodes)
             assert_relative(got, want, 1e-10)
+
+
+def beta_pattern(n, seed):
+    """n points, uniform along a window n/100 wide (at least 1) and Beta(3, 3) across it."""
+    rng = np.random.default_rng(seed)
+    z = max(1.0, n / 100)
+    return PointPattern(rng.uniform(0, z, n), rng.beta(3.0, 3.0, n), Window(z, 1.0))
+
+
+class TestSharedNodeGrid:
+    """One node grid per estimator serves every one of its calls."""
+
+    @pytest.mark.parametrize("n", [2, 100, 1000, 5000])
+    @pytest.mark.parametrize(
+        "theta", [0.0, 1e-310, math.radians(3), math.pi / 4, math.radians(89.9)]
+    )
+    def test_every_call_stays_within_1e_10_of_the_direct_sum(self, n, theta):
+        pat = beta_pattern(n, seed=n)
+        for h in (0.01, 0.05, 0.1):
+            est = SubstationaryIntensity(pat, theta, h)
+            lo, hi = est._v_lo, est._v_hi
+            _, v_data = project_xy(est.theta, pat.x, pat.y)
+            mids = lo + (np.arange(400) + 0.5) * (hi - lo) / 400
+            ends = np.array([lo - _DOMAIN_TOL, hi + _DOMAIN_TOL])
+
+            def direct(v, leave_out=0.0):
+                sums = _direct_sums(h, (est._v_data, v)) - leave_out
+                return sums / correction_substat_closed(est.theta, pat.window, h, v)
+
+            assert_relative(est.at_points(pat.x, pat.y), direct(v_data), 1e-10)
+            assert_relative(est.loo_values(), direct(est._v_data, own_kernel(h)), 1e-10)
+            assert_relative(est.evaluate(ends), direct(ends), 1e-10)
+            chords = chord_measure(est.theta, pat.window, mids)
+            want = float(np.sum(direct(mids) * chords) * (hi - lo) / 400)
+            assert est.integral() == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_the_data_of_large_patterns_near_the_axis_are_interpolated(self):
+        for n in (1000, 5000):
+            for theta in (0.0, 1e-310, math.radians(3)):
+                est = SubstationaryIntensity(beta_pattern(n, seed=n), theta, 0.05)
+                assert est._grid() is not None
+        assert SubstationaryIntensity(beta_pattern(100, seed=100), 0.0, 0.05)._grid() is None
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_call_order_never_changes_a_value(self, n):
+        pat = beta_pattern(n, seed=3)
+        grid = np.linspace(*v_range(Subspace(0.02), pat.window), 97)
+        calls = {
+            "at_points": lambda est: est.at_points(pat.x, pat.y),
+            "evaluate": lambda est: est.evaluate(grid),
+            "integral": lambda est: np.array([est.integral()]),
+            "loo_values": lambda est: est.loo_values(),
+        }
+        first = SubstationaryIntensity(pat, 0.02, 0.05)
+        second = SubstationaryIntensity(pat, 0.02, 0.05)
+        forward = {name: call(first) for name, call in calls.items()}
+        backward = {name: call(second) for name, call in reversed(calls.items())}
+        for name in calls:
+            assert np.array_equal(forward[name], backward[name]), name
+
+    @pytest.mark.parametrize("loo", [False, True])
+    def test_one_loglik_builds_the_node_grid_once(self, monkeypatch, loo):
+        pat = beta_pattern(1000, seed=4)
+        builds = record_calls(monkeypatch, "_build_node_grid")
+        bands = record_calls(monkeypatch, "_banded_sums")
+        reads = record_calls(monkeypatch, "_interpolated_sums")
+        loglik(pat, SubstationaryIntensity(pat, 0.01, 0.05), loo=loo)
+        assert len(builds) == 1
+        assert len(bands) == 1  # the node stage; every value is read off the nodes
+        assert len(reads) == 2  # the point term and the integral
+        assert reads[0][4] is reads[1][4]
