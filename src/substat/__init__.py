@@ -9,64 +9,15 @@ coordinate, and ships seeded Poisson and cluster-process simulators plus
 a Monte Carlo harness for the accompanying replication tables.
 """
 
-from .estimate import (
-    BandwidthSelectionError,
-    FitResult,
-    KernelIntensity2D,
-    StationaryIntensity,
-    SubstationaryIntensity,
-    bandwidth_cv_scores,
-    fit_theta,
-    loglik,
-    select_bandwidth,
-)
-from .experiments import (
-    CellSummary,
-    ExperimentPlan,
-    ExperimentResult,
-    integrated_squared_error,
-    replication_stream,
-    run_table1,
-    run_table2,
-    write_result_csv,
-)
-from .geometry import (
-    DataError,
-    PointPattern,
-    Subspace,
-    Window,
-    chord_measure,
-    project_xy,
-    unproject_xy,
-    v_range,
-)
-from .io import (
-    ApplicationReport,
-    ApplicationRow,
-    GridExport,
-    MalformedDataError,
-    RegionSpec,
-    export_intensity_grid,
-    export_pattern_csv,
-    ingest_csv,
-    run_application_pipeline,
-)
-from .kernels import (
-    QuadratureError,
-    correction_2d,
-    correction_substat_closed,
-    correction_substat_quadrature,
-    kernel_1d,
-    normal_cdf,
-    normal_pdf,
-)
-from .simulate import (
-    PoissonBetaModel,
-    RngStream,
-    ThomasModel,
-    beta_sampler,
-    simulate_poisson_beta,
-    simulate_thomas,
-)
+from . import estimate, experiments, geometry, io, kernels, simulate
+from .estimate import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .io import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
+# each module's own __all__, once each: a name is public where it is defined
+_MODULES = (estimate, experiments, geometry, io, kernels, simulate)
+__all__ = list(dict.fromkeys(name for module in _MODULES for name in module.__all__))
 __version__ = "0.1.0"

@@ -48,6 +48,7 @@ from .kernels import (
     _gaussian_sums,
     _grid_sums,
     _node_grid,
+    _scattered_sums,
     correction_2d,
     correction_substat_closed,
     validate_bandwidth,
@@ -132,7 +133,7 @@ class SubstationaryIntensity:
             raise ValueError(
                 f"offset outside the projection range [{self._v_lo:.6g}, {self._v_hi:.6g}]"
             )
-        sums = _gaussian_sums(self.h, (self._v_data, v_arr), nodes=self._grid())
+        sums = _gaussian_sums(self.h, self._v_data, v_arr, nodes=self._grid())
         corr = correction_substat_closed(self.theta, self.window, self.h, v_arr)
         out = sums / corr
         if np.isscalar(v) or np.ndim(v) == 0:
@@ -151,7 +152,7 @@ class SubstationaryIntensity:
         a point with no neighbour within reach gets exactly 0.
         """
         v = self._v_data
-        sums = _gaussian_sums(self.h, (v, v), loo=True, nodes=self._grid())
+        sums = _gaussian_sums(self.h, v, v, loo=True, nodes=self._grid())
         return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
     def integral(self, cells: int = SUBSTAT_INTEGRAL_CELLS) -> float:
@@ -187,7 +188,7 @@ class KernelIntensity2D:
         if x_arr.shape != y_arr.shape:
             raise ValueError("x and y must have the same shape")
         _require_inside(self.window, x_arr, y_arr)
-        sums = _gaussian_sums(self.h, (self._x_data, x_arr), (self._y_data, y_arr))
+        sums = _scattered_sums(self.h, (self._x_data, x_arr), (self._y_data, y_arr))
         corr = correction_2d(self.window, self.h, x_arr, y_arr)
         out = sums / corr
         if np.isscalar(x) or np.ndim(x) == 0:

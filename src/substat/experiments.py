@@ -37,6 +37,7 @@ from .estimate import (
 )
 from .geometry import PointPattern, Subspace, Window, _chord_ends, unproject_xy, v_range
 from .io import _write_csv
+from .kernels import validate_bandwidth
 from .simulate import (
     PoissonBetaModel,
     RngStream,
@@ -98,8 +99,14 @@ class ExperimentPlan:
             raise ValueError(f"process must be one of {PROCESSES}, got {self.process!r}")
         if self.target not in ("table1", "table2"):
             raise ValueError(f"target must be 'table1' or 'table2', got {self.target!r}")
-        for name in ("a_values", "z_values", "h_values"):
-            vals = tuple(float(v) for v in getattr(self, name))
+        # each value is checked by its owner here, not when the sweep reaches its cell
+        owners = {
+            "a_values": lambda a: PoissonBetaModel(a, Window(1.0)).a,
+            "z_values": lambda z: Window(z, 1.0).z,
+            "h_values": validate_bandwidth,
+        }
+        for name, owner in owners.items():
+            vals = tuple(owner(float(v)) for v in getattr(self, name))
             if not vals:
                 raise ValueError(f"{name} must be nonempty")
             object.__setattr__(self, name, vals)

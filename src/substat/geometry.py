@@ -179,15 +179,19 @@ def v_range(subspace: Subspace, window: Window) -> tuple[float, float]:
     return float(knots[0]), float(knots[-1])
 
 
+def _cos_sin(subspace: Subspace) -> tuple[float, float]:
+    """cos and sin of the angle; a subnormal angle is the axis, since 1/sin would overflow."""
+    theta = subspace.theta
+    return math.cos(theta), (math.sin(theta) if abs(theta) >= _TINY else 0.0)
+
+
 def _trapezoid(subspace: Subspace, window: Window) -> tuple[np.ndarray, tuple]:
     """Knots (the corners' offsets v, sorted) and heights of the chord profile.
 
     The heights are 0 at the outer knots and, at the inner ones, the
     plateau: the shorter of the window's extents along the subspace.
     """
-    c = math.cos(subspace.theta)
-    # a subnormal angle is the axis: the rise's slope, about 1/sin, would overflow
-    s = math.sin(subspace.theta) if abs(subspace.theta) >= _TINY else 0.0
+    c, s = _cos_sin(subspace)
     z, w = window.z, window.omega
     knots = np.sort(np.array([0.0, -z * s, w * c, w * c - z * s]))
     along = z / c if c > 0.0 else math.inf
@@ -203,9 +207,7 @@ def _chord_ends(subspace: Subspace, window: Window, v) -> tuple[np.ndarray, np.n
     opposite sides of the window at two values of u; the chord is the
     overlap of the two intervals.  Offsets inside the projection range only.
     """
-    c = math.cos(subspace.theta)  # positive on [-pi/2, pi/2)
-    # a subnormal angle is the axis, as in _trapezoid: 1/sin would overflow
-    s = math.sin(subspace.theta) if abs(subspace.theta) >= _TINY else 0.0
+    c, s = _cos_sin(subspace)  # c is positive on [-pi/2, pi/2)
     v = np.asarray(v, dtype=float)
     lo, hi = v * s / c, (window.z + v * s) / c
     if s != 0.0:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .estimate import SubstationaryIntensity, _midpoints, fit_theta
 from .geometry import DataError, PointPattern, Subspace, Window, v_range
+from .kernels import validate_bandwidth
 
 __all__ = [
     "DataError",
@@ -180,6 +181,11 @@ class GridExport:
             raise ValueError("intensity values must be nonnegative")
 
 
+def _check_resolution(resolution: int) -> None:
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+
+
 def export_intensity_grid(estimator, resolution: int, path, *, seed=None) -> GridExport:
     """Evaluate an estimator on a midpoint grid and write it as CSV.
 
@@ -189,8 +195,7 @@ def export_intensity_grid(estimator, resolution: int, path, *, seed=None) -> Gri
     rows on a resolution x resolution tensor grid.  Metadata (estimator
     kind, angle, bandwidth, seed) goes into ``#`` comment lines.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    _check_resolution(resolution)
     theta = getattr(estimator, "theta", None)
     metadata = {"estimator": estimator.kind, "theta": getattr(theta, "theta", None)}
     metadata.update(h=getattr(estimator, "h", None), seed=seed)
@@ -252,10 +257,15 @@ def run_application_pipeline(
     fit's coarse grid always holds theta = 0, so the axis value is read
     from its trace and the gain is nonnegative.  With ``grid_dir`` set,
     the axis-aligned intensity curve for each bandwidth is exported there.
+    Every input is checked before the first fit.
     """
-    h_list = [float(h) for h in h_values]
+    h_list = [validate_bandwidth(h) for h in h_values]
     if not h_list:
         raise ValueError("no bandwidths supplied")
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
+    if grid_dir is not None:
+        _check_resolution(grid_resolution)
     rows = []
     for h in h_list:
         fit = fit_theta(

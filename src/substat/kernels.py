@@ -15,20 +15,23 @@ through the complementary error function so deep tails underflow to zero
 instead of losing precision to cancellation.
 
 This module owns the kernel's arithmetic, its normalizing constants
-included.  One engine, ``_gaussian_sums``, takes the kernel sums of the 1-D
-smoother, its leave-one-out values and the 2-D smoother at scattered
-locations; ``_grid_sums`` takes the 2-D smoother's sums on a tensor grid as
+included; ``_kernel_block`` is the one copy of the Gaussian's exponent.  The
+engine, ``_gaussian_sums(h, data, targets)``, is one-axis: it takes the
+kernel sums of the 1-D smoother along the orthogonal offset and their
+leave-one-out values.  The 2-D smoother owns the product form: its sums
+are a product of two one-axis kernel blocks, summed at scattered
+locations by ``_scattered_sums`` and on a tensor grid by ``_grid_sums`` as
 one matrix product.  The engine has three paths:
 
 * ``_direct_sums``, the direct sum over every data-target pair, exact up to
-  rounding: the oracle, the two-axis path and the path for small inputs;
-* ``_banded_sums`` for one axis: each target sums only the sorted data
-  within 12 bandwidths of it, a slice found by ``searchsorted``, as the fast
-  Gauss transform cuts each interaction off at a few sigma (Greengard and
+  rounding: the oracle of every path, and the path for small inputs;
+* ``_banded_sums``: each target sums only the sorted data within 12
+  bandwidths of it, a slice found by ``searchsorted``, as the fast Gauss
+  transform cuts each interaction off at a few sigma (Greengard and
   Strain 1991);
-* ``_interpolated_sums`` for one axis: the values are read off a node grid
-  by 20-point (degree-19) barycentric Lagrange interpolation, as in the
-  grid stage of the fast Gauss transform.
+* ``_interpolated_sums``: the values are read off a node grid by 20-point
+  (degree-19) barycentric Lagrange interpolation, as in the grid stage of
+  the fast Gauss transform.
 
 The node grid belongs to an estimator, not to a call.  ``_node_grid``
 decides once, for the data and a range [lo, hi] that holds every target
@@ -42,10 +45,9 @@ w*m, with G nodes, m targets and w the data one target sums over without
 it: the band's width, the most data within 24 bandwidths, where the band
 would serve (at least 1e5 pairs, data spanning more than two bands, the
 widest band holding at most half the data), and n where the direct sum
-would.  Without a grid, a one-axis call takes the band where it would
-serve and the direct sum otherwise.  Every path works through the targets
-in blocks of 2**16 elements (512 KB), so each temporary stays in the L2
-cache.
+would.  Without a grid, a call takes the band where it would serve and
+the direct sum otherwise.  Every path works through the targets in blocks
+of 2**16 elements (512 KB), so each temporary stays in the L2 cache.
 
 Each path guards its values against the direct sum.  The band drops terms
 below exp(-72)/(h*sqrt(2*pi)) each; a value, less a leave-one-out term, is
@@ -54,13 +56,13 @@ recomputed directly unless the dropped terms and a rounding allowance of
 path recomputes every value, less a leave-one-out term, not above 1/100 of
 the largest node of its stencil.  The guards hold the band within 1e-12
 relative error of the direct sum and the interpolation within 1e-10.
-Measured against the direct sum on 200 random
-Beta, clustered and cluster-plus-isolated data sets (n 300-3000, h
-0.01-0.1, span 5-50), the band's largest relative errors were 7.9e-16 at
-the data, 6.7e-15 on grids and 3.4e-14 leave-one-out; the interpolated
-path's, on 300 sets (span 1-12, one grid over [0, span] for all three),
-6.0e-12 at the data, 1.1e-11 on grids and 5.7e-11 leave-one-out.
-Nonpositive values are the direct sum's own.
+Measured against the direct sum on 200 random Beta, clustered and
+cluster-plus-isolated data sets (n 300-3000, h 0.01-0.1, span 5-50), the
+band's largest relative errors were 7.9e-16 at the data, 6.7e-15 on
+grids and 3.4e-14 leave-one-out; the interpolated path's, on 300 sets
+(span 1-12, one grid over [0, span] for all three), 6.0e-12 at the data,
+1.1e-11 on grids and 5.7e-11 leave-one-out.  Nonpositive values are the
+direct sum's own.
 """
 
 from __future__ import annotations
@@ -153,55 +155,54 @@ def kernel_1d(h: float, t):
 
 
 def _gaussian_sums(
-    h: float, *axes, loo: bool = False, nodes: _NodeGrid | None = None
+    h: float, data: np.ndarray, targets: np.ndarray, *, loo: bool = False,
+    nodes: _NodeGrid | None = None,
 ) -> np.ndarray:
-    """sum_j prod_k phi((data_kj - t_k) / h) / h at each target t.
+    """sum_j phi((data_j - t) / h) / h at each target t, shaped like the targets.
 
-    One ``(data, targets)`` pair per axis; the targets share one shape,
-    which the result takes.  With ``loo`` each target is itself a datum and
-    leaves its own kernel out: the sum less 1/(h*sqrt(2*pi)) per axis,
-    rounded as the sums round it, so a target with no other datum within
-    reach gets exactly 0.  ``nodes``, for one axis, is the ``_node_grid`` of
-    the same h and data over a range that holds the targets: the sums are
-    then read off it.  Without it one axis takes the band (or the direct
-    sum, for a call too small for the band) and two axes the direct sum.
+    With ``loo`` each target is itself a datum and leaves its own kernel
+    out: the sum less 1/(h*sqrt(2*pi)), rounded as the sums round it, so a
+    target with no other datum within reach gets exactly 0.  ``nodes`` is
+    the ``_node_grid`` of the same h and data over a range that holds the
+    targets: the sums are then read off it.  Without it the call takes the
+    band, or the direct sum where the band does not pay.
 
     The module docstring gives the paths, the cost model that decides on a
     node grid, the guards and the measured accuracy: every path stays
     within 1e-10 relative error of ``_direct_sums`` and gives its
     nonpositive values exactly.
     """
-    own = 1.0 / (h * _SQRT_2PI) ** len(axes) if loo else 0.0
-    if len(axes) == 1:
-        data, targets = axes[0]
-        if nodes is not None:
-            return _interpolated_sums(h, data, targets, own, nodes)
-        return _banded_sums(h, data, targets, own)
-    return _direct_sums(h, *axes) - own
+    own = 1.0 / (h * _SQRT_2PI) if loo else 0.0
+    if nodes is not None:
+        return _interpolated_sums(h, data, targets, own, nodes)
+    return _banded_sums(h, data, targets, own)
 
 
-def _direct_sums(h: float, *axes) -> np.ndarray:
-    """The direct sum over every data-target pair, for ``_gaussian_sums``.
+def _kernel_block(h: float, offsets: np.ndarray) -> np.ndarray:
+    """exp(-(offsets / h)**2 / 2), in place: the one copy of the kernel's arithmetic."""
+    offsets /= h
+    offsets *= offsets
+    offsets *= -0.5
+    with np.errstate(under="ignore"):
+        return np.exp(offsets, out=offsets)
 
-    Offsets are squared and added over the axes before one ``exp`` per
-    pair; the data are summed in stored order, in chunks of targets to
-    bound memory.  Empty data sum to zero.
+
+def _direct_sums(h: float, data: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The direct sum over every data-target pair, in stored order: the oracle of every path.
+
+    Targets are taken in chunks to bound memory; empty data sum to zero.
     """
-    shape = axes[0][1].shape
-    axes = [(data, targets.ravel()) for data, targets in axes]
-    out = np.empty(axes[0][1].size, dtype=float)
-    step = max(1, _CHUNK_ELEMENTS // max(1, axes[0][0].size))
+    flat = targets.ravel()
+    out = np.empty(flat.size, dtype=float)
+    step = max(1, _CHUNK_ELEMENTS // max(1, data.size))
     for i in range(0, out.size, step):
-        d = None
-        for data, targets in axes:
-            e = (data[None, :] - targets[i : i + step, None]) / h
-            e *= e
-            d = e if d is None else np.add(d, e, out=d)
-        d *= -0.5
-        with np.errstate(under="ignore"):
-            np.exp(d, out=d)
-        out[i : i + step] = d.sum(axis=1)
-    return (out / (h * _SQRT_2PI) ** len(axes)).reshape(shape)
+        out[i : i + step] = _kernel_block(h, data - flat[i : i + step, None]).sum(axis=1)
+    return (out / (h * _SQRT_2PI)).reshape(targets.shape)
+
+
+def _band_pays(h: float, data: np.ndarray, targets: int) -> bool:
+    """The band's gate: ``_BAND_MIN_PAIRS`` pairs or more, and data spanning over 4 reaches."""
+    return data.size * targets >= _BAND_MIN_PAIRS and data[-1] - data[0] > 4.0 * _REACH * h
 
 
 class _NodeGrid(NamedTuple):
@@ -213,22 +214,25 @@ class _NodeGrid(NamedTuple):
     peaks: np.ndarray
 
 
+def _node_layout(h: float, lo: float, hi: float) -> tuple[float, float, int]:
+    """Origin, step and count of the nodes h/5 apart that centre a stencil on each of [lo, hi]."""
+    step = _NODE_STEP * h
+    return lo - (_HALF - 1) * step, step, math.ceil((hi - lo) / step) + _STENCIL
+
+
 def _node_grid(
     h: float, data: np.ndarray, lo: float, hi: float, targets: int
 ) -> _NodeGrid | None:
-    """The node grid for one-axis sums of the sorted data over [lo, hi], where it pays.
+    """The node grid for sums of the sorted data over [lo, hi], or None where it does not pay.
 
-    The grid is priced once against ``targets`` values, all the calls it is
-    meant to serve, in kernel pairs: w per node plus ``_TARGET_COST`` per
-    target and ``_GRID_COST``, against w per target without it.  w is the
-    band's width (the most data within 24 bandwidths) where the band would
-    serve the targets, and n where the direct sum would.
+    It is priced once against ``targets`` values, all the calls it is meant
+    to serve, by the module docstring's rule.
     """
-    n, reach = data.size, _REACH * h
-    count = math.ceil((hi - lo) / (_NODE_STEP * h)) + _STENCIL
+    n, count = data.size, _node_layout(h, lo, hi)[2]
     width = n
-    if n * targets >= _BAND_MIN_PAIRS and data[-1] - data[0] > 4.0 * reach:
-        band = int((np.searchsorted(data, data + 2.0 * reach, side="right") - np.arange(n)).max())
+    if _band_pays(h, data, targets):
+        ends = np.searchsorted(data, data + 2.0 * _REACH * h, side="right")
+        band = int((ends - np.arange(n)).max())
         width = band if 2 * band <= n else n
     if width * (targets - count) <= _TARGET_COST * targets + _GRID_COST:
         return None
@@ -236,14 +240,8 @@ def _node_grid(
 
 
 def _build_node_grid(h: float, data: np.ndarray, lo: float, hi: float) -> _NodeGrid:
-    """The ``_banded_sums`` of the data at nodes spaced h/5 over [lo, hi].
-
-    Node i sits at lo + (i - 9) h/5, and the last one at least 10 nodes
-    above hi, so a target in [lo, hi] has its 20-node stencil centred on it.
-    """
-    step = _NODE_STEP * h
-    origin = lo - (_HALF - 1) * step
-    count = math.ceil((hi - lo) / step) + _STENCIL
+    """The ``_banded_sums`` of the data at the ``_node_layout`` nodes over [lo, hi]."""
+    origin, step, count = _node_layout(h, lo, hi)
     sums = _banded_sums(h, data, origin + step * np.arange(count), 0.0)
     return _NodeGrid(origin, step, sums, sliding_window_view(sums, _STENCIL).max(axis=1))
 
@@ -251,21 +249,18 @@ def _build_node_grid(h: float, data: np.ndarray, lo: float, hi: float) -> _NodeG
 def _interpolated_sums(
     h: float, data: np.ndarray, targets: np.ndarray, leave_out: float, nodes: _NodeGrid
 ) -> np.ndarray:
-    """One-axis kernel sums read off a node grid, for ``_gaussian_sums``.
+    """Kernel sums read off a node grid, for ``_gaussian_sums``.
 
-    Each target reads the 20 nodes centred on it (the 20 at the grid's
-    end, for a target just outside its range) by barycentric Lagrange
-    interpolation.  The interpolation error is a fraction of the stencil's
-    largest node, so a value, less ``leave_out``, not above ``_GUARD`` of
-    that node (a Gaussian tail, or a leave-one-out cancellation) is taken
-    by ``_direct_sums`` instead.
+    Each target reads the 20 nodes centred on it (the 20 at the grid's end,
+    for a target just outside its range).  The interpolation error is a
+    fraction of the stencil's largest node, so a value, less ``leave_out``,
+    not above ``_GUARD`` of it is taken by ``_direct_sums`` instead.
     """
-    shape = targets.shape
-    targets = targets.ravel()
-    q = (targets - nodes.origin) / nodes.step  # node i sits at q = i
+    flat = targets.ravel()
+    q = (flat - nodes.origin) / nodes.step  # node i sits at q = i
     last = nodes.sums.size - _STENCIL
     windows = sliding_window_view(nodes.sums, _STENCIL)
-    out = np.empty(targets.size, dtype=float)
+    out = np.empty(flat.size, dtype=float)
     chunk = _CHUNK_ELEMENTS // _STENCIL
     for i in range(0, out.size, chunk):
         qi = q[i : i + chunk]
@@ -283,30 +278,25 @@ def _interpolated_sums(
         vals -= leave_out
         redo = ~(vals > _GUARD * nodes.peaks[first])
         if redo.any():
-            vals[redo] = _direct_sums(h, (data, targets[i : i + chunk][redo])) - leave_out
+            vals[redo] = _direct_sums(h, data, flat[i : i + chunk][redo]) - leave_out
         out[i : i + chunk] = vals
-    return out.reshape(shape)
+    return out.reshape(targets.shape)
 
 
 def _banded_sums(
     h: float, data: np.ndarray, targets: np.ndarray, leave_out: float
 ) -> np.ndarray:
-    """One-axis kernel sums over the data within 12 bandwidths of each target.
+    """Kernel sums over the data within 12 bandwidths of each target, for ``_gaussian_sums``.
 
-    The data are sorted (sorted here if they are not), so the data within
-    ``_REACH`` bandwidths of a target are one slice, found by
-    ``searchsorted``.  The slices are read as rows of one block over the
-    data padded with +inf (whose terms vanish).  Each dropped term is below
-    ``_TAIL / h``; a value, less ``leave_out``, is taken by ``_direct_sums``
-    unless the dropped terms together with a rounding allowance for
-    ``leave_out`` stay under ``_BAND_RTOL`` of it, so nonpositive values are
-    the direct sum's own.  A call too small to pay for the searches (judged
-    from n, m and the two ends of the data) and a call whose widest band
-    holds more than half the data take the direct sum.
+    The data are sorted (sorted here if they are not), so each target's
+    data are one slice, found by ``searchsorted`` and read as a row of one
+    block over the data padded with +inf (whose terms vanish).  The module
+    docstring gives the guard.  A call that fails ``_band_pays``, or whose
+    widest band holds more than half the data, takes the direct sum.
     """
     n, m = data.size, targets.size
     reach = _REACH * h
-    if n * m >= _BAND_MIN_PAIRS and data[-1] - data[0] > 4.0 * reach:
+    if _band_pays(h, data, m):
         if not np.all(data[:-1] <= data[1:]):
             data = np.sort(data)
         flat = targets.ravel()
@@ -320,31 +310,40 @@ def _banded_sums(
             for i in range(0, m, step):
                 d = rows[first[i : i + step]]
                 d -= flat[i : i + step, None]
-                d /= h
-                d *= d
-                d *= -0.5
-                with np.errstate(under="ignore"):
-                    np.exp(d, out=d)
-                out[i : i + step] = d.sum(axis=1)
+                out[i : i + step] = _kernel_block(h, d).sum(axis=1)
             out /= h * _SQRT_2PI
             out -= leave_out
             dropped = (n - inside) * (_TAIL / h) + _ROUNDING * leave_out
             redo = ~(dropped < _BAND_RTOL * out)
             if redo.any():
-                out[redo] = _direct_sums(h, (data, flat[redo])) - leave_out
+                out[redo] = _direct_sums(h, data, flat[redo]) - leave_out
             return out.reshape(targets.shape)
-    return _direct_sums(h, (data, targets)) - leave_out
+    return _direct_sums(h, data, targets) - leave_out
 
 
 def _grid_sums(h: float, x_axis, y_axis) -> np.ndarray:
     """Two-axis kernel sums on the (len(x_mids), len(y_mids)) grid of ``(data, mids)`` pairs.
 
-    The product kernel factorizes: the x-matrix of exp(-((data_j - t_k)/h)^2/2),
-    transposed, times the y-matrix, over 2*pi*h^2.
+    The product kernel factorizes: the x-block of exp(-((data_j - t_k)/h)^2/2),
+    transposed, times the y-block, over 2*pi*h^2.
     """
-    with np.errstate(under="ignore"):
-        wx, wy = (np.exp(-0.5 * ((d[:, None] - t[None, :]) / h) ** 2) for d, t in (x_axis, y_axis))
+    wx, wy = (_kernel_block(h, d[:, None] - t[None, :]) for d, t in (x_axis, y_axis))
     return (wx.T @ wy) / (h * h * 2.0 * math.pi)
+
+
+def _scattered_sums(h: float, x_axis, y_axis) -> np.ndarray:
+    """``_grid_sums``' product form at the targets (x_k, y_k) of ``(data, targets)`` pairs.
+
+    The targets are taken in chunks to bound memory; the result takes their shape.
+    """
+    (x_data, x), (y_data, y) = ((data, targets.ravel()) for data, targets in (x_axis, y_axis))
+    out = np.empty(x.size, dtype=float)
+    step = max(1, _CHUNK_ELEMENTS // max(1, x_data.size))
+    for i in range(0, out.size, step):
+        block = _kernel_block(h, x_data - x[i : i + step, None])
+        block *= _kernel_block(h, y_data - y[i : i + step, None])
+        out[i : i + step] = block.sum(axis=1)
+    return (out / (h * h * 2.0 * math.pi)).reshape(x_axis[1].shape)
 
 
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):

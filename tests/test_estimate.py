@@ -226,7 +226,7 @@ class TestEstimatorInterface:
         y = np.concatenate((rng.normal(3.0, 0.02, 1990), isolated, [0.05, 5.95]))
         pat = PointPattern(rng.uniform(0, 1, y.size), y, window)
         v = np.sort(y)  # the offsets at theta = 0
-        sums = _direct_sums(h, (v, v)) - 1.0 / (h * SQRT_2PI)
+        sums = _direct_sums(h, v, v) - 1.0 / (h * SQRT_2PI)
         want = sums / correction_substat_closed(Subspace(0.0), window, h, v)
         got = SubstationaryIntensity(pat, 0.0, h).loo_values()
         vanishing = want <= 0.0

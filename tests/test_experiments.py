@@ -52,6 +52,19 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             table1_plan(target="table3")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(a_values=(3.0, 0.5)),
+            dict(z_values=(5.0, -1.0)),
+            dict(h_values=(0.05, 0.0)),
+            dict(h_values=(0.05, math.nan)),
+        ],
+    )
+    def test_every_cell_value_is_checked_before_the_sweep(self, bad):
+        with pytest.raises(ValueError):
+            table1_plan(**bad)
+
 
 class TestReplicationStream:
     def test_stable_hash_regression(self):

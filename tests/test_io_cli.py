@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import substat
 import substat.cli as cli
 from substat.cli import load_config, main
 from substat.estimate import (
@@ -29,6 +30,18 @@ from substat.io import (
 )
 from substat.render import render_grid_svg
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
+
+
+def record_calls(monkeypatch, name, owner):
+    """Wrap ``owner.<name>`` to log the arguments of every call."""
+    calls, original = [], getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 @pytest.fixture
@@ -523,6 +536,45 @@ class TestCli:
         assert "missing" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())  # no output written, not even --out
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["--h-values", "0.05,0.1,-1"], "bandwidth"),
+            (["--h-values", "0.05", "--resolution", "1", "--grid-dir", "GRIDS"], "resolution"),
+            (["--h-values", "0.05", "--threshold", "nan"], "threshold"),
+        ],
+    )
+    def test_apply_checks_every_input_before_the_first_fit(
+        self, tmp_path, monkeypatch, capsys, bad, message
+    ):
+        data = self.simulate_file(tmp_path)
+        (tmp_path / "grids").mkdir()
+        fits = record_calls(monkeypatch, "fit_theta", substat.io)
+        out = tmp_path / "report.csv"
+        bad = [str(tmp_path / "grids") if arg == "GRIDS" else arg for arg in bad]
+        args = ["apply", "--data", str(data), "--region", "0,2,0,1", "--out", str(out)]
+        assert main([*args, *bad]) == 1
+        assert message in capsys.readouterr().err
+        assert fits == [] and not out.exists()
+        assert not any((tmp_path / "grids").iterdir())
+
+    @pytest.mark.parametrize(
+        "target, values",
+        [
+            ("table2", ["--a-values", "3,0.5", "--z-values", "1", "--h-values", "0.05"]),
+            ("table1", ["--a-values", "2", "--z-values", "1", "--h-values", "0.05,0"]),
+            ("table1", ["--a-values", "2", "--z-values", "5,-1", "--h-values", "0.05"]),
+        ],
+    )
+    def test_experiment_checks_every_cell_before_the_sweep(
+        self, tmp_path, monkeypatch, target, values
+    ):
+        draws = record_calls(monkeypatch, "simulate_poisson_beta", substat.experiments)
+        out = tmp_path / "cells.csv"
+        args = ["experiment", target, "--process", "poisson", "--replications", "2"]
+        assert main([*args, *values, "--out", str(out)]) == 1
+        assert draws == [] and not out.exists()
+
     def test_numerical_error_exit_code(self, tmp_path):
         lonely = tmp_path / "one.csv"
         lonely.write_text("x,y\n0.5,0.5\n")
@@ -533,3 +585,13 @@ class TestCli:
             ]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("module", ["estimate", "experiments", "geometry", "io", "kernels", "simulate"])
+def test_the_package_exports_every_public_name_of_each_module(module):
+    names = getattr(substat, module).__all__
+    assert {name: getattr(substat, name, None) for name in names} == {
+        name: getattr(getattr(substat, module), name) for name in names
+    }
+    assert set(names) <= set(substat.__all__)
+    assert len(substat.__all__) == len(set(substat.__all__))

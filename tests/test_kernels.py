@@ -17,6 +17,7 @@ from substat.kernels import (
     _gaussian_sums,
     _interpolated_sums,
     _node_grid,
+    _scattered_sums,
     correction_2d,
     correction_substat_closed,
     correction_substat_quadrature,
@@ -278,7 +279,7 @@ class TestGaussianSums:
         rng = np.random.default_rng(11)
         data, targets, h = rng.uniform(0, 1, 40), rng.uniform(0, 1, 25), 0.07
         want = [sum(kernel_1d(h, d - t) for d in data) for t in targets]
-        got = _gaussian_sums(h, (data, targets))
+        got = _gaussian_sums(h, data, targets)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_2d_matches_a_double_loop(self):
@@ -290,13 +291,13 @@ class TestGaussianSums:
             sum(kernel_1d(h, a - x) * kernel_1d(h, b - y) for a, b in zip(xd, yd))
             for x, y in zip(xt, yt)
         ]
-        got = _gaussian_sums(h, (xd, xt), (yd, yt))
+        got = _scattered_sums(h, (xd, xt), (yd, yt))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_empty_data_gives_zeros_shaped_like_the_targets(self):
         empty, targets = np.empty(0), np.linspace(0, 1, 7)
-        for axes in [((empty, targets),), ((empty, targets), (empty, targets))]:
-            got = _gaussian_sums(0.1, *axes)
+        one_axis = _gaussian_sums(0.1, empty, targets)
+        for got in (one_axis, _scattered_sums(0.1, (empty, targets), (empty, targets))):
             assert got.shape == (7,)
             assert np.all(got == 0.0)
 
@@ -304,15 +305,15 @@ class TestGaussianSums:
         rng = np.random.default_rng(13)
         xd, yd = rng.uniform(0, 2, 50), rng.uniform(0, 1, 50)
         xt, yt = rng.uniform(0, 2, 37), rng.uniform(0, 1, 37)
-        whole_1d = _gaussian_sums(0.05, (xd, xt))
-        whole_2d = _gaussian_sums(0.05, (xd, xt), (yd, yt))
+        whole_1d = _gaussian_sums(0.05, xd, xt)
+        whole_2d = _scattered_sums(0.05, (xd, xt), (yd, yt))
         big = rng.uniform(0, 2, 2000)
         whole_interpolated = interpolated(0.05, big, big, 0.0)
         wide = np.sort(rng.uniform(0, 20, 2000))
         whole_banded = _banded_sums(0.05, wide, wide, 0.0)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 50 * 4)  # 4 targets per chunk
-        assert np.array_equal(_gaussian_sums(0.05, (xd, xt)), whole_1d)
-        assert np.array_equal(_gaussian_sums(0.05, (xd, xt), (yd, yt)), whole_2d)
+        assert np.array_equal(_gaussian_sums(0.05, xd, xt), whole_1d)
+        assert np.array_equal(_scattered_sums(0.05, (xd, xt), (yd, yt)), whole_2d)
         assert np.array_equal(interpolated(0.05, big, big, 0.0), whole_interpolated)
         assert np.array_equal(_banded_sums(0.05, wide, wide, 0.0), whole_banded)
 
@@ -331,18 +332,18 @@ class TestGaussianSums:
         nodes = _build_node_grid(h, data, 0.0, span)
         for targets, leave_out in ((data, 0.0), (midpoint_grid(span), 0.0), (data, own)):
             got = _interpolated_sums(h, data, targets, leave_out, nodes)
-            assert_relative(got, _direct_sums(h, (data, targets)) - leave_out, 1e-10)
+            assert_relative(got, _direct_sums(h, data, targets) - leave_out, 1e-10)
 
     def test_guard_takes_the_tails_of_isolated_points_directly(self, monkeypatch):
         h, span = 0.01, 1.0
         data = synthetic_data("cluster+isolated", 2000, span, h, seed=5)
         targets = midpoint_grid(span, 4000)
-        want = _direct_sums(h, (data, targets))
+        want = _direct_sums(h, data, targets)
         calls = record_calls(monkeypatch, "_direct_sums")
         assert_relative(interpolated(h, data, targets, 0.0), want, 1e-10)
         # the nodes, then the guarded targets of each of the two target chunks
         assert len(calls) == 3 and -(-targets.size // (kernels._CHUNK_ELEMENTS // 20)) == 2
-        assert 0 < sum(call[1][1].size for call in calls[1:]) < targets.size
+        assert 0 < sum(call[2].size for call in calls[1:]) < targets.size
         # without the guard the same tails are off by far more
         monkeypatch.setattr(kernels, "_GUARD", -1.0)
         unguarded = interpolated(h, data, targets, 0.0)
@@ -359,17 +360,17 @@ class TestGaussianSums:
         # get no node grid, priced against a profile's 100 + 400 targets
         for h in (0.01, 0.05, 0.2):
             for data in (small, 10 * small):
-                want = _direct_sums(h, (data, grid))
-                assert np.array_equal(_gaussian_sums(h, (data, grid)), want)
+                want = _direct_sums(h, data, grid)
+                assert np.array_equal(_gaussian_sums(h, data, grid), want)
                 assert _node_grid(h, data, data[0], data[-1], data.size + 400) is None
         short = np.sort(rng.uniform(0, 1, 3000))
         for h in (0.05, 0.2):
-            assert np.array_equal(_banded_sums(h, short, grid, 0.0), _direct_sums(h, (short, grid)))
+            assert np.array_equal(_banded_sums(h, short, grid, 0.0), _direct_sums(h, short, grid))
         assert calls == [] and searches == []
         # so is a call whose widest band holds more than half the data
         crowded = np.sort(np.concatenate((rng.normal(5.0, 0.01, 2000), rng.uniform(0, 20, 1000))))
         wide_grid = 20 * grid
-        want = _direct_sums(0.05, (crowded, wide_grid))
+        want = _direct_sums(0.05, crowded, wide_grid)
         assert np.array_equal(_banded_sums(0.05, crowded, wide_grid, 0.0), want)
         assert len(searches) == 2
         # data within two bands: the grid is priced against the direct sum
@@ -378,7 +379,7 @@ class TestGaussianSums:
         nodes = _node_grid(0.05, np.sort(large), 0.0, 1.0, 2400)
         assert nodes is not None and len(searches) == 2
         assert nodes.sums.size == 5 * 20 + 20  # 1/(h/5) nodes over the range, 20 beside
-        _gaussian_sums(0.05, (large, large), nodes=nodes)
+        _gaussian_sums(0.05, large, large, nodes=nodes)
         assert len(calls) == 1
         # data over many bands: the grid is priced against the band's width
         # (one search), which 1000 data over 10 units at h = 0.05 keep near
@@ -388,15 +389,15 @@ class TestGaussianSums:
             got = _node_grid(0.05, spread, 0.0, 10.0, n + 400)
             assert (got is not None) == pays
         assert len(searches) == 2 + 2 + 2  # each width, then the two of the nodes' band
-        # two axes always take the direct sum
-        _gaussian_sums(0.05, (large, large), (large, large))
+        # two axes take their own product form, never a node grid
+        _scattered_sums(0.05, (large, large), (large, large))
         assert len(calls) == 1
 
     def test_targets_on_nodes_take_the_node_values(self, monkeypatch):
         h = 0.05
         data = synthetic_data("beta", 500, 1.0, h, seed=7)
         targets = np.arange(101) * (kernels._NODE_STEP * h)  # every target on a node
-        want = _direct_sums(h, (data, targets))
+        want = _direct_sums(h, data, targets)
         calls = record_calls(monkeypatch, "_direct_sums")
         assert_relative(interpolated(h, data, targets, 0.0), want, 1e-12)
         assert len(calls) == 1  # the nodes only: no target fell to the guard
@@ -415,7 +416,7 @@ class TestGaussianSums:
         own = own_kernel(h)
         for targets, leave_out in ((data, 0.0), (midpoint_grid(span), 0.0), (data, own)):
             got = _banded_sums(h, data, targets, leave_out)
-            assert_relative(got, _direct_sums(h, (data, targets)) - leave_out, 1e-12)
+            assert_relative(got, _direct_sums(h, data, targets) - leave_out, 1e-12)
 
     def test_band_guard_takes_cancelling_and_far_values_directly(self, monkeypatch):
         h = 0.02
@@ -424,18 +425,18 @@ class TestGaussianSums:
         isolated = centres[:6] + h * np.array([5.0, -6.0, 6.5, -7.0, 7.5, -8.0])
         data = np.sort(np.concatenate((rng.normal(np.repeat(centres, 200), 0.5 * h), isolated)))
         own = own_kernel(h)
-        want = _direct_sums(h, (data, data)) - own
+        want = _direct_sums(h, data, data) - own
         calls = record_calls(monkeypatch, "_direct_sums")
         assert_relative(_banded_sums(h, data, data, own), want, 1e-12)
         # the leave-one-out values of isolated points cancel against their own
         # kernel, and two summation orders round that differently
         assert len(calls) == 1
-        redone = calls[0][1][1]
+        redone = calls[0][2]
         assert np.all(np.isin(isolated, redone)) and redone.size < data.size
         # a target about 12 h from a cluster keeps part of it in the band and
         # drops the rest, a tail not small against its value
         far = np.repeat([13.0 + 11.9 * h, 15.0 - 11.9 * h, 17.0 + 12.05 * h], 50)
-        near = _direct_sums(h, (data, far))
+        near = _direct_sums(h, data, far)
         assert_relative(_banded_sums(h, data, far, 0.0), near, 1e-12)
         # without the guard both sets are off
         monkeypatch.setattr(kernels, "_TAIL", 0.0)
@@ -455,11 +456,11 @@ class TestGaussianSums:
         grid = midpoint_grid(20.0)
         for targets, loo in ((data, True), (grid, False)):
             leave_out = own_kernel(h) if loo else 0.0
-            want = _direct_sums(h, (data, targets)) - leave_out
+            want = _direct_sums(h, data, targets) - leave_out
             assert_relative(_banded_sums(h, shuffled, targets, leave_out), want, 1e-12)
             # a node grid of the same data gives the same sums, from banded nodes
             nodes = _build_node_grid(h, shuffled, 0.0, 20.0)
-            got = _gaussian_sums(h, (shuffled, targets), loo=loo, nodes=nodes)
+            got = _gaussian_sums(h, shuffled, targets, loo=loo, nodes=nodes)
             assert_relative(got, want, 1e-10)
 
 
@@ -487,7 +488,7 @@ class TestSharedNodeGrid:
             ends = np.array([lo - _DOMAIN_TOL, hi + _DOMAIN_TOL])
 
             def direct(v, leave_out=0.0):
-                sums = _direct_sums(h, (est._v_data, v)) - leave_out
+                sums = _direct_sums(h, est._v_data, v) - leave_out
                 return sums / correction_substat_closed(est.theta, pat.window, h, v)
 
             assert_relative(est.at_points(pat.x, pat.y), direct(v_data), 1e-10)
