@@ -18,7 +18,9 @@ tensor grid.
 ``loglik(pattern, est, loo=False)`` is the one Poisson (composite)
 log-likelihood.  The direction theta is estimated by maximizing it for the
 substationary estimator over theta: a 1-degree coarse grid over [-90, 90)
-degrees followed by a bounded Brent search.  Bandwidths are selected by
+degrees followed by a bounded Brent search, the module's own
+``_bounded_brent`` (so importing the package needs no ``scipy.optimize``).
+Bandwidths are selected by
 its leave-one-out form (``loo=True``); the profile fit keeps each point in
 its own estimate, while cross validation removes it to avoid the
 degenerate h -> 0 optimum.
@@ -33,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .geometry import (
     DataError,
@@ -316,6 +317,77 @@ def _map_ordered(job, args, threads: int) -> list:
         return list(pool.map(job, args))
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Minimize ``func`` on [lo, hi] by Brent's method; returns (x, func(x)).
+
+    Golden-section steps with parabolic interpolation where a parabola
+    through the three best points is acceptable (Brent 1973; fminbound of
+    Forsythe, Malcolm & Moler 1977).  It takes the probes that
+    ``scipy.optimize.minimize_scalar(method="bounded")`` takes, step for
+    step, and stops after 500 evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # the best point (xf), the second best (nfc) and the previous second best (fulc)
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+            if parabolic:
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def fit_theta(
     pattern: PointPattern,
     h: float,
@@ -328,7 +400,7 @@ def fit_theta(
     Evaluates the profile log-likelihood on a coarse angular grid,
     symmetric about 0 with steps of at most ``FIT_GRID_STEP_DEG``, then
     refines the bracketing interval by a bounded Brent search
-    (``scipy.optimize.minimize_scalar``) to ``FIT_TOL`` radians.  The open
+    (``_bounded_brent``) to ``FIT_TOL`` radians.  The open
     search covers [-90, 90) degrees in 180 nodes, since +90 degrees names
     the same subspace as -90; a half-width of 90 is the open search.
     The bandwidth is held fixed throughout.
@@ -391,11 +463,9 @@ def fit_theta(
     if not open_search:
         bound = math.radians(halfwidth)
         lo, hi = max(lo, -bound), min(hi, bound)
-    res = minimize_scalar(
-        lambda t: -profile(t), bounds=(lo, hi), method="bounded", options={"xatol": FIT_TOL}
-    )
-    if -res.fun > best_value:
-        best_theta, best_value = float(res.x), float(-res.fun)
+    x, fun = _bounded_brent(lambda t: -profile(t), lo, hi, FIT_TOL)
+    if -fun > best_value:
+        best_theta, best_value = x, -fun
 
     return FitResult(
         theta_hat=Subspace(best_theta),

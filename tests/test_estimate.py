@@ -12,6 +12,7 @@ from substat.estimate import (
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
+    _bounded_brent,
     bandwidth_cv_scores,
     fit_theta,
     loglik,
@@ -452,6 +453,66 @@ class TestFitTheta:
             if fit.theta_hat.theta != 0.0:
                 signs.append(fit.theta_hat.theta > 0)
         assert binomtest(sum(signs), len(signs), 0.5).pvalue > 0.01
+
+
+def recorded(func):
+    """``func`` with a list of the points it was called at."""
+    probes = []
+
+    def probe(t):
+        probes.append(t)
+        return func(t)
+
+    return probe, probes
+
+
+def profile_of(pattern, h):
+    return lambda t: -loglik(pattern, SubstationaryIntensity(pattern, t, h))
+
+
+def brent_cases():
+    """(name, function, lo, hi): smooth, multimodal, flat and +inf-valued
+    curves, and fixed-seed profiles on a bounded bracket and on one that
+    crosses 90 degrees."""
+    bounded = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 2))
+    # the quarter-turned pattern of TestFitTheta's open-search case, best near +89.5 degrees
+    turned = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(90, 26))
+    crossing = PointPattern(1.0 - turned.y, turned.x, turned.window)
+    return [
+        ("quadratic", lambda t: (t - 0.3) ** 2, -1.0, 1.0),
+        ("quadratic-at-bound", lambda t: (t - 2.0) ** 2, -1.0, 1.0),
+        ("multimodal", lambda t: math.sin(40.0 * t) + 0.1 * t, -0.5, 0.7),
+        ("flat", lambda t: 1.0, -0.02, 0.02),
+        ("inf-left", lambda t: math.inf if t < 0.1 else (t - 0.4) ** 2, -1.0, 1.0),
+        ("inf-everywhere", lambda t: math.inf, 0.0, 1.0),
+        ("profile-bounded", profile_of(bounded, 0.05), math.radians(-1.0), math.radians(1.0)),
+        ("profile-crossing-90", profile_of(crossing, 0.05), math.radians(88.5), math.radians(90.5)),
+    ]
+
+
+class TestBoundedBrent:
+    # scipy's numpy scalars warn on inf - inf, which the port's floats do not
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("xatol", [FIT_TOL, 1e-5])
+    @pytest.mark.parametrize("case", brent_cases(), ids=lambda c: c[0])
+    def test_takes_the_probes_of_scipys_bounded_search(self, case, xatol):
+        from scipy.optimize import minimize_scalar
+
+        _, func, lo, hi = case
+        ours, our_probes = recorded(func)
+        theirs, their_probes = recorded(func)
+        x, fun = _bounded_brent(ours, lo, hi, xatol)
+        res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        assert our_probes == their_probes
+        assert (x, fun) == (float(res.x), float(res.fun))
+
+    def test_stops_after_500_evaluations(self):
+        # with xatol 0 and the minimum at 0 the tolerance shrinks with the
+        # best point, so only the evaluation cap ends the search
+        func, probes = recorded(abs)
+        x, fun = _bounded_brent(func, -1.0, 1.0, 0.0)
+        assert len(probes) == 500
+        assert fun == abs(x) < 1e-100
 
 
 class TestSelectBandwidth:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -595,3 +599,28 @@ def test_the_package_exports_every_public_name_of_each_module(module):
     }
     assert set(names) <= set(substat.__all__)
     assert len(substat.__all__) == len(set(substat.__all__))
+
+
+def test_importing_the_package_loads_no_scipy_module_but_special():
+    # a fresh interpreter, since this one has imported scipy for other tests
+    code = """
+import sys
+import substat, substat.cli
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.stats")
+print(sorted(name for name in heavy if name in sys.modules))
+from substat import Subspace, Window, correction_substat_quadrature
+print(correction_substat_quadrature(Subspace(0.0), Window(1, 1), 0.05, 0.5))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    loaded, quadrature = run.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(quadrature) == pytest.approx(1.0, rel=1e-9)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -462,6 +463,47 @@ class TestGaussianSums:
             nodes = _build_node_grid(h, shuffled, 0.0, 20.0)
             got = _gaussian_sums(h, shuffled, targets, loo=loo, nodes=nodes)
             assert_relative(got, want, 1e-10)
+
+
+def unfloored_block(h, offsets):
+    """The kernel block without the floor: every exponent through np.exp."""
+    offsets /= h
+    offsets *= offsets
+    offsets *= -0.5
+    with np.errstate(under="ignore"):
+        return np.exp(offsets, out=offsets)
+
+
+class TestExponentFloor:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        h=st.floats(1e-3, 0.1),
+        span=st.floats(0.05, 10.0),
+        n=st.integers(1, 800),
+        m=st.integers(1, 800),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_terms_past_the_floor_vanish_and_no_other_value_moves(self, h, span, n, m, seed):
+        # data on the lower half of the span, targets over all of it, so
+        # some targets lie past the floor of every datum
+        rng = np.random.default_rng(seed)
+        data = np.sort(rng.uniform(0.0, span / 2, n))
+        targets = rng.uniform(0.0, span, m)
+        exponents = (data - targets[:, None]) / h
+        exponents *= exponents
+        exponents *= -0.5
+        block = kernels._kernel_block(h, data - targets[:, None])
+        below = exponents < kernels._EXP_FLOOR
+        assert np.all(block[below] == 0.0)
+        assert np.array_equal(block[~below], np.exp(exponents[~below]))
+        everywhere_below = below.all(axis=1)
+        for path in (_direct_sums, lambda h, d, t: _banded_sums(h, d, t, 0.0)):
+            got = path(h, data, targets)
+            with mock.patch.object(kernels, "_kernel_block", unfloored_block):
+                want = path(h, data, targets)
+            assert np.all(got[everywhere_below] == 0.0)
+            kept = want >= 1e-250
+            assert np.array_equal(got[kept], want[kept])
 
 
 def beta_pattern(n, seed):
