@@ -25,6 +25,7 @@ from .estimate import (
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
+    _POOL_MIN_POINTS,
     _pick_bandwidth,
     bandwidth_cv_scores,
     fit_theta,
@@ -58,6 +59,9 @@ from .simulate import (
 _KERNEL2D_RESOLUTION = 128
 _GRID_HELP = f"grid nodes; None: {DEFAULT_GRID_RESOLUTION}, kernel2d {_KERNEL2D_RESOLUTION}**2"
 _HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
+_THREADS_HELP = (
+    f"the most worker threads, 0 = one per CPU; patterns under {_POOL_MIN_POINTS} points run on one"
+)
 
 
 class _UsageError(Exception):
@@ -146,7 +150,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = command("fit-subspace", _cmd_fit_subspace, "fit the invariance direction", needs_out=False)
     p.add_argument("--h", type=float, required=True, help="bandwidth")
     p.add_argument("--search-halfwidth", type=_halfwidth, help=_HALFWIDTH_HELP)
-    p.add_argument("--threads", type=int, default=1, help="worker threads, 0 = auto")
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     about = "cross-validated bandwidth choice"
     p = command("select-bandwidth", _cmd_select_bandwidth, about, needs_out=False)
@@ -165,7 +169,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--sigma", type=float, default=ExperimentPlan.sigma, help="offspring spread")
     halfwidth = ExperimentPlan.search_halfwidth_deg
     p.add_argument("--search-halfwidth", type=_halfwidth, default=halfwidth, help=_HALFWIDTH_HELP)
-    p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    p.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
 
     p = command("apply", _cmd_apply, "fit directions across bandwidths")
     p.add_argument("--h-values", type=_floats, required=True, help="bandwidths")
@@ -173,7 +177,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--grid-dir", help="directory for per-bandwidth grids")
     p.add_argument("--resolution", type=int, default=DEFAULT_GRID_RESOLUTION, help="grid nodes")
     p.add_argument("--search-halfwidth", type=_halfwidth, help=_HALFWIDTH_HELP)
-    p.add_argument("--threads", type=int, default=1, help="worker threads, 0 = auto")
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     return parser, sub.choices
 

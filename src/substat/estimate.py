@@ -73,6 +73,9 @@ SUBSTAT_INTEGRAL_CELLS = 400
 GRID2D_INTEGRAL_CELLS = 200
 FIT_GRID_STEP_DEG = 1.0
 FIT_TOL = 1e-4
+# the fewest points at which a profile fit on two threads measured no slower
+# than on one, at every bandwidth tried (see _resolve_threads)
+_POOL_MIN_POINTS = 2000
 
 
 class BandwidthSelectionError(RuntimeError):
@@ -304,9 +307,18 @@ class FitResult:
     degenerate: bool = False
 
 
-def _resolve_threads(threads: int) -> int:
+def _resolve_threads(threads: int, points: float) -> int:
+    """The worker threads for work on patterns of about ``points`` points.
+
+    ``threads`` is the most to use (0 = one per CPU); a negative count
+    raises ValueError at any size.  Below ``_POOL_MIN_POINTS`` points the
+    work runs on the calling thread: there the threads' small numpy calls
+    contend for the interpreter lock, and two threads ran slower than one.
+    """
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
+    if points < _POOL_MIN_POINTS:
+        return 1
     return threads or os.cpu_count() or 1
 
 
@@ -404,8 +416,10 @@ def fit_theta(
     search covers [-90, 90) degrees in 180 nodes, since +90 degrees names
     the same subspace as -90; a half-width of 90 is the open search.
     The bandwidth is held fixed throughout.
-    ``threads`` evaluates the coarse grid in a thread pool (0 = one per
-    CPU, negative raises ValueError); the result does not depend on it.
+    ``threads`` is the most worker threads that evaluate the coarse grid
+    (0 = one per CPU, negative raises ValueError); a pattern of fewer than
+    ``_POOL_MIN_POINTS`` points is fitted on the calling thread.  The
+    result does not depend on it.
 
     ``search_halfwidth_deg`` confines the search to that many degrees on
     either side of the horizontal axis.  In windows that carry little
@@ -422,7 +436,7 @@ def fit_theta(
     if pattern.n < 2:
         raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
     h = validate_bandwidth(h)
-    workers = _resolve_threads(threads)
+    workers = _resolve_threads(threads, pattern.n)
     if search_halfwidth_deg is None:
         halfwidth = 90.0
     else:

@@ -195,15 +195,19 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     ``replicate(model, h, pattern)`` scores one simulated replication and
     returns one value per name.  A cell's metric is the root mean of
     ``squared(values)`` over its replications (of the values themselves when
-    ``squared`` is None); its samples are the values.
+    ``squared`` is None); its samples are the values.  A cell's replications
+    run on at most ``threads`` workers, by ``_resolve_threads`` of its
+    expected count.
     """
-    workers = _resolve_threads(threads)
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
     cells: dict[tuple, CellSummary] = {}
     for a in plan.a_values:
         for z in plan.z_values:
             model = PoissonBetaModel(a, Window(z, 1.0))
+            # the count is known before any pattern is drawn, and the
+            # Thomas process keeps its base's
+            workers = _resolve_threads(threads, model.expected_count)
             if thomas:
                 model = ThomasModel(model, gamma=plan.gamma, sigma=plan.sigma)
             for h in plan.h_values:
@@ -225,7 +229,13 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
 
 
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
-    """Root-MSE of the fitted angle for every (a, z, h) cell of the plan."""
+    """Root-MSE of the fitted angle for every (a, z, h) cell of the plan.
+
+    ``threads`` is the most worker threads that run a cell's replications
+    (0 = one per CPU); a cell whose expected count is under
+    ``estimate._POOL_MIN_POINTS`` runs them on the calling thread.  The
+    result does not depend on it.
+    """
     if plan.target != "table1":
         raise ValueError("plan target must be 'table1'")
 
@@ -239,7 +249,10 @@ def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
 
 
 def run_table2(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
-    """Root-MISE of the four intensity estimators for every plan cell."""
+    """Root-MISE of the four intensity estimators for every plan cell.
+
+    ``threads`` works as in ``run_table1``.
+    """
     if plan.target != "table2":
         raise ValueError("plan target must be 'table2'")
     def replicate(model, h: float, pattern: PointPattern) -> tuple:

@@ -362,7 +362,9 @@ def test_criterion_7_thread_count_determinism(tmp_path):
     cfg.write_text(
         "process = poisson\n"
         "a_values = 2.0\n"
-        "z_values = 1.0\n"
+        # z=50 expects 5000 points, above the thread pool's threshold, so the
+        # four-thread run replicates that cell on a pool
+        "z_values = 1.0, 50.0\n"
         "h_values = 0.05\n"
         "replications = 3\n"
     )

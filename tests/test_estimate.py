@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import substat.estimate as estimate_module
 from substat.estimate import (
+    _POOL_MIN_POINTS,
     FIT_TOL,
     BandwidthSelectionError,
     KernelIntensity2D,
@@ -348,8 +349,10 @@ class TestFitTheta:
 
     def test_negative_thread_count_is_rejected(self):
         pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(5, 0))
-        with pytest.raises(ValueError, match="threads"):
-            fit_theta(pat, 0.05, search_halfwidth_deg=2.0, threads=-1)
+        tiny = PointPattern(np.linspace(0.1, 0.9, 10), np.linspace(0.2, 0.8, 10), Window(1.0))
+        for p in (pat, tiny):  # at any size, the pool's threshold notwithstanding
+            with pytest.raises(ValueError, match="threads"):
+                fit_theta(p, 0.05, search_halfwidth_deg=2.0, threads=-1)
 
     def test_fit_value_dominates_trace(self):
         pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(2.0)), RngStream(66, 0))
@@ -426,10 +429,30 @@ class TestFitTheta:
         assert fit.loglik == max(v for _, v in fit.trace)
 
     @pytest.mark.parametrize("threads", [0, 2])
-    def test_thread_count_never_changes_fit(self, threads):
+    def test_thread_count_never_changes_fit(self, threads, pools, pool_at_any_size):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 2))
         serial = fit_theta(pat, 0.05, search_halfwidth_deg=10.0, threads=1)
+        assert not pools
         assert fit_theta(pat, 0.05, search_halfwidth_deg=10.0, threads=threads) == serial
+        assert len(pools) == 1  # the coarse grid ran on a pool
+
+    def test_only_patterns_at_the_threshold_fit_on_a_pool(self, pools):
+        small = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 2))
+        assert small.n < _POOL_MIN_POINTS
+        fit_theta(small, 0.05, search_halfwidth_deg=2.0, threads=2)
+        fit_theta(small, 0.05, search_halfwidth_deg=2.0, threads=0)
+        assert pools == []
+        rng = np.random.default_rng(71)
+        x, y = rng.uniform(0.0, 20.0, _POOL_MIN_POINTS), rng.beta(3.0, 3.0, _POOL_MIN_POINTS)
+        fit_theta(PointPattern(x, y, Window(20.0)), 0.05, search_halfwidth_deg=1.0, threads=2)
+        assert pools == [2]
+
+    def test_the_threshold_reads_the_pattern_size(self, monkeypatch, pools):
+        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(70, 3))
+        for floor, built in ((pat.n + 1, []), (pat.n, [2])):
+            monkeypatch.setattr(estimate_module, "_POOL_MIN_POINTS", floor)
+            fit_theta(pat, 0.05, search_halfwidth_deg=1.0, threads=2)
+            assert pools == built
 
     def test_point_order_never_changes_fit(self):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 1))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from substat import estimate
 from substat.estimate import StationaryIntensity, SubstationaryIntensity
 from substat.experiments import (
     MISE_CELLS_1D,
@@ -252,10 +253,12 @@ class TestDeterminism:
         r2 = run_table1(plan, threads=1)
         assert r1 == r2
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
+    def test_thread_count_does_not_change_results(self, tmp_path, pools, pool_at_any_size):
         plan = table1_plan(a_values=(1.5, 2.5), replications=4)
         serial = run_table1(plan, threads=1)
+        assert not pools
         parallel = run_table1(plan, threads=4)
+        assert pools == [4, 4]  # one pool per cell
         assert serial == parallel
         f1, f2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         write_result_csv(serial, f1)
@@ -265,6 +268,20 @@ class TestDeterminism:
     def test_negative_thread_count_is_rejected(self):
         with pytest.raises(ValueError, match="threads"):
             run_table1(table1_plan(replications=1), threads=-1)
+
+    def test_cells_under_the_threshold_replicate_on_the_calling_thread(self, pools):
+        plan = table1_plan(a_values=(1.5, 2.5), replications=2)
+        run_table1(plan, threads=2)
+        run_table2(table1_plan(target="table2", replications=2), threads=0)
+        assert pools == []
+
+    def test_the_threshold_reads_each_cells_expected_count(self, monkeypatch, pools):
+        # z=1 and z=2 expect 100 and 200 points
+        plan = table1_plan(z_values=(1.0, 2.0), replications=2)
+        for floor, built in ((201, []), (200, [2]), (100, [2, 2, 2])):
+            monkeypatch.setattr(estimate, "_POOL_MIN_POINTS", floor)
+            run_table1(plan, threads=2)
+            assert pools == built
 
     def test_adding_cells_never_perturbs_existing_ones(self):
         small = table1_plan(a_values=(2.0,), replications=5)

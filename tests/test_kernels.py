@@ -9,7 +9,15 @@ from scipy.integrate import dblquad
 
 from substat import kernels
 from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, loglik
-from substat.geometry import PointPattern, Subspace, Window, chord_measure, project_xy, v_range
+from substat.geometry import (
+    PointPattern,
+    Subspace,
+    Window,
+    chord_measure,
+    chord_segments,
+    project_xy,
+    v_range,
+)
 from substat.kernels import (
     QuadratureError,
     _banded_sums,
@@ -219,6 +227,59 @@ class TestClosedFormCorrection:
         vec = correction_substat_closed(sub, w, 0.05, grid)
         scal = [correction_substat_closed(sub, w, 0.05, float(v)) for v in grid]
         assert np.array_equal(vec, np.array(scal))
+
+
+def per_knot_correction(sub, w, h, v):
+    """The closed-form correction as a loop that takes Phi and phi at one knot per call."""
+    v_arr = np.asarray(v, dtype=float)
+    total = np.zeros_like(v_arr, dtype=float)
+    last = None  # (knot, t, Phi, phi) at the upper end of the previous piece
+    for lo, hi, a, b in chord_segments(sub, w):
+        if hi - lo < 1e-6 * h:
+            mid = 0.5 * (lo + hi)
+            total = total + (hi - lo) * (a + b * mid) * normal_pdf((mid - v_arr) / h) / h
+            continue
+        if last is not None and last[0] == lo:
+            _, tl, cl, pl = last
+        else:
+            tl = (lo - v_arr) / h
+            cl, pl = normal_cdf(tl), None
+        tu = (hi - v_arr) / h
+        cu, pu = normal_cdf(tu), None
+        total = total + (a + b * v_arr) * (cu - cl)
+        if b != 0.0:
+            pl = normal_pdf(tl) if pl is None else pl
+            pu = normal_pdf(tu)
+            total = total + b * h * (pl - pu)
+        last = (hi, tu, cu, pu)
+    return total
+
+
+class TestStackedCorrection:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        theta=st.floats(-math.pi / 2, math.pi / 2, exclude_max=True)
+        | st.sampled_from((0.0, 1e-12, -1e-12, 1e-7, -1e-7))
+        | st.tuples(st.sampled_from((-math.pi / 2, math.pi / 2)), st.floats(-1e-9, 1e-9)).map(sum),
+        z=st.floats(0.5, 200.0),
+        h=st.floats(1e-3, 0.5),
+        shape=st.sampled_from(((), (1,), (37,), (400,), (5, 7), (3, 2500))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_knot_formula_bit_for_bit(self, theta, z, h, shape, seed):
+        # angles at and near the axes give the slivers; (3, 2500) spans two blocks
+        sub, w = Subspace(theta), Window(z, 1.0)
+        lo, hi = v_range(sub, w)
+        frac = np.random.default_rng(seed).uniform(size=shape)
+        if frac.size > 1:
+            frac.flat[:2] = 0.0, 1.0
+        v = lo + frac * (hi - lo)
+        got = correction_substat_closed(sub, w, h, v)
+        want = per_knot_correction(sub, w, h, v)
+        if shape == ():
+            assert type(got) is float and got == float(want)
+        else:
+            assert got.shape == shape and np.array_equal(got, want)
 
 
 class TestQuadratureOracle:
