@@ -26,24 +26,17 @@ it ``np.exp`` leaves its vector path: on a 2-core Xeon VM it took about
 the floor drops are too small to move any sum that holds a term above
 1e-250.  A block checks for such exponents with one ``min`` (about 0.25 ns
 per element) and, only if it finds one, clamps them, takes the exp and
-zeroes them (about 1 ns more per element).  That pays once a few percent of
-the block lies past the floor; on a banded block whose only such terms are
-its +inf padding, 2-4% of it, the exp stage runs about a quarter slower
-than without the floor.
+zeroes them (about 1 ns more per element).
 
 The engine, ``_gaussian_sums(h, data, targets)``, is one-axis: it takes the
 kernel sums of the 1-D smoother along the orthogonal offset and their
 leave-one-out values.  The 2-D smoother owns the product form: its sums
 are a product of two one-axis kernel blocks, summed at scattered
 locations by ``_scattered_sums`` and on a tensor grid by ``_grid_sums`` as
-one matrix product.  The engine has three paths:
+one matrix product.  The engine has two paths:
 
 * ``_direct_sums``, the direct sum over every data-target pair, exact up to
   rounding: the oracle of every path, and the path for small inputs;
-* ``_banded_sums``: each target sums only the sorted data within 12
-  bandwidths of it, a slice found by ``searchsorted``, as the fast Gauss
-  transform cuts each interaction off at a few sigma (Greengard and
-  Strain 1991);
 * ``_interpolated_sums``: the values are read off a node grid by 20-point
   (degree-19) barycentric Lagrange interpolation, as in the grid stage of
   the fast Gauss transform.
@@ -51,33 +44,31 @@ one matrix product.  The engine has three paths:
 The node grid belongs to an estimator, not to a call.  ``_node_grid``
 decides once, for the data and a range [lo, hi] that holds every target
 (the 1-D smoother's projection range), whether a grid pays, and if so
-takes the banded sums at nodes spaced h/5 over that range; every call of
-that estimator then reads the same nodes, so a value at a given offset
-does not depend on the calls before it.  The grid is priced once, in
-kernel pairs, against all the targets those calls ask for (the 1-D
-smoother's n data and integral cells): it pays when w*G + 80*m + 2e4 <
-w*m, with G nodes, m targets and w the data one target sums over without
-it: the band's width, the most data within 24 bandwidths, where the band
-would serve (at least 1e5 pairs, data spanning more than two bands, the
-widest band holding at most half the data), and n where the direct sum
-would.  Without a grid, a call takes the band where it would serve and
-the direct sum otherwise.  Every path works through the targets in blocks
-of 2**16 elements (512 KB), so each temporary stays in the L2 cache.
+takes the node sums at nodes spaced h/5 over that range by the Taylor form
+of the fast Gauss transform on the node lattice (``_lattice_sums``); every
+call of that estimator then reads the same nodes, so a value at a given
+offset does not depend on the calls before it.  The grid is priced once,
+in kernel pairs, against all the targets m those calls ask for (the 1-D
+smoother's n data and integral cells): it pays when
+5e4 + 20*n + 150*G + 80*m < n*m, with G nodes.  Without a grid, a call
+takes the direct sum.  Every path works through its targets in blocks of
+2**16 elements (512 KB), so each temporary stays in the L2 cache; the
+lattice holds a few floats per datum and 20 per node.
 
-Each path guards its values against the direct sum.  The band drops terms
-below exp(-72)/(h*sqrt(2*pi)) each; a value, less a leave-one-out term, is
-recomputed directly unless the dropped terms and a rounding allowance of
-1e-14 of the leave-one-out term stay under 1e-12 of it.  The interpolated
-path recomputes every value, less a leave-one-out term, not above 1/100 of
-the largest node of its stencil.  The guards hold the band within 1e-12
+Each path guards its values against the direct sum.  The lattice leaves
+out each datum more than 12 bandwidths from a node, terms below
+exp(-72)/(h*sqrt(2*pi)) each; a node is summed directly unless those terms
+stay under 1e-12 of its sum, so a node beyond the reach of every datum
+reads the direct sum's tiny value, not 0.  The interpolated path
+recomputes every value, less a leave-one-out term, not above 1/100 of the
+largest node of its stencil.  The guards hold the nodes within 1e-12
 relative error of the direct sum and the interpolation within 1e-10.
 Measured against the direct sum on 200 random Beta, clustered and
 cluster-plus-isolated data sets (n 300-3000, h 0.01-0.1, span 5-50), the
-band's largest relative errors were 7.9e-16 at the data, 6.7e-15 on
-grids and 3.4e-14 leave-one-out; the interpolated path's, on 300 sets
-(span 1-12, one grid over [0, span] for all three), 6.0e-12 at the data,
-1.1e-11 on grids and 5.7e-11 leave-one-out.  Nonpositive values are the
-direct sum's own.
+nodes' largest relative error was 2.0e-14; the interpolated path's, on
+300 sets (span 1-12, one grid over [0, span] for all three), 9.2e-12 at
+the data, 1.8e-11 on grids and 6.2e-11 leave-one-out.  Nonpositive values
+are the direct sum's own.
 """
 
 from __future__ import annotations
@@ -114,26 +105,33 @@ _CHUNK_ELEMENTS = 2**16
 _CORRECTION_ELEMENTS = 2**14
 
 # interpolated kernel sums: node spacing in bandwidths, stencil size, guard,
-# and the measured costs of one target and one node grid, in kernel pairs
+# and the measured costs, in kernel pairs (about 4 ns each), of one target
+# and of a node grid: 0.2 ms fixed, 0.08 us per datum and 0.6 us per node
 _NODE_STEP = 0.2
 _STENCIL = 20
 _HALF = _STENCIL // 2
 _GUARD = 1e-2
 _TARGET_COST = 80
-_GRID_COST = 20_000
+_GRID_COST = 50_000
+_DATUM_COST = 20
+_NODE_COST = 150
 _OFFSETS = np.arange(_STENCIL)
 # barycentric weights of equispaced nodes: (-1)^k C(19, k)
 _BARY = np.array([(-1.0) ** k * math.comb(_STENCIL - 1, k) for k in range(_STENCIL)])
 
-# banded kernel sums: the reach in bandwidths, the largest term beyond it
-# (times h), the guard's tolerance relative to a value, a bound on the
-# relative rounding difference of two summation orders of one sum, and the
-# fewest direct kernel pairs that pay for the band's searches (measured)
+# lattice node sums: the reach in bandwidths, the largest term beyond it
+# (times h), the guard's tolerance relative to a node's sum, the reach in
+# nodes, and the Taylor order: the fewest terms of e^(u*l) whose remainder,
+# x^P e^x / P! at the largest |u*l|, x = 6 * step / h, is below half an ulp
 _REACH = 12.0
 _TAIL = math.exp(-0.5 * _REACH**2) / _SQRT_2PI
-_BAND_RTOL = 1e-12
-_ROUNDING = 1e-14
-_BAND_MIN_PAIRS = 100_000
+_TAIL_RTOL = 1e-12
+_LAGS = round(_REACH / _NODE_STEP)
+_UL = 0.5 * _REACH * _NODE_STEP
+_ORDER = next(p for p in range(1, 99) if _UL**p * math.exp(_UL) / math.factorial(p) < 2.0**-53)
+# the filters' lags, and l^p / p! at each for each order p
+_LAG_COLUMNS = np.arange(-_LAGS, _LAGS + 1.0)
+_LAG_POWERS = np.array([_LAG_COLUMNS**p / math.factorial(p) for p in range(_ORDER)])
 
 
 class QuadratureError(RuntimeError):
@@ -180,8 +178,7 @@ def _gaussian_sums(
     out: the sum less 1/(h*sqrt(2*pi)), rounded as the sums round it, so a
     target with no other datum within reach gets exactly 0.  ``nodes`` is
     the ``_node_grid`` of the same h and data over a range that holds the
-    targets: the sums are then read off it.  Without it the call takes the
-    band, or the direct sum where the band does not pay.
+    targets: the sums are then read off it, and without it summed directly.
 
     The module docstring gives the paths, the cost model that decides on a
     node grid, the guards and the measured accuracy: every path stays
@@ -191,7 +188,7 @@ def _gaussian_sums(
     own = 1.0 / (h * _SQRT_2PI) if loo else 0.0
     if nodes is not None:
         return _interpolated_sums(h, data, targets, own, nodes)
-    return _banded_sums(h, data, targets, own)
+    return _direct_sums(h, data, targets) - own
 
 
 def _kernel_block(h: float, offsets: np.ndarray) -> np.ndarray:
@@ -225,11 +222,6 @@ def _direct_sums(h: float, data: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (out / (h * _SQRT_2PI)).reshape(targets.shape)
 
 
-def _band_pays(h: float, data: np.ndarray, targets: int) -> bool:
-    """The band's gate: ``_BAND_MIN_PAIRS`` pairs or more, and data spanning over 4 reaches."""
-    return data.size * targets >= _BAND_MIN_PAIRS and data[-1] - data[0] > 4.0 * _REACH * h
-
-
 class _NodeGrid(NamedTuple):
     """Kernel sums at the nodes origin + i*step; ``peaks[i]``, the largest from node i on of 20."""
 
@@ -240,35 +232,75 @@ class _NodeGrid(NamedTuple):
 
 
 def _node_layout(h: float, lo: float, hi: float) -> tuple[float, float, int]:
-    """Origin, step and count of the nodes h/5 apart that centre a stencil on each of [lo, hi]."""
-    step = _NODE_STEP * h
-    return lo - (_HALF - 1) * step, step, math.ceil((hi - lo) / step) + _STENCIL
+    """Origin, step and count of the nodes h/5 apart that centre a stencil on each of [lo, hi].
+
+    The step keeps 26 significant bits and the origin is a multiple of the
+    last, so each node origin + i*step is exact, as the lattice needs.
+    """
+    quantum = math.ldexp(1.0, math.frexp(_NODE_STEP * h)[1] - 26)
+    step = round(_NODE_STEP * h / quantum) * quantum
+    origin = math.floor((lo - (_HALF - 1) * step) / quantum) * quantum
+    return origin, step, math.ceil((hi - lo) / step) + _STENCIL
 
 
 def _node_grid(
     h: float, data: np.ndarray, lo: float, hi: float, targets: int
 ) -> _NodeGrid | None:
-    """The node grid for sums of the sorted data over [lo, hi], or None where it does not pay.
+    """The node grid for sums of the data over [lo, hi], or None where it does not pay.
 
     It is priced once against ``targets`` values, all the calls it is meant
     to serve, by the module docstring's rule.
     """
     n, count = data.size, _node_layout(h, lo, hi)[2]
-    width = n
-    if _band_pays(h, data, targets):
-        ends = np.searchsorted(data, data + 2.0 * _REACH * h, side="right")
-        band = int((ends - np.arange(n)).max())
-        width = band if 2 * band <= n else n
-    if width * (targets - count) <= _TARGET_COST * targets + _GRID_COST:
+    cost = _GRID_COST + _DATUM_COST * n + _NODE_COST * count + _TARGET_COST * targets
+    if cost >= n * targets:
         return None
     return _build_node_grid(h, data, lo, hi)
 
 
 def _build_node_grid(h: float, data: np.ndarray, lo: float, hi: float) -> _NodeGrid:
-    """The ``_banded_sums`` of the data at the ``_node_layout`` nodes over [lo, hi]."""
+    """The ``_lattice_sums`` of the data at the ``_node_layout`` nodes over [lo, hi].
+
+    A node whose left-out terms are not below ``_TAIL_RTOL`` of its sum,
+    such as one beyond the reach of every datum, takes ``_direct_sums``.
+    """
     origin, step, count = _node_layout(h, lo, hi)
-    sums = _banded_sums(h, data, origin + step * np.arange(count), 0.0)
+    sums, inside = _lattice_sums(h, data, origin, step, count)
+    redo = ~((data.size - inside) * (_TAIL / h) < _TAIL_RTOL * sums)
+    if redo.any():
+        sums[redo] = _direct_sums(h, data, origin + step * np.flatnonzero(redo))
     return _NodeGrid(origin, step, sums, sliding_window_view(sums, _STENCIL).max(axis=1))
+
+
+def _lattice_sums(
+    h: float, data: np.ndarray, origin: float, step: float, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel sums at the nodes origin + k*step from lattice moments, and the data each sums.
+
+    Datum j lies r_j from its nearest node m_j; with l = k - m_j and
+    u_j = r_j*step/h**2 its term at node k is e^(-r_j^2/2h^2) e^(u_j*l)
+    e^(-(l*step)^2/2h^2).  Taking ``_ORDER`` terms of e^(u_j*l), the sums are
+    sum_p (M_p * g_p)[k]: moments M_p[m] = sum_(m_j=m) e^(-r_j^2/2h^2) u_j^p,
+    one ``np.bincount`` each, convolved with g_p(l) = e^(-(l*step)^2/2h^2)
+    l^p/p! over |l| <= ``_LAGS``, one ``np.convolve`` each.
+    The data beyond those lags of node k are left out of its sum and count.
+    """
+    q = np.rint((data - origin) / step)
+    near = (q >= -_LAGS) & (q < count + _LAGS)
+    data, q = data[near], q[near]
+    r = data - (origin + q * step)  # the node is exact (see _node_layout)
+    # moment i sits at node i - _LAGS
+    cells, size = q.astype(np.intp) + _LAGS, count + 2 * _LAGS
+    u = r * (step / (h * h))
+    term = _kernel_block(h, r)
+    moments = np.empty((_ORDER, size))
+    for p in range(_ORDER):
+        moments[p] = np.bincount(cells, term, size)
+        term *= u
+    filters = _LAG_POWERS * _kernel_block(h, _LAG_COLUMNS * step)
+    sums = sum(np.convolve(moments[p], filters[p], "valid") for p in range(_ORDER))
+    total = np.concatenate(([0], np.cumsum(np.bincount(cells, minlength=size))))
+    return sums / (h * _SQRT_2PI), total[2 * _LAGS + 1 :] - total[: -2 * _LAGS - 1]
 
 
 def _interpolated_sums(
@@ -306,44 +338,6 @@ def _interpolated_sums(
             vals[redo] = _direct_sums(h, data, flat[i : i + chunk][redo]) - leave_out
         out[i : i + chunk] = vals
     return out.reshape(targets.shape)
-
-
-def _banded_sums(
-    h: float, data: np.ndarray, targets: np.ndarray, leave_out: float
-) -> np.ndarray:
-    """Kernel sums over the data within 12 bandwidths of each target, for ``_gaussian_sums``.
-
-    The data are sorted (sorted here if they are not), so each target's
-    data are one slice, found by ``searchsorted`` and read as a row of one
-    block over the data padded with +inf (whose terms vanish).  The module
-    docstring gives the guard.  A call that fails ``_band_pays``, or whose
-    widest band holds more than half the data, takes the direct sum.
-    """
-    n, m = data.size, targets.size
-    reach = _REACH * h
-    if _band_pays(h, data, m):
-        if not np.all(data[:-1] <= data[1:]):
-            data = np.sort(data)
-        flat = targets.ravel()
-        first = np.searchsorted(data, flat - reach)
-        inside = np.searchsorted(data, flat + reach, side="right") - first
-        width = int(inside.max())
-        if 2 * width <= n:
-            rows = sliding_window_view(np.concatenate((data, np.full(width, np.inf))), width)
-            out = np.empty(m, dtype=float)
-            step = max(1, _CHUNK_ELEMENTS // max(1, width))
-            for i in range(0, m, step):
-                d = rows[first[i : i + step]]
-                d -= flat[i : i + step, None]
-                out[i : i + step] = _kernel_block(h, d).sum(axis=1)
-            out /= h * _SQRT_2PI
-            out -= leave_out
-            dropped = (n - inside) * (_TAIL / h) + _ROUNDING * leave_out
-            redo = ~(dropped < _BAND_RTOL * out)
-            if redo.any():
-                out[redo] = _direct_sums(h, data, flat[redo]) - leave_out
-            return out.reshape(targets.shape)
-    return _direct_sums(h, data, targets) - leave_out
 
 
 def _grid_sums(h: float, x_axis, y_axis) -> np.ndarray:

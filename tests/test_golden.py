@@ -32,3 +32,19 @@ def test_golden_listing_matches_the_expected_one(tmp_path):
     if got[0] != expected[0]:
         pytest.skip(f"the listing was made with {expected[0][2:]}, this run uses {got[0][2:]}")
     assert got == expected, "\n".join(difflib.unified_diff(expected, got, lineterm=""))
+
+
+def test_golden_compare_reports_the_largest_relative_difference(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, moved in ((a, "1.0000000000002"), (b, "1.0")):
+        (root / "grids").mkdir(parents=True)
+        (root / "same.csv").write_text("h,score\n0.05,-inf\n")
+        (root / "grids" / "moved.csv").write_text(f"x,y\n2.5,{moved}\n")
+    (b / "extra.txt").write_text("only here\n")
+    tool = ROOT / "tools" / "golden_compare.py"
+    run = subprocess.run([sys.executable, str(tool), str(a), str(b)], capture_output=True, text=True)
+    lines = dict(line.split(None, 1)[::-1] for line in run.stdout.splitlines())
+    assert lines["same.csv"] == "identical"
+    assert abs(float(lines["grids/moved.csv"]) - 2e-13) < 1e-15
+    assert "missing in A  extra.txt" in run.stdout
+    assert lines["largest relative difference"].strip() == "2e-13"

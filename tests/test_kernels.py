@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from substat import kernels
-from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, loglik
+from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, fit_theta, loglik
 from substat.geometry import (
     PointPattern,
     Subspace,
@@ -20,12 +20,13 @@ from substat.geometry import (
 )
 from substat.kernels import (
     QuadratureError,
-    _banded_sums,
     _build_node_grid,
     _direct_sums,
     _gaussian_sums,
     _interpolated_sums,
+    _lattice_sums,
     _node_grid,
+    _node_layout,
     _scattered_sums,
     correction_2d,
     correction_substat_closed,
@@ -59,6 +60,15 @@ def synthetic_data(kind, n, span, h, seed, clusters=1):
             gaps = h * rng.uniform(3.0, 10.0, 5) * rng.choice([-1.0, 1.0], 5)
             data[:5] = centres[:5] + gaps
     return np.sort(np.clip(data, 0.0, span))
+
+
+def split_data(data, span, gap):
+    """The data above span/2 shifted up by ``gap``, so that no datum lies in the gap."""
+    return np.where(data > span / 2, data + gap, data)
+
+
+def node_positions(nodes):
+    return nodes.origin + nodes.step * np.arange(nodes.sums.size)
 
 
 def own_kernel(h):
@@ -371,13 +381,10 @@ class TestGaussianSums:
         whole_2d = _scattered_sums(0.05, (xd, xt), (yd, yt))
         big = rng.uniform(0, 2, 2000)
         whole_interpolated = interpolated(0.05, big, big, 0.0)
-        wide = np.sort(rng.uniform(0, 20, 2000))
-        whole_banded = _banded_sums(0.05, wide, wide, 0.0)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 50 * 4)  # 4 targets per chunk
         assert np.array_equal(_gaussian_sums(0.05, xd, xt), whole_1d)
         assert np.array_equal(_scattered_sums(0.05, (xd, xt), (yd, yt)), whole_2d)
         assert np.array_equal(interpolated(0.05, big, big, 0.0), whole_interpolated)
-        assert np.array_equal(_banded_sums(0.05, wide, wide, 0.0), whole_banded)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -403,7 +410,8 @@ class TestGaussianSums:
         want = _direct_sums(h, data, targets)
         calls = record_calls(monkeypatch, "_direct_sums")
         assert_relative(interpolated(h, data, targets, 0.0), want, 1e-10)
-        # the nodes, then the guarded targets of each of the two target chunks
+        # the nodes beyond the reach of every datum, then the guarded targets
+        # of each of the two target chunks
         assert len(calls) == 3 and -(-targets.size // (kernels._CHUNK_ELEMENTS // 20)) == 2
         assert 0 < sum(call[2].size for call in calls[1:]) < targets.size
         # without the guard the same tails are off by far more
@@ -415,42 +423,30 @@ class TestGaussianSums:
     def test_dispatch_follows_the_cost_model(self, monkeypatch):
         rng = np.random.default_rng(14)
         calls = record_calls(monkeypatch, "_interpolated_sums")
-        searches = record_calls(monkeypatch, "searchsorted", owner=np)
+        builds = record_calls(monkeypatch, "_lattice_sums")
         small, grid = np.sort(rng.uniform(0, 1, 100)), np.linspace(0.0, 1.0, 400)
-        # small calls, and large ones whose data span at most two bands,
-        # are the direct sums, bit for bit, without a search; so small data
-        # get no node grid, priced against a profile's 100 + 400 targets
+        # a call without a node grid is the direct sum, bit for bit; small
+        # data get no node grid, priced against a profile's 100 + 400 targets
         for h in (0.01, 0.05, 0.2):
             for data in (small, 10 * small):
                 want = _direct_sums(h, data, grid)
                 assert np.array_equal(_gaussian_sums(h, data, grid), want)
                 assert _node_grid(h, data, data[0], data[-1], data.size + 400) is None
-        short = np.sort(rng.uniform(0, 1, 3000))
-        for h in (0.05, 0.2):
-            assert np.array_equal(_banded_sums(h, short, grid, 0.0), _direct_sums(h, short, grid))
-        assert calls == [] and searches == []
-        # so is a call whose widest band holds more than half the data
-        crowded = np.sort(np.concatenate((rng.normal(5.0, 0.01, 2000), rng.uniform(0, 20, 1000))))
-        wide_grid = 20 * grid
-        want = _direct_sums(0.05, crowded, wide_grid)
-        assert np.array_equal(_banded_sums(0.05, crowded, wide_grid, 0.0), want)
-        assert len(searches) == 2
-        # data within two bands: the grid is priced against the direct sum
-        # (no search), and a 1-D call with it reads the sums off it
+        assert calls == [] and builds == []
+        # large data get a grid, and a 1-D call with it reads the sums off it
         large = rng.uniform(0, 1, 2000)
         nodes = _node_grid(0.05, np.sort(large), 0.0, 1.0, 2400)
-        assert nodes is not None and len(searches) == 2
+        assert nodes is not None and len(builds) == 1
         assert nodes.sums.size == 5 * 20 + 20  # 1/(h/5) nodes over the range, 20 beside
         _gaussian_sums(0.05, large, large, nodes=nodes)
         assert len(calls) == 1
-        # data over many bands: the grid is priced against the band's width
-        # (one search), which 1000 data over 10 units at h = 0.05 keep near
-        # 150, too few for 1020 nodes to pay on 1400 targets; 5000 data pay
-        for n, pays in ((1000, False), (5000, True)):
-            spread = np.sort(rng.uniform(0, 10, n))
-            got = _node_grid(0.05, spread, 0.0, 10.0, n + 400)
-            assert (got is not None) == pays
-        assert len(searches) == 2 + 2 + 2  # each width, then the two of the nodes' band
+        # the grid is priced by its nodes as well as its data: 1000 data
+        # over 10 units at h = 0.005 would need 10 020 nodes, which do not
+        # pay on 1400 targets; at h = 0.02, 2520 nodes do
+        spread = np.sort(rng.uniform(0, 10, 1000))
+        for h, pays in ((0.005, False), (0.02, True)):
+            assert (_node_grid(h, spread, 0.0, 10.0, 1400) is not None) == pays
+        assert len(builds) == 2
         # two axes take their own product form, never a node grid
         _scattered_sums(0.05, (large, large), (large, large))
         assert len(calls) == 1
@@ -458,70 +454,84 @@ class TestGaussianSums:
     def test_targets_on_nodes_take_the_node_values(self, monkeypatch):
         h = 0.05
         data = synthetic_data("beta", 500, 1.0, h, seed=7)
-        targets = np.arange(101) * (kernels._NODE_STEP * h)  # every target on a node
+        targets = np.arange(101) * _node_layout(h, 0.0, 1.0)[1]  # every target on a node
         want = _direct_sums(h, data, targets)
         calls = record_calls(monkeypatch, "_direct_sums")
         assert_relative(interpolated(h, data, targets, 0.0), want, 1e-12)
-        assert len(calls) == 1  # the nodes only: no target fell to the guard
+        assert calls == []  # no node or target fell to a guard
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         kind=st.sampled_from(["beta", "cluster", "cluster+isolated"]),
         n=st.integers(300, 2000),
         h=st.floats(0.01, 0.1),
-        span=st.floats(5.0, 50.0),
-        clusters=st.integers(5, 30),
+        span=st.floats(1.0, 20.0),
+        clusters=st.integers(1, 30),
+        gap=st.sampled_from([0.0, 25.0, 40.0, 80.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_banded_sums_match_the_direct_sums(self, kind, n, h, span, clusters, seed):
-        data = synthetic_data(kind, n, span, h, seed, clusters)
+    def test_lattice_nodes_match_the_direct_sums(self, kind, n, h, span, clusters, gap, seed):
+        # a gap of 25 bandwidths or more leaves nodes beyond the reach of every datum
+        data = split_data(synthetic_data(kind, n, span, h, seed, clusters), span, gap * h)
+        top = span + gap * h
+        nodes = _build_node_grid(h, data, 0.0, top)
+        assert_relative(nodes.sums, _direct_sums(h, data, node_positions(nodes)), 1e-12)
         own = own_kernel(h)
-        for targets, leave_out in ((data, 0.0), (midpoint_grid(span), 0.0), (data, own)):
-            got = _banded_sums(h, data, targets, leave_out)
-            assert_relative(got, _direct_sums(h, data, targets) - leave_out, 1e-12)
+        for targets, leave_out in ((data, 0.0), (midpoint_grid(top), 0.0), (data, own)):
+            got = _interpolated_sums(h, data, targets, leave_out, nodes)
+            assert_relative(got, _direct_sums(h, data, targets) - leave_out, 1e-10)
 
-    def test_band_guard_takes_cancelling_and_far_values_directly(self, monkeypatch):
+    def test_node_guard_takes_nodes_beyond_the_reach_directly(self, monkeypatch):
         h = 0.02
         rng = np.random.default_rng(4)
-        centres = np.arange(1.0, 20.0, 2.0)  # 100 h apart
-        isolated = centres[:6] + h * np.array([5.0, -6.0, 6.5, -7.0, 7.5, -8.0])
-        data = np.sort(np.concatenate((rng.normal(np.repeat(centres, 200), 0.5 * h), isolated)))
-        own = own_kernel(h)
-        want = _direct_sums(h, data, data) - own
+        # two clusters 30 h apart: the nodes near the middle of the gap lie
+        # more than 12 h from every datum, but within the floor's 37.6 h
+        data = np.sort(rng.normal(np.repeat([0.5, 0.5 + 30 * h], 300), 0.5 * h))
         calls = record_calls(monkeypatch, "_direct_sums")
-        assert_relative(_banded_sums(h, data, data, own), want, 1e-12)
-        # the leave-one-out values of isolated points cancel against their own
-        # kernel, and two summation orders round that differently
-        assert len(calls) == 1
-        redone = calls[0][2]
-        assert np.all(np.isin(isolated, redone)) and redone.size < data.size
-        # a target about 12 h from a cluster keeps part of it in the band and
-        # drops the rest, a tail not small against its value
-        far = np.repeat([13.0 + 11.9 * h, 15.0 - 11.9 * h, 17.0 + 12.05 * h], 50)
-        near = _direct_sums(h, data, far)
-        assert_relative(_banded_sums(h, data, far, 0.0), near, 1e-12)
-        # without the guard both sets are off
+        nodes = _build_node_grid(h, data, 0.0, 1.5)
+        at = node_positions(nodes)
+        want = _direct_sums(h, data, at)
+        beyond = np.min(np.abs(at[:, None] - data), axis=1) > kernels._REACH * h
+        middle = beyond & (at > 0.5) & (at < 0.5 + 30 * h)
+        assert middle.any() and np.all(want[middle] > 0.0)
+        # each node beyond the reach reads the direct sum's tiny value, not 0
+        assert_relative(nodes.sums, want, 1e-12)
+        assert np.array_equal(nodes.sums[beyond], want[beyond])
+        # one guarded call, on the guarded nodes only
+        assert len(calls) == 1 and np.all(np.isin(at[beyond], calls[0][2]))
+        assert calls[0][2].size < at.size
+        # without the left-out terms the guard redoes only the nodes that read
+        # exactly 0, and the nodes at the edge of the reach, which sum part of
+        # a cluster, are off
         monkeypatch.setattr(kernels, "_TAIL", 0.0)
-        monkeypatch.setattr(kernels, "_ROUNDING", 0.0)
-        for targets, leave_out, exact in ((data, own, want), (far, 0.0, near)):
-            got = _banded_sums(h, data, targets, leave_out)
-            positive = exact > 0
-            assert np.max(np.abs(got - exact)[positive] / exact[positive]) > 1e-12
+        unguarded = _build_node_grid(h, data, 0.0, 1.5).sums
+        assert len(calls) == 2 and calls[1][2].size < calls[0][2].size
+        positive = want > 0
+        assert np.max(np.abs(unguarded - want)[positive] / want[positive]) > 1e-12
 
-    def test_unsorted_data_are_sorted_before_the_band(self):
+    def test_data_beyond_the_nodes_are_counted(self):
+        h = 0.05
+        rng = np.random.default_rng(9)
+        # data on [0, 3] against nodes over [1, 2]: the data within 12 h of
+        # the nodes enter the lattice, and the guard counts every other one
+        data = np.sort(rng.uniform(0.0, 3.0, 2000))
+        nodes = _build_node_grid(h, data, 1.0, 2.0)
+        origin, step, count = _node_layout(h, 1.0, 2.0)
+        _, inside = _lattice_sums(h, data, origin, step, count)
+        assert np.all(inside < data.size)
+        assert_relative(nodes.sums, _direct_sums(h, data, node_positions(nodes)), 1e-12)
+
+    def test_the_lattice_takes_data_in_any_order(self):
         h = 0.05
         data = synthetic_data("beta", 2000, 20.0, h, seed=8)
-        # one datum out of place: searching the data as given would leave its
-        # kernel out of the sums near the middle, unseen by the guard
         shuffled = data.copy()
         shuffled[[1000, -2]] = data[[-2, 1000]]
+        nodes = _build_node_grid(h, shuffled, 0.0, 20.0)
+        assert_relative(nodes.sums, _direct_sums(h, data, node_positions(nodes)), 1e-12)
         grid = midpoint_grid(20.0)
         for targets, loo in ((data, True), (grid, False)):
             leave_out = own_kernel(h) if loo else 0.0
             want = _direct_sums(h, data, targets) - leave_out
-            assert_relative(_banded_sums(h, shuffled, targets, leave_out), want, 1e-12)
-            # a node grid of the same data gives the same sums, from banded nodes
-            nodes = _build_node_grid(h, shuffled, 0.0, 20.0)
             got = _gaussian_sums(h, shuffled, targets, loo=loo, nodes=nodes)
             assert_relative(got, want, 1e-10)
 
@@ -558,7 +568,11 @@ class TestExponentFloor:
         assert np.all(block[below] == 0.0)
         assert np.array_equal(block[~below], np.exp(exponents[~below]))
         everywhere_below = below.all(axis=1)
-        for path in (_direct_sums, lambda h, d, t: _banded_sums(h, d, t, 0.0)):
+
+        def lattice_path(h, d, t):
+            return _gaussian_sums(h, d, t, nodes=_build_node_grid(h, d, 0.0, span))
+
+        for path in (_direct_sums, lattice_path):
             got = path(h, data, targets)
             with mock.patch.object(kernels, "_kernel_block", unfloored_block):
                 want = path(h, data, targets)
@@ -629,10 +643,22 @@ class TestSharedNodeGrid:
     def test_one_loglik_builds_the_node_grid_once(self, monkeypatch, loo):
         pat = beta_pattern(1000, seed=4)
         builds = record_calls(monkeypatch, "_build_node_grid")
-        bands = record_calls(monkeypatch, "_banded_sums")
+        lattices = record_calls(monkeypatch, "_lattice_sums")
         reads = record_calls(monkeypatch, "_interpolated_sums")
         loglik(pat, SubstationaryIntensity(pat, 0.01, 0.05), loo=loo)
         assert len(builds) == 1
-        assert len(bands) == 1  # the node stage; every value is read off the nodes
+        assert len(lattices) == 1  # the node stage; every value is read off the nodes
         assert len(reads) == 2  # the point term and the integral
         assert reads[0][4] is reads[1][4]
+
+    def test_a_bounded_fit_near_the_axis_sums_no_node_over_all_the_data(self, monkeypatch):
+        # near the axis the data reach every node, so no node stage sums them directly
+        pat = beta_pattern(2500, seed=6)
+        builds = record_calls(monkeypatch, "_build_node_grid")
+        directs = record_calls(monkeypatch, "_direct_sums")
+        fit_theta(pat, 0.05, search_halfwidth_deg=6.0, threads=1)
+        counts = [_node_layout(h, lo, hi)[2] for h, _, lo, hi in builds]
+        assert len(builds) > 10
+        # direct sums run on guarded nodes and targets only
+        assert all(t.size < min(counts) for _, _, t in directs)
+        assert sum(t.size for _, _, t in directs) < 0.01 * sum(counts)

@@ -83,7 +83,7 @@ run table1-thomas experiment table1 --process thomas --a-values 2 --z-values 1,2
 run fit-subspace-large fit-subspace --data large.csv --region 0,50,0,1 --h 0.05 \
     --search-halfwidth 6 --threads 2 --out trace-large.csv
 # n of about 1000 in a 10x1 window with the open search: at oblique angles
-# the point terms take the banded kernel sums
+# the node grids span long projections
 run simulate-open simulate --process poisson --a 3 --z 10 --seed 10 --out open.csv
 run fit-subspace-open fit-subspace --data open.csv --region 0,10,0,1 --h 0.05 \
     --threads 2 --out trace-open.csv
