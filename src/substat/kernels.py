@@ -5,8 +5,11 @@ retains inside the window, so that locations near the boundary are not
 deflated.  Two forms of that correction are provided for the 1-D
 (orthogonal-coordinate) smoother:
 
-* a closed form, assembled from the trapezoidal chord profile of the
-  window, covering every subspace angle including the axis-aligned ones;
+* a closed form over the knots of the trapezoidal chord profile, for every
+  angle: the chord at v, plus h*s_k*(phi(x) - x*Phi(-x)) at x = |v - k|/h
+  for each kink k of a ramp, less the mass T*Phi(o/h) that each jump (a ramp
+  narrower than 1e-6*h) cuts off, o outwards.  Each term vanishes away from
+  its knot, so none cancels, unlike the growing h*s_k*(x*Phi(x) + phi(x));
 * an adaptive quadrature of the same integral, used as the reference
   oracle for the closed form; it alone imports ``scipy.integrate``, when it
   is called, so importing the package loads no scipy submodule but
@@ -80,7 +83,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
-from .geometry import Subspace, Window, chord_measure, chord_segments, v_range
+from .geometry import Subspace, Window, _trapezoid, chord_measure, v_range
 
 __all__ = [
     "QuadratureError",
@@ -368,48 +371,45 @@ def _scattered_sums(h: float, x_axis, y_axis) -> np.ndarray:
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
     """Kernel mass retained in the window around offset v, in closed form.
 
-    Integrates the Gaussian kernel centered at v against the chord profile
-    of the window.  Each linear piece a + b*t of the profile on [lo, hi]
-    contributes
+    The chord profile of ``_trapezoid`` rises from 0 to its plateau T and
+    falls back; a ramp narrower than 1e-6*h (near and on the axes) is a jump
+    at its midpoint, exact to within (width/h)**2.  With x_k = |v - k|/h,
+    Q(x) = Phi(-x) and psi(x) = phi(x) - x*Q(x),
 
-        (a + b*v) * (Phi((hi-v)/h) - Phi((lo-v)/h))
-        + b*h * (phi((lo-v)/h) - phi((hi-v)/h)).
+        corr(v) = c(v) + h * sum_k s_k psi(x_k) - T * sum_j Phi(o_j/h)
 
-    The piecewise assembly reproduces the axis-aligned rectangle cases
-    (single flat piece) and the oblique rise/plateau/fall cases alike.
-    Phi and phi are taken in one call each, on the block of every distinct
-    knot against the offsets, which are taken in chunks of at most
-    ``_CORRECTION_ELEMENTS`` block elements.
-    Pieces much narrower than h (steep slivers produced by angles within
-    float rounding of the axis-aligned ones) are integrated by the
-    midpoint rule instead; differencing Phi across such a piece would
-    cancel catastrophically against the huge slope.
+    over the other ramps' knots k, with slope changes s_k, and the jumps j,
+    o_j the offset of v outwards from jump j.  c is T times the least of 1
+    and each other ramp's share climbed from its foot.  Every term vanishes
+    away from its knot, so none cancels (see the module docstring).
     """
     h = validate_bandwidth(h)
     v_arr = np.asarray(v, dtype=float)
-    segments = chord_segments(subspace, window)
-    wide = [seg for seg in segments if seg[1] - seg[0] >= 1e-6 * h]
-    knots = sorted({k for lo, hi, _, _ in wide for k in (lo, hi)})
-    row = {k: i for i, k in enumerate(knots)}
-    column = np.array(knots)[:, None]
-    sloped = any(b != 0.0 for *_, b in wide)
-    flat = v_arr.ravel()
-    total = np.zeros(flat.size)
-    step = max(1, _CORRECTION_ELEMENTS // max(1, len(knots)))
+    knots, heights = _trapezoid(subspace, window)
+    top, k = heights[1], knots.tolist()
+    # the rise and the fall: foot (at height 0), head, width and outward sign
+    ramps = [(k[0], k[1], k[1] - k[0], -1.0), (k[3], k[2], k[3] - k[2], 1.0)]
+    wide = [(foot, head, h * top / width) for foot, head, width, _ in ramps if width >= 1e-6 * h]
+    jumps = [(0.5 * (foot + head), out) for foot, head, width, out in ramps if width < 1e-6 * h]
+    # the block's rows: the wide ramps' feet and heads, with h * s_k, then the jumps
+    column = np.array([f for f, _, _ in wide] + [e for _, e, _ in wide] + [m for m, _ in jumps])
+    kinks = np.array([s for *_, s in wide] + [-s for *_, s in wide])
+    # erfc(t) is 2*Q(x_k) at t = x_k/sqrt(2), at the kinks, and 2*Phi(o_j/h) at the jumps
+    scale = np.array([1.0] * kinks.size + [-out for _, out in jumps]) / (h * _SQRT_2)
+    tails = np.concatenate((kinks / -_SQRT_2, np.full(len(jumps), -0.5 * top)))
+    runs, r = np.array([head - foot for foot, head, _ in wide])[:, None], kinks.size
+    flat, total = v_arr.ravel(), np.empty(v_arr.size)
+    step = max(1, _CORRECTION_ELEMENTS // column.size)
     for i in range(0, flat.size, step):
-        vc, part = flat[i : i + step], total[i : i + step]
-        t = (column - vc) / h
-        cdf = normal_cdf(t)
-        pdf = normal_pdf(t) if sloped else None
-        # each piece adds its terms in order, a sliver's in place
-        for lo, hi, a, b in segments:
-            if hi - lo < 1e-6 * h:
-                mid = 0.5 * (lo + hi)
-                part += (hi - lo) * (a + b * mid) * normal_pdf((mid - vc) / h) / h
-                continue
-            part += (a + b * vc) * (cdf[row[hi]] - cdf[row[lo]])
-            if b != 0.0:
-                part += b * h * (pdf[row[lo]] - pdf[row[hi]])
+        d = flat[i : i + step] - column[:, None]
+        share = np.minimum.reduce(d[: r // 2] / runs, axis=0, initial=1.0)  # c(v) / T
+        t = d * scale[:, None]
+        np.abs(t[:r], out=t[:r])
+        with np.errstate(under="ignore"):
+            block = erfc(t)
+        block[:r] *= t[:r]
+        density = kinks @ _kernel_block(h, d[:r]) / _SQRT_2PI
+        total[i : i + step] = top * np.maximum(share, 0.0) + tails @ block + density
     if v_arr.ndim == 0:
         return float(total[0])
     return total.reshape(v_arr.shape)
@@ -439,8 +439,7 @@ def correction_substat_quadrature(
     def integrand(t):
         return chord_measure(subspace, window, t) * kernel_1d(h, t - v)
 
-    seeds = [k[0] for k in chord_segments(subspace, window)]
-    seeds += [v + k * h for k in (-8.0, -4.0, 0.0, 4.0, 8.0)]
+    seeds = [*_trapezoid(subspace, window)[0], *(v + k * h for k in (-8.0, -4.0, 0.0, 4.0, 8.0))]
     points = sorted({p for p in seeds if lo < p < hi})
     value, err = quad(
         integrand,
