@@ -41,6 +41,7 @@ from .geometry import (
     PointPattern,
     Subspace,
     Window,
+    _shaped_like,
     chord_measure,
     project_xy,
     v_range,
@@ -139,10 +140,7 @@ class SubstationaryIntensity:
             )
         sums = _gaussian_sums(self.h, self._v_data, v_arr, nodes=self._grid())
         corr = correction_substat_closed(self.theta, self.window, self.h, v_arr)
-        out = sums / corr
-        if np.isscalar(v) or np.ndim(v) == 0:
-            return float(out[0])
-        return out
+        return _shaped_like(v, sums / corr)
 
     def at_points(self, x, y):
         _require_inside(self.window, x, y)
@@ -194,10 +192,7 @@ class KernelIntensity2D:
         _require_inside(self.window, x_arr, y_arr)
         sums = _scattered_sums(self.h, (self._x_data, x_arr), (self._y_data, y_arr))
         corr = correction_2d(self.window, self.h, x_arr, y_arr)
-        out = sums / corr
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out[0])
-        return out
+        return _shaped_like(x, sums / corr)
 
     at_points = evaluate
 
@@ -232,9 +227,7 @@ class StationaryIntensity:
 
     def evaluate(self, v):
         """Intensity at orthogonal offset(s) v of any direction: the constant."""
-        if np.isscalar(v) or np.ndim(v) == 0:
-            return float(self.value)
-        return np.full(np.shape(v), self.value)
+        return _shaped_like(v, np.full(np.shape(v), self.value))
 
     def at_points(self, x, y):
         _require_inside(self.window, x, y)
@@ -271,21 +264,18 @@ def loglik(
     """
     if loo and estimator.pattern is not pattern:
         raise ValueError("leave-one-out scoring needs the estimator's own pattern")
-    if pattern.n:
-        if loo:
-            lam = estimator.loo_values()
-        else:
-            lam = np.atleast_1d(estimator.at_points(pattern.x, pattern.y))
-        if np.any(lam <= 0.0):
-            warnings.warn(
-                "intensity estimate is zero at a data point; log-likelihood is -inf",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return float("-inf")
-        point_term = float(np.sum(np.sort(np.log(lam))))
+    if loo:
+        lam = estimator.loo_values()
     else:
-        point_term = 0.0
+        lam = np.atleast_1d(estimator.at_points(pattern.x, pattern.y))
+    if np.any(lam <= 0.0):
+        warnings.warn(
+            "intensity estimate is zero at a data point; log-likelihood is -inf",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return float("-inf")
+    point_term = float(np.sum(np.sort(np.log(lam))))
     if integral_cells is None:
         return point_term - estimator.integral()
     return point_term - estimator.integral(integral_cells)

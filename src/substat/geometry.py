@@ -33,7 +33,6 @@ __all__ = [
     "unproject_xy",
     "v_range",
     "chord_measure",
-    "chord_segments",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -179,6 +178,13 @@ def v_range(subspace: Subspace, window: Window) -> tuple[float, float]:
     return float(knots[0]), float(knots[-1])
 
 
+def _shaped_like(like, values):
+    """The package's one scalar rule: a scalar or 0-d ``like`` gives ``values`` as a float."""
+    if np.ndim(like) == 0:
+        return values.item()
+    return values
+
+
 def _cos_sin(subspace: Subspace) -> tuple[float, float]:
     """cos and sin of the angle; a subnormal angle is the axis, since 1/sin would overflow."""
     theta = subspace.theta
@@ -211,28 +217,12 @@ def _chord_ends(subspace: Subspace, window: Window, v) -> tuple[np.ndarray, np.n
     v = np.asarray(v, dtype=float)
     lo, hi = v * s / c, (window.z + v * s) / c
     if s != 0.0:
-        bottom, top = -v * c / s, (window.omega - v * c) / s
+        # within about 1e-307 of the axis a crossing overflows to +-inf, which clips nothing
+        with np.errstate(over="ignore"):
+            bottom, top = -v * c / s, (window.omega - v * c) / s
         lo = np.maximum(lo, np.minimum(bottom, top))
         hi = np.minimum(hi, np.maximum(bottom, top))
     return lo, hi
-
-
-def chord_segments(subspace: Subspace, window: Window) -> list[tuple[float, float, float, float]]:
-    """Linear pieces (lo, hi, a, b) of the chord profile: length = a + b*v.
-
-    Zero-width pieces are dropped, so the result has one entry for an
-    axis-aligned subspace (rectangle profile) and up to three otherwise
-    (rise, plateau, fall).
-    """
-    knots, heights = _trapezoid(subspace, window)
-    segments = []
-    for lo, hi, hl, hr in zip(knots[:-1], knots[1:], heights[:-1], heights[1:]):
-        if hi <= lo:
-            continue
-        b = (hr - hl) / (hi - lo)
-        a = hl - b * lo
-        segments.append((float(lo), float(hi), float(a), float(b)))
-    return segments
 
 
 def chord_measure(subspace: Subspace, window: Window, v):
@@ -243,7 +233,4 @@ def chord_measure(subspace: Subspace, window: Window, v):
     """
     knots, heights = _trapezoid(subspace, window)
     v_arr = np.asarray(v, dtype=float)
-    out = np.interp(v_arr, knots, heights, left=0.0, right=0.0)
-    if np.isscalar(v) or v_arr.ndim == 0:
-        return float(out)
-    return out
+    return _shaped_like(v, np.interp(v_arr, knots, heights, left=0.0, right=0.0))

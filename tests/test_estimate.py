@@ -25,11 +25,18 @@ from substat.geometry import (
     PointPattern,
     Subspace,
     Window,
+    chord_measure,
     project_xy,
     unproject_xy,
     v_range,
 )
-from substat.kernels import _direct_sums, correction_substat_closed, normal_cdf
+from substat.kernels import (
+    _direct_sums,
+    correction_2d,
+    correction_substat_closed,
+    kernel_1d,
+    normal_cdf,
+)
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -306,6 +313,42 @@ class TestStationaryIntensity:
         assert rmse == pytest.approx(10.0 / math.sqrt(10.0), rel=0.25)
 
 
+SCALAR_WINDOW = Window(2.0, 1.0)
+SCALAR_PATTERN = PointPattern([0.3, 1.1, 1.7, 0.9], [0.2, 0.5, 0.8, 0.4], SCALAR_WINDOW)
+# each function of (x, y) in the window; the offsets v are the y values, in the
+# projection range [-0.59, 0.96] of the subspace at 0.3 rad
+SCALAR_RULE = {
+    "chord_measure": lambda x, y: chord_measure(Subspace(0.3), SCALAR_WINDOW, y),
+    "kernel_1d": lambda x, y: kernel_1d(0.1, x),
+    "correction_substat_closed": lambda x, y: correction_substat_closed(
+        Subspace(0.3), SCALAR_WINDOW, 0.1, y
+    ),
+    "correction_2d": lambda x, y: correction_2d(SCALAR_WINDOW, 0.1, x, y),
+    "SubstationaryIntensity.evaluate": lambda x, y: SubstationaryIntensity(
+        SCALAR_PATTERN, 0.3, 0.1
+    ).evaluate(y),
+    "KernelIntensity2D.evaluate": lambda x, y: KernelIntensity2D(SCALAR_PATTERN, 0.1).evaluate(
+        x, y
+    ),
+    "StationaryIntensity.evaluate": lambda x, y: StationaryIntensity(SCALAR_PATTERN).evaluate(y),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALAR_RULE))
+def test_a_scalar_in_gives_a_float_out(name):
+    f = SCALAR_RULE[name]
+    x = np.array([[0.1, 0.7, 1.3], [1.9, 0.4, 1.0]])
+    y = np.array([[0.05, 0.3, 0.9], [0.6, 0.45, 0.2]])
+    scalars = [f(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+    assert all(type(value) is float for value in scalars)
+    zero_d = [f(np.array(a), np.array(b)) for a, b in zip(x.ravel(), y.ravel())]
+    assert all(type(value) is float for value in zero_d) and zero_d == scalars
+    for shape in ((6,), (2, 3)):
+        got = f(x.reshape(shape), y.reshape(shape))
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        assert np.array_equal(got.ravel(), scalars)
+
+
 class TestLoglik:
     def test_constant_estimator_closed_form(self):
         rng = np.random.default_rng(12)
@@ -315,8 +358,20 @@ class TestLoglik:
         assert loglik(pat, est) == pytest.approx(want, rel=1e-12)
 
     def test_empty_pattern_nonpositive(self):
-        pat = PointPattern.empty(Window(1, 1))
-        assert loglik(pat, StationaryIntensity(pat)) <= 0.0
+        # an empty pattern has no point term: its score is minus the integral
+        # of the estimate, whether fitted to it or to another pattern
+        empty = PointPattern.empty(Window(2, 1))
+        held = random_pattern(np.random.default_rng(15), z=2.0, n=40)
+        for make in (
+            StationaryIntensity,
+            lambda pat: KernelIntensity2D(pat, 0.1),
+            lambda pat: SubstationaryIntensity(pat, 0.3, 0.1),
+        ):
+            for est in (make(empty), make(held)):
+                assert loglik(empty, est) == -est.integral()
+                assert loglik(empty, est) <= 0.0
+        own = SubstationaryIntensity(empty, 0.3, 0.1)
+        assert loglik(empty, own, loo=True) == -own.integral()
 
     def test_vanishing_estimate_flags_minus_inf(self):
         holder = PointPattern([0.01], [0.01], Window(10, 1))

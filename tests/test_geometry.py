@@ -11,8 +11,8 @@ from substat.geometry import (
     Subspace,
     Window,
     _chord_ends,
+    _trapezoid,
     chord_measure,
-    chord_segments,
     project_xy,
     unproject_xy,
     v_range,
@@ -149,7 +149,7 @@ class TestChordMeasure:
     def test_chord_integral_equals_window_area(self, theta, dims):
         sub, w = Subspace(theta), Window(*dims)
         lo, hi = v_range(sub, w)
-        knots = sorted({seg[0] for seg in chord_segments(sub, w)} | {hi})
+        knots, _ = _trapezoid(sub, w)
         total, err = quad(
             lambda v: chord_measure(sub, w, v), lo, hi,
             points=[k for k in knots if lo < k < hi] or None, limit=200,
@@ -160,11 +160,13 @@ class TestChordMeasure:
     def test_profile_is_a_trapezoid(self):
         # slope signs must run nonnegative, zero, nonpositive in order
         sub, w = Subspace(0.6), Window(3, 2)
-        segs = chord_segments(sub, w)
-        assert len(segs) == 3
-        assert segs[0][3] > 0
-        assert segs[1][3] == 0
-        assert segs[2][3] < 0
+        knots, heights = _trapezoid(sub, w)
+        widths = np.diff(knots)
+        assert np.all(widths > 0)
+        slopes = np.diff(heights) / widths
+        assert slopes[0] > 0
+        assert slopes[1] == 0
+        assert slopes[2] < 0
         lo, hi = v_range(sub, w)
         grid = np.linspace(lo, hi, 2001)
         vals = chord_measure(sub, w, grid)
@@ -173,33 +175,37 @@ class TestChordMeasure:
         assert np.all(diffs[first_down:] <= 1e-12)
 
     def test_axis_aligned_profile_is_flat(self):
-        segs = chord_segments(Subspace(0.0), Window(4, 1))
-        assert len(segs) == 1
-        lo, hi, a, b = segs[0]
-        assert (lo, hi, a, b) == (0.0, 1.0, 4.0, 0.0)
+        # the ramps have no width: the profile is the full width 4 on [0, 1]
+        knots, heights = _trapezoid(Subspace(0.0), Window(4, 1))
+        assert knots.tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert heights == (0.0, 4.0, 4.0, 0.0)
 
 
 class TestChordProperties:
     @PROPERTY
     @given(theta=ANGLES | NEAR_AXIS, z=EXTENTS, omega=EXTENTS)
     @example(theta=2.225073858507e-311, z=1.0, omega=1.0)  # a subnormal angle
-    def test_v_range_is_the_outer_knots_of_the_chord_pieces(self, theta, z, omega):
+    def test_v_range_is_the_least_and_greatest_offset_of_the_corners(self, theta, z, omega):
         sub, w = Subspace(theta), Window(z, omega)
-        segs = chord_segments(sub, w)
-        assert v_range(sub, w) == (segs[0][0], segs[-1][1])
+        _, v = project_xy(sub, [0.0, z, 0.0, z], [0.0, 0.0, omega, omega])
+        lo, hi = v_range(sub, w)
+        tol = 1e-12 * (z + omega)
+        assert abs(lo - v.min()) <= tol
+        assert abs(hi - v.max()) <= tol
 
     @PROPERTY
     @given(theta=ANGLES | NEAR_AXIS, z=EXTENTS, omega=EXTENTS)
     @example(theta=2.225073858507e-311, z=1.0, omega=1.0)  # a subnormal angle
     def test_chord_measure_is_continuous_and_integrates_to_the_area(self, theta, z, omega):
         sub, w = Subspace(theta), Window(z, omega)
-        segs = chord_segments(sub, w)
-        lo, hi, _, _ = np.array(segs).T
+        knots, heights = _trapezoid(sub, w)
+        wide = np.diff(knots) > 0  # the linear pieces of positive width
+        lo, hi = knots[:-1][wide], knots[1:][wide]
         mids = 0.5 * (lo + hi)
         # no jump where two pieces meet: a step to either side moves the chord
         # length by no more than the steepest piece allows
         top = chord_measure(sub, w, mids).max()
-        slope = max(abs(seg[3]) for seg in segs)
+        slope = np.max(np.abs(np.diff(heights)[wide] / (hi - lo)))
         step = 1e-9 * (hi[-1] - lo[0])
         bound = slope * step * 1.000001 + 1e-12 * top
         for k in hi[:-1]:
@@ -218,6 +224,7 @@ class TestChordProperties:
     @example(theta=-math.pi / 2 + 1e-9, z=1.0, omega=1.0)
     @example(theta=-math.pi / 2 + 1e-9, z=0.05, omega=20.0)
     @example(theta=2.225073858507e-311, z=1.0, omega=1.0)  # a subnormal angle
+    @example(theta=2.958638469997272e-308, z=1.0, omega=6.0)  # v/sin(theta) overflows
     def test_chord_ends_span_the_chord_and_lie_on_the_boundary(self, theta, z, omega):
         sub, w = Subspace(theta), Window(z, omega)
         v_lo, v_hi = v_range(sub, w)
@@ -227,7 +234,8 @@ class TestChordProperties:
         assert np.all(np.abs((hi - lo) - chord_measure(sub, w, mids)) <= tol)
         # the inner knots too, where the line passes through a corner; there
         # the length is as ill-conditioned as the profile is steep
-        v = np.concatenate((mids, [seg[0] for seg in chord_segments(sub, w)[1:]]))
+        knots, _ = _trapezoid(sub, w)
+        v = np.concatenate((mids, knots[(knots > v_lo) & (knots < v_hi)]))
         for u in _chord_ends(sub, w, v):
             x, y = unproject_xy(sub, u, v)
             assert np.all(w.contains(x, y, tol=tol))

@@ -13,8 +13,8 @@ from substat.geometry import (
     PointPattern,
     Subspace,
     Window,
+    _trapezoid,
     chord_measure,
-    chord_segments,
     project_xy,
     v_range,
 )
@@ -269,7 +269,12 @@ def per_knot_correction(sub, w, h, v):
     v_arr = np.asarray(v, dtype=float)
     total = np.zeros_like(v_arr, dtype=float)
     last = None  # (knot, t, Phi, phi) at the upper end of the previous piece
-    for lo, hi, a, b in chord_segments(sub, w):
+    knots, heights = _trapezoid(sub, w)
+    for lo, hi, hl, hr in zip(knots[:-1], knots[1:], heights[:-1], heights[1:]):
+        if hi <= lo:
+            continue
+        b = (hr - hl) / (hi - lo)  # the piece's chord is a + b*v
+        a = hl - b * lo
         if hi - lo < 1e-6 * h:
             mid = 0.5 * (lo + hi)
             total = total + (hi - lo) * (a + b * mid) * normal_pdf((mid - v_arr) / h) / h
@@ -477,14 +482,25 @@ class TestGaussianSums:
         _scattered_sums(0.05, (large, large), (large, large))
         assert len(calls) == 1
 
-    def test_targets_on_nodes_take_the_node_values(self, monkeypatch):
+    def test_targets_on_nodes_take_the_direct_sum(self, monkeypatch):
+        # a target on a node has an infinite barycentric weight and reads NaN,
+        # which fails the guard; the last one's stencil lies beyond the floor
+        # of every datum, where the nodes read 0 and the infinite weight meets 0
         h = 0.05
         data = synthetic_data("beta", 500, 1.0, h, seed=7)
-        targets = np.arange(101) * _node_layout(h, 0.0, 1.0)[1]  # every target on a node
+        step = _node_layout(h, 0.0, 1.0)[1]
+        targets = np.append(np.arange(101), 350) * step  # every target on a node
+        nodes = _build_node_grid(h, data, 0.0, targets[-1])
+        assert np.isin(targets, node_positions(nodes)).all()
+        assert np.all(nodes.sums[-kernels._STENCIL :] == 0.0)
         want = _direct_sums(h, data, targets)
         calls = record_calls(monkeypatch, "_direct_sums")
-        assert_relative(interpolated(h, data, targets, 0.0), want, 1e-12)
-        assert calls == []  # no node or target fell to a guard
+        for leave_out in (0.0, own_kernel(h)):
+            got = _interpolated_sums(h, data, targets, leave_out, nodes)
+            assert_relative(got, want - leave_out, 1e-12)
+            # every target fell to the guard
+            assert np.array_equal(np.concatenate([call[2] for call in calls]), targets)
+            calls.clear()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
