@@ -21,6 +21,8 @@ import os
 import sys
 
 from .estimate import (
+    GRID_CELLS_1D,
+    GRID_CELLS_2D,
     BandwidthSelectionError,
     KernelIntensity2D,
     StationaryIntensity,
@@ -33,7 +35,6 @@ from .estimate import (
 from .experiments import PROCESSES, ExperimentPlan, run_table1, run_table2, write_result_csv
 from .geometry import Subspace, Window
 from .io import (
-    DEFAULT_GRID_RESOLUTION,
     DEFAULT_IGNORABLE_GAIN,
     DataError,
     RegionSpec,
@@ -44,7 +45,6 @@ from .io import (
     ingest_csv,
     run_application_pipeline,
 )
-from .kernels import QuadratureError
 from .render import render_grid_svg
 from .simulate import (
     PoissonBetaModel,
@@ -55,9 +55,7 @@ from .simulate import (
 )
 
 
-# the 2-D grid has resolution**2 nodes, so it gets a coarser default
-_KERNEL2D_RESOLUTION = 128
-_GRID_HELP = f"grid nodes; None: {DEFAULT_GRID_RESOLUTION}, kernel2d {_KERNEL2D_RESOLUTION}**2"
+_GRID_HELP = f"grid cells per axis; None: {GRID_CELLS_1D}, kernel2d {GRID_CELLS_2D}"
 _HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
 _THREADS_HELP = (
     f"the most worker threads, 0 = one per CPU; patterns under {_POOL_MIN_POINTS} points run on one"
@@ -175,7 +173,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--h-values", type=_floats, required=True, help="bandwidths")
     p.add_argument("--threshold", type=float, default=DEFAULT_IGNORABLE_GAIN, help="ignorable gain")
     p.add_argument("--grid-dir", help="directory for per-bandwidth grids")
-    p.add_argument("--resolution", type=int, default=DEFAULT_GRID_RESOLUTION, help="grid nodes")
+    p.add_argument("--resolution", type=int, help=f"grid cells; None: {GRID_CELLS_1D}")
     p.add_argument("--search-halfwidth", type=_halfwidth, help=_HALFWIDTH_HELP)
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
@@ -223,15 +221,13 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
-    pattern = ingest_csv(args.data, args.region)
-    window = pattern.window
+    pattern, window = args.pattern, args.pattern.window
     export_pattern_csv(pattern, args.out, {"z": window.z, "omega": window.omega})
     print(f"kept {pattern.n} points; window z={_field(window.z)} omega={_field(window.omega)}")
 
 
 def _cmd_estimate_intensity(args) -> None:
-    pattern = ingest_csv(args.data, args.region)
-    kind = args.estimator
+    pattern, kind = args.pattern, args.estimator
     if kind != "stationary" and args.h is None:
         raise _UsageError(f"--estimator {kind} needs --h")
     if kind == "substationary":
@@ -240,10 +236,7 @@ def _cmd_estimate_intensity(args) -> None:
         est = KernelIntensity2D(pattern, args.h)
     else:
         est = StationaryIntensity(pattern)
-    resolution = args.resolution
-    if resolution is None:
-        resolution = _KERNEL2D_RESOLUTION if kind == "kernel2d" else DEFAULT_GRID_RESOLUTION
-    grid = export_intensity_grid(est, resolution, args.out, seed=args.seed)
+    grid = export_intensity_grid(est, args.resolution, args.out, seed=args.seed)
     print(f"wrote {grid.values.size} grid values to {args.out}")
     if args.svg:
         render_grid_svg(grid, args.svg)
@@ -251,9 +244,8 @@ def _cmd_estimate_intensity(args) -> None:
 
 
 def _cmd_fit_subspace(args) -> None:
-    pattern = ingest_csv(args.data, args.region)
     halfwidth, threads = args.search_halfwidth, args.threads
-    fit = fit_theta(pattern, args.h, search_halfwidth_deg=halfwidth, threads=threads)
+    fit = fit_theta(args.pattern, args.h, search_halfwidth_deg=halfwidth, threads=threads)
     print(f"theta_hat_rad={_field(fit.theta_hat.theta)}")
     print(f"theta_hat_deg={_field(fit.theta_hat.degrees)}")
     print(f"loglik={_field(fit.loglik)}")
@@ -264,8 +256,8 @@ def _cmd_fit_subspace(args) -> None:
 
 
 def _cmd_select_bandwidth(args) -> None:
-    pattern = ingest_csv(args.data, args.region)
-    scores = bandwidth_cv_scores(pattern, Subspace.from_degrees(args.theta_deg), args.candidates)
+    theta = Subspace.from_degrees(args.theta_deg)
+    scores = bandwidth_cv_scores(args.pattern, theta, args.candidates)
     print(f"selected_h={_field(_pick_bandwidth(scores))}")
     if args.out:
         _write_csv(args.out, {}, "h,cv_score", scores)
@@ -286,9 +278,8 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_apply(args) -> None:
-    pattern = ingest_csv(args.data, args.region)
     report = run_application_pipeline(
-        pattern, args.h_values, threshold=args.threshold, grid_dir=args.grid_dir,
+        args.pattern, args.h_values, threshold=args.threshold, grid_dir=args.grid_dir,
         grid_resolution=args.resolution, search_halfwidth_deg=args.search_halfwidth,
         threads=args.threads,
     )
@@ -315,6 +306,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         _check_destinations(args)
+        if hasattr(args, "data"):  # the subcommands that read a pattern
+            args.pattern = ingest_csv(args.data, args.region)
         args.run(args)
         return 0
     except _UsageError as exc:
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, BandwidthSelectionError) as exc:
+    except BandwidthSelectionError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

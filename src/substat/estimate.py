@@ -72,10 +72,12 @@ _DOMAIN_TOL = 1e-9
 
 SUBSTAT_INTEGRAL_CELLS = 400
 GRID2D_INTEGRAL_CELLS = 200
+GRID_CELLS_1D = 512
+GRID_CELLS_2D = 128
 FIT_GRID_STEP_DEG = 1.0
 FIT_TOL = 1e-4
 # the fewest points at which a profile fit on two threads measured no slower
-# than on one, at every bandwidth tried (see _resolve_threads)
+# than on one, at every bandwidth tried (see _map_ordered)
 _POOL_MIN_POINTS = 2000
 
 
@@ -162,8 +164,7 @@ class SubstationaryIntensity:
 
         Reduces to a 1-D integral of intensity times chord length.
         """
-        mids, dv = _midpoints(self._v_lo, self._v_hi, cells)
-        lam = self.evaluate(mids)
+        (mids,), (dv,), lam = _cells(self, cells)
         chords = chord_measure(self.theta, self.window, mids)
         return float(np.sum(lam * chords) * dv)
 
@@ -207,9 +208,8 @@ class KernelIntensity2D:
         return sums / correction_2d(self.window, self.h, x_mids[:, None], y_mids[None, :])
 
     def integral(self, cells: int = GRID2D_INTEGRAL_CELLS) -> float:
-        x_mids, dx = _midpoints(0.0, self.window.z, cells)
-        y_mids, dy = _midpoints(0.0, self.window.omega, cells)
-        return float(np.sum(self.grid_values(x_mids, y_mids)) * dx * dy)
+        _, (dx, dy), values = _cells(self, cells)
+        return float(np.sum(values) * dx * dy)
 
 
 class StationaryIntensity:
@@ -220,6 +220,7 @@ class StationaryIntensity:
     def __init__(self, pattern: PointPattern):
         self.pattern = pattern
         self.value = pattern.n / pattern.window.area
+        self._v_lo, self._v_hi = v_range(_axis(self), pattern.window)
 
     @property
     def window(self) -> Window:
@@ -238,12 +239,30 @@ class StationaryIntensity:
         return self.value * self.window.area
 
 
-def _midpoints(lo: float, hi: float, cells: int) -> tuple[np.ndarray, float]:
+def _axis(estimator) -> Subspace:
+    """The subspace a 1-D estimate is laid along; the constant takes the horizontal axis."""
+    return getattr(estimator, "theta", None) or Subspace(0.0)
+
+
+def _cells(estimator, cells: int | None = None):
+    """The midpoint grid an estimate is laid on, and its values: (axes, widths, values).
+
+    ``cells`` per axis, by default ``GRID_CELLS_2D`` over the window for the
+    bivariate smoother and ``GRID_CELLS_1D`` over a 1-D estimate's projection
+    range (``_v_lo`` to ``_v_hi``, offsets along its ``_axis``).
+    """
+    window = estimator.window
+    if estimator.kind == "kernel2d":
+        spans, default = ((0.0, window.z), (0.0, window.omega)), GRID_CELLS_2D
+    else:
+        spans, default = ((estimator._v_lo, estimator._v_hi),), GRID_CELLS_1D
+    cells = default if cells is None else cells
     if cells < 1:
         raise ValueError("cells must be >= 1")
-    delta = (hi - lo) / cells
-    mids = lo + (np.arange(cells) + 0.5) * delta
-    return mids, delta
+    widths = tuple((hi - lo) / cells for lo, hi in spans)
+    axes = tuple(lo + (np.arange(cells) + 0.5) * w for (lo, _), w in zip(spans, widths))
+    values = estimator.grid_values(*axes) if len(axes) == 2 else estimator.evaluate(*axes)
+    return axes, widths, values
 
 
 def loglik(
@@ -297,25 +316,21 @@ class FitResult:
     degenerate: bool = False
 
 
-def _resolve_threads(threads: int, points: float) -> int:
-    """The worker threads for work on patterns of about ``points`` points.
+def _map_ordered(job, args, threads: int, points: float) -> list:
+    """``job`` of each of ``args``, in order, on at most ``threads`` worker threads.
 
     ``threads`` is the most to use (0 = one per CPU); a negative count
-    raises ValueError at any size.  Below ``_POOL_MIN_POINTS`` points the
-    work runs on the calling thread: there the threads' small numpy calls
-    contend for the interpreter lock, and two threads ran slower than one.
+    raises ValueError at any size, before any job runs.  Jobs on patterns
+    of about ``points`` points, below ``_POOL_MIN_POINTS``, run on the
+    calling thread: there the threads' small numpy calls contend for the
+    interpreter lock, and two threads ran slower than one.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
-    if points < _POOL_MIN_POINTS:
-        return 1
-    return threads or os.cpu_count() or 1
-
-
-def _map_ordered(job, args, threads: int) -> list:
-    if threads <= 1:
+    workers = threads or os.cpu_count() or 1
+    if workers <= 1 or points < _POOL_MIN_POINTS:
         return [job(a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(job, args))
 
 
@@ -406,10 +421,8 @@ def fit_theta(
     search covers [-90, 90) degrees in 180 nodes, since +90 degrees names
     the same subspace as -90; a half-width of 90 is the open search.
     The bandwidth is held fixed throughout.
-    ``threads`` is the most worker threads that evaluate the coarse grid
-    (0 = one per CPU, negative raises ValueError); a pattern of fewer than
-    ``_POOL_MIN_POINTS`` points is fitted on the calling thread.  The
-    result does not depend on it.
+    ``threads``, the most worker threads for the coarse grid, goes to
+    ``_map_ordered``; the result does not depend on it.
 
     ``search_halfwidth_deg`` confines the search to that many degrees on
     either side of the horizontal axis.  In windows that carry little
@@ -426,7 +439,6 @@ def fit_theta(
     if pattern.n < 2:
         raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
     h = validate_bandwidth(h)
-    workers = _resolve_threads(threads, pattern.n)
     if search_halfwidth_deg is None:
         halfwidth = 90.0
     else:
@@ -443,7 +455,7 @@ def fit_theta(
     def profile(theta: float) -> float:
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
 
-    values = np.asarray(_map_ordered(profile, thetas, workers))
+    values = np.asarray(_map_ordered(profile, thetas, threads, pattern.n))
     trace = tuple(zip((float(t) for t in thetas), (float(g) for g in values)))
 
     degenerate = bool(values.max() - values.min() < 1e-9)

@@ -7,10 +7,10 @@ mean integrated squared error, area-normalized:
 
     sqrt( mean over replications of (1/|S|) * integral_S (est - truth)^2 )
 
-The three 1-D estimators (known angle, fitted angle, constant) share one
-rule: the integral runs over midpoint cells of the estimator's own
-orthogonal offset v and, along each cell's chord, Gauss-Legendre nodes in
-u.  Only the bivariate smoother is scored on a tensor grid over the window.
+Each estimate is scored on the grid it is exported on (``estimate._cells``).
+The three 1-D estimators (known angle, fitted angle, constant) take
+midpoint cells of their own orthogonal offset v, and Gauss-Legendre nodes
+in u along each cell's chord; the bivariate smoother a tensor grid.
 
 Every (process, a, z, h, replication) cell draws from its own RNG stream,
 keyed by a stable hash of the cell coordinates, so results are bitwise
@@ -30,12 +30,12 @@ from .estimate import (
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
+    _axis,
+    _cells,
     _map_ordered,
-    _midpoints,
-    _resolve_threads,
     fit_theta,
 )
-from .geometry import PointPattern, Subspace, Window, _chord_ends, unproject_xy, v_range
+from .geometry import PointPattern, Subspace, Window, _chord_ends, unproject_xy
 from .io import _write_csv
 from .kernels import validate_bandwidth
 from .simulate import (
@@ -64,8 +64,6 @@ PROCESSES = ("poisson", "thomas")
 TABLE2_ESTIMATORS = ("substat_known", "substat_fitted", "kernel2d", "stationary")
 THETA_ESTIMATOR = "theta_hat"
 
-MISE_CELLS_1D = 512
-MISE_CELLS_2D = 128
 # nodes and weights on [-1, 1] for the truth along each chord
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -167,25 +165,22 @@ def integrated_squared_error(estimator, truth) -> float:
     """Area-normalized integrated squared error of one fitted estimator.
 
     ``truth`` maps the vertical coordinate y to the true intensity.  The
-    2-D smoother is scored on a ``MISE_CELLS_2D`` x ``MISE_CELLS_2D``
-    midpoint grid over the window.  A 1-D estimator is constant along each
-    line of its own offset v (the constant estimate takes the horizontal
-    axis's), so it is scored on ``MISE_CELLS_1D`` midpoint cells of v, the
-    squared error integrated along each cell's chord by Gauss-Legendre.
+    estimate is scored on its own grid (``estimate._cells``).  A 1-D
+    estimator is constant along each line of its offset v (the constant
+    estimate takes the horizontal axis's), so the squared error at each of
+    its cells is integrated along the cell's chord by Gauss-Legendre.
     """
-    window = estimator.window
-    if estimator.kind == "kernel2d":
-        x_mids, _ = _midpoints(0.0, window.z, MISE_CELLS_2D)
-        y_mids, _ = _midpoints(0.0, window.omega, MISE_CELLS_2D)
-        truth_vals = np.asarray(truth(y_mids), dtype=float)
-        return float(np.mean((estimator.grid_values(x_mids, y_mids) - truth_vals) ** 2))
+    axes, widths, values = _cells(estimator)
+    if len(axes) == 2:
+        truth_vals = np.asarray(truth(axes[1]), dtype=float)
+        return float(np.mean((values - truth_vals) ** 2))
 
-    subspace = getattr(estimator, "theta", None) or Subspace(0.0)
-    v, dv = _midpoints(*v_range(subspace, window), MISE_CELLS_1D)
+    subspace, window = _axis(estimator), estimator.window
+    (v,), (dv,) = axes, widths
     lo, hi = _chord_ends(subspace, window, v)
     u = (lo + hi)[:, None] / 2.0 + (hi - lo)[:, None] / 2.0 * _GAUSS_NODES
     _, y = unproject_xy(subspace, u, v[:, None])
-    sq = (estimator.evaluate(v)[:, None] - np.asarray(truth(y), dtype=float)) ** 2
+    sq = (values[:, None] - np.asarray(truth(y), dtype=float)) ** 2
     return float(np.sum(sq @ _GAUSS_WEIGHTS * (hi - lo) / 2.0) * dv / window.area)
 
 
@@ -196,8 +191,8 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     returns one value per name.  A cell's metric is the root mean of
     ``squared(values)`` over its replications (of the values themselves when
     ``squared`` is None); its samples are the values.  A cell's replications
-    run on at most ``threads`` workers, by ``_resolve_threads`` of its
-    expected count.
+    run on at most ``threads`` workers, by ``_map_ordered`` at its expected
+    count.
     """
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
@@ -207,7 +202,7 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
             model = PoissonBetaModel(a, Window(z, 1.0))
             # the count is known before any pattern is drawn, and the
             # Thomas process keeps its base's
-            workers = _resolve_threads(threads, model.expected_count)
+            points = model.expected_count
             if thomas:
                 model = ThomasModel(model, gamma=plan.gamma, sigma=plan.sigma)
             for h in plan.h_values:
@@ -216,7 +211,7 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
                     stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)
                     return replicate(model, h, simulate(model, stream))
 
-                values = np.array(_map_ordered(job, range(plan.replications), workers))
+                values = np.array(_map_ordered(job, range(plan.replications), threads, points))
                 for j, name in enumerate(names):
                     samples = values[:, j]
                     metric, se = _root_mean_with_se(
@@ -231,10 +226,8 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Root-MSE of the fitted angle for every (a, z, h) cell of the plan.
 
-    ``threads`` is the most worker threads that run a cell's replications
-    (0 = one per CPU); a cell whose expected count is under
-    ``estimate._POOL_MIN_POINTS`` runs them on the calling thread.  The
-    result does not depend on it.
+    ``threads``, the most worker threads for a cell's replications, goes to
+    ``estimate._map_ordered``; the result does not depend on it.
     """
     if plan.target != "table1":
         raise ValueError("plan target must be 'table1'")

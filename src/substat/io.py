@@ -23,8 +23,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .estimate import SubstationaryIntensity, _midpoints, fit_theta
-from .geometry import DataError, PointPattern, Subspace, Window, v_range
+from .estimate import SubstationaryIntensity, _cells, fit_theta
+from .geometry import DataError, PointPattern, Window
 from .kernels import validate_bandwidth
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_IGNORABLE_GAIN = 10.0
-DEFAULT_GRID_RESOLUTION = 512
 
 
 class MalformedDataError(DataError):
@@ -181,34 +180,28 @@ class GridExport:
             raise ValueError("intensity values must be nonnegative")
 
 
-def _check_resolution(resolution: int) -> None:
-    if resolution < 2:
+def _check_resolution(resolution: int | None) -> None:
+    if resolution is not None and resolution < 2:
         raise ValueError("resolution must be >= 2")
 
 
-def export_intensity_grid(estimator, resolution: int, path, *, seed=None) -> GridExport:
-    """Evaluate an estimator on a midpoint grid and write it as CSV.
+def export_intensity_grid(estimator, resolution: int | None, path, *, seed=None) -> GridExport:
+    """Evaluate an estimator on its midpoint grid (``estimate._cells``) and write it as CSV.
 
     Substationary and stationary estimates produce ``v,lambda_hat`` rows
-    on a 1-D grid over the orthogonal range (the constant estimate over
-    the heights [0, omega]); the 2-D smoother produces ``x,y,lambda_hat``
-    rows on a resolution x resolution tensor grid.  Metadata (estimator
-    kind, angle, bandwidth, seed) goes into ``#`` comment lines.
+    over the orthogonal range (the constant estimate over the heights
+    [0, omega]); the 2-D smoother produces ``x,y,lambda_hat`` rows on a
+    tensor grid.  ``resolution`` is the cells per axis, None the estimate's
+    own: 512, or 128 per axis.  Metadata (estimator kind, angle, bandwidth,
+    seed) goes into ``#`` comment lines.
     """
     _check_resolution(resolution)
     theta = getattr(estimator, "theta", None)
     metadata = {"estimator": estimator.kind, "theta": getattr(theta, "theta", None)}
     metadata.update(h=getattr(estimator, "h", None), seed=seed)
-    window = estimator.window
-    if estimator.kind == "kernel2d":
-        x_mids, _ = _midpoints(0.0, window.z, resolution)
-        y_mids, _ = _midpoints(0.0, window.omega, resolution)
-        grid = GridExport((x_mids, y_mids), estimator.grid_values(x_mids, y_mids), metadata)
-        header = "x,y,lambda_hat"
-    else:
-        mids, _ = _midpoints(*v_range(theta or Subspace(0.0), window), resolution)
-        grid = GridExport((mids,), estimator.evaluate(mids), metadata)
-        header = "v,lambda_hat"
+    axes, _, values = _cells(estimator, resolution)
+    grid = GridExport(axes, values, metadata)
+    header = ("v" if len(axes) == 1 else "x,y") + ",lambda_hat"
     # product() runs the last axis fastest, as the values are laid out
     nodes = itertools.product(*grid.axes)
     rows = ((*node, value) for node, value in zip(nodes, grid.values.ravel()))
@@ -245,7 +238,7 @@ def run_application_pipeline(
     *,
     threshold: float = DEFAULT_IGNORABLE_GAIN,
     grid_dir=None,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
+    grid_resolution: int | None = None,
     search_halfwidth_deg: float | None = None,
     threads: int = 1,
 ) -> ApplicationReport:
@@ -256,7 +249,8 @@ def run_application_pipeline(
     the difference as ignorable when it falls below ``threshold``.  The
     fit's coarse grid always holds theta = 0, so the axis value is read
     from its trace and the gain is nonnegative.  With ``grid_dir`` set,
-    the axis-aligned intensity curve for each bandwidth is exported there.
+    the axis-aligned intensity curve for each bandwidth is exported there,
+    on ``grid_resolution`` cells (None: the estimator's own grid).
     Every input is checked before the first fit.
     """
     h_list = [validate_bandwidth(h) for h in h_values]

@@ -656,14 +656,16 @@ class TestSelectBandwidth:
     def test_chosen_bandwidth_shrinks_with_sample_size(self):
         candidates = (0.01, 0.02, 0.05, 0.1)
         means = []
-        for z in (1.0, 4.0, 16.0):
-            model = PoissonBetaModel(3.0, Window(z))
-            chosen = [
-                select_bandwidth(
-                    simulate_poisson_beta(model, RngStream(74, i)), 0.0, candidates
-                )
-                for i in range(25)
-            ]
-            means.append(np.mean(chosen))
+        # some pattern leaves a datum out of reach of every other at h=0.01
+        with pytest.warns(RuntimeWarning, match="intensity estimate is zero at a data point"):
+            for z in (1.0, 4.0, 16.0):
+                model = PoissonBetaModel(3.0, Window(z))
+                chosen = [
+                    select_bandwidth(
+                        simulate_poisson_beta(model, RngStream(74, i)), 0.0, candidates
+                    )
+                    for i in range(25)
+                ]
+                means.append(np.mean(chosen))
         assert means[0] >= means[1] >= means[2]
         assert means[0] > means[2]

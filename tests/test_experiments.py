@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from substat import estimate
-from substat.estimate import StationaryIntensity, SubstationaryIntensity
+from substat.estimate import GRID_CELLS_1D, StationaryIntensity, SubstationaryIntensity
 from substat.experiments import (
-    MISE_CELLS_1D,
     TABLE2_ESTIMATORS,
     CellSummary,
     ExperimentPlan,
@@ -156,7 +155,7 @@ class TestRootMise:
         model = PoissonBetaModel(2.0, Window(3.0))
         pat = simulate_poisson_beta(model, RngStream(85, 0))
         est = SubstationaryIntensity(pat, 0.0, 0.05)
-        v = (np.arange(MISE_CELLS_1D) + 0.5) / MISE_CELLS_1D
+        v = (np.arange(GRID_CELLS_1D) + 0.5) / GRID_CELLS_1D
         want = np.mean((est.evaluate(v) - model.intensity(v)) ** 2)
         assert integrated_squared_error(est, model.intensity) == pytest.approx(want, rel=1e-14)
 

@@ -13,12 +13,15 @@ import substat
 import substat.cli as cli
 from substat.cli import load_config, main
 from substat.estimate import (
+    GRID_CELLS_1D,
+    GRID_CELLS_2D,
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
     bandwidth_cv_scores,
     loglik,
 )
+from substat.experiments import integrated_squared_error
 from substat.geometry import PointPattern, Window
 from substat.io import (
     ApplicationReport,
@@ -187,6 +190,31 @@ class TestGridExport:
         x_mids, y_mids = grid.axes
         for j in range(5):
             assert grid.values[0, j] == pytest.approx(est.evaluate(x_mids[0], y_mids[j]), rel=1e-12)
+
+    def test_default_grid_is_the_estimators_own_and_the_scored_one(
+        self, tmp_path, monkeypatch, pattern
+    ):
+        truth = PoissonBetaModel(3.0, Window(2.0)).intensity
+        cases = [
+            (SubstationaryIntensity(pattern, 0.1, 0.05), "evaluate", GRID_CELLS_1D),
+            (StationaryIntensity(pattern), "evaluate", GRID_CELLS_1D),
+            (KernelIntensity2D(pattern, 0.1), "grid_values", GRID_CELLS_2D**2),
+        ]
+        for est, method, rows in cases:
+            path = tmp_path / f"{est.kind}.csv"
+            grid = export_intensity_grid(est, None, path)
+            lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+            assert grid.values.size == len(lines) - 1 == rows
+            calls = record_calls(monkeypatch, method, est)
+            integrated_squared_error(est, truth)
+            assert len(calls) == 1 and len(calls[0]) == len(grid.axes)
+            assert all(np.array_equal(a, b) for a, b in zip(calls[0], grid.axes))
+        data, out = tmp_path / "pat.csv", tmp_path / "k.csv"
+        export_pattern_csv(pattern, data)
+        args = ["estimate-intensity", "--data", str(data), "--region", "0,2,0,1", "--out", str(out)]
+        assert main([*args, "--estimator", "kernel2d", "--h", "0.1"]) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert len(lines) - 1 == GRID_CELLS_2D**2
 
     def test_metadata_header(self, tmp_path, pattern):
         est = SubstationaryIntensity(pattern, 0.0, 0.1)
