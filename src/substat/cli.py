@@ -27,7 +27,7 @@ from .estimate import (
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
-    _POOL_MIN_POINTS,
+    _POOL_MIN_TARGETS,
     _pick_bandwidth,
     bandwidth_cv_scores,
     fit_theta,
@@ -58,7 +58,7 @@ from .simulate import (
 _GRID_HELP = f"grid cells per axis; None: {GRID_CELLS_1D}, kernel2d {GRID_CELLS_2D}"
 _HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
 _THREADS_HELP = (
-    f"the most worker threads, 0 = one per CPU; patterns under {_POOL_MIN_POINTS} points run on one"
+    f"the most worker processes, 0 = one per CPU; maps under {_POOL_MIN_TARGETS} targets run on one"
 )
 
 
@@ -100,8 +100,11 @@ def load_config(path) -> dict[str, str]:
     return out
 
 
-def _halfwidth(text: str) -> float | None:
-    return None if text.strip().lower() in ("none", "full") else float(text)
+def _or_none(kind):
+    """The option type ``kind``, reading none (or full, the open search) as None."""
+    def number(text: str):  # argparse names it: "invalid number value"
+        return None if text.strip().lower() in ("none", "full") else kind(text)
+    return number
 
 
 class _Help(argparse.ArgumentDefaultsHelpFormatter):
@@ -141,13 +144,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--estimator", choices=estimators, required=True, help="intensity estimator")
     p.add_argument("--h", type=float, help="bandwidth, needed by substationary and kernel2d")
     p.add_argument("--theta-deg", type=float, default=0.0, help="subspace angle in degrees")
-    p.add_argument("--resolution", type=int, help=_GRID_HELP)
+    p.add_argument("--resolution", type=_or_none(int), help=_GRID_HELP)
     p.add_argument("--seed", type=int, help="seed recorded in the grid metadata")
     p.add_argument("--svg", help="also render the grid to this SVG path")
 
     p = command("fit-subspace", _cmd_fit_subspace, "fit the invariance direction", needs_out=False)
     p.add_argument("--h", type=float, required=True, help="bandwidth")
-    p.add_argument("--search-halfwidth", type=_halfwidth, help=_HALFWIDTH_HELP)
+    p.add_argument("--search-halfwidth", type=_or_none(float), help=_HALFWIDTH_HELP)
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     about = "cross-validated bandwidth choice"
@@ -166,15 +169,15 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--gamma", type=float, default=ExperimentPlan.gamma, help="offspring per parent")
     p.add_argument("--sigma", type=float, default=ExperimentPlan.sigma, help="offspring spread")
     halfwidth = ExperimentPlan.search_halfwidth_deg
-    p.add_argument("--search-halfwidth", type=_halfwidth, default=halfwidth, help=_HALFWIDTH_HELP)
+    p.add_argument("--search-halfwidth", type=_or_none(float), default=halfwidth, help=_HALFWIDTH_HELP)
     p.add_argument("--threads", type=int, default=0, help=_THREADS_HELP)
 
     p = command("apply", _cmd_apply, "fit directions across bandwidths")
     p.add_argument("--h-values", type=_floats, required=True, help="bandwidths")
     p.add_argument("--threshold", type=float, default=DEFAULT_IGNORABLE_GAIN, help="ignorable gain")
     p.add_argument("--grid-dir", help="directory for per-bandwidth grids")
-    p.add_argument("--resolution", type=int, help=f"grid cells; None: {GRID_CELLS_1D}")
-    p.add_argument("--search-halfwidth", type=_halfwidth, help=_HALFWIDTH_HELP)
+    p.add_argument("--resolution", type=_or_none(int), help=f"grid cells; None: {GRID_CELLS_1D}")
+    p.add_argument("--search-halfwidth", type=_or_none(float), help=_HALFWIDTH_HELP)
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     return parser, sub.choices

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +76,9 @@ GRID_CELLS_1D = 512
 GRID_CELLS_2D = 128
 FIT_GRID_STEP_DEG = 1.0
 FIT_TOL = 1e-4
-# the fewest points at which a profile fit on two threads measured no slower
-# than on one, at every bandwidth tried (see _map_ordered)
-_POOL_MIN_POINTS = 2000
+# the fewest kernel-sum targets (data plus integral cells per profile evaluation) a
+# map's jobs price before it forks: forked fits gained <= 8% below this, 15-60% above
+_POOL_MIN_TARGETS = 80_000
 
 
 class BandwidthSelectionError(RuntimeError):
@@ -316,22 +316,56 @@ class FitResult:
     degenerate: bool = False
 
 
-def _map_ordered(job, args, threads: int, points: float) -> list:
-    """``job`` of each of ``args``, in order, on at most ``threads`` worker threads.
+def _map_ordered(job, args, threads: int, targets: float) -> list:
+    """``job`` of each of the sequence ``args``, in order, on at most ``threads`` processes.
 
-    ``threads`` is the most to use (0 = one per CPU); a negative count
-    raises ValueError at any size, before any job runs.  Jobs on patterns
-    of about ``points`` points, below ``_POOL_MIN_POINTS``, run on the
-    calling thread: there the threads' small numpy calls contend for the
-    interpreter lock, and two threads ran slower than one.
+    ``threads`` caps the workers w (0: one per CPU; negative: ValueError).  The caller runs
+    jobs 0, w, 2w, ... and w - 1 forked children, which inherit ``job``, the rest; below
+    ``_POOL_MIN_TARGETS`` kernel-sum targets in all (``targets`` a job), or without fork, the
+    caller runs every job.  A job's error re-raises here with its type (a RuntimeError with
+    its repr if it does not pickle); a warning that passes a worker's inherited filters is
+    issued again here with its category, message, file and line.  The package starts no
+    threads: from Python 3.12 a fork beside any (OpenBLAS's too) warns, failing an error filter.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
-    workers = threads or os.cpu_count() or 1
-    if workers <= 1 or points < _POOL_MIN_POINTS:
+    workers = min(threads or os.cpu_count() or 1, len(args))
+    if workers <= 1 or len(args) * targets < _POOL_MIN_TARGETS or not hasattr(os, "fork"):
         return [job(a) for a in args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, args))
+    import multiprocessing  # only where a map forks: a serial run never loads it
+    def work(k: int, conn) -> None:  # a child: its share's results, error and warnings
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                reply = [job(a) for a in args[k::workers]], None
+            except BaseException as exc:
+                reply = None, exc
+        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        try:
+            pickle.loads(pickle.dumps(reply[1]))
+            conn.send((*reply, caught))
+        except Exception as exc:  # the error or a result does not pickle
+            conn.send((None, RuntimeError(repr(reply[1] or exc)), caught))
+
+    ctx, children = multiprocessing.get_context("fork"), []
+    try:
+        for k in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            children.append((ctx.Process(target=work, args=(k, send)), recv))
+            children[-1][0].start()
+            send.close()
+        shares = [[job(a) for a in args[::workers]]]
+        for _, recv in children:
+            share, error, caught = recv.recv()
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if error is not None:
+                raise error
+            shares.append(share)
+    finally:
+        for child, _ in children:  # none outlives the map: each has sent its share, or it failed
+            child.terminate()
+            child.join()
+    return [shares[i % workers][i // workers] for i in range(len(args))]
 
 
 def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
@@ -405,6 +439,16 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, flo
     return xf, fx
 
 
+def _coarse_angles(search_halfwidth_deg: float | None) -> tuple[np.ndarray, float]:
+    """A fit's coarse angles in radians, and its half-width in degrees (see fit_theta)."""
+    halfwidth = 90.0 if search_halfwidth_deg is None else float(search_halfwidth_deg)
+    if not 0.0 < halfwidth <= 90.0:
+        raise ValueError("search_halfwidth_deg must be in (0, 90]")
+    half = np.linspace(0.0, halfwidth, math.ceil(halfwidth / FIT_GRID_STEP_DEG) + 1)
+    thetas = np.radians(np.concatenate((-half[:0:-1], half)))
+    return (thetas[:-1] if halfwidth == 90.0 else thetas), halfwidth
+
+
 def fit_theta(
     pattern: PointPattern,
     h: float,
@@ -421,8 +465,8 @@ def fit_theta(
     search covers [-90, 90) degrees in 180 nodes, since +90 degrees names
     the same subspace as -90; a half-width of 90 is the open search.
     The bandwidth is held fixed throughout.
-    ``threads``, the most worker threads for the coarse grid, goes to
-    ``_map_ordered``; the result does not depend on it.
+    ``threads``, the most worker processes for the coarse grid (priced at n + 400
+    targets an angle), goes to ``_map_ordered``; the result does not depend on it.
 
     ``search_halfwidth_deg`` confines the search to that many degrees on
     either side of the horizontal axis.  In windows that carry little
@@ -439,23 +483,12 @@ def fit_theta(
     if pattern.n < 2:
         raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
     h = validate_bandwidth(h)
-    if search_halfwidth_deg is None:
-        halfwidth = 90.0
-    else:
-        halfwidth = float(search_halfwidth_deg)
-        if not 0.0 < halfwidth <= 90.0:
-            raise ValueError("search_halfwidth_deg must be in (0, 90]")
-    open_search = halfwidth == 90.0
-    # symmetric about 0, so the horizontal axis is always a grid node
-    half = np.linspace(0.0, halfwidth, math.ceil(halfwidth / FIT_GRID_STEP_DEG) + 1)
-    thetas = np.radians(np.concatenate((-half[:0:-1], half)))
-    if open_search:
-        thetas = thetas[:-1]  # +90 degrees names the same subspace as -90
+    thetas, halfwidth = _coarse_angles(search_halfwidth_deg)
 
     def profile(theta: float) -> float:
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
 
-    values = np.asarray(_map_ordered(profile, thetas, threads, pattern.n))
+    values = np.asarray(_map_ordered(profile, thetas, threads, pattern.n + SUBSTAT_INTEGRAL_CELLS))
     trace = tuple(zip((float(t) for t in thetas), (float(g) for g in values)))
 
     degenerate = bool(values.max() - values.min() < 1e-9)
@@ -476,7 +509,7 @@ def fit_theta(
     # angle and keeps the profile continuous
     step = math.radians(FIT_GRID_STEP_DEG)
     lo, hi = best_theta - step, best_theta + step
-    if not open_search:
+    if halfwidth < 90.0:
         bound = math.radians(halfwidth)
         lo, hi = max(lo, -bound), min(hi, bound)
     x, fun = _bounded_brent(lambda t: -profile(t), lo, hi, FIT_TOL)

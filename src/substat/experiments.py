@@ -27,11 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimate import (
+    SUBSTAT_INTEGRAL_CELLS,
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
     _axis,
     _cells,
+    _coarse_angles,
     _map_ordered,
     fit_theta,
 )
@@ -191,18 +193,18 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     returns one value per name.  A cell's metric is the root mean of
     ``squared(values)`` over its replications (of the values themselves when
     ``squared`` is None); its samples are the values.  A cell's replications
-    run on at most ``threads`` workers, by ``_map_ordered`` at its expected
-    count.
+    run on at most ``threads`` worker processes, by ``_map_ordered``, each priced
+    as its fit: coarse angles times (expected count + ``SUBSTAT_INTEGRAL_CELLS``).
     """
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
+    angles = _coarse_angles(plan.search_halfwidth_deg)[0].size
     cells: dict[tuple, CellSummary] = {}
     for a in plan.a_values:
         for z in plan.z_values:
             model = PoissonBetaModel(a, Window(z, 1.0))
-            # the count is known before any pattern is drawn, and the
-            # Thomas process keeps its base's
-            points = model.expected_count
+            # known before any pattern is drawn; the Thomas process keeps its base's count
+            targets = angles * (model.expected_count + SUBSTAT_INTEGRAL_CELLS)
             if thomas:
                 model = ThomasModel(model, gamma=plan.gamma, sigma=plan.sigma)
             for h in plan.h_values:
@@ -211,7 +213,7 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
                     stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)
                     return replicate(model, h, simulate(model, stream))
 
-                values = np.array(_map_ordered(job, range(plan.replications), threads, points))
+                values = np.array(_map_ordered(job, range(plan.replications), threads, targets))
                 for j, name in enumerate(names):
                     samples = values[:, j]
                     metric, se = _root_mean_with_se(
@@ -226,8 +228,8 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Root-MSE of the fitted angle for every (a, z, h) cell of the plan.
 
-    ``threads``, the most worker threads for a cell's replications, goes to
-    ``estimate._map_ordered``; the result does not depend on it.
+    ``threads`` caps the worker processes of a cell's replications, which fork once
+    their fits reach ``_POOL_MIN_TARGETS`` (see ``_sweep``); results do not depend on it.
     """
     if plan.target != "table1":
         raise ValueError("plan target must be 'table1'")

@@ -394,15 +394,17 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
     runs, r = np.array([head - foot for foot, head, _ in wide])[:, None], kinks.size
     flat, total = v_arr.ravel(), np.empty(v_arr.size)
     step = max(1, _CORRECTION_ELEMENTS // column.size)
+    share, density = 1.0, 0.0  # c(v) / T and the kinks' term on the axes, which have no kinks
     for i in range(0, flat.size, step):
         d = flat[i : i + step] - column[:, None]
-        share = np.minimum.reduce(d[: r // 2] / runs, axis=0, initial=1.0)  # c(v) / T
         t = d * scale[:, None]
         np.abs(t[:r], out=t[:r])
         with np.errstate(under="ignore"):
             block = erfc(t)
         block[:r] *= t[:r]
-        density = kinks @ _kernel_block(h, d[:r]) / _SQRT_2PI
+        if r:
+            share = np.minimum.reduce(d[: r // 2] / runs, axis=0, initial=1.0)
+            density = kinks @ _kernel_block(h, d[:r]) / _SQRT_2PI
         total[i : i + step] = top * np.maximum(share, 0.0) + tails @ block + density
     return _shaped_like(v_arr, total.reshape(v_arr.shape))
 

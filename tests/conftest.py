@@ -1,4 +1,5 @@
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,19 +8,26 @@ from substat import estimate
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of each thread pool the package builds, in order."""
+    """The workers of each map that forked, in order: its children plus the caller."""
     built = []
+    get_context = multiprocessing.get_context
 
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            built.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def counting_context(method):
+        ctx = get_context(method)
+        built.append(1)
 
-    monkeypatch.setattr(estimate, "ThreadPoolExecutor", CountingPool)
+        class CountingProcess(ctx.Process):
+            def start(self):
+                built[-1] += 1
+                super().start()
+
+        return SimpleNamespace(Pipe=ctx.Pipe, Process=CountingProcess)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting_context)
     return built
 
 
 @pytest.fixture
 def pool_at_any_size(monkeypatch):
-    """Opens the thread pool to patterns of every size."""
-    monkeypatch.setattr(estimate, "_POOL_MIN_POINTS", 0)
+    """Opens the worker pool to maps of every size."""
+    monkeypatch.setattr(estimate, "_POOL_MIN_TARGETS", 0)

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +9,15 @@ from hypothesis import strategies as st
 
 import substat.estimate as estimate_module
 from substat.estimate import (
-    _POOL_MIN_POINTS,
+    _POOL_MIN_TARGETS,
     FIT_TOL,
+    SUBSTAT_INTEGRAL_CELLS,
     BandwidthSelectionError,
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
     _bounded_brent,
+    _map_ordered,
     bandwidth_cv_scores,
     fit_theta,
     loglik,
@@ -491,23 +495,27 @@ class TestFitTheta:
         assert fit_theta(pat, 0.05, search_halfwidth_deg=10.0, threads=threads) == serial
         assert len(pools) == 1  # the coarse grid ran on a pool
 
-    def test_only_patterns_at_the_threshold_fit_on_a_pool(self, pools):
-        small = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 2))
-        assert small.n < _POOL_MIN_POINTS
-        fit_theta(small, 0.05, search_halfwidth_deg=2.0, threads=2)
-        fit_theta(small, 0.05, search_halfwidth_deg=2.0, threads=0)
-        assert pools == []
+    def test_bounded_fits_pool_at_ten_thousand_points_not_three_thousand(self, pools):
         rng = np.random.default_rng(71)
-        x, y = rng.uniform(0.0, 20.0, _POOL_MIN_POINTS), rng.beta(3.0, 3.0, _POOL_MIN_POINTS)
-        fit_theta(PointPattern(x, y, Window(20.0)), 0.05, search_halfwidth_deg=1.0, threads=2)
-        assert pools == [2]
+        for n, built in ((3000, []), (10_000, [2])):
+            x, y = rng.uniform(0.0, 100.0, n), rng.beta(3.0, 3.0, n)
+            fit_theta(PointPattern(x, y, Window(100.0)), 0.05, search_halfwidth_deg=6.0, threads=2)
+            assert pools == built  # 13 coarse angles of n + 400 targets each
+        assert 13 * (3000 + SUBSTAT_INTEGRAL_CELLS) < _POOL_MIN_TARGETS
 
-    def test_the_threshold_reads_the_pattern_size(self, monkeypatch, pools):
+    def test_the_threshold_reads_the_angles_and_the_pattern_size(self, monkeypatch, pools):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(70, 3))
-        for floor, built in ((pat.n + 1, []), (pat.n, [2])):
-            monkeypatch.setattr(estimate_module, "_POOL_MIN_POINTS", floor)
+        targets = 3 * (pat.n + SUBSTAT_INTEGRAL_CELLS)  # a half-width of 1 degree: 3 angles
+        for floor, built in ((targets + 1, []), (targets, [2])):
+            monkeypatch.setattr(estimate_module, "_POOL_MIN_TARGETS", floor)
             fit_theta(pat, 0.05, search_halfwidth_deg=1.0, threads=2)
             assert pools == built
+
+    def test_an_open_fit_is_identical_at_any_worker_count(self, pools, pool_at_any_size):
+        pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(70, 4))
+        fits = [fit_theta(pat, 0.05, threads=threads) for threads in (0, 1, 2, 3)]
+        assert pools[-2:] == [2, 3]  # threads=0 takes one worker per CPU
+        assert all(fit == fits[1] for fit in fits)
 
     def test_point_order_never_changes_fit(self):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 1))
@@ -566,6 +574,56 @@ def brent_cases():
         ("profile-bounded", profile_of(bounded, 0.05), math.radians(-1.0), math.radians(1.0)),
         ("profile-crossing-90", profile_of(crossing, 0.05), math.radians(88.5), math.radians(90.5)),
     ]
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):  # pickle restores it with one argument, and fails
+        super().__init__(a)
+
+
+class TestWorkerMap:
+    def test_a_job_that_raises_in_a_worker_raises_here_with_its_type(self, pools):
+        def job(k):
+            if k == 1:  # job 1 falls to the first child's share
+                raise KeyError(k)
+            return k
+
+        with pytest.raises(KeyError):
+            _map_ordered(job, range(6), 2, math.inf)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_a_raise_in_the_callers_own_share_ends_the_workers(self, pools):
+        def job(k):
+            if k == 0:
+                raise ValueError("own share")
+            return k
+
+        with pytest.raises(ValueError, match="own share"):
+            _map_ordered(job, range(6), 3, math.inf)
+        assert pools == [3]
+        assert multiprocessing.active_children() == []
+
+    def test_an_unpicklable_error_comes_back_as_a_runtime_error_with_its_repr(self):
+        def job(k):
+            if k == 1:
+                raise _Unpicklable("odd", 2)
+            return k
+
+        with pytest.raises(RuntimeError, match="_Unpicklable"):
+            _map_ordered(job, range(4), 2, math.inf)
+        assert multiprocessing.active_children() == []
+
+    def test_a_workers_warning_reaches_the_caller(self, pools):
+        def job(k):
+            if k == 1:
+                warnings.warn("from a worker", RuntimeWarning)
+            return k * k
+
+        with pytest.warns(RuntimeWarning, match="from a worker") as caught:
+            assert _map_ordered(job, range(5), 2, math.inf) == [0, 1, 4, 9, 16]
+        assert pools == [2]
+        assert caught[0].filename == __file__
 
 
 class TestBoundedBrent:

@@ -268,19 +268,26 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="threads"):
             run_table1(table1_plan(replications=1), threads=-1)
 
-    def test_cells_under_the_threshold_replicate_on_the_calling_thread(self, pools):
+    def test_cells_under_the_threshold_replicate_on_the_calling_process(self, pools):
         plan = table1_plan(a_values=(1.5, 2.5), replications=2)
         run_table1(plan, threads=2)
         run_table2(table1_plan(target="table2", replications=2), threads=0)
         assert pools == []
 
     def test_the_threshold_reads_each_cells_expected_count(self, monkeypatch, pools):
-        # z=1 and z=2 expect 100 and 200 points
+        # a replication prices its fit: 13 angles at the plan's 6 degrees, each
+        # over z=1's 100 or z=2's 200 expected points plus 400 integral cells
         plan = table1_plan(z_values=(1.0, 2.0), replications=2)
-        for floor, built in ((201, []), (200, [2]), (100, [2, 2, 2])):
-            monkeypatch.setattr(estimate, "_POOL_MIN_POINTS", floor)
+        for floor, built in ((15601, []), (15600, [2]), (13000, [2, 2, 2])):
+            monkeypatch.setattr(estimate, "_POOL_MIN_TARGETS", floor)
             run_table1(plan, threads=2)
             assert pools == built
+
+    def test_a_sweep_is_identical_at_any_worker_count(self, pools, pool_at_any_size):
+        plan = table1_plan(target="table2", replications=3)
+        results = [run_table2(plan, threads=threads) for threads in (0, 1, 2, 3)]
+        assert pools[-2:] == [2, 3]  # threads=0 takes one worker per CPU
+        assert all(result == results[1] for result in results)
 
     def test_adding_cells_never_perturbs_existing_ones(self):
         small = table1_plan(a_values=(2.0,), replications=5)

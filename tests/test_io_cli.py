@@ -454,6 +454,19 @@ class TestCli:
         ]
         assert len(rows2) == 6
 
+    def test_resolution_none_overrides_a_config_resolution(self, tmp_path):
+        data = self.simulate_file(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data}\nregion = 0,2,0,1\nestimator = stationary\nresolution = 64\n")
+        out = tmp_path / "g.csv"
+        args = ["estimate-intensity", "--config", str(cfg), "--resolution", "none"]
+        assert main([*args, "--out", str(out)]) == 0
+        rows = [
+            line for line in out.read_text().splitlines()
+            if not line.startswith("#") and "," in line and "lambda" not in line
+        ]
+        assert len(rows) == GRID_CELLS_1D == 512
+
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["simulate", "--process", "poisson", "--a", "2"]) == 1  # no --z/--out
         assert main(["no-such-command"]) == 1

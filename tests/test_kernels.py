@@ -164,6 +164,26 @@ class TestClosedFormCorrection:
         got = correction_substat_closed(Subspace(-math.pi / 2), Window(2, 1), 0.1, 1.0)
         assert got == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "thetas, z, v, bits",
+        [
+            ((0.0,), 3.0, 0.0, "0x1.8p+0"),
+            ((0.0,), 3.0, 0.03, "0x1.da8e543261135p+0"),
+            ((0.0,), 3.0, 0.5, "0x1.7ffff19285ca7p+1"),
+            ((0.0,), 3.0, 0.97, "0x1.da8e543261136p+0"),
+            ((-math.pi / 2, math.pi / 2), 2.0, 0.0, "0x1.ffffffffffffep-2"),
+            ((-math.pi / 2, math.pi / 2), 2.0, 0.1, "0x1.aec4bd120d37cp-1"),
+            ((-math.pi / 2, math.pi / 2), 2.0, 1.0, "0x1p+0"),
+            ((-math.pi / 2, math.pi / 2), 2.0, 2.0, "0x1p-1"),
+        ],
+    )
+    def test_values_on_the_exact_axes_are_pinned(self, thetas, z, v, bits):
+        # on the axes the chord profile has jumps and no ramp; these bits held
+        # before the ramps' terms were skipped there
+        for theta in thetas:
+            got = correction_substat_closed(Subspace(theta), Window(z, 1.0), 0.1, np.array([v]))
+            assert got[0] == float.fromhex(bits)
+
     @pytest.mark.parametrize("theta", ORACLE_THETAS)
     @pytest.mark.parametrize("dims", ORACLE_WINDOWS)
     @pytest.mark.parametrize("h", ORACLE_BANDWIDTHS)
