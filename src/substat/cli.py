@@ -19,6 +19,7 @@ import argparse
 import logging
 import os
 import sys
+import warnings
 
 from .estimate import (
     GRID_CELLS_1D,
@@ -54,6 +55,8 @@ from .simulate import (
     simulate_thomas,
 )
 
+
+logger = logging.getLogger(__name__)
 
 _GRID_HELP = f"grid cells per axis; None: {GRID_CELLS_1D}, kernel2d {GRID_CELLS_2D}"
 _HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
@@ -306,25 +309,31 @@ def _check_destinations(args) -> None:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    try:
-        args = _parse(argv)
-        _check_destinations(args)
-        if hasattr(args, "data"):  # the subcommands that read a pattern
-            args.pattern = ingest_csv(args.data, args.region)
-        args.run(args)
-        return 0
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except BandwidthSelectionError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    # every warning a command raises, whatever the active filters, is logged as a note
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = _parse(argv)
+            _check_destinations(args)
+            if hasattr(args, "data"):  # the subcommands that read a pattern
+                args.pattern = ingest_csv(args.data, args.region)
+            args.run(args)
+            return 0
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (DataError, OSError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 2
+        except BandwidthSelectionError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for w in caught:
+                logger.warning("%s", w.message)
 
 
 if __name__ == "__main__":

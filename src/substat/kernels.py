@@ -2,27 +2,21 @@
 
 A kernel intensity estimate divides each kernel sum by the mass the kernel
 retains inside the window, so that locations near the boundary are not
-deflated.  Two forms of that correction are provided for the 1-D
-(orthogonal-coordinate) smoother:
-
-* a closed form over the knots of the trapezoidal chord profile, for every
-  angle: the chord at v, plus h*s_k*(phi(x) - x*Phi(-x)) at x = |v - k|/h
-  for each kink k of a ramp, less the mass T*Phi(o/h) that each jump (a ramp
-  narrower than 1e-6*h) cuts off, o outwards.  Each term vanishes away from
-  its knot, so none cancels, unlike the growing h*s_k*(x*Phi(x) + phi(x));
-* an adaptive quadrature of the same integral, used as the reference
-  oracle for the closed form; it alone imports ``scipy.integrate``, when it
-  is called, so importing the package loads no scipy submodule but
-  ``scipy.special``.
+deflated.  For the 1-D (orthogonal-coordinate) smoother that mass has a
+closed form over the knots of the trapezoidal chord profile, for every
+angle: the chord at v, plus h*s_k*(phi(x) - x*Phi(-x)) at x = |v - k|/h for
+each kink k of a ramp, less the mass T*Phi(o/h) that each jump (a ramp
+narrower than 1e-6*h) cuts off, o outwards.  Each term vanishes away from
+its knot, so none cancels, unlike the growing h*s_k*(x*Phi(x) + phi(x)).
 
 Only the Gaussian kernel ships; the normal CDF is evaluated
 through the complementary error function so deep tails underflow to zero
 instead of losing precision to cancellation.
 
 This module owns the kernel's arithmetic, its normalizing constants
-included; ``_kernel_block`` is the one copy of the Gaussian's exponent, and
-``normal_pdf`` reads it too.  An exponent below ``_EXP_FLOOR`` = -707, a
-displacement beyond about 37.6 bandwidths, gives a term of exactly 0.  Below
+included; ``_kernel_block`` is the one copy of the Gaussian's exponent.  An
+exponent below ``_EXP_FLOOR`` = -707, a displacement beyond about 37.6
+bandwidths, gives a term of exactly 0.  Below
 it ``np.exp`` leaves its vector path: on a 2-core Xeon VM it took about
 1 ns per element above the floor, 7 ns at -inf, 20 ns below -745 and
 150 ns between -745 and -708, where its result is subnormal.  The terms
@@ -85,15 +79,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
-from .geometry import Subspace, Window, _shaped_like, _trapezoid, chord_measure, v_range
+from .geometry import Subspace, Window, _shaped_like, _trapezoid
 
 __all__ = [
-    "QuadratureError",
-    "normal_pdf",
     "normal_cdf",
-    "kernel_1d",
     "correction_substat_closed",
-    "correction_substat_quadrature",
     "correction_2d",
     "validate_bandwidth",
 ]
@@ -139,20 +129,11 @@ _LAG_COLUMNS = np.arange(-_LAGS, _LAGS + 1.0)
 _LAG_POWERS = np.array([_LAG_COLUMNS**p / math.factorial(p) for p in range(_ORDER)])
 
 
-class QuadratureError(RuntimeError):
-    """Raised when the quadrature oracle cannot reach its tolerance."""
-
-
 def validate_bandwidth(h: float) -> float:
     h = float(h)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"bandwidth must be a positive finite number, got {h}")
     return h
-
-
-def normal_pdf(t):
-    """Standard normal density, vectorized; 0 beyond the kernel's floor (|t| > 37.6)."""
-    return _kernel_block(1.0, np.array(t, dtype=float)) / _SQRT_2PI
 
 
 def normal_cdf(t):
@@ -161,12 +142,6 @@ def normal_cdf(t):
     with np.errstate(under="ignore"):
         out = 0.5 * erfc(-t / _SQRT_2)
     return out
-
-
-def kernel_1d(h: float, t):
-    """Gaussian kernel of bandwidth h evaluated at displacement t."""
-    h = validate_bandwidth(h)
-    return _shaped_like(t, normal_pdf(np.asarray(t, dtype=float) / h) / h)
 
 
 def _gaussian_sums(
@@ -407,49 +382,6 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
             density = kinks @ _kernel_block(h, d[:r]) / _SQRT_2PI
         total[i : i + step] = top * np.maximum(share, 0.0) + tails @ block + density
     return _shaped_like(v_arr, total.reshape(v_arr.shape))
-
-
-def correction_substat_quadrature(
-    subspace: Subspace,
-    window: Window,
-    h: float,
-    v: float,
-) -> float:
-    """Reference oracle for the 1-D boundary correction, by quadrature.
-
-    Integrates chord(t) * K_h(t - v) adaptively over the projection range,
-    seeding the subdivision with the chord knots and the kernel's center
-    so narrow kernels inside wide windows are not missed.
-
-    Raises QuadratureError if the estimated error exceeds 1e-10 absolute
-    and 1e-9 relative to the value.
-    """
-    from scipy.integrate import quad  # the oracle's own import, kept off the package's path
-
-    h = validate_bandwidth(h)
-    v = float(v)
-    lo, hi = v_range(subspace, window)
-
-    def integrand(t):
-        return chord_measure(subspace, window, t) * kernel_1d(h, t - v)
-
-    seeds = [*_trapezoid(subspace, window)[0], *(v + k * h for k in (-8.0, -4.0, 0.0, 4.0, 8.0))]
-    points = sorted({p for p in seeds if lo < p < hi})
-    value, err = quad(
-        integrand,
-        lo,
-        hi,
-        points=points or None,
-        limit=400,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
-    if err > max(1e-10, 1e-9 * abs(value)):
-        raise QuadratureError(
-            f"boundary-correction quadrature error {err:.3e} exceeds "
-            f"tolerance (value {value:.6e})"
-        )
-    return value
 
 
 def correction_2d(window: Window, h: float, x, y):

@@ -166,12 +166,11 @@ def _simulate_parents(model: ThomasModel, gen: np.random.Generator):
     return px, py
 
 
-def simulate_thomas(model: ThomasModel, rng, return_parents: bool = False):
+def simulate_thomas(model: ThomasModel, rng) -> PointPattern:
     """Sample one cluster realization.
 
     Only offspring inside the window are returned; parents are not part
-    of the pattern.  With return_parents=True the (possibly buffered)
-    parent coordinate arrays are returned alongside the pattern.
+    of the pattern.
     """
     gen = _resolve_generator(rng)
     w = model.window
@@ -181,7 +180,4 @@ def simulate_thomas(model: ThomasModel, rng, return_parents: bool = False):
     ox = np.repeat(px, counts) + gen.normal(0.0, model.sigma, size=total)
     oy = np.repeat(py, counts) + gen.normal(0.0, model.sigma, size=total)
     keep = w.contains(ox, oy)
-    pattern = PointPattern(ox[keep], oy[keep], w)
-    if return_parents:
-        return pattern, (px, py)
-    return pattern
+    return PointPattern(ox[keep], oy[keep], w)

@@ -22,13 +22,10 @@ from substat.experiments import (
 )
 from substat.geometry import PointPattern, Subspace, Window, v_range
 from substat.io import run_application_pipeline
-from substat.kernels import (
-    correction_substat_closed,
-    correction_substat_quadrature,
-    normal_cdf,
-    normal_pdf,
-)
+from substat.kernels import correction_substat_closed, normal_cdf
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
+
+from oracles import correction_substat_quadrature, normal_pdf
 
 MASTER_SEED = 20260809
 

@@ -38,7 +38,6 @@ from substat.kernels import (
     _direct_sums,
     correction_2d,
     correction_substat_closed,
-    kernel_1d,
     normal_cdf,
 )
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
@@ -323,7 +322,6 @@ SCALAR_PATTERN = PointPattern([0.3, 1.1, 1.7, 0.9], [0.2, 0.5, 0.8, 0.4], SCALAR
 # projection range [-0.59, 0.96] of the subspace at 0.3 rad
 SCALAR_RULE = {
     "chord_measure": lambda x, y: chord_measure(Subspace(0.3), SCALAR_WINDOW, y),
-    "kernel_1d": lambda x, y: kernel_1d(0.1, x),
     "correction_substat_closed": lambda x, y: correction_substat_closed(
         Subspace(0.3), SCALAR_WINDOW, 0.1, y
     ),

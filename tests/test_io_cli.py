@@ -1,7 +1,9 @@
+import inspect
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,7 +355,7 @@ class TestCli:
         assert "selected_h=" in capsys.readouterr().out
 
     def test_select_bandwidth_scores_once_and_prints_the_best_row(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, caplog, monkeypatch
     ):
         import substat.cli as cli
 
@@ -366,7 +368,7 @@ class TestCli:
 
         monkeypatch.setattr(cli, "bandwidth_cv_scores", counted)
         out = tmp_path / "cv.csv"
-        with pytest.warns(RuntimeWarning):  # h=1e-5 isolates points: -inf
+        with caplog.at_level("WARNING"):  # h=1e-5 isolates points: -inf, and a logged warning
             code = main(
                 [
                     "select-bandwidth", "--data", str(data), "--region", "0,2,0,1",
@@ -375,11 +377,32 @@ class TestCli:
             )
         assert code == 0
         assert len(calls) == 1
+        assert [r.message for r in caplog.records if r.name == "substat.cli"] == [
+            "intensity estimate is zero at a data point; log-likelihood is -inf"
+        ]
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         scores = {float(h): float(s) for h, s in rows}
         assert scores[1e-5] == -math.inf
         best = max((s, h) for h, s in scores.items() if math.isfinite(s))[1]
         assert f"selected_h={best!r}" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_a_warning_is_logged_whatever_the_active_filter(self, tmp_path, caplog, action):
+        data = self.simulate_file(tmp_path)
+        with warnings.catch_warnings(), caplog.at_level("WARNING"):
+            warnings.simplefilter(action)
+            code = main(
+                [
+                    "select-bandwidth", "--data", str(data), "--region", "0,2,0,1",
+                    "--candidates", "0.00001,0.05",
+                ]
+            )
+            # the command's own filter ends with it
+            assert warnings.filters[0][0] == action
+        assert code == 0
+        assert [r.message for r in caplog.records if r.name == "substat.cli"] == [
+            "intensity estimate is zero at a data point; log-likelihood is -inf"
+        ]
 
     def test_experiment_smoke(self, tmp_path):
         out = tmp_path / "cells.csv"
@@ -642,15 +665,29 @@ def test_the_package_exports_every_public_name_of_each_module(module):
     assert len(substat.__all__) == len(set(substat.__all__))
 
 
+def test_the_package_ships_no_test_instrument():
+    # the quadrature oracle and its Gaussians live in tests/oracles.py
+    gone = ("QuadratureError", "correction_substat_quadrature", "kernel_1d", "normal_pdf")
+    assert [name for name in gone if hasattr(substat, name) or hasattr(substat.kernels, name)] == []
+    assert "return_parents" not in inspect.signature(substat.simulate_thomas).parameters
+
+
 def test_importing_the_package_loads_no_scipy_module_but_special():
-    # a fresh interpreter, since this one has imported scipy for other tests
+    # a fresh interpreter, since this one has imported scipy for other tests;
+    # the package's work, not only its import, must leave the heavy modules out
     code = """
 import sys
-import substat, substat.cli
+import numpy as np
+import substat.cli
+from substat import PointPattern, Subspace, Window, bandwidth_cv_scores
+from substat import correction_substat_closed, fit_theta
+rng = np.random.default_rng(7)
+pattern = PointPattern(rng.uniform(0, 2, 80), rng.beta(3, 3, 80), Window(2, 1))
+fit_theta(pattern, 0.1, search_halfwidth_deg=6.0)
+bandwidth_cv_scores(pattern, Subspace(0.0), (0.05, 0.1))
+print(correction_substat_closed(Subspace(0.0), Window(1, 1), 0.05, 0.5))
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.stats")
 print(sorted(name for name in heavy if name in sys.modules))
-from substat import Subspace, Window, correction_substat_quadrature
-print(correction_substat_quadrature(Subspace(0.0), Window(1, 1), 0.05, 0.5))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -662,6 +699,6 @@ print(correction_substat_quadrature(Subspace(0.0), Window(1, 1), 0.05, 0.5))
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    loaded, quadrature = run.stdout.splitlines()
+    correction, loaded = run.stdout.splitlines()
+    assert float(correction) == pytest.approx(1.0, rel=1e-9)
     assert loaded == "[]"
-    assert float(quadrature) == pytest.approx(1.0, rel=1e-9)

@@ -19,7 +19,6 @@ from substat.geometry import (
     v_range,
 )
 from substat.kernels import (
-    QuadratureError,
     _build_node_grid,
     _direct_sums,
     _gaussian_sums,
@@ -30,11 +29,11 @@ from substat.kernels import (
     _scattered_sums,
     correction_2d,
     correction_substat_closed,
-    correction_substat_quadrature,
-    kernel_1d,
     normal_cdf,
-    normal_pdf,
+    validate_bandwidth,
 )
+
+from oracles import QuadratureError, correction_substat_quadrature, gaussian, normal_pdf
 
 ORACLE_THETAS = (0.0, -math.pi / 2, math.pi / 4, -1.2, 0.3)
 ORACLE_WINDOWS = ((1, 1), (10, 1), (2, 3))
@@ -110,30 +109,35 @@ def open_range_grid(sub, w, count=20):
     return lo + (np.arange(count) + 0.5) / count * (hi - lo)
 
 
+def one_datum(h, t):
+    """The kernel sums of one datum at 0 at the displacements t: the kernel itself."""
+    return _direct_sums(h, np.zeros(1), np.asarray(t, dtype=float))
+
+
 class TestKernel1D:
     def test_standard_normal_mode(self):
-        assert kernel_1d(1.0, 0.0) == pytest.approx(0.3989422804014327, rel=1e-12)
+        assert one_datum(1.0, 0.0) == pytest.approx(0.3989422804014327, rel=1e-12)
 
     def test_scaled_value(self):
         # phi(1) / 0.5
-        assert kernel_1d(0.5, 0.5) == pytest.approx(0.48394144903828673, rel=1e-12)
+        assert one_datum(0.5, 0.5) == pytest.approx(0.48394144903828673, rel=1e-12)
 
     def test_deep_tail_underflows_cleanly(self):
         # phi(10) / 0.1
-        assert kernel_1d(0.1, 1.0) == pytest.approx(7.694598626706419e-22, rel=1e-10)
-        assert kernel_1d(0.01, 5.0) == 0.0  # far past double underflow, not NaN
+        assert one_datum(0.1, 1.0) == pytest.approx(7.694598626706419e-22, rel=1e-10)
+        assert one_datum(0.01, 5.0) == 0.0  # far past double underflow, not NaN
 
     def test_symmetry(self):
-        assert kernel_1d(0.3, 0.2) == kernel_1d(0.3, -0.2)
+        assert one_datum(0.3, 0.2) == one_datum(0.3, -0.2)
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
-            kernel_1d(0.0, 1.0)
+            validate_bandwidth(0.0)
 
     def test_integrates_to_one(self):
         h = 0.37
         grid = np.linspace(-8 * h, 8 * h, 20001)
-        total = np.trapezoid(kernel_1d(h, grid), grid)
+        total = np.trapezoid(one_datum(h, grid), grid)
         assert total == pytest.approx(1.0, rel=1e-8)
 
 
@@ -380,9 +384,7 @@ class TestCorrection2D:
             h = rng.uniform(0.05, 0.3)
 
             def integrand(y, x):
-                return (
-                    kernel_1d(h, x - x0) * kernel_1d(h, y - y0)
-                )
+                return gaussian(h, x - x0) * gaussian(h, y - y0)
 
             oracle, err = dblquad(
                 integrand,
@@ -401,7 +403,7 @@ class TestGaussianSums:
     def test_1d_matches_a_double_loop(self):
         rng = np.random.default_rng(11)
         data, targets, h = rng.uniform(0, 1, 40), rng.uniform(0, 1, 25), 0.07
-        want = [sum(kernel_1d(h, d - t) for d in data) for t in targets]
+        want = [sum(gaussian(h, d - t) for d in data) for t in targets]
         got = _gaussian_sums(h, data, targets)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -411,7 +413,7 @@ class TestGaussianSums:
         xt, yt = rng.uniform(0, 2, 20), rng.uniform(0, 1, 20)
         h = 0.2
         want = [
-            sum(kernel_1d(h, a - x) * kernel_1d(h, b - y) for a, b in zip(xd, yd))
+            sum(gaussian(h, a - x) * gaussian(h, b - y) for a, b in zip(xd, yd))
             for x, y in zip(xt, yt)
         ]
         got = _scattered_sums(h, (xd, xt), (yd, yt))

@@ -13,6 +13,7 @@ from substat.simulate import (
     PoissonBetaModel,
     RngStream,
     ThomasModel,
+    _simulate_parents,
     beta_sampler,
     simulate_poisson_beta,
     simulate_thomas,
@@ -174,13 +175,15 @@ class TestThomas:
         model = ThomasModel(PoissonBetaModel(1.0, Window(1.0)), gamma=5.0, sigma=0.02)
         counts = []
         for i in range(1000):
-            _, (px, _) = simulate_thomas(model, RngStream(51, i), return_parents=True)
+            px, _ = _simulate_parents(model, RngStream(51, i).generator())
             counts.append(px.size)
         assert abs(np.mean(counts) - 20.0) < 3 * np.sqrt(20.0 / 1000)
 
     def test_degenerate_scale_keeps_offspring_on_parents(self):
         model = ThomasModel(PoissonBetaModel(1.0, Window(1.0)), gamma=5.0, sigma=1e-9)
-        pat, (px, py) = simulate_thomas(model, RngStream(52, 0), return_parents=True)
+        # a stream's first draws are its parents
+        pat = simulate_thomas(model, RngStream(52, 0))
+        px, py = _simulate_parents(model, RngStream(52, 0).generator())
         assert pat.n > 0
         d2 = (pat.x[:, None] - px[None, :]) ** 2 + (pat.y[:, None] - py[None, :]) ** 2
         assert np.sqrt(d2.min(axis=1)).max() < 1e-6
