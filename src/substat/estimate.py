@@ -16,14 +16,20 @@ tensor grid.
 * ``StationaryIntensity``: the constant n / area.
 
 ``loglik(pattern, est, loo=False)`` is the one Poisson (composite)
-log-likelihood.  The direction theta is estimated by maximizing it for the
+log-likelihood.  Its integral term for the substationary estimator is exact
+to about 1e-10 at any h and window: the kernel mass inside the projection
+range in closed form, less a Gauss-Legendre quadrature over the zones
+within ``_KNOT_REACH`` bandwidths of the chord profile's knots, the only
+offsets where the boundary correction differs from the chord (see
+``SubstationaryIntensity.integral`` and ``_zone_panels``).
+
+The direction theta is estimated by maximizing the log-likelihood for the
 substationary estimator over theta: a 1-degree coarse grid over [-90, 90)
 degrees followed by a bounded Brent search, the module's own
 ``_bounded_brent`` (so importing the package needs no ``scipy.optimize``).
-Bandwidths are selected by
-its leave-one-out form (``loo=True``); the profile fit keeps each point in
-its own estimate, while cross validation removes it to avoid the
-degenerate h -> 0 optimum.
+Bandwidths are selected by its leave-one-out form (``loo=True``); the
+profile fit keeps each point in its own estimate, while cross validation
+removes it to avoid the degenerate h -> 0 optimum.
 """
 
 from __future__ import annotations
@@ -42,13 +48,15 @@ from .geometry import (
     Subspace,
     Window,
     _shaped_like,
-    chord_measure,
+    _trapezoid,
     project_xy,
     v_range,
 )
 from .kernels import (
+    _KNOT_REACH,
     _gaussian_sums,
     _grid_sums,
+    _kernel_mass,
     _node_grid,
     _scattered_sums,
     correction_2d,
@@ -70,12 +78,21 @@ __all__ = [
 
 _DOMAIN_TOL = 1e-9
 
+# a profile evaluation's integral in the price of fit_theta's and the sweeps' maps,
+# with which _POOL_MIN_TARGETS was measured, and the one integral_cells of
+# bandwidth_cv_scores; the integral itself takes at most 144 nodes (_zone_panels)
 SUBSTAT_INTEGRAL_CELLS = 400
 GRID2D_INTEGRAL_CELLS = 200
 GRID_CELLS_1D = 512
 GRID_CELLS_2D = 128
 FIT_GRID_STEP_DEG = 1.0
 FIT_TOL = 1e-4
+# the likelihood integral's quadrature where the correction's knot terms act: Gauss-Legendre
+# panels of at most _PANEL_WIDTH bandwidths, of _PANEL_NODES nodes each (a convergence
+# test in tests/test_estimate.py holds the integral within 1e-9 of a fine reference)
+_PANEL_WIDTH = 6.0
+_PANEL_NODES = 12
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
 # the fewest kernel-sum targets (data plus integral cells per profile evaluation) a
 # map's jobs price before it forks: forked fits gained <= 8% below this, 15-60% above
 _POOL_MIN_TARGETS = 80_000
@@ -115,7 +132,9 @@ class SubstationaryIntensity:
         # canonical (sorted) order makes every output independent of the
         # order the points were supplied in
         self._v_data = np.sort(np.atleast_1d(v))
-        self._v_lo, self._v_hi = v_range(self.theta, pattern.window)
+        self._knots, self._heights = _trapezoid(self.theta, pattern.window)
+        self._v_lo, self._v_hi = float(self._knots[0]), float(self._knots[-1])
+        self._panels = _zone_panels(self._knots.tolist(), self.h)
 
     @property
     def window(self) -> Window:
@@ -125,10 +144,10 @@ class SubstationaryIntensity:
         """The one node grid (or None) that every call reads, built by the first.
 
         It spans the projection range and is priced against what a profile
-        evaluation asks for: the data and the integral cells.
+        evaluation asks for: the data and the integral's ``_zones`` nodes.
         """
         if not hasattr(self, "_nodes"):
-            targets = self._v_data.size + SUBSTAT_INTEGRAL_CELLS
+            targets = self._v_data.size + _PANEL_NODES * len(self._panels)
             self._nodes = _node_grid(self.h, self._v_data, self._v_lo, self._v_hi, targets)
         return self._nodes
 
@@ -159,14 +178,31 @@ class SubstationaryIntensity:
         sums = _gaussian_sums(self.h, v, v, loo=True, nodes=self._grid())
         return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
-    def integral(self, cells: int = SUBSTAT_INTEGRAL_CELLS) -> float:
-        """Integral of the estimate over the window, by midpoint rule.
+    def _zones(self) -> tuple[np.ndarray, np.ndarray]:
+        """The integral's Gauss-Legendre nodes and weights: ``_PANEL_NODES`` on each zone panel."""
+        mid, half = np.array(self._panels).T
+        return ((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel(),
+                (half[:, None] * _GAUSS_WEIGHTS).ravel())
 
-        Reduces to a 1-D integral of intensity times chord length.
+    def integral(self) -> float:
+        """Integral of the estimate over the window: of lambda_hat(v) times the chord c(v).
+
+        With the data's kernel sums S and the correction corr, lambda_hat is
+        S/corr and corr = c + its knot terms, so
+
+            integral = int_lo^hi S dv - int lambda_hat * (corr - c) dv.
+
+        The first term is closed (``_kernel_mass``); the knot terms are below
+        2**-53 of the plateau beyond ``_KNOT_REACH`` bandwidths of every knot,
+        so the second is taken by Gauss-Legendre panels over those ``_zones``
+        alone, whatever the projection length.
         """
-        (mids,), (dv,), lam = _cells(self, cells)
-        chords = chord_measure(self.theta, self.window, mids)
-        return float(np.sum(lam * chords) * dv)
+        nodes, weights = self._zones()
+        sums = _gaussian_sums(self.h, self._v_data, nodes, nodes=self._grid())
+        corr = correction_substat_closed(self.theta, self.window, self.h, nodes)
+        excess = corr - np.interp(nodes, self._knots, self._heights)
+        mass = _kernel_mass(self.h, self._v_data, self._v_lo, self._v_hi)
+        return mass - float(weights @ (sums / corr * excess))
 
 
 class KernelIntensity2D:
@@ -244,6 +280,26 @@ def _axis(estimator) -> Subspace:
     return getattr(estimator, "theta", None) or Subspace(0.0)
 
 
+def _zone_panels(knots: list, h: float) -> list[tuple[float, float]]:
+    """The (midpoint, half-width) of each panel where the correction's knot terms act.
+
+    Each knot of the chord profile acts within ``_KNOT_REACH`` bandwidths of
+    it.  A gap between knots that two reaches cover is one piece, and a
+    wider gap gives a piece at each end.  The chord kinks at the knots, so no
+    piece crosses one.  Each piece takes equal panels of at most
+    ``_PANEL_WIDTH`` bandwidths: at most 2*ceil(_KNOT_REACH/_PANEL_WIDTH) a
+    gap, whatever the window.
+    """
+    reach, width, panels = _KNOT_REACH * h, _PANEL_WIDTH * h, []
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        for a, b in [(lo, hi)] if hi - lo <= 2 * reach else [(lo, lo + reach), (hi - reach, hi)]:
+            if b > a:
+                count = max(1, math.ceil((b - a) / width))
+                half = 0.5 * (b - a) / count
+                panels += [(a + (2 * i + 1) * half, half) for i in range(count)]
+    return panels
+
+
 def _cells(estimator, cells: int | None = None):
     """The midpoint grid an estimate is laid on, and its values: (axes, widths, values).
 
@@ -265,21 +321,16 @@ def _cells(estimator, cells: int | None = None):
     return axes, widths, values
 
 
-def loglik(
-    pattern: PointPattern,
-    estimator,
-    *,
-    loo: bool = False,
-    integral_cells: int | None = None,
-) -> float:
+def loglik(pattern: PointPattern, estimator, *, loo: bool = False) -> float:
     """Poisson (composite) log-likelihood of the pattern under an estimate.
 
-    sum_i log(lambda_hat(s_i)) minus the integral of lambda_hat over the
-    window.  With ``loo`` the point term uses the leave-one-out values of
-    the estimator at its own data (the substationary estimator fitted to
-    ``pattern``), as bandwidth cross validation does.  ``integral_cells``
-    overrides the estimator's integration resolution.  If the estimate
-    vanishes at any data point the result is -inf and a warning is issued.
+    sum_i log(lambda_hat(s_i)) minus the estimator's ``integral()`` of
+    lambda_hat over the window, which for the substationary estimator is the
+    closed-form kernel mass less the zones' quadrature.  With ``loo`` the
+    point term uses the leave-one-out values of the estimator at its own
+    data (the substationary estimator fitted to ``pattern``), as bandwidth
+    cross validation does.  If the estimate vanishes at any data point the
+    result is -inf and a warning is issued.
     """
     if loo and estimator.pattern is not pattern:
         raise ValueError("leave-one-out scoring needs the estimator's own pattern")
@@ -295,9 +346,7 @@ def loglik(
         )
         return float("-inf")
     point_term = float(np.sum(np.sort(np.log(lam))))
-    if integral_cells is None:
-        return point_term - estimator.integral()
-    return point_term - estimator.integral(integral_cells)
+    return point_term - estimator.integral()
 
 
 @dataclass(frozen=True)
@@ -537,8 +586,14 @@ def bandwidth_cv_scores(
     The point term drops each point from its own estimate; the integral
     term keeps all points.  Candidates whose leave-one-out estimate
     vanishes at some point score -inf, and so does every candidate on a
-    pattern of fewer than two points.
+    pattern of fewer than two points.  The integral has no cell count:
+    ``integral_cells`` takes only ``SUBSTAT_INTEGRAL_CELLS`` and raises
+    ValueError at any other value.
     """
+    if integral_cells != SUBSTAT_INTEGRAL_CELLS:
+        raise ValueError(
+            f"integral_cells must be {SUBSTAT_INTEGRAL_CELLS}: the integral takes no cell count"
+        )
     candidates = [validate_bandwidth(h) for h in candidates]
     if not candidates:
         raise ValueError("no bandwidth candidates supplied")
@@ -550,7 +605,7 @@ def bandwidth_cv_scores(
     scores: list[tuple[float, float]] = []
     for h in candidates:
         est = SubstationaryIntensity(pattern, subspace, h)
-        scores.append((h, loglik(pattern, est, loo=True, integral_cells=integral_cells)))
+        scores.append((h, loglik(pattern, est, loo=True)))
     return scores
 
 

@@ -9,6 +9,15 @@ each kink k of a ramp, less the mass T*Phi(o/h) that each jump (a ramp
 narrower than 1e-6*h) cuts off, o outwards.  Each term vanishes away from
 its knot, so none cancels, unlike the growing h*s_k*(x*Phi(x) + phi(x)).
 
+The rows of knots, slopes and scales depend on the angle, the window and h
+alone, so ``_correction_plan`` builds them once per such key and every
+call at that key reads them.  Beyond ``_KNOT_REACH`` = 10 bandwidths of
+every knot each knot term is below 2**-53 of the plateau, so there the
+correction is the chord itself; the likelihood integral
+(``estimate.SubstationaryIntensity.integral``) takes its quadrature only
+within that reach, and the kernel mass over the projection range in
+closed form (``_kernel_mass``).
+
 Only the Gaussian kernel ships; the normal CDF is evaluated
 through the complementary error function so deep tails underflow to zero
 instead of losing precision to cancellation.
@@ -46,7 +55,7 @@ of the fast Gauss transform on the node lattice (``_lattice_sums``); every
 call of that estimator then reads the same nodes, so a value at a given
 offset does not depend on the calls before it.  The grid is priced once,
 in kernel pairs, against all the targets m those calls ask for (the 1-D
-smoother's n data and integral cells): it pays when
+smoother's n data and its likelihood integral's nodes): it pays when
 5e4 + 20*n + 150*G + 80*m < n*m, with G nodes.  Without a grid, a call
 takes the direct sum.  Every path works through its targets in blocks of
 2**16 elements (512 KB), so each temporary stays in the L2 cache; the
@@ -72,6 +81,7 @@ are the direct sum's own.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -98,6 +108,17 @@ _CHUNK_ELEMENTS = 2**16
 # elements per block of the boundary correction's knots against its offsets:
 # 128 KB (2**14 timed fastest of 2**13-2**16 at 10**4 offsets)
 _CORRECTION_ELEMENTS = 2**14
+# the correction's knots: a ramp narrower than this many bandwidths is a jump; the
+# reach in bandwidths beyond which every knot term is below 2**-53 of the plateau T,
+# h*s_k*psi(x) <= T*psi(x)/_JUMP_WIDTH with psi(x) <= phi(x)/(1 + x^2), and T*Q(x) at
+# a jump; and the reach beyond which Q(x) = erfc(x/sqrt(2))/2 is exactly 0
+_JUMP_WIDTH = 1e-6
+_KNOT_REACH = next(
+    x for x in range(1, 99)
+    if math.exp(-0.5 * x * x) / (_SQRT_2PI * (1 + x * x)) / _JUMP_WIDTH < 2.0**-53
+    and 0.5 * math.erfc(x / _SQRT_2) < 2.0**-53
+)
+_TAIL_REACH = next(x for x in range(1, 99) if erfc(x / _SQRT_2) == 0.0)
 
 # interpolated kernel sums: node spacing in bandwidths, stencil size, guard,
 # and the measured costs, in kernel pairs (about 4 ns each), of one target
@@ -165,6 +186,21 @@ def _gaussian_sums(
     if nodes is not None:
         return _interpolated_sums(h, data, targets, own, nodes)
     return _direct_sums(h, data, targets) - own
+
+
+def _kernel_mass(h: float, data: np.ndarray, lo: float, hi: float) -> float:
+    """The integral of ``_gaussian_sums`` over [lo, hi]: n less each kernel's tails beyond them.
+
+    The tail Q(x) = erfc(x/sqrt(2))/2 at x = (hi - v_j)/h, or (v_j - lo)/h, is
+    exactly 0 beyond ``_TAIL_REACH`` bandwidths, so only the data within
+    that reach of an end take an erfc; the data must be sorted.
+    """
+    reach = _TAIL_REACH * h
+    top = data[np.searchsorted(data, hi - reach) :]
+    bottom = data[: np.searchsorted(data, lo + reach)]
+    with np.errstate(under="ignore"):
+        tails = erfc((hi - top) / (h * _SQRT_2)).sum() + erfc((bottom - lo) / (h * _SQRT_2)).sum()
+    return data.size - 0.5 * float(tails)
 
 
 def _kernel_block(h: float, offsets: np.ndarray) -> np.ndarray:
@@ -337,6 +373,32 @@ def _scattered_sums(h: float, x_axis, y_axis) -> np.ndarray:
     return (out / (h * h * 2.0 * math.pi)).reshape(x_axis[1].shape)
 
 
+@functools.lru_cache(maxsize=64)
+def _correction_plan(subspace: Subspace, window: Window, h: float) -> tuple:
+    """The plateau and the rows of ``correction_substat_closed``'s block at one angle, window and h.
+
+    (top, column, kinks, scale, tails, runs): built once per key and shared by
+    every later call, so each array is read-only.
+    """
+    knots, heights = _trapezoid(subspace, window)
+    top, k = heights[1], knots.tolist()
+    # the rise and the fall: foot (at height 0), head, width and outward sign
+    ramps = [(k[0], k[1], k[1] - k[0], -1.0), (k[3], k[2], k[3] - k[2], 1.0)]
+    narrow = _JUMP_WIDTH * h
+    wide = [(foot, head, h * top / width) for foot, head, width, _ in ramps if width >= narrow]
+    jumps = [(0.5 * (foot + head), out) for foot, head, width, out in ramps if width < narrow]
+    # the block's rows: the wide ramps' feet and heads, with h * s_k, then the jumps
+    column = np.array([f for f, _, _ in wide] + [e for _, e, _ in wide] + [m for m, _ in jumps])
+    kinks = np.array([s for *_, s in wide] + [-s for *_, s in wide])
+    # erfc(t) is 2*Q(x_k) at t = x_k/sqrt(2), at the kinks, and 2*Phi(o_j/h) at the jumps
+    scale = np.array([1.0] * kinks.size + [-out for _, out in jumps]) / (h * _SQRT_2)
+    tails = np.concatenate((kinks / -_SQRT_2, np.full(len(jumps), -0.5 * top)))
+    runs = np.array([head - foot for foot, head, _ in wide])[:, None]
+    for rows in (column, kinks, scale, tails, runs):
+        rows.setflags(write=False)
+    return top, column, kinks, scale, tails, runs
+
+
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
     """Kernel mass retained in the window around offset v, in closed form.
 
@@ -350,23 +412,13 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
     over the other ramps' knots k, with slope changes s_k, and the jumps j,
     o_j the offset of v outwards from jump j.  c is T times the least of 1
     and each other ramp's share climbed from its foot.  Every term vanishes
-    away from its knot, so none cancels (see the module docstring).
+    away from its knot, so none cancels (see the module docstring).  The
+    rows of knots come from ``_correction_plan``, once per angle, window and h.
     """
     h = validate_bandwidth(h)
     v_arr = np.asarray(v, dtype=float)
-    knots, heights = _trapezoid(subspace, window)
-    top, k = heights[1], knots.tolist()
-    # the rise and the fall: foot (at height 0), head, width and outward sign
-    ramps = [(k[0], k[1], k[1] - k[0], -1.0), (k[3], k[2], k[3] - k[2], 1.0)]
-    wide = [(foot, head, h * top / width) for foot, head, width, _ in ramps if width >= 1e-6 * h]
-    jumps = [(0.5 * (foot + head), out) for foot, head, width, out in ramps if width < 1e-6 * h]
-    # the block's rows: the wide ramps' feet and heads, with h * s_k, then the jumps
-    column = np.array([f for f, _, _ in wide] + [e for _, e, _ in wide] + [m for m, _ in jumps])
-    kinks = np.array([s for *_, s in wide] + [-s for *_, s in wide])
-    # erfc(t) is 2*Q(x_k) at t = x_k/sqrt(2), at the kinks, and 2*Phi(o_j/h) at the jumps
-    scale = np.array([1.0] * kinks.size + [-out for _, out in jumps]) / (h * _SQRT_2)
-    tails = np.concatenate((kinks / -_SQRT_2, np.full(len(jumps), -0.5 * top)))
-    runs, r = np.array([head - foot for foot, head, _ in wide])[:, None], kinks.size
+    top, column, kinks, scale, tails, runs = _correction_plan(subspace, window, h)
+    r = kinks.size
     flat, total = v_arr.ravel(), np.empty(v_arr.size)
     step = max(1, _CORRECTION_ELEMENTS // column.size)
     share, density = 1.0, 0.0  # c(v) / T and the kinks' term on the axes, which have no kinks

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import substat.estimate as estimate_module
 from substat.estimate import (
+    _PANEL_NODES,
+    _PANEL_WIDTH,
     _POOL_MIN_TARGETS,
     FIT_TOL,
     SUBSTAT_INTEGRAL_CELLS,
@@ -29,18 +31,26 @@ from substat.geometry import (
     PointPattern,
     Subspace,
     Window,
+    _trapezoid,
     chord_measure,
     project_xy,
     unproject_xy,
     v_range,
 )
 from substat.kernels import (
+    _KNOT_REACH,
     _direct_sums,
     correction_2d,
     correction_substat_closed,
     normal_cdf,
 )
-from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
+from substat.simulate import (
+    PoissonBetaModel,
+    RngStream,
+    ThomasModel,
+    simulate_poisson_beta,
+    simulate_thomas,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -392,6 +402,89 @@ class TestLoglik:
             ll45 = loglik(pat, SubstationaryIntensity(pat, math.pi / 4, 0.05))
             wins += ll0 > ll45
         assert wins >= 0.95 * reps
+
+
+GAUSS_24 = np.polynomial.legendre.leggauss(24)
+
+
+def knot_split_integral(est, width=2.0):
+    """The integral of lambda_hat * chord over the projection range, by brute force.
+
+    24-node Gauss-Legendre panels of at most ``width`` bandwidths on each
+    piece between the chord profile's knots, where it kinks, with the
+    direct kernel sums: no zone, no closed-form term.
+    """
+    knots = _trapezoid(est.theta, est.window)[0]
+    total = 0.0
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        if hi > lo:
+            edges = np.linspace(lo, hi, math.ceil((hi - lo) / (width * est.h)) + 1)
+            half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+            v = (mid[:, None] + half[:, None] * GAUSS_24[0]).ravel()
+            lam = _direct_sums(est.h, est._v_data, v) / correction_substat_closed(
+                est.theta, est.window, est.h, v
+            )
+            chords = chord_measure(est.theta, est.window, v)
+            total += float((half[:, None] * GAUSS_24[1]).ravel() @ (lam * chords))
+    return total
+
+
+def beta_or_thomas(kind, z, seed, n=150):
+    """A Beta(3, 3) Poisson or Thomas pattern in a z x 1 window, thinned to at most n points."""
+    model = PoissonBetaModel(3.0, Window(z))
+    if kind == "thomas":
+        pat = simulate_thomas(ThomasModel(model), RngStream(seed, 0))
+    else:
+        pat = simulate_poisson_beta(model, RngStream(seed, 0))
+    keep = np.random.default_rng(seed).permutation(pat.n)[:n]
+    return PointPattern(pat.x[keep], pat.y[keep], pat.window)
+
+
+INTEGRAL_THETAS = (
+    0.0, 1e-300, math.radians(3), math.radians(30), math.radians(80), -math.pi / 4,
+    -math.pi / 2, math.radians(89.9999),
+)
+
+
+class TestLikelihoodIntegral:
+    @pytest.mark.parametrize("kind", ["poisson", "thomas"])
+    @pytest.mark.parametrize("z", [1.0, 10.0, 100.0])
+    def test_matches_a_fine_knot_split_reference(self, kind, z):
+        # a 400-cell midpoint rule misses these by up to 4e-6 relative
+        pat = beta_or_thomas(kind, z, seed=int(z) + (kind == "thomas"))
+        for h in (0.01, 0.03, 0.1):
+            for theta in INTEGRAL_THETAS:
+                est = SubstationaryIntensity(pat, theta, h)
+                want = knot_split_integral(est)
+                assert est.integral() == pytest.approx(want, rel=1e-9, abs=0), (h, theta)
+
+    def test_the_node_count_has_a_bound_that_does_not_grow_with_the_window(self):
+        # at most two panels at each end of each of the three gaps between knots
+        bound = 6 * math.ceil(_KNOT_REACH / _PANEL_WIDTH) * _PANEL_NODES
+        assert bound == 144
+        for h in (0.001, 0.01, 0.1):
+            for theta in INTEGRAL_THETAS:
+                counts = []
+                for z in (1.0, 10.0, 100.0, 1000.0):
+                    est = SubstationaryIntensity(PointPattern([0.5], [0.5], Window(z)), theta, h)
+                    nodes, weights = est._zones()
+                    assert nodes.size == weights.size <= bound
+                    assert np.all((nodes >= est._v_lo) & (nodes <= est._v_hi))
+                    counts.append(nodes.size)
+                # once every gap outgrows two reaches the count stays put
+                assert counts[-1] == counts[-2], (h, theta, counts)
+
+    def test_a_cell_count_other_than_the_default_raises(self):
+        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(72, 3))
+        default = bandwidth_cv_scores(pat, 0.0, [0.05])
+        assert bandwidth_cv_scores(pat, 0.0, [0.05], integral_cells=SUBSTAT_INTEGRAL_CELLS) == default
+        for cells in (200, 401, 0):
+            with pytest.raises(ValueError, match="integral_cells"):
+                bandwidth_cv_scores(pat, 0.0, [0.05], integral_cells=cells)
+        # a pattern too small to score still rejects it
+        with pytest.raises(ValueError, match="integral_cells"):
+            bandwidth_cv_scores(PointPattern([0.5], [0.5], Window(1.0)), 0.0, [0.05],
+                                integral_cells=200)
 
 
 class TestFitTheta:

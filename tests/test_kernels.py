@@ -23,6 +23,7 @@ from substat.kernels import (
     _direct_sums,
     _gaussian_sums,
     _interpolated_sums,
+    _kernel_mass,
     _lattice_sums,
     _node_grid,
     _node_layout,
@@ -346,6 +347,28 @@ class TestStackedCorrection:
             assert got.shape == shape
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
+    def test_the_plan_cache_never_mixes_angles_or_bandwidths(self):
+        # calls alternate between angles and bandwidths with the cache warm;
+        # each must read the value that a freshly built plan gives
+        w = Window(10.0, 1.0)
+        keys = [(Subspace(t), h) for t in (0.0, 1e-300, 0.3, -1.2, -math.pi / 2)
+                for h in (0.01, 0.05)]
+        v = {sub: np.linspace(*v_range(sub, w), 257) for sub, _ in keys}
+        fresh = {}
+        for sub, h in keys:
+            kernels._correction_plan.cache_clear()
+            fresh[sub, h] = correction_substat_closed(sub, w, h, v[sub])
+        kernels._correction_plan.cache_clear()
+        for _ in range(3):
+            for sub, h in keys[::2] + keys[1::2]:
+                got = correction_substat_closed(sub, w, h, v[sub])
+                assert np.array_equal(got, fresh[sub, h]), (sub, h)
+                np.testing.assert_allclose(got, per_knot_correction(sub, w, h, v[sub]),
+                                           rtol=1e-9, atol=0.0)
+        assert kernels._correction_plan.cache_info().hits >= 2 * len(keys)
+        plan = kernels._correction_plan(keys[2][0], w, keys[2][1])
+        assert not any(rows.flags.writeable for rows in plan[1:])
+
 
 class TestQuadratureOracle:
     def test_interior_point_approaches_chord(self):
@@ -665,7 +688,6 @@ class TestSharedNodeGrid:
             est = SubstationaryIntensity(pat, theta, h)
             lo, hi = est._v_lo, est._v_hi
             _, v_data = project_xy(est.theta, pat.x, pat.y)
-            mids = lo + (np.arange(400) + 0.5) * (hi - lo) / 400
             ends = np.array([lo - _DOMAIN_TOL, hi + _DOMAIN_TOL])
 
             def direct(v, leave_out=0.0):
@@ -675,8 +697,11 @@ class TestSharedNodeGrid:
             assert_relative(est.at_points(pat.x, pat.y), direct(v_data), 1e-10)
             assert_relative(est.loo_values(), direct(est._v_data, own_kernel(h)), 1e-10)
             assert_relative(est.evaluate(ends), direct(ends), 1e-10)
-            chords = chord_measure(est.theta, pat.window, mids)
-            want = float(np.sum(direct(mids) * chords) * (hi - lo) / 400)
+            # the integral's own nodes and weights, summed directly
+            nodes, weights = est._zones()
+            chords = chord_measure(est.theta, pat.window, nodes)
+            excess = correction_substat_closed(est.theta, pat.window, h, nodes) - chords
+            want = _kernel_mass(h, est._v_data, lo, hi) - float(weights @ (direct(nodes) * excess))
             assert est.integral() == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_the_data_of_large_patterns_near_the_axis_are_interpolated(self):
