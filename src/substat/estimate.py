@@ -34,6 +34,7 @@ removes it to avoid the degenerate h -> 0 optimum.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -365,6 +366,27 @@ class FitResult:
     degenerate: bool = False
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count calls of the OpenBLAS that numpy ships, or None without one.
+
+    Looked up in ``numpy.libs`` the first time a map forks, not at import.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):  # the 64-bit-integer builds' symbols, then the others
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    return get, put
+    return None
+
+
 def _map_ordered(job, args, threads: int, targets: float) -> list:
     """``job`` of each of the sequence ``args``, in order, on at most ``threads`` processes.
 
@@ -373,8 +395,16 @@ def _map_ordered(job, args, threads: int, targets: float) -> list:
     ``_POOL_MIN_TARGETS`` kernel-sum targets in all (``targets`` a job), or without fork, the
     caller runs every job.  A job's error re-raises here with its type (a RuntimeError with
     its repr if it does not pickle); a warning that passes a worker's inherited filters is
-    issued again here with its category, message, file and line.  The package starts no
-    threads: from Python 3.12 a fork beside any (OpenBLAS's too) warns, failing an error filter.
+    issued again here with its category, message, file and line.
+
+    While a map forks, numpy's OpenBLAS (``_openblas``) runs one thread, in the caller's
+    share and in the children, which inherit it, so that w workers never run w times its
+    default threads on the cores; the caller's count comes back when the map ends, also
+    after an error.  A serial map, or a numpy without that library, leaves BLAS as it is.
+    The package starts no threads, but from Python 3.12 a fork beside any warns, failing an
+    error filter.  Setting one BLAS thread does not stop OpenBLAS's own: the process still
+    counts two OS threads after the call (``/proc/self/status``), so the rule does not
+    silence that warning.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
@@ -395,8 +425,11 @@ def _map_ordered(job, args, threads: int, targets: float) -> list:
         except Exception as exc:  # the error or a result does not pickle
             conn.send((None, RuntimeError(repr(reply[1] or exc)), caught))
 
-    ctx, children = multiprocessing.get_context("fork"), []
+    ctx, children, blas = multiprocessing.get_context("fork"), [], _openblas()
+    own = blas[0]() if blas else None
     try:
+        if blas:
+            blas[1](1)
         for k in range(1, workers):
             recv, send = ctx.Pipe(duplex=False)
             children.append((ctx.Process(target=work, args=(k, send)), recv))
@@ -414,6 +447,8 @@ def _map_ordered(job, args, threads: int, targets: float) -> list:
         for child, _ in children:  # none outlives the map: each has sent its share, or it failed
             child.terminate()
             child.join()
+        if blas:
+            blas[1](own)
     return [shares[i % workers][i // workers] for i in range(len(args))]
 
 

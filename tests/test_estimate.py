@@ -717,6 +717,61 @@ class TestWorkerMap:
         assert caught[0].filename == __file__
 
 
+def blas_threads(_=None) -> int:
+    """The thread count of numpy's OpenBLAS in the calling process."""
+    return estimate_module._openblas()[0]()
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS at 2 threads for the test, its own count restored after it."""
+    handle = estimate_module._openblas()
+    if handle is None:
+        pytest.skip("numpy ships no OpenBLAS")
+    get, put = handle
+    own = get()
+    put(2)
+    yield handle
+    put(own)
+
+
+class TestBlasThreadsInAMap:
+    """A map that forks runs one BLAS thread a worker and gives the caller its count back."""
+
+    def test_every_worker_of_a_forked_map_runs_one_blas_thread(self, blas, pools, pool_at_any_size):
+        assert _map_ordered(blas_threads, range(6), 3, 1) == [1] * 6
+        assert pools == [3]
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("raiser", [0, 1], ids=["caller", "child"])
+    def test_the_callers_count_comes_back_when_a_job_raises(self, blas, pools, pool_at_any_size, raiser):
+        def job(k):
+            if k == raiser:  # job 0 is the caller's, job 1 the child's
+                raise KeyError(k)
+            return k
+
+        with pytest.raises(KeyError):
+            _map_ordered(job, range(4), 2, 1)
+        assert pools == [2]
+        assert blas_threads() == 2
+
+    def test_a_serial_map_leaves_the_count_alone(self, blas, pools):
+        # one worker, and two below the gate
+        assert _map_ordered(blas_threads, range(4), 1, math.inf) == [2] * 4
+        assert _map_ordered(blas_threads, range(4), 2, 1) == [2] * 4
+        assert pools == []
+        assert blas_threads() == 2
+
+    def test_without_openblas_a_forked_map_gives_the_same_results(self, monkeypatch, pools, pool_at_any_size):
+        rng = np.random.default_rng(5)
+        blocks = [rng.random((40, 40)) for _ in range(5)]
+        want = [block @ block for block in blocks]
+        monkeypatch.setattr(estimate_module, "_openblas", lambda: None)
+        got = _map_ordered(lambda block: block @ block, blocks, 2, 1)
+        assert pools == [2]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestBoundedBrent:
     # scipy's numpy scalars warn on inf - inf, which the port's floats do not
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

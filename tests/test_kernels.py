@@ -1,4 +1,5 @@
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -530,7 +531,8 @@ class TestGaussianSums:
     def test_targets_on_nodes_take_the_direct_sum(self, monkeypatch):
         # a target on a node has an infinite barycentric weight and reads NaN,
         # which fails the guard; the last one's stencil lies beyond the floor
-        # of every datum, where the nodes read 0 and the infinite weight meets 0
+        # of every datum, where the nodes read 0 and the infinite weight meets
+        # 0, so its guard reads the direct sum's exact 0 without summing
         h = 0.05
         data = synthetic_data("beta", 500, 1.0, h, seed=7)
         step = _node_layout(h, 0.0, 1.0)[1]
@@ -539,12 +541,16 @@ class TestGaussianSums:
         assert np.isin(targets, node_positions(nodes)).all()
         assert np.all(nodes.sums[-kernels._STENCIL :] == 0.0)
         want = _direct_sums(h, data, targets)
+        guarded = record_calls(monkeypatch, "_reached_sums")
         calls = record_calls(monkeypatch, "_direct_sums")
         for leave_out in (0.0, own_kernel(h)):
             got = _interpolated_sums(h, data, targets, leave_out, nodes)
             assert_relative(got, want - leave_out, 1e-12)
-            # every target fell to the guard
-            assert np.array_equal(np.concatenate([call[2] for call in calls]), targets)
+            # every target fell to the guard, and all but the last to the direct sum
+            assert np.array_equal(np.concatenate([call[2] for call in guarded]), targets)
+            assert np.array_equal(np.concatenate([call[2] for call in calls]), targets[:-1])
+            assert want[-1] == 0.0 and got[-1] == 0.0 - leave_out
+            guarded.clear()
             calls.clear()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -596,6 +602,57 @@ class TestGaussianSums:
         positive = want > 0
         assert np.max(np.abs(unguarded - want)[positive] / want[positive]) > 1e-12
 
+    def test_guarded_values_beyond_the_floor_of_every_datum_are_never_summed(self, monkeypatch):
+        # the gapped set: 20 clusters 3 h wide over a span of 100 (n = 10**4,
+        # h = 0.01), where most guarded nodes lie beyond the floor of every datum
+        h, n, span = 0.01, 10_000, 100.0
+        rng = np.random.default_rng(0)
+        centres = rng.uniform(0.0, span, 20)
+        data = np.sort(centres[rng.integers(0, 20, n)] + rng.uniform(-1.5 * h, 1.5 * h, n))
+        reach = kernels._FLOOR_REACH * h
+
+        def in_reach(at):  # whether a datum lies within the floor's reach of each point
+            i = np.clip(np.searchsorted(data, at), 1, n - 1)
+            return np.minimum(np.abs(at - data[i - 1]), np.abs(at - data[i])) <= reach
+
+        guarded = record_calls(monkeypatch, "_reached_sums")
+        directs = record_calls(monkeypatch, "_direct_sums")
+        start = time.perf_counter()
+        nodes = _build_node_grid(h, data, 0.0, span)
+        built = [time.perf_counter() - start]
+        guarded_nodes = guarded[0][2]
+        targets = midpoint_grid(span, 40_000)
+        got = _interpolated_sums(h, data, targets, 0.0, nodes)
+        guarded_targets = np.concatenate([call[2] for call in guarded[1:]])
+        cases = [
+            (guarded_nodes, nodes.sums[np.isin(node_positions(nodes), guarded_nodes)], directs[0][2]),
+            (
+                guarded_targets,
+                got[np.isin(targets, guarded_targets)],
+                np.concatenate([call[2] for call in directs[1:]]),
+            ),
+        ]
+        for at, values, summed in cases:
+            # only the guarded values with a datum in reach are summed, and most are not
+            assert np.array_equal(summed, at[in_reach(at)])
+            assert summed.size < 0.3 * at.size
+            # each skipped value is the direct sum's exact 0 (a sample of them)
+            skipped = ~in_reach(at)
+            assert np.all(values[skipped] == 0.0)
+            assert np.array_equal(_direct_sums(h, data, at[skipped][::20]), values[skipped][::20])
+        # the direct sums of every guarded node over all the data, as taken
+        # before the reach was checked, timed on a sixteenth of the nodes and
+        # interleaved with builds: the grid builds at least 5 times faster
+        sample, full = guarded_nodes[::16], []
+        for _ in range(3):
+            start = time.perf_counter()
+            _direct_sums(h, data, sample)
+            full.append((time.perf_counter() - start) * guarded_nodes.size / sample.size)
+            start = time.perf_counter()
+            _build_node_grid(h, data, 0.0, span)
+            built.append(time.perf_counter() - start)
+        assert 5 * min(built) < min(full)
+
     def test_data_beyond_the_nodes_are_counted(self):
         h = 0.05
         rng = np.random.default_rng(9)
@@ -621,6 +678,41 @@ class TestGaussianSums:
             want = _direct_sums(h, data, targets) - leave_out
             got = _gaussian_sums(h, shuffled, targets, loo=loo, nodes=nodes)
             assert_relative(got, want, 1e-10)
+
+
+class TestLatticeBlocks:
+    """The node stage's BLAS products, taken a block of lags and of nodes at a time."""
+
+    @pytest.fixture(scope="class")
+    def open_range(self):
+        # a z = 1000 window seen at 75 degrees: over 10**5 nodes across its open range
+        h, window, sub = 0.04, Window(1000.0, 1.0), Subspace(math.radians(75.0))
+        rng = np.random.default_rng(21)
+        _, v = project_xy(sub, rng.uniform(0.0, 1000.0, 20_000), rng.uniform(0.0, 1.0, 20_000))
+        return h, np.sort(v), *v_range(sub, window)
+
+    def test_no_product_block_exceeds_the_chunk_and_the_nodes_stay_exact(self, monkeypatch, open_range):
+        h, data, lo, hi = open_range
+        blocks = record_calls(monkeypatch, "matmul", owner=np)
+        nodes = _build_node_grid(h, data, lo, hi)
+        assert nodes.sums.size >= 10**5
+        sizes = [taps.shape[0] * moments.shape[1] for taps, moments in blocks]
+        assert len(sizes) > 100 and max(sizes) <= kernels._CHUNK_ELEMENTS
+        sample = np.random.default_rng(22).choice(nodes.sums.size, 500, replace=False)
+        want = _direct_sums(h, data, node_positions(nodes)[sample])
+        assert_relative(nodes.sums[sample], want, 1e-12)
+
+    def test_blocks_of_hundreds_and_of_thousands_of_nodes_agree(self, monkeypatch, open_range):
+        h, data, lo, hi = open_range
+        rows = -(-(2 * kernels._LAGS + 1) // 3)  # so many nodes take the lags in thirds
+        sums = []
+        for width in (300, 3000):
+            monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", rows * (width + rows))
+            blocks = record_calls(monkeypatch, "matmul", owner=np)
+            sums.append(_build_node_grid(h, data, lo, hi).sums)
+            taps, moments = blocks[0]
+            assert taps.shape[0] == rows and 0.9 * width <= moments.shape[1] - rows <= width
+        assert_relative(sums[0], sums[1], 1e-15)
 
 
 def unfloored_block(h, offsets):

@@ -14,7 +14,9 @@
 #
 #   tools/golden.sh src /tmp/g | diff tools/golden.expected -
 #
-# Set PYTHON to choose the interpreter (default python3).
+# Set PYTHON to choose the interpreter (default python3).  The commands run at
+# the caller's OpenBLAS thread count; the listing must not depend on it, so
+# CI diffs one run at the default and one with OPENBLAS_NUM_THREADS=1.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -34,7 +36,7 @@ run() {
     local name=$1
     shift
     step=$((step + 1))
-    PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 "$python" -m substat.cli "$@" \
+    PYTHONPATH="$src" "$python" -m substat.cli "$@" \
         > "$(printf '%02d' "$step")-$name.stdout"
 }
 
