@@ -55,11 +55,11 @@ from .geometry import (
 )
 from .kernels import (
     _KNOT_REACH,
+    _direct_sums,
     _gaussian_sums,
     _grid_sums,
     _kernel_mass,
     _node_grid,
-    _scattered_sums,
     correction_2d,
     correction_substat_closed,
     validate_bandwidth,
@@ -79,8 +79,8 @@ __all__ = [
 
 _DOMAIN_TOL = 1e-9
 
-# a profile evaluation's integral in the price of fit_theta's and the sweeps' maps,
-# with which _POOL_MIN_TARGETS was measured, and the one integral_cells of
+# a profile evaluation's integral in a fit's price (_fit_targets), with which
+# _POOL_MIN_TARGETS was measured, and the one integral_cells of
 # bandwidth_cv_scores; the integral itself takes at most 144 nodes (_zone_panels)
 SUBSTAT_INTEGRAL_CELLS = 400
 GRID2D_INTEGRAL_CELLS = 200
@@ -94,8 +94,8 @@ FIT_TOL = 1e-4
 _PANEL_WIDTH = 6.0
 _PANEL_NODES = 12
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
-# the fewest kernel-sum targets (data plus integral cells per profile evaluation) a
-# map's jobs price before it forks: forked fits gained <= 8% below this, 15-60% above
+# the fewest kernel-sum targets (_fit_targets) a map prices before it forks:
+# forked fits gained <= 8% below this, 15-60% above
 _POOL_MIN_TARGETS = 80_000
 
 
@@ -228,7 +228,7 @@ class KernelIntensity2D:
         if x_arr.shape != y_arr.shape:
             raise ValueError("x and y must have the same shape")
         _require_inside(self.window, x_arr, y_arr)
-        sums = _scattered_sums(self.h, (self._x_data, x_arr), (self._y_data, y_arr))
+        sums = _direct_sums(self.h, self._x_data, x_arr, (self._y_data, y_arr))
         corr = correction_2d(self.window, self.h, x_arr, y_arr)
         return _shaped_like(x, sums / corr)
 
@@ -244,8 +244,8 @@ class KernelIntensity2D:
         sums = _grid_sums(self.h, (self._x_data, x_mids), (self._y_data, y_mids))
         return sums / correction_2d(self.window, self.h, x_mids[:, None], y_mids[None, :])
 
-    def integral(self, cells: int = GRID2D_INTEGRAL_CELLS) -> float:
-        _, (dx, dy), values = _cells(self, cells)
+    def integral(self) -> float:
+        _, (dx, dy), values = _cells(self, GRID2D_INTEGRAL_CELLS)
         return float(np.sum(values) * dx * dy)
 
 
@@ -271,8 +271,7 @@ class StationaryIntensity:
         _require_inside(self.window, x, y)
         return self.evaluate(x)  # the constant, shaped like x
 
-    def integral(self, cells: int | None = None) -> float:
-        # constant integrand: the midpoint rule is exact, so integrate directly
+    def integral(self) -> float:
         return self.value * self.window.area
 
 
@@ -392,10 +391,10 @@ def _map_ordered(job, args, threads: int, targets: float) -> list:
 
     ``threads`` caps the workers w (0: one per CPU; negative: ValueError).  The caller runs
     jobs 0, w, 2w, ... and w - 1 forked children, which inherit ``job``, the rest; below
-    ``_POOL_MIN_TARGETS`` kernel-sum targets in all (``targets`` a job), or without fork, the
-    caller runs every job.  A job's error re-raises here with its type (a RuntimeError with
-    its repr if it does not pickle); a warning that passes a worker's inherited filters is
-    issued again here with its category, message, file and line.
+    ``_POOL_MIN_TARGETS`` kernel-sum targets, the whole map's price (``_fit_targets`` a fit),
+    or without fork, the caller runs every job.  A job's error re-raises here with its type
+    (a RuntimeError with its repr if it does not pickle); a warning that passes a worker's
+    inherited filters is issued again here with its category, message, file and line.
 
     While a map forks, numpy's OpenBLAS (``_openblas``) runs one thread, in the caller's
     share and in the children, which inherit it, so that w workers never run w times its
@@ -409,7 +408,7 @@ def _map_ordered(job, args, threads: int, targets: float) -> list:
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
     workers = min(threads or os.cpu_count() or 1, len(args))
-    if workers <= 1 or len(args) * targets < _POOL_MIN_TARGETS or not hasattr(os, "fork"):
+    if workers <= 1 or targets < _POOL_MIN_TARGETS or not hasattr(os, "fork"):
         return [job(a) for a in args]
     import multiprocessing  # only where a map forks: a serial run never loads it
     def work(k: int, conn) -> None:  # a child: its share's results, error and warnings
@@ -533,6 +532,15 @@ def _coarse_angles(search_halfwidth_deg: float | None) -> tuple[np.ndarray, floa
     return (thetas[:-1] if halfwidth == 90.0 else thetas), halfwidth
 
 
+def _fit_targets(n: float, search_halfwidth_deg: float | None) -> float:
+    """A fit's price in kernel-sum targets for ``_map_ordered``: n + 400 at each coarse angle.
+
+    The 400 (``SUBSTAT_INTEGRAL_CELLS``) is the cost of an evaluation's integral with which
+    ``_POOL_MIN_TARGETS`` was measured, not its node count (at most 144).
+    """
+    return _coarse_angles(search_halfwidth_deg)[0].size * (n + SUBSTAT_INTEGRAL_CELLS)
+
+
 def fit_theta(
     pattern: PointPattern,
     h: float,
@@ -549,8 +557,8 @@ def fit_theta(
     search covers [-90, 90) degrees in 180 nodes, since +90 degrees names
     the same subspace as -90; a half-width of 90 is the open search.
     The bandwidth is held fixed throughout.
-    ``threads``, the most worker processes for the coarse grid (priced at n + 400
-    targets an angle), goes to ``_map_ordered``; the result does not depend on it.
+    ``threads``, the most worker processes for the coarse grid (priced by
+    ``_fit_targets``), goes to ``_map_ordered``; the result does not depend on it.
 
     ``search_halfwidth_deg`` confines the search to that many degrees on
     either side of the horizontal axis.  In windows that carry little
@@ -572,7 +580,7 @@ def fit_theta(
     def profile(theta: float) -> float:
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
 
-    values = np.asarray(_map_ordered(profile, thetas, threads, pattern.n + SUBSTAT_INTEGRAL_CELLS))
+    values = np.asarray(_map_ordered(profile, thetas, threads, _fit_targets(pattern.n, halfwidth)))
     trace = tuple(zip((float(t) for t in thetas), (float(g) for g in values)))
 
     degenerate = bool(values.max() - values.min() < 1e-9)

@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimate import (
-    SUBSTAT_INTEGRAL_CELLS,
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
     _axis,
     _cells,
-    _coarse_angles,
+    _fit_targets,
     _map_ordered,
     fit_theta,
 )
@@ -193,18 +192,18 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     returns one value per name.  A cell's metric is the root mean of
     ``squared(values)`` over its replications (of the values themselves when
     ``squared`` is None); its samples are the values.  A cell's replications
-    run on at most ``threads`` worker processes, by ``_map_ordered``, each priced
-    as its fit: coarse angles times (expected count + ``SUBSTAT_INTEGRAL_CELLS``).
+    run on at most ``threads`` worker processes, by ``_map_ordered``, priced as
+    that many fits (``_fit_targets``) at the cell's expected count.
     """
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
-    angles = _coarse_angles(plan.search_halfwidth_deg)[0].size
     cells: dict[tuple, CellSummary] = {}
     for a in plan.a_values:
         for z in plan.z_values:
             model = PoissonBetaModel(a, Window(z, 1.0))
             # known before any pattern is drawn; the Thomas process keeps its base's count
-            targets = angles * (model.expected_count + SUBSTAT_INTEGRAL_CELLS)
+            fit = _fit_targets(model.expected_count, plan.search_halfwidth_deg)
+            targets = plan.replications * fit
             if thomas:
                 model = ThomasModel(model, gamma=plan.gamma, sigma=plan.sigma)
             for h in plan.h_values:

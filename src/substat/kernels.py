@@ -36,10 +36,10 @@ zeroes them (about 1 ns more per element).
 
 The engine, ``_gaussian_sums(h, data, targets)``, is one-axis: it takes the
 kernel sums of the 1-D smoother along the orthogonal offset and their
-leave-one-out values.  The 2-D smoother owns the product form: its sums
-are a product of two one-axis kernel blocks, summed at scattered
-locations by ``_scattered_sums`` and on a tensor grid by ``_grid_sums`` as
-one matrix product.  The engine has two paths:
+leave-one-out values.  The 2-D smoother's sums are a product of two
+one-axis kernel blocks: at scattered locations ``_direct_sums`` with a
+second axis, on a tensor grid ``_grid_sums`` as one matrix product.  The
+engine has two paths:
 
 * ``_direct_sums``, the direct sum over every data-target pair, exact up to
   rounding: the oracle of every path, and the path for small inputs;
@@ -121,22 +121,21 @@ _CORRECTION_ELEMENTS = 2**14
 # the correction's knots: a ramp narrower than this many bandwidths is a jump; the
 # reach in bandwidths beyond which every knot term is below 2**-53 of the plateau T,
 # h*s_k*psi(x) <= T*psi(x)/_JUMP_WIDTH with psi(x) <= phi(x)/(1 + x^2), and T*Q(x) at
-# a jump; and the reach beyond which Q(x) = erfc(x/sqrt(2))/2 is exactly 0
+# a jump
 _JUMP_WIDTH = 1e-6
 _KNOT_REACH = next(
     x for x in range(1, 99)
     if math.exp(-0.5 * x * x) / (_SQRT_2PI * (1 + x * x)) / _JUMP_WIDTH < 2.0**-53
     and 0.5 * math.erfc(x / _SQRT_2) < 2.0**-53
 )
-_TAIL_REACH = next(x for x in range(1, 99) if erfc(x / _SQRT_2) == 0.0)
 
 # interpolated kernel sums: node spacing in bandwidths, stencil size, guard,
 # and the measured costs, in kernel pairs (about 4 ns each), of one target
 # and of a node grid: 0.2 ms fixed, 0.08 us per datum and 0.6 us per node.
-# Those were measured with the nodes taken by np.convolve and the targets read
-# row-major; with the BLAS product and the stencil-major pass (one BLAS thread,
-# uniform data, no guard, a 2-core Xeon VM) a node took 0.27-0.31 us against
-# 0.49 us and a target 0.16 us against 0.21 us.  The price keeps the old costs.
+# The current stage costs less per node and per target on uniform data; the
+# price keeps these costs, since a new price would move which estimators take
+# a grid, and so their values within 1e-10, and it waits for timings on gapped
+# data.
 _NODE_STEP = 0.2
 _STENCIL = 20
 _HALF = _STENCIL // 2
@@ -211,10 +210,11 @@ def _kernel_mass(h: float, data: np.ndarray, lo: float, hi: float) -> float:
     """The integral of ``_gaussian_sums`` over [lo, hi]: n less each kernel's tails beyond them.
 
     The tail Q(x) = erfc(x/sqrt(2))/2 at x = (hi - v_j)/h, or (v_j - lo)/h, is
-    exactly 0 beyond ``_TAIL_REACH`` bandwidths, so only the data within
-    that reach of an end take an erfc; the data must be sorted.
+    below 1e-308 beyond ``_FLOOR_REACH`` bandwidths, too small to move n, so
+    only the data within that reach of an end take an erfc; the data must
+    be sorted.
     """
-    reach = _TAIL_REACH * h
+    reach = _FLOOR_REACH * h
     top = data[np.searchsorted(data, hi - reach) :]
     bottom = data[: np.searchsorted(data, lo + reach)]
     with np.errstate(under="ignore"):
@@ -240,17 +240,23 @@ def _kernel_block(h: float, offsets: np.ndarray) -> np.ndarray:
     return np.exp(offsets, out=offsets)
 
 
-def _direct_sums(h: float, data: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _direct_sums(h: float, data: np.ndarray, targets: np.ndarray, *axes) -> np.ndarray:
     """The direct sum over every data-target pair, in stored order: the oracle of every path.
 
-    Targets are taken in chunks to bound memory; empty data sum to zero.
+    Each further ``(data, targets)`` pair in ``axes`` multiplies in its own
+    kernel, as the product kernel of the 2-D smoother does, at the targets
+    taken together.  Targets are taken in chunks to bound memory; empty data
+    sum to zero.
     """
-    flat = targets.ravel()
+    flat, axes = targets.ravel(), [(d, t.ravel()) for d, t in axes]
     out = np.empty(flat.size, dtype=float)
     step = max(1, _CHUNK_ELEMENTS // max(1, data.size))
     for i in range(0, out.size, step):
-        out[i : i + step] = _kernel_block(h, data - flat[i : i + step, None]).sum(axis=1)
-    return (out / (h * _SQRT_2PI)).reshape(targets.shape)
+        block = _kernel_block(h, data - flat[i : i + step, None])
+        for d, t in axes:
+            block *= _kernel_block(h, d - t[i : i + step, None])
+        out[i : i + step] = block.sum(axis=1)
+    return (out / (h * _SQRT_2PI) ** (1 + len(axes))).reshape(targets.shape)
 
 
 class _NodeGrid(NamedTuple):
@@ -427,21 +433,6 @@ def _grid_sums(h: float, x_axis, y_axis) -> np.ndarray:
     """
     wx, wy = (_kernel_block(h, d[:, None] - t[None, :]) for d, t in (x_axis, y_axis))
     return (wx.T @ wy) / (h * h * 2.0 * math.pi)
-
-
-def _scattered_sums(h: float, x_axis, y_axis) -> np.ndarray:
-    """``_grid_sums``' product form at the targets (x_k, y_k) of ``(data, targets)`` pairs.
-
-    The targets are taken in chunks to bound memory; the result takes their shape.
-    """
-    (x_data, x), (y_data, y) = ((data, targets.ravel()) for data, targets in (x_axis, y_axis))
-    out = np.empty(x.size, dtype=float)
-    step = max(1, _CHUNK_ELEMENTS // max(1, x_data.size))
-    for i in range(0, out.size, step):
-        block = _kernel_block(h, x_data - x[i : i + step, None])
-        block *= _kernel_block(h, y_data - y[i : i + step, None])
-        out[i : i + step] = block.sum(axis=1)
-    return (out / (h * h * 2.0 * math.pi)).reshape(x_axis[1].shape)
 
 
 @functools.lru_cache(maxsize=64)

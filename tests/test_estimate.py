@@ -19,6 +19,7 @@ from substat.estimate import (
     StationaryIntensity,
     SubstationaryIntensity,
     _bounded_brent,
+    _fit_targets,
     _map_ordered,
     bandwidth_cv_scores,
     fit_theta,
@@ -588,19 +589,35 @@ class TestFitTheta:
 
     def test_bounded_fits_pool_at_ten_thousand_points_not_three_thousand(self, pools):
         rng = np.random.default_rng(71)
-        for n, built in ((3000, []), (10_000, [2])):
+        for n, built in ((100, []), (3000, []), (10_000, [2])):
             x, y = rng.uniform(0.0, 100.0, n), rng.beta(3.0, 3.0, n)
             fit_theta(PointPattern(x, y, Window(100.0)), 0.05, search_halfwidth_deg=6.0, threads=2)
             assert pools == built  # 13 coarse angles of n + 400 targets each
-        assert 13 * (3000 + SUBSTAT_INTEGRAL_CELLS) < _POOL_MIN_TARGETS
+        assert _fit_targets(3000, 6.0) < _POOL_MIN_TARGETS
 
     def test_the_threshold_reads_the_angles_and_the_pattern_size(self, monkeypatch, pools):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(70, 3))
-        targets = 3 * (pat.n + SUBSTAT_INTEGRAL_CELLS)  # a half-width of 1 degree: 3 angles
+        targets = _fit_targets(pat.n, 1.0)  # a half-width of 1 degree: 3 angles
         for floor, built in ((targets + 1, []), (targets, [2])):
             monkeypatch.setattr(estimate_module, "_POOL_MIN_TARGETS", floor)
             fit_theta(pat, 0.05, search_halfwidth_deg=1.0, threads=2)
             assert pools == built
+
+    def test_a_fits_price_is_n_plus_400_targets_at_each_coarse_angle(self):
+        for n in (0, 83, 2909):
+            assert _fit_targets(n, 6.0) == 13 * (n + 400)
+            assert _fit_targets(n, None) == _fit_targets(n, 90.0) == 180 * (n + 400)
+
+    # a sweep cell prices its replications as that many fits at its expected count
+    @pytest.mark.parametrize("replications, count, forks", [
+        (32, 100.0, True),  # a table1-z1 cell: 32 x 13 x 500 = 208 000 targets
+        (8, 1000.0, True),  # a table2-z10 cell: 8 x 13 x 1400 = 145 600
+        (4, 100.0, False),  # R=4 at z=1: 26 000
+    ])
+    def test_sweep_cells_fork_by_their_price(self, replications, count, forks, pools):
+        targets = replications * _fit_targets(count, 6.0)
+        assert _map_ordered(abs, range(replications), 2, targets) == list(range(replications))
+        assert pools == ([2] if forks else [])
 
     def test_an_open_fit_is_identical_at_any_worker_count(self, pools, pool_at_any_size):
         pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(70, 4))

@@ -28,7 +28,6 @@ from substat.kernels import (
     _lattice_sums,
     _node_grid,
     _node_layout,
-    _scattered_sums,
     correction_2d,
     correction_substat_closed,
     normal_cdf,
@@ -440,13 +439,13 @@ class TestGaussianSums:
             sum(gaussian(h, a - x) * gaussian(h, b - y) for a, b in zip(xd, yd))
             for x, y in zip(xt, yt)
         ]
-        got = _scattered_sums(h, (xd, xt), (yd, yt))
+        got = _direct_sums(h, xd, xt, (yd, yt))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_empty_data_gives_zeros_shaped_like_the_targets(self):
         empty, targets = np.empty(0), np.linspace(0, 1, 7)
         one_axis = _gaussian_sums(0.1, empty, targets)
-        for got in (one_axis, _scattered_sums(0.1, (empty, targets), (empty, targets))):
+        for got in (one_axis, _direct_sums(0.1, empty, targets, (empty, targets))):
             assert got.shape == (7,)
             assert np.all(got == 0.0)
 
@@ -455,12 +454,12 @@ class TestGaussianSums:
         xd, yd = rng.uniform(0, 2, 50), rng.uniform(0, 1, 50)
         xt, yt = rng.uniform(0, 2, 37), rng.uniform(0, 1, 37)
         whole_1d = _gaussian_sums(0.05, xd, xt)
-        whole_2d = _scattered_sums(0.05, (xd, xt), (yd, yt))
+        whole_2d = _direct_sums(0.05, xd, xt, (yd, yt))
         big = rng.uniform(0, 2, 2000)
         whole_interpolated = interpolated(0.05, big, big, 0.0)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 50 * 4)  # 4 targets per chunk
         assert np.array_equal(_gaussian_sums(0.05, xd, xt), whole_1d)
-        assert np.array_equal(_scattered_sums(0.05, (xd, xt), (yd, yt)), whole_2d)
+        assert np.array_equal(_direct_sums(0.05, xd, xt, (yd, yt)), whole_2d)
         assert np.array_equal(interpolated(0.05, big, big, 0.0), whole_interpolated)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -525,7 +524,7 @@ class TestGaussianSums:
             assert (_node_grid(h, spread, 0.0, 10.0, 1400) is not None) == pays
         assert len(builds) == 2
         # two axes take their own product form, never a node grid
-        _scattered_sums(0.05, (large, large), (large, large))
+        _direct_sums(0.05, large, large, (large, large))
         assert len(calls) == 1
 
     def test_targets_on_nodes_take_the_direct_sum(self, monkeypatch):
@@ -665,18 +664,26 @@ class TestGaussianSums:
         assert np.all(inside < data.size)
         assert_relative(nodes.sums, _direct_sums(h, data, node_positions(nodes)), 1e-12)
 
-    def test_the_lattice_takes_data_in_any_order(self):
+    def test_the_lattice_sums_shuffled_data_and_the_guards_sorted_data(self):
+        # the lattice bins each datum by its node, so any order gives its sums
+        # up to rounding; the guards find each value's reach by
+        # np.searchsorted, so the node grid and the interpolated path take the
+        # data sorted
         h = 0.05
         data = synthetic_data("beta", 2000, 20.0, h, seed=8)
-        shuffled = data.copy()
-        shuffled[[1000, -2]] = data[[-2, 1000]]
-        nodes = _build_node_grid(h, shuffled, 0.0, 20.0)
-        assert_relative(nodes.sums, _direct_sums(h, data, node_positions(nodes)), 1e-12)
-        grid = midpoint_grid(20.0)
-        for targets, loo in ((data, True), (grid, False)):
-            leave_out = own_kernel(h) if loo else 0.0
+        origin, step, count = _node_layout(h, 0.0, 20.0)
+        at = origin + step * np.arange(count)
+        for given in (data, np.random.default_rng(8).permutation(data)):
+            sums, inside = _lattice_sums(h, given, origin, step, count)
+            # the nodes whose left-out terms the guard would let stand
+            kept = (data.size - inside) * (kernels._TAIL / h) < kernels._TAIL_RTOL * sums
+            assert kept.mean() > 0.9
+            assert_relative(sums[kept], _direct_sums(h, data, at[kept]), 1e-12)
+        nodes = _build_node_grid(h, data, 0.0, 20.0)
+        assert_relative(nodes.sums, _direct_sums(h, data, at), 1e-12)
+        for targets, leave_out in ((data, own_kernel(h)), (midpoint_grid(20.0), 0.0)):
             want = _direct_sums(h, data, targets) - leave_out
-            got = _gaussian_sums(h, shuffled, targets, loo=loo, nodes=nodes)
+            got = _gaussian_sums(h, data, targets, loo=leave_out > 0.0, nodes=nodes)
             assert_relative(got, want, 1e-10)
 
 
