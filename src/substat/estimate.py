@@ -25,8 +25,12 @@ offsets where the boundary correction differs from the chord (see
 
 The direction theta is estimated by maximizing the log-likelihood for the
 substationary estimator over theta: a 1-degree coarse grid over [-90, 90)
-degrees followed by a bounded Brent search, the module's own
-``_bounded_brent`` (so importing the package needs no ``scipy.optimize``).
+degrees, then two parabolas, the first through the best node and its
+neighbours and the second through three values 2*``_DELTA_DEG`` wide around
+the first's vertex; the fit is the second's vertex (see ``fit_theta``).
+At small h the profile is rough on the scale h/z radians, well below the
+grid step, so the second parabola spans a fixed width rather than
+converging on whichever local maximum of that roughness a search meets.
 Bandwidths are selected by its leave-one-out form (``loo=True``); the
 profile fit keeps each point in its own estimate, while cross validation
 removes it to avoid the degenerate h -> 0 optimum.
@@ -87,7 +91,8 @@ GRID2D_INTEGRAL_CELLS = 200
 GRID_CELLS_1D = 512
 GRID_CELLS_2D = 128
 FIT_GRID_STEP_DEG = 1.0
-FIT_TOL = 1e-4
+# the refinement's half-spacing: the profile is scored at v - delta, v and v + delta
+_DELTA_DEG = 0.1
 # the likelihood integral's quadrature where the correction's knot terms act: Gauss-Legendre
 # panels of at most _PANEL_WIDTH bandwidths, of _PANEL_NODES nodes each (a convergence
 # test in tests/test_estimate.py holds the integral within 1e-9 of a fine reference)
@@ -354,8 +359,10 @@ class FitResult:
     """Outcome of the invariance-direction fit.
 
     trace holds the (theta, log-likelihood) pairs of the coarse grid,
-    which always includes theta = 0; the refined maximizer never scores
-    below any of them.
+    which always includes theta = 0.  theta_hat is the refined vertex of
+    ``fit_theta``, not the argmax of the values the fit evaluated: loglik is
+    the largest of those values, so it never falls below any of the trace,
+    while the profile at theta_hat may score lower.
     """
 
     theta_hat: Subspace
@@ -451,75 +458,16 @@ def _map_ordered(job, args, threads: int, targets: float) -> list:
     return [shares[i % workers][i // workers] for i in range(len(args))]
 
 
-def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Minimize ``func`` on [lo, hi] by Brent's method; returns (x, func(x)).
+def _vertex(below: float, at: float, above: float) -> float | None:
+    """The vertex of the parabola through values at -1, 0 and 1, clipped to [-1, 1].
 
-    Golden-section steps with parabolic interpolation where a parabola
-    through the three best points is acceptable (Brent 1973; fminbound of
-    Forsythe, Malcolm & Moler 1977).  It takes the probes that
-    ``scipy.optimize.minimize_scalar(method="bounded")`` takes, step for
-    step, and stops after 500 evaluations.
+    None unless the values are concave with a finite vertex.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    # the best point (xf), the second best (nfc) and the previous second best (fulc)
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        parabolic = False
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
-            if parabolic:
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if not parabolic:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
+    bend = below - 2.0 * at + above
+    if not bend < 0.0:
+        return None
+    offset = 0.5 * (below - above) / bend
+    return None if math.isnan(offset) else min(max(offset, -1.0), 1.0)
 
 
 def _coarse_angles(search_halfwidth_deg: float | None) -> tuple[np.ndarray, float]:
@@ -551,14 +499,30 @@ def fit_theta(
     """Estimate the invariance direction by profile composite likelihood.
 
     Evaluates the profile log-likelihood on a coarse angular grid,
-    symmetric about 0 with steps of at most ``FIT_GRID_STEP_DEG``, then
-    refines the bracketing interval by a bounded Brent search
-    (``_bounded_brent``) to ``FIT_TOL`` radians.  The open
-    search covers [-90, 90) degrees in 180 nodes, since +90 degrees names
-    the same subspace as -90; a half-width of 90 is the open search.
-    The bandwidth is held fixed throughout.
-    ``threads``, the most worker processes for the coarse grid (priced by
-    ``_fit_targets``), goes to ``_map_ordered``; the result does not depend on it.
+    symmetric about 0 with equal steps of at most ``FIT_GRID_STEP_DEG``.  The
+    open search covers [-90, 90) degrees in 180 nodes, since +90 degrees
+    names the same subspace as -90; a half-width of 90 is the open search.
+    The bandwidth is held fixed throughout.  ``threads``, the most worker
+    processes for the coarse grid (priced by ``_fit_targets``), goes to
+    ``_map_ordered``; the result does not depend on it.
+
+    Two parabolas refine the best node, with delta = ``_DELTA_DEG`` (or the
+    half-width, if that is smaller):
+
+    1. v is the vertex of the parabola through the best node and its two
+       neighbours (on the open search they wrap across +-90 degrees; at a
+       bound of a bounded search, its two inner neighbours), or the node
+       itself where they are not concave, within one step of the node and
+       then within [lo + delta, hi - delta] of the search;
+    2. the profile is scored at v - delta, v and v + delta;
+    3. theta_hat is the vertex of that parabola, within [v - delta,
+       v + delta], or the best of the three values where they are not
+       concave; one more evaluation scores it.
+
+    So a fit makes at most 4 evaluations beyond its coarse grid, none where
+    an angle was already scored.  theta_hat is that refined vertex, not the
+    argmax of the evaluated values; the fit's loglik is the largest value
+    it evaluated (see ``FitResult``).
 
     ``search_halfwidth_deg`` confines the search to that many degrees on
     either side of the horizontal axis.  In windows that carry little
@@ -569,8 +533,8 @@ def fit_theta(
     harness, which fixes its own half-width as part of the protocol).
 
     A spread of less than 1e-9 across the grid is flagged as a degenerate
-    fit.  Ties prefer the smallest angle.  A pattern of fewer than two
-    points raises DataError.
+    fit.  Ties, on the grid and among the three values, prefer the smallest
+    angle.  A pattern of fewer than two points raises DataError.
     """
     if pattern.n < 2:
         raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
@@ -593,25 +557,38 @@ def fit_theta(
         )
 
     best_idx = int(np.argmax(values))  # first occurrence: smallest angle wins ties
-    best_theta = float(thetas[best_idx])
-    best_value = float(values[best_idx])
-
-    # bracket one grid step on each side; on the open search the bracket
-    # may cross +-90 degrees, where the Subspace normalization wraps the
-    # angle and keeps the profile continuous
-    step = math.radians(FIT_GRID_STEP_DEG)
-    lo, hi = best_theta - step, best_theta + step
+    best, step = float(thetas[best_idx]), float(thetas[1] - thetas[0])
+    delta, lo, hi, centre = math.radians(_DELTA_DEG), -math.inf, math.inf, best_idx
     if halfwidth < 90.0:
         bound = math.radians(halfwidth)
-        lo, hi = max(lo, -bound), min(hi, bound)
-    x, fun = _bounded_brent(lambda t: -profile(t), lo, hi, FIT_TOL)
-    if -fun > best_value:
-        best_theta, best_value = x, -fun
+        delta = min(delta, bound)
+        lo, hi = delta - bound, bound - delta
+        centre = min(max(best_idx, 1), thetas.size - 2)  # a bound node's parabola is one-sided
+    # the coarse vertex v: on the open search the neighbours wrap across +-90
+    # degrees, where the Subspace normalization keeps the profile continuous
+    offset = _vertex(*(float(values[(centre + k) % thetas.size]) for k in (-1, 0, 1)))
+    v = best if offset is None else float(thetas[centre]) + step * offset
+    v = min(max(v, best - step, lo), best + step, hi)
+
+    # the local parabola through v - delta, v and v + delta: its vertex, or
+    # the best of the three where they are not concave
+    scored = {best: float(values[best_idx])}
+
+    def score(theta: float) -> float:
+        if theta not in scored:
+            scored[theta] = profile(theta)
+        return scored[theta]
+
+    probes = (v - delta, v, v + delta)
+    local = [score(t) for t in probes]
+    offset = _vertex(*local)
+    theta_hat = probes[int(np.argmax(local))] if offset is None else v + delta * offset
+    score(theta_hat)  # the fit's loglik is the largest value it evaluated
 
     return FitResult(
-        theta_hat=Subspace(best_theta),
+        theta_hat=Subspace(theta_hat),
         h=h,
-        loglik=best_value,
+        loglik=max(scored.values()),
         trace=trace,
         degenerate=degenerate,
     )

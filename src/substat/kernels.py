@@ -5,9 +5,14 @@ retains inside the window, so that locations near the boundary are not
 deflated.  For the 1-D (orthogonal-coordinate) smoother that mass has a
 closed form over the knots of the trapezoidal chord profile, for every
 angle: the chord at v, plus h*s_k*(phi(x) - x*Phi(-x)) at x = |v - k|/h for
-each kink k of a ramp, less the mass T*Phi(o/h) that each jump (a ramp
-narrower than 1e-6*h) cuts off, o outwards.  Each term vanishes away from
-its knot, so none cancels, unlike the growing h*s_k*(x*Phi(x) + phi(x)).
+each kink k of a ramp, less the mass that each jump (a ramp narrower than
+1e-3*h) cuts off, T*Phi(o/h) less its width w's second-order term
+T*(w/h)**2/24 * x*phi(x) at x = o/h, o outwards.  Each term vanishes away
+from its knot, unlike the growing h*s_k*(x*Phi(x) + phi(x)).  The foot and
+head terms of a ramp just wider than 1e-3*h still cancel to O(T), with
+s_k = T/width, losing about 2**-53*T*h/width: against 60-digit values at
+widths from 3e-8*h to 0.1*h, near both axes, the relative error was at
+most 8.7e-14, just above the threshold.
 
 The rows of knots, slopes and scales depend on the angle, the window and h
 alone, so ``_correction_plan`` builds them once per such key and every
@@ -118,16 +123,15 @@ _CHUNK_ELEMENTS = 2**16
 # elements per block of the boundary correction's knots against its offsets:
 # 128 KB (2**14 timed fastest of 2**13-2**16 at 10**4 offsets)
 _CORRECTION_ELEMENTS = 2**14
-# the correction's knots: a ramp narrower than this many bandwidths is a jump; the
-# reach in bandwidths beyond which every knot term is below 2**-53 of the plateau T,
-# h*s_k*psi(x) <= T*psi(x)/_JUMP_WIDTH with psi(x) <= phi(x)/(1 + x^2), and T*Q(x) at
-# a jump
-_JUMP_WIDTH = 1e-6
-_KNOT_REACH = next(
-    x for x in range(1, 99)
-    if math.exp(-0.5 * x * x) / (_SQRT_2PI * (1 + x * x)) / _JUMP_WIDTH < 2.0**-53
-    and 0.5 * math.erfc(x / _SQRT_2) < 2.0**-53
-)
+# the correction's knots: a ramp narrower than _JUMP_WIDTH bandwidths is a jump at its
+# midpoint with the second-order term of its width, exact to about (width/h)**4 of the
+# plateau T; at a wider ramp the foot and head terms h*s_k*psi(x), s_k = T/width, cancel
+# to O(T) and lose about 2**-53 * T * h/width.  Every knot term is below 2**-53 of T
+# beyond 9 bandwidths, h*s_k*psi(x) <= T*psi(x)/_JUMP_WIDTH with psi(x) <= phi(x)/(1 + x^2),
+# and T*Q(x) at a jump; the reach stays at the 10 with which the likelihood integral's
+# zones (estimate._zone_panels) were measured
+_JUMP_WIDTH = 1e-3
+_KNOT_REACH = 10
 
 # interpolated kernel sums: node spacing in bandwidths, stencil size, guard,
 # and the measured costs, in kernel pairs (about 4 ns each), of one target
@@ -439,8 +443,9 @@ def _grid_sums(h: float, x_axis, y_axis) -> np.ndarray:
 def _correction_plan(subspace: Subspace, window: Window, h: float) -> tuple:
     """The plateau and the rows of ``correction_substat_closed``'s block at one angle, window and h.
 
-    (top, column, kinks, scale, tails, runs): built once per key and shared by
-    every later call, so each array is read-only.
+    (top, column, kinks, scale, tails, runs, bends): built once per key and
+    shared by every later call, so each array is read-only; ``bends`` is empty
+    where no jump has a width.
     """
     knots, heights = _trapezoid(subspace, window)
     top, k = heights[1], knots.tolist()
@@ -448,38 +453,44 @@ def _correction_plan(subspace: Subspace, window: Window, h: float) -> tuple:
     ramps = [(k[0], k[1], k[1] - k[0], -1.0), (k[3], k[2], k[3] - k[2], 1.0)]
     narrow = _JUMP_WIDTH * h
     wide = [(foot, head, h * top / width) for foot, head, width, _ in ramps if width >= narrow]
-    jumps = [(0.5 * (foot + head), out) for foot, head, width, out in ramps if width < narrow]
+    jumps = [(0.5 * (foot + head), out, width) for foot, head, width, out in ramps if width < narrow]
     # the block's rows: the wide ramps' feet and heads, with h * s_k, then the jumps
-    column = np.array([f for f, _, _ in wide] + [e for _, e, _ in wide] + [m for m, _ in jumps])
+    column = np.array([f for f, _, _ in wide] + [e for _, e, _ in wide] + [m for m, _, _ in jumps])
     kinks = np.array([s for *_, s in wide] + [-s for *_, s in wide])
     # erfc(t) is 2*Q(x_k) at t = x_k/sqrt(2), at the kinks, and 2*Phi(o_j/h) at the jumps
-    scale = np.array([1.0] * kinks.size + [-out for _, out in jumps]) / (h * _SQRT_2)
+    scale = np.array([1.0] * kinks.size + [-out for _, out, _ in jumps]) / (h * _SQRT_2)
     tails = np.concatenate((kinks / -_SQRT_2, np.full(len(jumps), -0.5 * top)))
     runs = np.array([head - foot for foot, head, _ in wide])[:, None]
-    for rows in (column, kinks, scale, tails, runs):
+    # each jump's width term T*(w/h)**2/24 * x*phi(x) at x = o_j/h, as the weight of
+    # (v - m_j) * exp(-((v - m_j)/h)**2/2) / sqrt(2*pi)
+    bends = np.array([top * (width / h) ** 2 / 24.0 * out / h for _, out, width in jumps])
+    bends = bends if bends.any() else np.empty(0)
+    for rows in (column, kinks, scale, tails, runs, bends):
         rows.setflags(write=False)
-    return top, column, kinks, scale, tails, runs
+    return top, column, kinks, scale, tails, runs, bends
 
 
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
     """Kernel mass retained in the window around offset v, in closed form.
 
     The chord profile of ``_trapezoid`` rises from 0 to its plateau T and
-    falls back; a ramp narrower than 1e-6*h (near and on the axes) is a jump
-    at its midpoint, exact to within (width/h)**2.  With x_k = |v - k|/h,
+    falls back; a ramp narrower than 1e-3*h (near and on the axes) is a jump
+    at its midpoint, exact to within (width/h)**4.  With x_k = |v - k|/h,
     Q(x) = Phi(-x) and psi(x) = phi(x) - x*Q(x),
 
-        corr(v) = c(v) + h * sum_k s_k psi(x_k) - T * sum_j Phi(o_j/h)
+        corr(v) = c(v) + h * sum_k s_k psi(x_k)
+                  - T * sum_j [Phi(x_j) - (w_j/h)**2/24 * x_j*phi(x_j)]
 
-    over the other ramps' knots k, with slope changes s_k, and the jumps j,
-    o_j the offset of v outwards from jump j.  c is T times the least of 1
-    and each other ramp's share climbed from its foot.  Every term vanishes
-    away from its knot, so none cancels (see the module docstring).  The
-    rows of knots come from ``_correction_plan``, once per angle, window and h.
+    over the other ramps' knots k, with slope changes s_k, and the jumps j
+    of width w_j, x_j = o_j/h with o_j the offset of v outwards from jump j.
+    c is T times the least of 1 and each other ramp's share climbed from its
+    foot.  Every term vanishes away from its knot (see the module docstring
+    for the accuracy).  The rows of knots come from ``_correction_plan``,
+    once per angle, window and h.
     """
     h = validate_bandwidth(h)
     v_arr = np.asarray(v, dtype=float)
-    top, column, kinks, scale, tails, runs = _correction_plan(subspace, window, h)
+    top, column, kinks, scale, tails, runs, bends = _correction_plan(subspace, window, h)
     r = kinks.size
     flat, total = v_arr.ravel(), np.empty(v_arr.size)
     step = max(1, _CORRECTION_ELEMENTS // column.size)
@@ -495,6 +506,9 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
             share = np.minimum.reduce(d[: r // 2] / runs, axis=0, initial=1.0)
             density = kinks @ _kernel_block(h, d[:r]) / _SQRT_2PI
         total[i : i + step] = top * np.maximum(share, 0.0) + tails @ block + density
+        if bends.size:
+            near = d[r:]
+            total[i : i + step] += bends @ (near * _kernel_block(h, near.copy())) / _SQRT_2PI
     return _shaped_like(v_arr, total.reshape(v_arr.shape))
 
 

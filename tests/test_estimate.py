@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import substat.estimate as estimate_module
@@ -12,13 +12,11 @@ from substat.estimate import (
     _PANEL_NODES,
     _PANEL_WIDTH,
     _POOL_MIN_TARGETS,
-    FIT_TOL,
     SUBSTAT_INTEGRAL_CELLS,
     BandwidthSelectionError,
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
-    _bounded_brent,
     _fit_targets,
     _map_ordered,
     bandwidth_cv_scores,
@@ -151,6 +149,9 @@ class TestSubstationaryIntensity:
         h=st.floats(0.02, 0.3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # ramps 1.9e-6*h wide, where a ramp's foot and head terms cancel and
+    # moved the value by 1e-10 between offsets an ulp apart: a jump there
+    @example(theta=5.960464477539063e-08, h=0.0625, seed=0)
     def test_at_points_is_invariant_under_shifts_along_the_subspace(self, theta, h, seed):
         rng = np.random.default_rng(seed)
         pat = random_pattern(rng, z=2.0)
@@ -555,9 +556,9 @@ class TestFitTheta:
         assert fit_theta(rot, 0.05, search_halfwidth_deg=90.0) == fit
         assert 89.0 < fit.theta_hat.degrees < 90.0
 
-    def _fit_known_profile(self, monkeypatch, curve):
-        # loglik replaced by a known smooth curve of the estimator's angle;
-        # every call scores one freshly built estimator
+    def _fit_known_profile(self, monkeypatch, curve, halfwidth=10.0):
+        # loglik replaced by a known curve of the estimator's angle; every
+        # call scores one freshly built estimator
         calls = []
 
         def fake_loglik(pattern, est, **kwargs):
@@ -566,18 +567,53 @@ class TestFitTheta:
 
         monkeypatch.setattr(estimate_module, "loglik", fake_loglik)
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(90, 27))
-        return fit_theta(pat, 0.05, search_halfwidth_deg=10.0), len(calls)
+        return fit_theta(pat, 0.05, search_halfwidth_deg=halfwidth), len(calls)
 
-    def test_refinement_finds_an_off_grid_peak(self, monkeypatch):
+    @pytest.mark.parametrize("halfwidth, built", [(6.0, 17), (None, 184)])
+    def test_a_fit_builds_its_coarse_grid_and_four_refinement_estimators(
+        self, monkeypatch, halfwidth, built
+    ):
         peak = math.radians(0.37)
-        fit, built = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2))
-        assert abs(fit.theta_hat.theta - peak) <= FIT_TOL
-        assert built - len(fit.trace) <= 10
+        fit, count = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2), halfwidth)
+        assert len(fit.trace) + 4 == count == built
 
-    def test_refinement_never_scores_below_the_coarse_best(self, monkeypatch):
+    @pytest.mark.parametrize("halfwidth", [6.0, 10.0, None])
+    @pytest.mark.parametrize("peak_deg", [0.37, -2.9, 0.5, 5.97, -5.6])
+    def test_refinement_finds_an_off_grid_peak_of_a_quadratic(self, monkeypatch, halfwidth, peak_deg):
+        # the coarse vertex falls on the peak and the local parabola keeps it;
+        # at +-6 degrees the best node of the last two is the bound, whose
+        # parabola runs through its inner neighbours
+        peak = math.radians(peak_deg)
+        fit, _ = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2), halfwidth)
+        assert abs(fit.theta_hat.theta - peak) <= 1e-12
+
+    @pytest.mark.parametrize("halfwidth", [6.0, 2.5, 0.05])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_monotone_profile_keeps_the_fit_within_the_bound(self, monkeypatch, halfwidth, sign):
+        fit, _ = self._fit_known_profile(monkeypatch, lambda t: sign * t, halfwidth)
+        assert abs(fit.theta_hat.theta) <= math.radians(halfwidth)
+        assert fit.theta_hat.theta * sign > math.radians(halfwidth) - 2 * math.radians(0.1)
+
+    def test_a_kinked_peak_on_a_node_stays_there_with_the_coarse_best(self, monkeypatch):
+        # the refined vertex is the node, scored once, so loglik is the coarse best
         fit, _ = self._fit_known_profile(monkeypatch, lambda t: -abs(t))
         assert fit.theta_hat.theta == 0.0
         assert fit.loglik == max(v for _, v in fit.trace)
+
+    def test_loglik_is_the_largest_value_evaluated_whatever_the_fit_scores(self, monkeypatch):
+        # a cusp between the probes; the second run scores the refined vertex
+        # alone 1 lower, so it keeps its vertex and its largest value
+        peak = math.radians(0.33)
+
+        def cusp(t):
+            return -abs(t - peak) ** 1.5
+
+        first, _ = self._fit_known_profile(monkeypatch, cusp)
+        dip = first.theta_hat.theta
+        second, _ = self._fit_known_profile(monkeypatch, lambda t: cusp(t) - (abs(t - dip) < 1e-12))
+        assert second.theta_hat == first.theta_hat
+        assert first.loglik == cusp(dip)  # the vertex scored highest
+        assert cusp(dip) - 1.0 < second.loglik < first.loglik  # now a probe does
 
     @pytest.mark.parametrize("threads", [0, 2])
     def test_thread_count_never_changes_fit(self, threads, pools, pool_at_any_size):
@@ -647,41 +683,6 @@ class TestFitTheta:
             if fit.theta_hat.theta != 0.0:
                 signs.append(fit.theta_hat.theta > 0)
         assert binomtest(sum(signs), len(signs), 0.5).pvalue > 0.01
-
-
-def recorded(func):
-    """``func`` with a list of the points it was called at."""
-    probes = []
-
-    def probe(t):
-        probes.append(t)
-        return func(t)
-
-    return probe, probes
-
-
-def profile_of(pattern, h):
-    return lambda t: -loglik(pattern, SubstationaryIntensity(pattern, t, h))
-
-
-def brent_cases():
-    """(name, function, lo, hi): smooth, multimodal, flat and +inf-valued
-    curves, and fixed-seed profiles on a bounded bracket and on one that
-    crosses 90 degrees."""
-    bounded = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 2))
-    # the quarter-turned pattern of TestFitTheta's open-search case, best near +89.5 degrees
-    turned = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(90, 26))
-    crossing = PointPattern(1.0 - turned.y, turned.x, turned.window)
-    return [
-        ("quadratic", lambda t: (t - 0.3) ** 2, -1.0, 1.0),
-        ("quadratic-at-bound", lambda t: (t - 2.0) ** 2, -1.0, 1.0),
-        ("multimodal", lambda t: math.sin(40.0 * t) + 0.1 * t, -0.5, 0.7),
-        ("flat", lambda t: 1.0, -0.02, 0.02),
-        ("inf-left", lambda t: math.inf if t < 0.1 else (t - 0.4) ** 2, -1.0, 1.0),
-        ("inf-everywhere", lambda t: math.inf, 0.0, 1.0),
-        ("profile-bounded", profile_of(bounded, 0.05), math.radians(-1.0), math.radians(1.0)),
-        ("profile-crossing-90", profile_of(crossing, 0.05), math.radians(88.5), math.radians(90.5)),
-    ]
 
 
 class _Unpicklable(Exception):
@@ -787,31 +788,6 @@ class TestBlasThreadsInAMap:
         got = _map_ordered(lambda block: block @ block, blocks, 2, 1)
         assert pools == [2]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-class TestBoundedBrent:
-    # scipy's numpy scalars warn on inf - inf, which the port's floats do not
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("xatol", [FIT_TOL, 1e-5])
-    @pytest.mark.parametrize("case", brent_cases(), ids=lambda c: c[0])
-    def test_takes_the_probes_of_scipys_bounded_search(self, case, xatol):
-        from scipy.optimize import minimize_scalar
-
-        _, func, lo, hi = case
-        ours, our_probes = recorded(func)
-        theirs, their_probes = recorded(func)
-        x, fun = _bounded_brent(ours, lo, hi, xatol)
-        res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-        assert our_probes == their_probes
-        assert (x, fun) == (float(res.x), float(res.fun))
-
-    def test_stops_after_500_evaluations(self):
-        # with xatol 0 and the minimum at 0 the tolerance shrinks with the
-        # best point, so only the evaluation cap ends the search
-        func, probes = recorded(abs)
-        x, fun = _bounded_brent(func, -1.0, 1.0, 0.0)
-        assert len(probes) == 500
-        assert fun == abs(x) < 1e-100
 
 
 class TestSelectBandwidth:

@@ -258,25 +258,50 @@ class TestClosedFormCorrection:
             assert gaps[0] >= gaps[1] >= gaps[2]
             assert gaps[0] > 0.0 and gaps[0] > gaps[2]
 
-    # 60-digit values of the integral over the chord profile of _trapezoid, at a
-    # ramp 3.5e-5*h wide; a plain sum of h*s_k*psi((v - k)/h) over the kinks
-    # cancels terms that grow with |v - k| and misses them by up to 3e-9
+    # 60-digit values of the integral over the chord profile of _trapezoid.  At
+    # -89.9999 degrees the ramps are 3.5e-5*h wide, where a plain sum of
+    # h*s_k*psi((v - k)/h) over the kinks cancels terms that grow with |v - k|
+    # and misses them by up to 3e-9.  Near the horizontal axis of a 2x1 window
+    # the ramps are 1.9e-6*h and 3.0e-4*h wide: jumps whose width term the
+    # value needs, where the foot and head terms of a ramp missed by up to 5e-11
     @pytest.mark.parametrize(
-        "z, h, v, want",
+        "theta, z, h, v, want",
         [
-            (100.0, 0.05, 0.25, 0.9999997133240016861064166),
-            (100.0, 0.05, 30.0, 1.000000000001523225989786),
-            (100.0, 0.05, 50.0, 1.000000000001523225989786),
-            (100.0, 0.05, 99.75000174517695, 0.9999997133240016860313779),
-            (10.0, 0.01, 0.05, 0.9999997132201728454639345),
-            (10.0, 0.01, 3.0, 1.000000000001523225989786),
-            (10.0, 0.01, 5.0, 1.000000000001523225989786),
-            (10.0, 0.01, 9.95000174531402, 0.9999997132201728455902096),
+            *[(math.radians(-89.9999), *case) for case in [
+                (100.0, 0.05, 0.25, 0.9999997133240016861064166),
+                (100.0, 0.05, 30.0, 1.000000000001523225989786),
+                (100.0, 0.05, 50.0, 1.000000000001523225989786),
+                (100.0, 0.05, 99.75000174517695, 0.9999997133240016860313779),
+                (10.0, 0.01, 0.05, 0.9999997132201728454639345),
+                (10.0, 0.01, 3.0, 1.000000000001523225989786),
+                (10.0, 0.01, 5.0, 1.000000000001523225989786),
+                (10.0, 0.01, 9.95000174531402, 0.9999997132201728455902096),
+            ]],
+            (5.960464477539063e-08, 2.0, 0.0625, 0.03125, 1.382925594059134860564783),
+            (5.960464477539063e-08, 2.0, 0.0625, 0.0625, 1.682689953659326050343577),
+            (9.375000000137329e-06, 2.0, 0.0625, 0.03125, 1.383030536925259231341787),
+            (9.375000000137329e-06, 2.0, 0.0625, 1.0, 0.9998803167997051918070965),
         ],
     )
-    def test_steep_ramps_match_60_digit_values(self, z, h, v, want):
-        got = correction_substat_closed(Subspace(math.radians(-89.9999)), Window(z, 1.0), h, v)
+    def test_steep_ramps_match_60_digit_values(self, theta, z, h, v, want):
+        got = correction_substat_closed(Subspace(theta), Window(z, 1.0), h, v)
         assert abs(got - want) <= 1e-12 * want
+
+    def test_every_knot_term_is_below_an_ulp_of_the_plateau_beyond_the_reach(self):
+        # h*s_k*psi(x) <= T*psi(x)/_JUMP_WIDTH at a ramp, with psi(x) <= phi(x)/(1 + x^2),
+        # and T*Q(x) at a jump, both relative to the plateau T
+        x = kernels._KNOT_REACH
+        ramp = math.exp(-0.5 * x * x) / (math.sqrt(2 * math.pi) * (1 + x * x)) / kernels._JUMP_WIDTH
+        assert max(ramp, 0.5 * math.erfc(x / math.sqrt(2))) < 2.0**-53
+
+    @pytest.mark.parametrize("theta", [0.7, 1e-6, -math.pi / 2 + 1e-6, 0.0])
+    def test_blocks_never_change_the_values(self, theta):
+        # 20 000 offsets span three blocks; near the axes the jumps carry a width term
+        sub, w = Subspace(theta), Window(2, 1)
+        grid = open_range_grid(sub, w, 20_000)
+        whole = correction_substat_closed(sub, w, 0.05, grid)
+        pieces = [correction_substat_closed(sub, w, 0.05, grid[i : i + 999]) for i in range(0, grid.size, 999)]
+        assert np.array_equal(whole, np.concatenate(pieces))
 
     def test_vectorized_matches_scalar(self):
         sub, w = Subspace(0.7), Window(2, 1)
