@@ -28,7 +28,7 @@ from .estimate import (
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
-    _POOL_MIN_TARGETS,
+    _FORK_MIN_PAIRS,
     _pick_bandwidth,
     bandwidth_cv_scores,
     fit_theta,
@@ -61,7 +61,7 @@ logger = logging.getLogger(__name__)
 _GRID_HELP = f"grid cells per axis; None: {GRID_CELLS_1D}, kernel2d {GRID_CELLS_2D}"
 _HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
 _THREADS_HELP = (
-    f"the most worker processes, 0 = one per CPU; maps under {_POOL_MIN_TARGETS} targets run on one"
+    f"the most worker processes, 0 = one per CPU; maps priced under {_FORK_MIN_PAIRS} kernel pairs run on one"
 )
 
 

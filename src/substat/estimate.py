@@ -64,6 +64,7 @@ from .kernels import (
     _grid_sums,
     _kernel_mass,
     _node_grid,
+    _sum_pairs,
     correction_2d,
     correction_substat_closed,
     validate_bandwidth,
@@ -83,9 +84,7 @@ __all__ = [
 
 _DOMAIN_TOL = 1e-9
 
-# a profile evaluation's integral in a fit's price (_fit_targets), with which
-# _POOL_MIN_TARGETS was measured, and the one integral_cells of
-# bandwidth_cv_scores; the integral itself takes at most 144 nodes (_zone_panels)
+# the one integral_cells that bandwidth_cv_scores accepts: the integral takes no cell count
 SUBSTAT_INTEGRAL_CELLS = 400
 GRID2D_INTEGRAL_CELLS = 200
 GRID_CELLS_1D = 512
@@ -93,15 +92,18 @@ GRID_CELLS_2D = 128
 FIT_GRID_STEP_DEG = 1.0
 # the refinement's half-spacing: the profile is scored at v - delta, v and v + delta
 _DELTA_DEG = 0.1
+_REFINE_EVALS = 4  # the most profile evaluations a fit makes after its coarse grid
 # the likelihood integral's quadrature where the correction's knot terms act: Gauss-Legendre
 # panels of at most _PANEL_WIDTH bandwidths, of _PANEL_NODES nodes each (a convergence
 # test in tests/test_estimate.py holds the integral within 1e-9 of a fine reference)
 _PANEL_WIDTH = 6.0
 _PANEL_NODES = 12
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
-# the fewest kernel-sum targets (_fit_targets) a map prices before it forks:
-# forked fits gained <= 8% below this, 15-60% above
-_POOL_MIN_TARGETS = 80_000
+# the fork gate in kernel pairs: an evaluation's work beside its sums, and the fewest a map
+# prices before it forks.  Serial +-6 degree fits (n 92-5991, h 0.01-0.05, one BLAS thread,
+# 2-core VM) took 0.32 ms an evaluation and 3.97 ns a pair; a map forks from about 24 ms
+_EVAL_PAIRS = 81_000
+_FORK_MIN_PAIRS = 6_000_000
 
 
 class BandwidthSelectionError(RuntimeError):
@@ -147,13 +149,9 @@ class SubstationaryIntensity:
         return self.pattern.window
 
     def _grid(self):
-        """The one node grid (or None) that every call reads, built by the first.
-
-        It spans the projection range and is priced against what a profile
-        evaluation asks for: the data and the integral's ``_zones`` nodes.
-        """
+        """The one node grid (or None) over the projection range that every call reads, built by the first."""
         if not hasattr(self, "_nodes"):
-            targets = self._v_data.size + _PANEL_NODES * len(self._panels)
+            targets = _profile_targets(self._v_data.size, self._panels)
             self._nodes = _node_grid(self.h, self._v_data, self._v_lo, self._v_hi, targets)
         return self._nodes
 
@@ -305,6 +303,18 @@ def _zone_panels(knots: list, h: float) -> list[tuple[float, float]]:
     return panels
 
 
+def _profile_targets(n: float, panels: list) -> float:
+    """The targets of a profile evaluation's kernel sums: the n data and the integral's nodes."""
+    return n + _PANEL_NODES * len(panels)
+
+
+def _evaluation_pairs(n: float, window: Window, h: float, thetas: np.ndarray) -> float:
+    """A profile evaluation's price: ``_EVAL_PAIRS`` and its sums' ``_sum_pairs`` at the widest angle."""
+    widest = thetas[np.argmax(window.z * np.abs(np.sin(thetas)) + window.omega * np.cos(thetas))]
+    knots = _trapezoid(Subspace(float(widest)), window)[0].tolist()
+    return _EVAL_PAIRS + _sum_pairs(h, n, knots[0], knots[-1], _profile_targets(n, _zone_panels(knots, h)))[0]
+
+
 def _cells(estimator, cells: int | None = None):
     """The midpoint grid an estimate is laid on, and its values: (axes, widths, values).
 
@@ -393,13 +403,13 @@ def _openblas():
     return None
 
 
-def _map_ordered(job, args, threads: int, targets: float) -> list:
+def _map_ordered(job, args, threads: int, pairs: float) -> list:
     """``job`` of each of the sequence ``args``, in order, on at most ``threads`` processes.
 
     ``threads`` caps the workers w (0: one per CPU; negative: ValueError).  The caller runs
     jobs 0, w, 2w, ... and w - 1 forked children, which inherit ``job``, the rest; below
-    ``_POOL_MIN_TARGETS`` kernel-sum targets, the whole map's price (``_fit_targets`` a fit),
-    or without fork, the caller runs every job.  A job's error re-raises here with its type
+    ``_FORK_MIN_PAIRS`` kernel pairs, the map's price (``_evaluation_pairs`` an evaluation), or
+    without fork, the caller runs every job.  A job's error re-raises here with its type
     (a RuntimeError with its repr if it does not pickle); a warning that passes a worker's
     inherited filters is issued again here with its category, message, file and line.
 
@@ -407,15 +417,13 @@ def _map_ordered(job, args, threads: int, targets: float) -> list:
     share and in the children, which inherit it, so that w workers never run w times its
     default threads on the cores; the caller's count comes back when the map ends, also
     after an error.  A serial map, or a numpy without that library, leaves BLAS as it is.
-    The package starts no threads, but from Python 3.12 a fork beside any warns, failing an
-    error filter.  Setting one BLAS thread does not stop OpenBLAS's own: the process still
-    counts two OS threads after the call (``/proc/self/status``), so the rule does not
-    silence that warning.
+    From Python 3.12 a fork beside another thread warns, failing an error filter; at one BLAS
+    thread OpenBLAS still keeps its own second OS thread, so the rule does not silence that.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
     workers = min(threads or os.cpu_count() or 1, len(args))
-    if workers <= 1 or targets < _POOL_MIN_TARGETS or not hasattr(os, "fork"):
+    if workers <= 1 or pairs < _FORK_MIN_PAIRS or not hasattr(os, "fork"):
         return [job(a) for a in args]
     import multiprocessing  # only where a map forks: a serial run never loads it
     def work(k: int, conn) -> None:  # a child: its share's results, error and warnings
@@ -480,15 +488,6 @@ def _coarse_angles(search_halfwidth_deg: float | None) -> tuple[np.ndarray, floa
     return (thetas[:-1] if halfwidth == 90.0 else thetas), halfwidth
 
 
-def _fit_targets(n: float, search_halfwidth_deg: float | None) -> float:
-    """A fit's price in kernel-sum targets for ``_map_ordered``: n + 400 at each coarse angle.
-
-    The 400 (``SUBSTAT_INTEGRAL_CELLS``) is the cost of an evaluation's integral with which
-    ``_POOL_MIN_TARGETS`` was measured, not its node count (at most 144).
-    """
-    return _coarse_angles(search_halfwidth_deg)[0].size * (n + SUBSTAT_INTEGRAL_CELLS)
-
-
 def fit_theta(
     pattern: PointPattern,
     h: float,
@@ -503,8 +502,8 @@ def fit_theta(
     open search covers [-90, 90) degrees in 180 nodes, since +90 degrees
     names the same subspace as -90; a half-width of 90 is the open search.
     The bandwidth is held fixed throughout.  ``threads``, the most worker
-    processes for the coarse grid (priced by ``_fit_targets``), goes to
-    ``_map_ordered``; the result does not depend on it.
+    processes for the coarse grid, goes to ``_map_ordered`` with the grid's
+    price (``_evaluation_pairs`` each); the result does not depend on it.
 
     Two parabolas refine the best node, with delta = ``_DELTA_DEG`` (or the
     half-width, if that is smaller):
@@ -544,7 +543,8 @@ def fit_theta(
     def profile(theta: float) -> float:
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
 
-    values = np.asarray(_map_ordered(profile, thetas, threads, _fit_targets(pattern.n, halfwidth)))
+    pairs = thetas.size * _evaluation_pairs(pattern.n, pattern.window, h, thetas)
+    values = np.asarray(_map_ordered(profile, thetas, threads, pairs))
     trace = tuple(zip((float(t) for t in thetas), (float(g) for g in values)))
 
     degenerate = bool(values.max() - values.min() < 1e-9)

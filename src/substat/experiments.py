@@ -32,7 +32,9 @@ from .estimate import (
     SubstationaryIntensity,
     _axis,
     _cells,
-    _fit_targets,
+    _REFINE_EVALS,
+    _coarse_angles,
+    _evaluation_pairs,
     _map_ordered,
     fit_theta,
 )
@@ -192,27 +194,27 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     returns one value per name.  A cell's metric is the root mean of
     ``squared(values)`` over its replications (of the values themselves when
     ``squared`` is None); its samples are the values.  A cell's replications
-    run on at most ``threads`` worker processes, by ``_map_ordered``, priced as
-    that many fits (``_fit_targets``) at the cell's expected count.
+    run on at most ``threads`` worker processes, by ``_map_ordered``, priced as that
+    many fits' evaluations (``_evaluation_pairs``) at the cell's expected count and h.
     """
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
+    thetas = _coarse_angles(plan.search_halfwidth_deg)[0]
+    evals = plan.replications * (thetas.size + _REFINE_EVALS)
     cells: dict[tuple, CellSummary] = {}
     for a in plan.a_values:
         for z in plan.z_values:
-            model = PoissonBetaModel(a, Window(z, 1.0))
-            # known before any pattern is drawn; the Thomas process keeps its base's count
-            fit = _fit_targets(model.expected_count, plan.search_halfwidth_deg)
-            targets = plan.replications * fit
-            if thomas:
-                model = ThomasModel(model, gamma=plan.gamma, sigma=plan.sigma)
+            base = PoissonBetaModel(a, Window(z, 1.0))
+            model = ThomasModel(base, gamma=plan.gamma, sigma=plan.sigma) if thomas else base
             for h in plan.h_values:
+                # the base's count is known before any pattern is drawn, and the Thomas process keeps it
+                pairs = evals * _evaluation_pairs(base.expected_count, base.window, h, thetas)
                 # the map returns before the loop moves on, so job may read a, z, h
                 def job(rep: int) -> tuple:
                     stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)
                     return replicate(model, h, simulate(model, stream))
 
-                values = np.array(_map_ordered(job, range(plan.replications), threads, targets))
+                values = np.array(_map_ordered(job, range(plan.replications), threads, pairs))
                 for j, name in enumerate(names):
                     samples = values[:, j]
                     metric, se = _root_mean_with_se(
@@ -227,8 +229,8 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Root-MSE of the fitted angle for every (a, z, h) cell of the plan.
 
-    ``threads`` caps the worker processes of a cell's replications, which fork once
-    their fits reach ``_POOL_MIN_TARGETS`` (see ``_sweep``); results do not depend on it.
+    ``threads`` caps the worker processes of a cell's replications, which fork once their
+    price reaches ``_FORK_MIN_PAIRS`` (see ``_sweep``); results do not depend on it.
     """
     if plan.target != "table1":
         raise ValueError("plan target must be 'table1'")

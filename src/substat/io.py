@@ -211,7 +211,8 @@ def export_intensity_grid(estimator, resolution: int | None, path, *, seed=None)
 
 @dataclass(frozen=True)
 class ApplicationRow:
-    """Per-bandwidth outcome of the application pipeline."""
+    """Per-bandwidth outcome of the application pipeline; ``loglik_fitted`` is the fit's
+    largest evaluated profile value (``FitResult.loglik``), not the profile at theta_hat."""
 
     h: float
     theta_hat_rad: float
@@ -224,6 +225,7 @@ class ApplicationRow:
 
 @dataclass(frozen=True)
 class ApplicationReport:
+    """One ``ApplicationRow`` per bandwidth, each ``loglik_fitted`` its fit's largest value."""
     rows: tuple[ApplicationRow, ...]
     threshold: float
 

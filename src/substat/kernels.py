@@ -60,11 +60,11 @@ takes the node sums at nodes spaced h/5 over that range by the Taylor form
 of the fast Gauss transform on the node lattice (``_lattice_sums``), whose
 20 convolutions are BLAS products; every call of that estimator then reads
 the same nodes, so a value at a given offset does not depend on the calls
-before it.  The grid is priced once,
-in kernel pairs, against all the targets m those calls ask for (the 1-D
-smoother's n data and its likelihood integral's nodes): it pays when
-5e4 + 20*n + 150*G + 80*m < n*m, with G nodes.  Without a grid, a call
-takes the direct sum.  Every path works through its targets in blocks of
+before it.  ``_sum_pairs`` prices the sums in kernel pairs against all the
+targets m those calls ask for (the 1-D smoother's n data and its likelihood
+integral's nodes): 5e4 + 20*n + 150*G + 80*m on a grid of G nodes, n*m by the
+direct sum.  The cheaper path is taken, and the fork gate reads its price.
+Every path works through its targets in blocks of
 2**16 elements (512 KB), so each temporary stays in the L2 cache; the
 lattice holds a few floats per datum and 20 per node, and each of its
 BLAS products at most 2**16 elements.  The products run at OpenBLAS's
@@ -133,13 +133,10 @@ _CORRECTION_ELEMENTS = 2**14
 _JUMP_WIDTH = 1e-3
 _KNOT_REACH = 10
 
-# interpolated kernel sums: node spacing in bandwidths, stencil size, guard,
-# and the measured costs, in kernel pairs (about 4 ns each), of one target
-# and of a node grid: 0.2 ms fixed, 0.08 us per datum and 0.6 us per node.
-# The current stage costs less per node and per target on uniform data; the
-# price keeps these costs, since a new price would move which estimators take
-# a grid, and so their values within 1e-10, and it waits for timings on gapped
-# data.
+# interpolated kernel sums: node spacing in bandwidths, stencil size, guard, and the
+# costs in kernel pairs of one target and of a node grid, measured on a node stage since
+# replaced; they stay, since new costs would move which estimators take a grid, and so
+# their values within 1e-10
 _NODE_STEP = 0.2
 _STENCIL = 20
 _HALF = _STENCIL // 2
@@ -289,19 +286,16 @@ def _node_layout(h: float, lo: float, hi: float) -> tuple[float, float, int]:
     return origin, step, math.ceil((hi - lo) / step) + _STENCIL
 
 
-def _node_grid(
-    h: float, data: np.ndarray, lo: float, hi: float, targets: int
-) -> _NodeGrid | None:
-    """The node grid for sums of the data over [lo, hi], or None where it does not pay.
+def _sum_pairs(h: float, n: float, lo: float, hi: float, targets: float) -> tuple[float, bool]:
+    """The cheaper path's price in kernel pairs of n data's sums at ``targets`` values over [lo, hi],
+    and whether that path is a node grid, by the module docstring's rule."""
+    grid = _GRID_COST + _DATUM_COST * n + _NODE_COST * _node_layout(h, lo, hi)[2] + _TARGET_COST * targets
+    return min(grid, n * targets), grid < n * targets
 
-    It is priced once against ``targets`` values, all the calls it is meant
-    to serve, by the module docstring's rule.
-    """
-    n, count = data.size, _node_layout(h, lo, hi)[2]
-    cost = _GRID_COST + _DATUM_COST * n + _NODE_COST * count + _TARGET_COST * targets
-    if cost >= n * targets:
-        return None
-    return _build_node_grid(h, data, lo, hi)
+
+def _node_grid(h: float, data: np.ndarray, lo: float, hi: float, targets: int) -> _NodeGrid | None:
+    """The node grid over [lo, hi] where ``_sum_pairs`` chooses one for ``targets`` values, or None."""
+    return _build_node_grid(h, data, lo, hi) if _sum_pairs(h, data.size, lo, hi, targets)[1] else None
 
 
 def _build_node_grid(h: float, data: np.ndarray, lo: float, hi: float) -> _NodeGrid:

@@ -30,4 +30,4 @@ def pools(monkeypatch):
 @pytest.fixture
 def pool_at_any_size(monkeypatch):
     """Opens the worker pool to maps of every size."""
-    monkeypatch.setattr(estimate, "_POOL_MIN_TARGETS", 0)
+    monkeypatch.setattr(estimate, "_FORK_MIN_PAIRS", 0)

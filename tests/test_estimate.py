@@ -9,16 +9,21 @@ from hypothesis import strategies as st
 
 import substat.estimate as estimate_module
 from substat.estimate import (
+    _EVAL_PAIRS,
+    _FORK_MIN_PAIRS,
     _PANEL_NODES,
     _PANEL_WIDTH,
-    _POOL_MIN_TARGETS,
+    _REFINE_EVALS,
     SUBSTAT_INTEGRAL_CELLS,
     BandwidthSelectionError,
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
-    _fit_targets,
+    _coarse_angles,
+    _evaluation_pairs,
     _map_ordered,
+    _profile_targets,
+    _zone_panels,
     bandwidth_cv_scores,
     fit_theta,
     loglik,
@@ -39,6 +44,7 @@ from substat.geometry import (
 from substat.kernels import (
     _KNOT_REACH,
     _direct_sums,
+    _sum_pairs,
     correction_2d,
     correction_substat_closed,
     normal_cdf,
@@ -623,37 +629,61 @@ class TestFitTheta:
         assert fit_theta(pat, 0.05, search_halfwidth_deg=10.0, threads=threads) == serial
         assert len(pools) == 1  # the coarse grid ran on a pool
 
-    def test_bounded_fits_pool_at_ten_thousand_points_not_three_thousand(self, pools):
+    def test_bounded_fits_pool_at_three_thousand_points_not_one_hundred(self, pools):
         rng = np.random.default_rng(71)
-        for n, built in ((100, []), (3000, []), (10_000, [2])):
+        for n, built in ((100, []), (3000, [2]), (10_000, [2, 2])):
             x, y = rng.uniform(0.0, 100.0, n), rng.beta(3.0, 3.0, n)
             fit_theta(PointPattern(x, y, Window(100.0)), 0.05, search_halfwidth_deg=6.0, threads=2)
-            assert pools == built  # 13 coarse angles of n + 400 targets each
-        assert _fit_targets(3000, 6.0) < _POOL_MIN_TARGETS
+            assert pools == built
 
-    def test_the_threshold_reads_the_angles_and_the_pattern_size(self, monkeypatch, pools):
+    def test_a_bounded_fit_near_three_thousand_points_forks_and_keeps_its_result(self, pools):
+        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(30.0)), RngStream(70, 5))
+        assert 2800 < pat.n < 3200
+        serial = fit_theta(pat, 0.05, search_halfwidth_deg=6.0, threads=1)
+        assert not pools
+        assert fit_theta(pat, 0.05, search_halfwidth_deg=6.0, threads=2) == serial
+        assert pools == [2]
+
+    def test_the_threshold_reads_the_fits_price(self, monkeypatch, pools):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(70, 3))
-        targets = _fit_targets(pat.n, 1.0)  # a half-width of 1 degree: 3 angles
-        for floor, built in ((targets + 1, []), (targets, [2])):
-            monkeypatch.setattr(estimate_module, "_POOL_MIN_TARGETS", floor)
+        thetas = _coarse_angles(1.0)[0]  # a half-width of 1 degree: 3 angles
+        pairs = 3 * _evaluation_pairs(pat.n, pat.window, 0.05, thetas)
+        for floor, built in ((pairs + 1, []), (pairs, [2])):
+            monkeypatch.setattr(estimate_module, "_FORK_MIN_PAIRS", floor)
             fit_theta(pat, 0.05, search_halfwidth_deg=1.0, threads=2)
             assert pools == built
 
-    def test_a_fits_price_is_n_plus_400_targets_at_each_coarse_angle(self):
-        for n in (0, 83, 2909):
-            assert _fit_targets(n, 6.0) == 13 * (n + 400)
-            assert _fit_targets(n, None) == _fit_targets(n, 90.0) == 180 * (n + 400)
+    @pytest.mark.parametrize("n", [2, 83, 2909, 10_045])
+    @pytest.mark.parametrize("h", [0.01, 0.05])
+    def test_an_evaluation_is_priced_by_its_sums_at_the_widest_angle(self, n, h):
+        window = Window(10.0)
+        for halfwidth, widest in ((6.0, -6.0), (None, -84.0)):  # atan(10) is 84.3 degrees
+            thetas = _coarse_angles(halfwidth)[0]
+            at = thetas[np.argmin(np.abs(np.degrees(thetas) - widest))]
+            knots = _trapezoid(Subspace(float(at)), window)[0].tolist()
+            targets = _profile_targets(n, _zone_panels(knots, h))
+            want = _EVAL_PAIRS + _sum_pairs(h, n, knots[0], knots[-1], targets)[0]
+            assert _evaluation_pairs(n, window, h, thetas) == want
 
-    # a sweep cell prices its replications as that many fits at its expected count
-    @pytest.mark.parametrize("replications, count, forks", [
-        (32, 100.0, True),  # a table1-z1 cell: 32 x 13 x 500 = 208 000 targets
-        (8, 1000.0, True),  # a table2-z10 cell: 8 x 13 x 1400 = 145 600
-        (4, 100.0, False),  # R=4 at z=1: 26 000
+    @pytest.mark.parametrize("n, z", [(100, 1.0), (1000, 10.0), (3000, 30.0)])
+    def test_a_smaller_bandwidth_prices_more_at_equal_n(self, n, z):
+        thetas = _coarse_angles(6.0)[0]
+        assert _evaluation_pairs(n, Window(z), 0.01, thetas) > _evaluation_pairs(n, Window(z), 0.05, thetas)
+
+    # a sweep cell prices each replication as its coarse grid and refinement
+    # at the cell's expected count and h
+    @pytest.mark.parametrize("replications, z, h, forks", [
+        (32, 1.0, 0.01, True),  # a table1-z1 cell: 32 x 17 x 100 600 pairs, 54.7 M
+        (8, 10.0, 0.05, True),  # a table2-z10 cell: 8 x 17 x 273 240, 37.2 M
+        (4, 1.0, 0.01, True),  # 6.8 M
+        (2, 1.0, 0.01, False),  # 3.4 M
     ])
-    def test_sweep_cells_fork_by_their_price(self, replications, count, forks, pools):
-        targets = replications * _fit_targets(count, 6.0)
-        assert _map_ordered(abs, range(replications), 2, targets) == list(range(replications))
+    def test_sweep_cells_fork_by_their_price(self, replications, z, h, forks, pools):
+        evals = replications * (_coarse_angles(6.0)[0].size + _REFINE_EVALS)
+        pairs = evals * _evaluation_pairs(100.0 * z, Window(z), h, _coarse_angles(6.0)[0])
+        assert _map_ordered(abs, range(replications), 2, pairs) == list(range(replications))
         assert pools == ([2] if forks else [])
+        assert (pairs >= _FORK_MIN_PAIRS) == forks
 
     def test_an_open_fit_is_identical_at_any_worker_count(self, pools, pool_at_any_size):
         pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(70, 4))

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from substat import estimate
-from substat.estimate import GRID_CELLS_1D, StationaryIntensity, SubstationaryIntensity
+from substat import estimate, experiments
+from substat.estimate import (
+    GRID_CELLS_1D,
+    StationaryIntensity,
+    SubstationaryIntensity,
+    _coarse_angles,
+    _evaluation_pairs,
+)
 from substat.experiments import (
     TABLE2_ESTIMATORS,
     CellSummary,
@@ -269,17 +275,45 @@ class TestDeterminism:
             run_table1(table1_plan(replications=1), threads=-1)
 
     def test_cells_under_the_threshold_replicate_on_the_calling_process(self, pools):
-        plan = table1_plan(a_values=(1.5, 2.5), replications=2)
+        # two replications at z=1 price 2 x 17 evaluations of 97 000 pairs at
+        # h=0.05, 100 600 at h=0.01: under the gate; four at h=0.01 reach it
+        plan = table1_plan(a_values=(1.5, 2.5), h_values=(0.05, 0.01), replications=2)
         run_table1(plan, threads=2)
         run_table2(table1_plan(target="table2", replications=2), threads=0)
         assert pools == []
+        run_table1(table1_plan(a_values=(1.5,), h_values=(0.01,), replications=4), threads=2)
+        assert pools == [2]
+
+    @staticmethod
+    def _cell_prices(plan, monkeypatch) -> list:
+        """The price each cell of the plan passes to the worker map, in order."""
+        prices, mapped = [], experiments._map_ordered
+
+        def recorded(job, args, threads, pairs):
+            prices.append(pairs)
+            return mapped(job, args, threads, pairs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_map_ordered", recorded)
+            run_table1(plan, threads=1)
+        return prices
+
+    def test_a_cells_price_is_its_fits_with_their_refinement(self, monkeypatch):
+        # each replication: the 13 coarse angles of 6 degrees and 4 refinement
+        # evaluations, at the cell's expected count, window and h
+        plan = table1_plan(z_values=(1.0, 2.0), h_values=(0.05, 0.01), replications=3)
+        thetas = _coarse_angles(6.0)[0]
+        want = [3 * (13 + 4) * _evaluation_pairs(100.0 * z, Window(z), h, thetas)
+                for z in (1.0, 2.0) for h in (0.05, 0.01)]
+        assert self._cell_prices(plan, monkeypatch) == want
+        assert want[0] < want[1] and want[2] < want[3]  # the price moves with h
 
     def test_the_threshold_reads_each_cells_expected_count(self, monkeypatch, pools):
-        # a replication prices its fit: 13 angles at the plan's 6 degrees, each
-        # over z=1's 100 or z=2's 200 expected points plus 400 integral cells
         plan = table1_plan(z_values=(1.0, 2.0), replications=2)
-        for floor, built in ((15601, []), (15600, [2]), (13000, [2, 2, 2])):
-            monkeypatch.setattr(estimate, "_POOL_MIN_TARGETS", floor)
+        one, two = self._cell_prices(plan, monkeypatch)
+        assert one < two
+        for floor, built in ((two + 1, []), (two, [2]), (one, [2, 2, 2])):
+            monkeypatch.setattr(estimate, "_FORK_MIN_PAIRS", floor)
             run_table1(plan, threads=2)
             assert pools == built
 

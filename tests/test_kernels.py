@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from substat import kernels
-from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, fit_theta, loglik
+from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, _profile_targets, fit_theta, loglik
 from substat.geometry import (
     PointPattern,
     Subspace,
@@ -28,6 +28,7 @@ from substat.kernels import (
     _lattice_sums,
     _node_grid,
     _node_layout,
+    _sum_pairs,
     correction_2d,
     correction_substat_closed,
     normal_cdf,
@@ -520,6 +521,27 @@ class TestGaussianSums:
         unguarded = interpolated(h, data, targets, 0.0)
         positive = want > 0
         assert np.max(np.abs(unguarded - want)[positive] / want[positive]) > 1e-10
+
+    # the settings of the golden run and of the benchmark's workloads
+    @pytest.mark.parametrize("z, n, h", [
+        (1.0, 100, 0.01), (1.0, 100, 0.05), (2.0, 300, 1e-5), (2.0, 300, 0.02), (2.0, 300, 0.1),
+        (10.0, 1000, 0.05), (10.0, 1000, 0.1), (10.0, 10_000, 0.05), (50.0, 5000, 0.02),
+        (50.0, 5000, 0.05),
+    ])
+    def test_an_estimator_builds_a_grid_exactly_where_its_price_chooses_one(self, monkeypatch, z, n, h):
+        rng = np.random.default_rng(16)
+        pat = PointPattern(rng.uniform(0.0, z, n), rng.beta(3.0, 3.0, n), Window(z))
+        builds = record_calls(monkeypatch, "_build_node_grid")
+        for deg in (0.0, 1.0, 6.0, -10.0, 45.0, 84.0, -89.0):
+            est = SubstationaryIntensity(pat, Subspace.from_degrees(deg), h)
+            lo, hi, targets = est._v_lo, est._v_hi, _profile_targets(n, est._panels)
+            pairs, grid = _sum_pairs(h, n, lo, hi, targets)
+            # 5e4 + 20*n + 150*G + 80*m kernel pairs against n*m
+            cost = 50_000 + 20 * n + 150 * _node_layout(h, lo, hi)[2] + 80 * targets
+            assert (pairs, grid) == (min(cost, n * targets), cost < n * targets)
+            before = len(builds)
+            assert (est._grid() is not None) == grid
+            assert len(builds) - before == grid
 
     def test_dispatch_follows_the_cost_model(self, monkeypatch):
         rng = np.random.default_rng(14)
