@@ -21,7 +21,15 @@ to about 1e-10 at any h and window: the kernel mass inside the projection
 range in closed form, less a Gauss-Legendre quadrature over the zones
 within ``_KNOT_REACH`` bandwidths of the chord profile's knots, the only
 offsets where the boundary correction differs from the chord (see
-``SubstationaryIntensity.integral`` and ``_zone_panels``).
+``SubstationaryIntensity.integral`` and ``kernels._zone_panels``).  The
+zones' nodes and weights, the correction there and its excess over the
+chord read no data: they come with the chord profile, the projection range
+and the correction's rows from the ``kernels._plan`` of the estimator's
+angle, window and h, built once and shared by every estimator at that key.
+So a profile evaluation computes only the data's part: the kernel sums at
+the data and at the zones' nodes, the correction at the data, and the
+kernel mass.  The point term reads the offsets of the pattern's own points
+that the constructor projected.
 
 The direction theta is estimated by maximizing the log-likelihood for the
 substationary estimator over theta: a 1-degree coarse grid over [-90, 90)
@@ -53,17 +61,16 @@ from .geometry import (
     Subspace,
     Window,
     _shaped_like,
-    _trapezoid,
     project_xy,
     v_range,
 )
 from .kernels import (
-    _KNOT_REACH,
     _direct_sums,
     _gaussian_sums,
     _grid_sums,
     _kernel_mass,
     _node_grid,
+    _plan,
     _sum_pairs,
     correction_2d,
     correction_substat_closed,
@@ -93,12 +100,6 @@ FIT_GRID_STEP_DEG = 1.0
 # the refinement's half-spacing: the profile is scored at v - delta, v and v + delta
 _DELTA_DEG = 0.1
 _REFINE_EVALS = 4  # the most profile evaluations a fit makes after its coarse grid
-# the likelihood integral's quadrature where the correction's knot terms act: Gauss-Legendre
-# panels of at most _PANEL_WIDTH bandwidths, of _PANEL_NODES nodes each (a convergence
-# test in tests/test_estimate.py holds the integral within 1e-9 of a fine reference)
-_PANEL_WIDTH = 6.0
-_PANEL_NODES = 12
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
 # the fork gate in kernel pairs: an evaluation's work beside its sums, and the fewest a map
 # prices before it forks.  Serial +-6 degree fits (n 92-5991, h 0.01-0.05, one BLAS thread,
 # 2-core VM) took 0.32 ms an evaluation and 3.97 ns a pair; a map forks from about 24 ms
@@ -136,13 +137,13 @@ class SubstationaryIntensity:
         self.pattern = pattern
         self.theta = _as_subspace(theta)
         self.h = validate_bandwidth(h)
-        _, v = project_xy(self.theta, pattern.x, pattern.y)
+        # the data's offsets in input order, which at_points reads for the pattern's own points
+        _, self._v_points = project_xy(self.theta, pattern.x, pattern.y)
         # canonical (sorted) order makes every output independent of the
         # order the points were supplied in
-        self._v_data = np.sort(np.atleast_1d(v))
-        self._knots, self._heights = _trapezoid(self.theta, pattern.window)
-        self._v_lo, self._v_hi = float(self._knots[0]), float(self._knots[-1])
-        self._panels = _zone_panels(self._knots.tolist(), self.h)
+        self._v_data = np.sort(self._v_points)
+        self._plan = _plan(self.theta, pattern.window, self.h)
+        self._v_lo, self._v_hi = self._plan.lo, self._plan.hi
 
     @property
     def window(self) -> Window:
@@ -151,8 +152,8 @@ class SubstationaryIntensity:
     def _grid(self):
         """The one node grid (or None) over the projection range that every call reads, built by the first."""
         if not hasattr(self, "_nodes"):
-            targets = _profile_targets(self._v_data.size, self._panels)
-            self._nodes = _node_grid(self.h, self._v_data, self._v_lo, self._v_hi, targets)
+            targets = _profile_targets(self._v_data.size, self._plan)
+            self._nodes = _node_grid(self.h, self._v_data, self._plan.layout, targets)
         return self._nodes
 
     def evaluate(self, v):
@@ -163,11 +164,23 @@ class SubstationaryIntensity:
             raise ValueError(
                 f"offset outside the projection range [{self._v_lo:.6g}, {self._v_hi:.6g}]"
             )
-        sums = _gaussian_sums(self.h, self._v_data, v_arr, nodes=self._grid())
-        corr = correction_substat_closed(self.theta, self.window, self.h, v_arr)
-        return _shaped_like(v, sums / corr)
+        return _shaped_like(v, self._values(v_arr))
+
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        """The estimate at the 1-D offsets v, unchecked: the data's kernel sums over the correction."""
+        sums = _gaussian_sums(self.h, self._v_data, v, nodes=self._grid())
+        return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
     def at_points(self, x, y):
+        """Intensity at the locations (x, y) in the window.
+
+        The pattern's own coordinate arrays, as ``loglik`` passes them, were
+        checked by ``PointPattern`` and projected by the constructor, so they
+        read those offsets, in input order; any other locations are checked
+        and projected here.
+        """
+        if x is self.pattern.x and y is self.pattern.y:
+            return self._values(self._v_points)
         _require_inside(self.window, x, y)
         _, v = project_xy(self.theta, x, y)
         return self.evaluate(v)
@@ -182,12 +195,6 @@ class SubstationaryIntensity:
         sums = _gaussian_sums(self.h, v, v, loo=True, nodes=self._grid())
         return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
-    def _zones(self) -> tuple[np.ndarray, np.ndarray]:
-        """The integral's Gauss-Legendre nodes and weights: ``_PANEL_NODES`` on each zone panel."""
-        mid, half = np.array(self._panels).T
-        return ((mid[:, None] + half[:, None] * _GAUSS_NODES).ravel(),
-                (half[:, None] * _GAUSS_WEIGHTS).ravel())
-
     def integral(self) -> float:
         """Integral of the estimate over the window: of lambda_hat(v) times the chord c(v).
 
@@ -198,15 +205,15 @@ class SubstationaryIntensity:
 
         The first term is closed (``_kernel_mass``); the knot terms are below
         2**-53 of the plateau beyond ``_KNOT_REACH`` bandwidths of every knot,
-        so the second is taken by Gauss-Legendre panels over those ``_zones``
-        alone, whatever the projection length.
+        so the second is taken by Gauss-Legendre panels over those zones
+        alone, whatever the projection length.  The zones' nodes and weights,
+        and corr and corr - c at the nodes, come from the key's ``_plan``, so
+        only the data's sums there are taken here.
         """
-        nodes, weights = self._zones()
-        sums = _gaussian_sums(self.h, self._v_data, nodes, nodes=self._grid())
-        corr = correction_substat_closed(self.theta, self.window, self.h, nodes)
-        excess = corr - np.interp(nodes, self._knots, self._heights)
-        mass = _kernel_mass(self.h, self._v_data, self._v_lo, self._v_hi)
-        return mass - float(weights @ (sums / corr * excess))
+        plan = self._plan
+        sums = _gaussian_sums(self.h, self._v_data, plan.nodes, nodes=self._grid())
+        mass = _kernel_mass(self.h, self._v_data, plan.lo, plan.hi)
+        return mass - float(plan.weights @ (sums / plan.corr * plan.excess))
 
 
 class KernelIntensity2D:
@@ -283,36 +290,16 @@ def _axis(estimator) -> Subspace:
     return getattr(estimator, "theta", None) or Subspace(0.0)
 
 
-def _zone_panels(knots: list, h: float) -> list[tuple[float, float]]:
-    """The (midpoint, half-width) of each panel where the correction's knot terms act.
-
-    Each knot of the chord profile acts within ``_KNOT_REACH`` bandwidths of
-    it.  A gap between knots that two reaches cover is one piece, and a
-    wider gap gives a piece at each end.  The chord kinks at the knots, so no
-    piece crosses one.  Each piece takes equal panels of at most
-    ``_PANEL_WIDTH`` bandwidths: at most 2*ceil(_KNOT_REACH/_PANEL_WIDTH) a
-    gap, whatever the window.
-    """
-    reach, width, panels = _KNOT_REACH * h, _PANEL_WIDTH * h, []
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        for a, b in [(lo, hi)] if hi - lo <= 2 * reach else [(lo, lo + reach), (hi - reach, hi)]:
-            if b > a:
-                count = max(1, math.ceil((b - a) / width))
-                half = 0.5 * (b - a) / count
-                panels += [(a + (2 * i + 1) * half, half) for i in range(count)]
-    return panels
-
-
-def _profile_targets(n: float, panels: list) -> float:
-    """The targets of a profile evaluation's kernel sums: the n data and the integral's nodes."""
-    return n + _PANEL_NODES * len(panels)
+def _profile_targets(n: float, plan) -> float:
+    """The targets of a profile evaluation's kernel sums: the n data and the plan's integral nodes."""
+    return n + plan.nodes.size
 
 
 def _evaluation_pairs(n: float, window: Window, h: float, thetas: np.ndarray) -> float:
     """A profile evaluation's price: ``_EVAL_PAIRS`` and its sums' ``_sum_pairs`` at the widest angle."""
     widest = thetas[np.argmax(window.z * np.abs(np.sin(thetas)) + window.omega * np.cos(thetas))]
-    knots = _trapezoid(Subspace(float(widest)), window)[0].tolist()
-    return _EVAL_PAIRS + _sum_pairs(h, n, knots[0], knots[-1], _profile_targets(n, _zone_panels(knots, h)))[0]
+    plan = _plan(Subspace(float(widest)), window, h)
+    return _EVAL_PAIRS + _sum_pairs(n, plan.layout[2], _profile_targets(n, plan))[0]
 
 
 def _cells(estimator, cells: int | None = None):

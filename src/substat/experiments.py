@@ -39,7 +39,7 @@ from .estimate import (
     fit_theta,
 )
 from .geometry import PointPattern, Subspace, Window, _chord_ends, unproject_xy
-from .io import _write_csv
+from .io import _distinct, _write_csv
 from .kernels import validate_bandwidth
 from .simulate import (
     PoissonBetaModel,
@@ -110,6 +110,7 @@ class ExperimentPlan:
             vals = tuple(owner(float(v)) for v in getattr(self, name))
             if not vals:
                 raise ValueError(f"{name} must be nonempty")
+            _distinct(name, vals)
             object.__setattr__(self, name, vals)
         if self.target == "table1" and any(a == 1.0 for a in self.a_values):
             raise ValueError(

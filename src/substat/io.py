@@ -145,6 +145,16 @@ def _field(value) -> str:
     return str(value)
 
 
+def _distinct(name: str, values) -> None:
+    """Raise ValueError naming the first value that ``values`` repeats (2 and 2.0 alike):
+    its work would run twice, and its rows collide in one key or one file."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name} repeats {_field(value)}")
+        seen.add(value)
+
+
 def _write_csv(path, comments: dict, header: str, rows) -> None:
     """Write ``# key: value`` comments, the header, then one line per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -253,11 +263,13 @@ def run_application_pipeline(
     from its trace and the gain is nonnegative.  With ``grid_dir`` set,
     the axis-aligned intensity curve for each bandwidth is exported there,
     on ``grid_resolution`` cells (None: the estimator's own grid).
-    Every input is checked before the first fit.
+    Every input is checked before the first fit; a repeated bandwidth
+    raises ValueError.
     """
     h_list = [validate_bandwidth(h) for h in h_values]
     if not h_list:
         raise ValueError("no bandwidths supplied")
+    _distinct("h_values", h_list)
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, got nan")
     if grid_dir is not None:

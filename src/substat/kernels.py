@@ -14,14 +14,23 @@ s_k = T/width, losing about 2**-53*T*h/width: against 60-digit values at
 widths from 3e-8*h to 0.1*h, near both axes, the relative error was at
 most 8.7e-14, just above the threshold.
 
-The rows of knots, slopes and scales depend on the angle, the window and h
-alone, so ``_correction_plan`` builds them once per such key and every
-call at that key reads them.  Beyond ``_KNOT_REACH`` = 10 bandwidths of
-every knot each knot term is below 2**-53 of the plateau, so there the
-correction is the chord itself; the likelihood integral
-(``estimate.SubstationaryIntensity.integral``) takes its quadrature only
-within that reach, and the kernel mass over the projection range in
+Beyond ``_KNOT_REACH`` = 10 bandwidths of every knot each knot term is
+below 2**-53 of the plateau, so there the correction is the chord itself;
+the likelihood integral (``estimate.SubstationaryIntensity.integral``)
+takes its Gauss-Legendre quadrature only on the zones within that reach
+(``_zone_panels``), and the kernel mass over the projection range in
 closed form (``_kernel_mass``).
+
+Whatever reads no data depends on the angle, the window and h alone, so
+``_plan`` builds it once per such key, keeps the 64 keys used last, and every
+estimator and call at a key reads its ``_Plan``: the chord profile's knots
+and heights, the projection range and its node layout, the correction's
+rows of knots, slopes and scales, and the integral's zone nodes and
+weights with the correction and its excess over the chord there.  A
+profile evaluation then computes only the data's part: the kernel sums at
+the data and at the plan's nodes, the correction at the data, and the
+kernel mass.  A fit's replications score the same coarse angles, so they
+share those angles' plans.
 
 Only the Gaussian kernel ships; the normal CDF is evaluated
 through the complementary error function so deep tails underflow to zero
@@ -54,16 +63,17 @@ engine has two paths:
   nodes lie down a column, so every sum runs over the leading axis.
 
 The node grid belongs to an estimator, not to a call.  ``_node_grid``
-decides once, for the data and a range [lo, hi] that holds every target
-(the 1-D smoother's projection range), whether a grid pays, and if so
-takes the node sums at nodes spaced h/5 over that range by the Taylor form
-of the fast Gauss transform on the node lattice (``_lattice_sums``), whose
-20 convolutions are BLAS products; every call of that estimator then reads
-the same nodes, so a value at a given offset does not depend on the calls
-before it.  ``_sum_pairs`` prices the sums in kernel pairs against all the
-targets m those calls ask for (the 1-D smoother's n data and its likelihood
-integral's nodes): 5e4 + 20*n + 150*G + 80*m on a grid of G nodes, n*m by the
-direct sum.  The cheaper path is taken, and the fork gate reads its price.
+decides once, for the data and the ``_node_layout`` over a range [lo, hi]
+that holds every target (the 1-D smoother's projection range, from its
+plan), whether a grid pays, and if so takes the node sums at nodes spaced
+h/5 over that range by the Taylor form of the fast Gauss transform on the
+node lattice (``_lattice_sums``), whose 20 convolutions are BLAS
+products; every call of that estimator then reads the same nodes, so a
+value at a given offset does not depend on the calls before it.
+``_sum_pairs`` prices the sums in kernel pairs against all the targets m
+those calls ask for (the 1-D smoother's n data and its likelihood
+integral's nodes): 5e4 + 20*n + 150*G + 80*m on a grid of G nodes, n*m by
+the direct sum.  The cheaper path is taken, and the fork gate reads its price.
 Every path works through its targets in blocks of
 2**16 elements (512 KB), so each temporary stays in the L2 cache; the
 lattice holds a few floats per datum and 20 per node, and each of its
@@ -129,9 +139,15 @@ _CORRECTION_ELEMENTS = 2**14
 # to O(T) and lose about 2**-53 * T * h/width.  Every knot term is below 2**-53 of T
 # beyond 9 bandwidths, h*s_k*psi(x) <= T*psi(x)/_JUMP_WIDTH with psi(x) <= phi(x)/(1 + x^2),
 # and T*Q(x) at a jump; the reach stays at the 10 with which the likelihood integral's
-# zones (estimate._zone_panels) were measured
+# zones (_zone_panels) were measured
 _JUMP_WIDTH = 1e-3
 _KNOT_REACH = 10
+# the likelihood integral's quadrature where the correction's knot terms act: Gauss-Legendre
+# panels of at most _PANEL_WIDTH bandwidths, of _PANEL_NODES nodes each (a convergence
+# test in tests/test_estimate.py holds the integral within 1e-9 of a fine reference)
+_PANEL_WIDTH = 6.0
+_PANEL_NODES = 12
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 # interpolated kernel sums: node spacing in bandwidths, stencil size, guard, and the
 # costs in kernel pairs of one target and of a node grid, measured on a node stage since
@@ -204,7 +220,8 @@ def _gaussian_sums(
     own = 1.0 / (h * _SQRT_2PI) if loo else 0.0
     if nodes is not None:
         return _interpolated_sums(h, data, targets, own, nodes)
-    return _direct_sums(h, data, targets) - own
+    sums = _direct_sums(h, data, targets)
+    return sums - own if loo else sums
 
 
 def _kernel_mass(h: float, data: np.ndarray, lo: float, hi: float) -> float:
@@ -286,25 +303,26 @@ def _node_layout(h: float, lo: float, hi: float) -> tuple[float, float, int]:
     return origin, step, math.ceil((hi - lo) / step) + _STENCIL
 
 
-def _sum_pairs(h: float, n: float, lo: float, hi: float, targets: float) -> tuple[float, bool]:
-    """The cheaper path's price in kernel pairs of n data's sums at ``targets`` values over [lo, hi],
-    and whether that path is a node grid, by the module docstring's rule."""
-    grid = _GRID_COST + _DATUM_COST * n + _NODE_COST * _node_layout(h, lo, hi)[2] + _TARGET_COST * targets
+def _sum_pairs(n: float, nodes: int, targets: float) -> tuple[float, bool]:
+    """The cheaper path's price in kernel pairs of n data's sums at ``targets`` values, where a
+    node grid would hold ``nodes`` nodes, and whether that path is the grid, by the module
+    docstring's rule."""
+    grid = _GRID_COST + _DATUM_COST * n + _NODE_COST * nodes + _TARGET_COST * targets
     return min(grid, n * targets), grid < n * targets
 
 
-def _node_grid(h: float, data: np.ndarray, lo: float, hi: float, targets: int) -> _NodeGrid | None:
-    """The node grid over [lo, hi] where ``_sum_pairs`` chooses one for ``targets`` values, or None."""
-    return _build_node_grid(h, data, lo, hi) if _sum_pairs(h, data.size, lo, hi, targets)[1] else None
+def _node_grid(h: float, data: np.ndarray, layout: tuple, targets: float) -> _NodeGrid | None:
+    """The node grid at a ``_node_layout`` where ``_sum_pairs`` chooses one for ``targets`` values, or None."""
+    return _build_node_grid(h, data, layout) if _sum_pairs(data.size, layout[2], targets)[1] else None
 
 
-def _build_node_grid(h: float, data: np.ndarray, lo: float, hi: float) -> _NodeGrid:
-    """The ``_lattice_sums`` of the data at the ``_node_layout`` nodes over [lo, hi].
+def _build_node_grid(h: float, data: np.ndarray, layout: tuple) -> _NodeGrid:
+    """The ``_lattice_sums`` of the data at the nodes of a ``_node_layout``.
 
     A node whose left-out terms are not below ``_TAIL_RTOL`` of its sum,
     such as one beyond the reach of every datum, takes ``_reached_sums``.
     """
-    origin, step, count = _node_layout(h, lo, hi)
+    origin, step, count = layout
     sums, inside = _lattice_sums(h, data, origin, step, count)
     redo = np.flatnonzero(~((data.size - inside) * (_TAIL / h) < _TAIL_RTOL * sums))
     if redo.size:
@@ -433,16 +451,74 @@ def _grid_sums(h: float, x_axis, y_axis) -> np.ndarray:
     return (wx.T @ wy) / (h * h * 2.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=64)
-def _correction_plan(subspace: Subspace, window: Window, h: float) -> tuple:
-    """The plateau and the rows of ``correction_substat_closed``'s block at one angle, window and h.
+class _Plan(NamedTuple):
+    """What one (subspace, window, h) key fixes before any data is read: see ``_plan``.
 
-    (top, column, kinks, scale, tails, runs, bends): built once per key and
-    shared by every later call, so each array is read-only; ``bends`` is empty
-    where no jump has a width.
+    The chord profile's ``knots`` and ``heights`` (``geometry._trapezoid``);
+    the projection range [``lo``, ``hi``] and the ``_node_layout`` over it;
+    the correction's ``rows`` (``_correction_rows``); and the likelihood
+    integral's Gauss-Legendre ``nodes`` and ``weights`` on its ``_zone_panels``,
+    with the correction there, ``corr``, and its ``excess`` over the chord.
+    """
+
+    knots: np.ndarray
+    heights: tuple
+    lo: float
+    hi: float
+    layout: tuple[float, float, int]
+    rows: tuple
+    nodes: np.ndarray
+    weights: np.ndarray
+    corr: np.ndarray
+    excess: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(subspace: Subspace, window: Window, h: float) -> _Plan:
+    """The ``_Plan`` of one angle, window and h, built once per key.
+
+    Every later call at the key shares it, so each of its arrays is read-only.
     """
     knots, heights = _trapezoid(subspace, window)
-    top, k = heights[1], knots.tolist()
+    lo, hi = float(knots[0]), float(knots[-1])
+    rows = _correction_rows(knots, heights[1], h)
+    mid, half = np.array(_zone_panels(knots.tolist(), h)).T
+    nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
+    weights = (half[:, None] * _GAUSS_WEIGHTS).ravel()
+    corr = _corrected(h, rows, nodes)
+    excess = corr - np.interp(nodes, knots, heights)
+    for values in (knots, nodes, weights, corr, excess):
+        values.setflags(write=False)
+    return _Plan(knots, heights, lo, hi, _node_layout(h, lo, hi), rows, nodes, weights, corr, excess)
+
+
+def _zone_panels(knots: list, h: float) -> list[tuple[float, float]]:
+    """The (midpoint, half-width) of each panel where the correction's knot terms act.
+
+    Each knot of the chord profile acts within ``_KNOT_REACH`` bandwidths of
+    it.  A gap between knots that two reaches cover is one piece, and a
+    wider gap gives a piece at each end.  The chord kinks at the knots, so no
+    piece crosses one.  Each piece takes equal panels of at most
+    ``_PANEL_WIDTH`` bandwidths: at most 2*ceil(_KNOT_REACH/_PANEL_WIDTH) a
+    gap, whatever the window.
+    """
+    reach, width, panels = _KNOT_REACH * h, _PANEL_WIDTH * h, []
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        for a, b in [(lo, hi)] if hi - lo <= 2 * reach else [(lo, lo + reach), (hi - reach, hi)]:
+            if b > a:
+                count = max(1, math.ceil((b - a) / width))
+                half = 0.5 * (b - a) / count
+                panels += [(a + (2 * i + 1) * half, half) for i in range(count)]
+    return panels
+
+
+def _correction_rows(knots: np.ndarray, top: float, h: float) -> tuple:
+    """The plateau and the rows of ``_corrected``'s block, for the chord's knots and plateau.
+
+    (top, column, kinks, scale, tails, runs, bends), each array read-only;
+    ``bends`` is empty where no jump has a width.
+    """
+    k = knots.tolist()
     # the rise and the fall: foot (at height 0), head, width and outward sign
     ramps = [(k[0], k[1], k[1] - k[0], -1.0), (k[3], k[2], k[3] - k[2], 1.0)]
     narrow = _JUMP_WIDTH * h
@@ -464,29 +540,11 @@ def _correction_plan(subspace: Subspace, window: Window, h: float) -> tuple:
     return top, column, kinks, scale, tails, runs, bends
 
 
-def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
-    """Kernel mass retained in the window around offset v, in closed form.
-
-    The chord profile of ``_trapezoid`` rises from 0 to its plateau T and
-    falls back; a ramp narrower than 1e-3*h (near and on the axes) is a jump
-    at its midpoint, exact to within (width/h)**4.  With x_k = |v - k|/h,
-    Q(x) = Phi(-x) and psi(x) = phi(x) - x*Q(x),
-
-        corr(v) = c(v) + h * sum_k s_k psi(x_k)
-                  - T * sum_j [Phi(x_j) - (w_j/h)**2/24 * x_j*phi(x_j)]
-
-    over the other ramps' knots k, with slope changes s_k, and the jumps j
-    of width w_j, x_j = o_j/h with o_j the offset of v outwards from jump j.
-    c is T times the least of 1 and each other ramp's share climbed from its
-    foot.  Every term vanishes away from its knot (see the module docstring
-    for the accuracy).  The rows of knots come from ``_correction_plan``,
-    once per angle, window and h.
-    """
-    h = validate_bandwidth(h)
-    v_arr = np.asarray(v, dtype=float)
-    top, column, kinks, scale, tails, runs, bends = _correction_plan(subspace, window, h)
+def _corrected(h: float, rows: tuple, v: np.ndarray) -> np.ndarray:
+    """``correction_substat_closed`` at the offsets v by a plan's ``rows``, shaped like v."""
+    top, column, kinks, scale, tails, runs, bends = rows
     r = kinks.size
-    flat, total = v_arr.ravel(), np.empty(v_arr.size)
+    flat, total = v.ravel(), np.empty(v.size)
     step = max(1, _CORRECTION_ELEMENTS // column.size)
     share, density = 1.0, 0.0  # c(v) / T and the kinks' term on the axes, which have no kinks
     for i in range(0, flat.size, step):
@@ -503,7 +561,29 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
         if bends.size:
             near = d[r:]
             total[i : i + step] += bends @ (near * _kernel_block(h, near.copy())) / _SQRT_2PI
-    return _shaped_like(v_arr, total.reshape(v_arr.shape))
+    return total.reshape(v.shape)
+
+
+def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
+    """Kernel mass retained in the window around offset v, in closed form.
+
+    The chord profile of ``_trapezoid`` rises from 0 to its plateau T and
+    falls back; a ramp narrower than 1e-3*h (near and on the axes) is a jump
+    at its midpoint, exact to within (width/h)**4.  With x_k = |v - k|/h,
+    Q(x) = Phi(-x) and psi(x) = phi(x) - x*Q(x),
+
+        corr(v) = c(v) + h * sum_k s_k psi(x_k)
+                  - T * sum_j [Phi(x_j) - (w_j/h)**2/24 * x_j*phi(x_j)]
+
+    over the other ramps' knots k, with slope changes s_k, and the jumps j
+    of width w_j, x_j = o_j/h with o_j the offset of v outwards from jump j.
+    c is T times the least of 1 and each other ramp's share climbed from its
+    foot.  Every term vanishes away from its knot (see the module docstring
+    for the accuracy).  The rows of knots come from the key's ``_plan``.
+    """
+    h = validate_bandwidth(h)
+    v_arr = np.asarray(v, dtype=float)
+    return _shaped_like(v_arr, _corrected(h, _plan(subspace, window, h).rows, v_arr))
 
 
 def correction_2d(window: Window, h: float, x, y):

@@ -1,0 +1,59 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def result_line(session_cal, setup_s, rate):
+    """One last output line of perfbench/run.py, as it prints it."""
+    metrics = {
+        "session_cal": {"value": session_cal, "unit": "ratio"},
+        "setup_s": {"value": setup_s, "unit": "s"},
+        "rate": {"value": rate, "unit": "1/s"},
+    }
+    return json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+
+
+# (parent, change) lines of four seeds
+CANNED = [
+    (result_line(9.6, 0.50, 10.0), result_line(7.5, 0.52, 12.0)),
+    (result_line(9.3, 0.48, 11.0), result_line(7.1, 0.47, 10.0)),
+    (result_line(10.0, 0.55, 10.0), result_line(8.1, 0.55, 13.0)),
+    (result_line(9.9, 0.46, 9.0), result_line(9.95, 0.50, 9.5)),
+]
+BETTER = {"session_cal": "lower", "setup_s": "lower", "rate": "higher"}
+
+
+def test_the_summary_gives_medians_quartiles_and_pairs_won():
+    pairs = [(json.loads(p), json.loads(c)) for p, c in CANNED]
+    rows = {row["metric"]: row for row in bench_pairs.summarize(pairs, BETTER)}
+    assert list(rows) == ["session_cal", "setup_s", "rate"]
+    cal = rows["session_cal"]
+    assert cal["parent"] == pytest.approx(9.75)  # the median of 9.3, 9.6, 9.9, 10.0
+    assert cal["change"] == pytest.approx(7.8)
+    # inclusive quartiles of 9.3, 9.6, 9.9, 10.0: 9.3 + 0.75 * 0.3 and 9.9 + 0.25 * 0.1
+    assert cal["parent_quartiles"] == pytest.approx((9.525, 9.925))
+    assert (cal["won"], cal["pairs"]) == (3, 4)  # 9.95 against 9.9 loses
+    assert rows["setup_s"]["won"] == 1  # 0.47 < 0.48; equal and higher values do not win
+    assert rows["rate"]["won"] == 3  # higher is better: 12 > 10, 13 > 10, 9.5 > 9
+    line = bench_pairs.format_row(cal)
+    assert line.startswith("session_cal: parent 9.75 [9.525-9.925] -> change 7.8")
+    assert line.endswith("(-20.0%), change better in 3 of 4 pairs")
+
+
+def test_one_pair_is_its_own_quartiles():
+    pairs = [(json.loads(CANNED[0][0]), json.loads(CANNED[0][1]))]
+    (cal, *_) = bench_pairs.summarize(pairs, BETTER)
+    assert cal["parent_quartiles"] == (9.6, 9.6)
+    assert (cal["won"], cal["pairs"]) == (1, 1)
+
+
+@pytest.mark.parametrize("text, seeds", [("3-5", [3, 4, 5]), ("7", [7]), ("4-4", [4])])
+def test_seed_ranges(text, seeds):
+    assert list(bench_pairs._seeds(text)) == seeds

@@ -11,8 +11,6 @@ import substat.estimate as estimate_module
 from substat.estimate import (
     _EVAL_PAIRS,
     _FORK_MIN_PAIRS,
-    _PANEL_NODES,
-    _PANEL_WIDTH,
     _REFINE_EVALS,
     SUBSTAT_INTEGRAL_CELLS,
     BandwidthSelectionError,
@@ -22,8 +20,6 @@ from substat.estimate import (
     _coarse_angles,
     _evaluation_pairs,
     _map_ordered,
-    _profile_targets,
-    _zone_panels,
     bandwidth_cv_scores,
     fit_theta,
     loglik,
@@ -43,8 +39,12 @@ from substat.geometry import (
 )
 from substat.kernels import (
     _KNOT_REACH,
+    _PANEL_NODES,
+    _PANEL_WIDTH,
     _direct_sums,
+    _node_layout,
     _sum_pairs,
+    _zone_panels,
     correction_2d,
     correction_substat_closed,
     normal_cdf,
@@ -192,6 +192,32 @@ class TestSubstationaryIntensity:
         assert loglik(pat, SubstationaryIntensity(pat, 0.4, 0.07)) == loglik(
             pat2, SubstationaryIntensity(pat2, 0.4, 0.07)
         )
+
+    # the grid path at n=1000 in a 10x1 window, the direct path at n=100 in a 1x1 window
+    @pytest.mark.parametrize("n, z", [(100, 1.0), (1000, 10.0)])
+    @pytest.mark.parametrize("h", [0.01, 0.05])
+    @pytest.mark.parametrize(
+        "theta", [0.0, 1e-300, math.radians(6), -math.radians(6), math.pi / 4, -math.pi / 2]
+    )
+    def test_the_patterns_own_points_read_as_a_copy_of_them_does(self, n, z, h, theta):
+        rng = np.random.default_rng(n)
+        pat = random_pattern(rng, z=z, n=n)  # in random order
+        assert not np.all(np.diff(pat.x) >= 0)
+        est = SubstationaryIntensity(pat, theta, h)
+        assert (est._grid() is None) == (n == 100)
+        own = est.at_points(pat.x, pat.y)
+        copied = est.at_points(pat.x.copy(), pat.y.copy())
+        assert own.tobytes() == copied.tobytes()
+        assert own.shape == (n,)
+
+    def test_points_outside_the_window_still_raise(self):
+        pat = random_pattern(np.random.default_rng(5), z=2.0)
+        est = SubstationaryIntensity(pat, 0.3, 0.05)
+        x = pat.x.copy()
+        x[7] = 2.5
+        for bad in ((x, pat.y), (np.array([-0.1]), np.array([0.5])), (pat.x, pat.y + 1.0)):
+            with pytest.raises(ValueError, match="outside the observation window"):
+                est.at_points(*bad)
 
 
 ESTIMATORS = {
@@ -475,7 +501,7 @@ class TestLikelihoodIntegral:
                 counts = []
                 for z in (1.0, 10.0, 100.0, 1000.0):
                     est = SubstationaryIntensity(PointPattern([0.5], [0.5], Window(z)), theta, h)
-                    nodes, weights = est._zones()
+                    nodes, weights = est._plan.nodes, est._plan.weights
                     assert nodes.size == weights.size <= bound
                     assert np.all((nodes >= est._v_lo) & (nodes <= est._v_hi))
                     counts.append(nodes.size)
@@ -661,8 +687,9 @@ class TestFitTheta:
             thetas = _coarse_angles(halfwidth)[0]
             at = thetas[np.argmin(np.abs(np.degrees(thetas) - widest))]
             knots = _trapezoid(Subspace(float(at)), window)[0].tolist()
-            targets = _profile_targets(n, _zone_panels(knots, h))
-            want = _EVAL_PAIRS + _sum_pairs(h, n, knots[0], knots[-1], targets)[0]
+            targets = n + _PANEL_NODES * len(_zone_panels(knots, h))
+            nodes = _node_layout(h, knots[0], knots[-1])[2]
+            want = _EVAL_PAIRS + _sum_pairs(n, nodes, targets)[0]
             assert _evaluation_pairs(n, window, h, thetas) == want
 
     @pytest.mark.parametrize("n, z", [(100, 1.0), (1000, 10.0), (3000, 30.0)])

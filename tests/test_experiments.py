@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from substat import estimate, experiments
+from substat import estimate, experiments, kernels
 from substat.estimate import (
     GRID_CELLS_1D,
     StationaryIntensity,
@@ -21,7 +21,7 @@ from substat.experiments import (
     run_table2,
     write_result_csv,
 )
-from substat.geometry import PointPattern, Window, project_xy
+from substat.geometry import PointPattern, Subspace, Window, project_xy
 from substat.simulate import PoissonBetaModel, RngStream, simulate_poisson_beta
 
 
@@ -70,6 +70,20 @@ class TestPlanValidation:
     def test_every_cell_value_is_checked_before_the_sweep(self, bad):
         with pytest.raises(ValueError):
             table1_plan(**bad)
+
+    # a repeated value would run its cells twice and keep one row of them
+    @pytest.mark.parametrize(
+        "name, values, repeated",
+        [
+            ("a_values", (2, 3.0, 2.0), "2.0"),
+            ("z_values", (1.0, 1), "1.0"),
+            ("h_values", (0.05, 0.1, 0.05), "0.05"),
+        ],
+    )
+    def test_a_repeated_value_raises_naming_it(self, name, values, repeated):
+        with pytest.raises(ValueError, match=f"^{name} repeats {repeated}$"):
+            table1_plan(**{name: values})
+        assert getattr(table1_plan(**{name: values[1:]}), name) == tuple(map(float, values[1:]))
 
 
 class TestReplicationStream:
@@ -322,6 +336,30 @@ class TestDeterminism:
         results = [run_table2(plan, threads=threads) for threads in (0, 1, 2, 3)]
         assert pools[-2:] == [2, 3]  # threads=0 takes one worker per CPU
         assert all(result == results[1] for result in results)
+
+    def test_a_cell_builds_each_coarse_angles_plan_once(self, monkeypatch):
+        # every replication's fit scores the same 13 coarse angles at the same
+        # window and h: the first builds each angle's plan, the other 7 read it
+        plan = table1_plan(a_values=(1.5,), h_values=(0.01,), replications=8)
+        keys, build = [], kernels._plan
+
+        def recording(subspace, window, h):
+            keys.append((subspace, window, h))
+            return build(subspace, window, h)
+
+        for module in (kernels, estimate):  # every lookup of a plan
+            monkeypatch.setattr(module, "_plan", recording)
+        build.cache_clear()
+        cold = run_table1(plan, threads=1)
+        info = build.cache_info()
+        assert len(set(keys)) <= info.maxsize == 64  # nothing was evicted
+        assert (info.misses, info.hits) == (len(set(keys)), len(keys) - len(set(keys)))
+        for theta in _coarse_angles(plan.search_halfwidth_deg)[0]:
+            key = (Subspace(float(theta)), Window(1.0), 0.01)
+            assert keys.count(key) >= 8
+        assert run_table1(plan, threads=1).cells == cold.cells  # warm
+        build.cache_clear()
+        assert run_table1(plan, threads=1).cells == cold.cells
 
     def test_adding_cells_never_perturbs_existing_ones(self):
         small = table1_plan(a_values=(2.0,), replications=5)

@@ -259,6 +259,13 @@ class TestApplicationPipeline:
         )
         assert len(lines) == 3
 
+    def test_a_repeated_bandwidth_raises_before_the_first_fit(self, pattern, tmp_path, monkeypatch):
+        fits = record_calls(monkeypatch, "fit_theta", substat.io)
+        for h_values, repeated in (([0.05, 0.1, 0.05], "0.05"), ([2e-2, 0.02], "0.02")):
+            with pytest.raises(ValueError, match=f"h_values repeats {repeated}$"):
+                run_application_pipeline(pattern, h_values, grid_dir=tmp_path)
+        assert fits == [] and not any(tmp_path.iterdir())
+
     def test_requires_bandwidths_and_points(self, pattern):
         with pytest.raises(ValueError):
             run_application_pipeline(pattern, [])
@@ -642,6 +649,38 @@ class TestCli:
         args = ["experiment", target, "--process", "poisson", "--replications", "2"]
         assert main([*args, *values, "--out", str(out)]) == 1
         assert draws == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (["--a-values", "2,3,2.0", "--z-values", "1", "--h-values", "0.05"], "a_values repeats 2.0"),
+            (["--a-values", "2", "--z-values", "1,1", "--h-values", "0.05"], "z_values repeats 1.0"),
+            (["--a-values", "2", "--z-values", "1", "--h-values", "0.05,.05"], "h_values repeats 0.05"),
+        ],
+    )
+    def test_experiment_refuses_a_repeated_value_before_the_sweep(
+        self, tmp_path, monkeypatch, capsys, values, message
+    ):
+        draws = record_calls(monkeypatch, "simulate_poisson_beta", substat.experiments)
+        out = tmp_path / "cells.csv"
+        args = ["experiment", "table1", "--process", "poisson", "--replications", "2"]
+        assert main([*args, *values, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert draws == [] and not out.exists()
+
+    def test_apply_refuses_a_repeated_bandwidth_before_the_first_fit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        data = self.simulate_file(tmp_path)
+        (tmp_path / "grids").mkdir()
+        fits = record_calls(monkeypatch, "fit_theta", substat.io)
+        out = tmp_path / "report.csv"
+        args = ["apply", "--data", str(data), "--region", "0,2,0,1", "--out", str(out)]
+        grids = ["--grid-dir", str(tmp_path / "grids")]
+        assert main([*args, *grids, "--h-values", "0.05,0.05"]) == 1
+        assert "h_values repeats 0.05" in capsys.readouterr().err
+        assert fits == [] and not out.exists()
+        assert not any((tmp_path / "grids").iterdir())
 
     def test_numerical_error_exit_code(self, tmp_path):
         lonely = tmp_path / "one.csv"

@@ -90,7 +90,7 @@ def assert_relative(got, want, rtol):
 
 def interpolated(h, data, targets, leave_out):
     """Sums read off a node grid over the targets' range."""
-    nodes = _build_node_grid(h, data, targets.min(), targets.max())
+    nodes = _build_node_grid(h, data, _node_layout(h, targets.min(), targets.max()))
     return _interpolated_sums(h, data, targets, leave_out, nodes)
 
 
@@ -375,25 +375,36 @@ class TestStackedCorrection:
 
     def test_the_plan_cache_never_mixes_angles_or_bandwidths(self):
         # calls alternate between angles and bandwidths with the cache warm;
-        # each must read the value that a freshly built plan gives
+        # each must read the value, and the plan, that a freshly built plan gives
         w = Window(10.0, 1.0)
         keys = [(Subspace(t), h) for t in (0.0, 1e-300, 0.3, -1.2, -math.pi / 2)
                 for h in (0.01, 0.05)]
         v = {sub: np.linspace(*v_range(sub, w), 257) for sub, _ in keys}
-        fresh = {}
+        fresh, plans = {}, {}
         for sub, h in keys:
-            kernels._correction_plan.cache_clear()
+            kernels._plan.cache_clear()
             fresh[sub, h] = correction_substat_closed(sub, w, h, v[sub])
-        kernels._correction_plan.cache_clear()
+            plans[sub, h] = kernels._plan(sub, w, h)
+        kernels._plan.cache_clear()
         for _ in range(3):
             for sub, h in keys[::2] + keys[1::2]:
                 got = correction_substat_closed(sub, w, h, v[sub])
                 assert np.array_equal(got, fresh[sub, h]), (sub, h)
                 np.testing.assert_allclose(got, per_knot_correction(sub, w, h, v[sub]),
                                            rtol=1e-9, atol=0.0)
-        assert kernels._correction_plan.cache_info().hits >= 2 * len(keys)
-        plan = kernels._correction_plan(keys[2][0], w, keys[2][1])
-        assert not any(rows.flags.writeable for rows in plan[1:])
+                plan, want = kernels._plan(sub, w, h), plans[sub, h]
+                for name in ("knots", "nodes", "weights", "corr", "excess"):
+                    assert np.array_equal(getattr(plan, name), getattr(want, name)), (sub, h, name)
+                # the zones' correction is the closed form's, and its excess is over the chord
+                assert np.array_equal(plan.corr, correction_substat_closed(sub, w, h, plan.nodes))
+                chord = chord_measure(sub, w, plan.nodes)
+                assert np.array_equal(plan.excess, plan.corr - chord), (sub, h)
+        assert kernels._plan.cache_info().hits >= 4 * len(keys)
+        assert kernels._plan.cache_info().misses == len(keys)
+        for plan in plans.values():
+            arrays = [a for a in plan + plan.rows if isinstance(a, np.ndarray)]
+            assert len(arrays) == 11
+            assert not any(a.flags.writeable for a in arrays)
 
 
 class TestQuadratureOracle:
@@ -500,7 +511,7 @@ class TestGaussianSums:
         data = synthetic_data(kind, n, span, h, seed)
         own = own_kernel(h)
         # one grid over the range, as an estimator builds it, serves every target set
-        nodes = _build_node_grid(h, data, 0.0, span)
+        nodes = _build_node_grid(h, data, _node_layout(h, 0.0, span))
         for targets, leave_out in ((data, 0.0), (midpoint_grid(span), 0.0), (data, own)):
             got = _interpolated_sums(h, data, targets, leave_out, nodes)
             assert_relative(got, _direct_sums(h, data, targets) - leave_out, 1e-10)
@@ -534,8 +545,9 @@ class TestGaussianSums:
         builds = record_calls(monkeypatch, "_build_node_grid")
         for deg in (0.0, 1.0, 6.0, -10.0, 45.0, 84.0, -89.0):
             est = SubstationaryIntensity(pat, Subspace.from_degrees(deg), h)
-            lo, hi, targets = est._v_lo, est._v_hi, _profile_targets(n, est._panels)
-            pairs, grid = _sum_pairs(h, n, lo, hi, targets)
+            lo, hi, targets = est._v_lo, est._v_hi, _profile_targets(n, est._plan)
+            assert est._plan.layout == _node_layout(h, lo, hi)
+            pairs, grid = _sum_pairs(n, est._plan.layout[2], targets)
             # 5e4 + 20*n + 150*G + 80*m kernel pairs against n*m
             cost = 50_000 + 20 * n + 150 * _node_layout(h, lo, hi)[2] + 80 * targets
             assert (pairs, grid) == (min(cost, n * targets), cost < n * targets)
@@ -554,11 +566,11 @@ class TestGaussianSums:
             for data in (small, 10 * small):
                 want = _direct_sums(h, data, grid)
                 assert np.array_equal(_gaussian_sums(h, data, grid), want)
-                assert _node_grid(h, data, data[0], data[-1], data.size + 400) is None
+                assert _node_grid(h, data, _node_layout(h, data[0], data[-1]), data.size + 400) is None
         assert calls == [] and builds == []
         # large data get a grid, and a 1-D call with it reads the sums off it
         large = rng.uniform(0, 1, 2000)
-        nodes = _node_grid(0.05, np.sort(large), 0.0, 1.0, 2400)
+        nodes = _node_grid(0.05, np.sort(large), _node_layout(0.05, 0.0, 1.0), 2400)
         assert nodes is not None and len(builds) == 1
         assert nodes.sums.size == 5 * 20 + 20  # 1/(h/5) nodes over the range, 20 beside
         _gaussian_sums(0.05, large, large, nodes=nodes)
@@ -568,7 +580,7 @@ class TestGaussianSums:
         # pay on 1400 targets; at h = 0.02, 2520 nodes do
         spread = np.sort(rng.uniform(0, 10, 1000))
         for h, pays in ((0.005, False), (0.02, True)):
-            assert (_node_grid(h, spread, 0.0, 10.0, 1400) is not None) == pays
+            assert (_node_grid(h, spread, _node_layout(h, 0.0, 10.0), 1400) is not None) == pays
         assert len(builds) == 2
         # two axes take their own product form, never a node grid
         _direct_sums(0.05, large, large, (large, large))
@@ -583,7 +595,7 @@ class TestGaussianSums:
         data = synthetic_data("beta", 500, 1.0, h, seed=7)
         step = _node_layout(h, 0.0, 1.0)[1]
         targets = np.append(np.arange(101), 350) * step  # every target on a node
-        nodes = _build_node_grid(h, data, 0.0, targets[-1])
+        nodes = _build_node_grid(h, data, _node_layout(h, 0.0, targets[-1]))
         assert np.isin(targets, node_positions(nodes)).all()
         assert np.all(nodes.sums[-kernels._STENCIL :] == 0.0)
         want = _direct_sums(h, data, targets)
@@ -613,7 +625,7 @@ class TestGaussianSums:
         # a gap of 25 bandwidths or more leaves nodes beyond the reach of every datum
         data = split_data(synthetic_data(kind, n, span, h, seed, clusters), span, gap * h)
         top = span + gap * h
-        nodes = _build_node_grid(h, data, 0.0, top)
+        nodes = _build_node_grid(h, data, _node_layout(h, 0.0, top))
         assert_relative(nodes.sums, _direct_sums(h, data, node_positions(nodes)), 1e-12)
         own = own_kernel(h)
         for targets, leave_out in ((data, 0.0), (midpoint_grid(top), 0.0), (data, own)):
@@ -627,7 +639,7 @@ class TestGaussianSums:
         # more than 12 h from every datum, but within the floor's 37.6 h
         data = np.sort(rng.normal(np.repeat([0.5, 0.5 + 30 * h], 300), 0.5 * h))
         calls = record_calls(monkeypatch, "_direct_sums")
-        nodes = _build_node_grid(h, data, 0.0, 1.5)
+        nodes = _build_node_grid(h, data, _node_layout(h, 0.0, 1.5))
         at = node_positions(nodes)
         want = _direct_sums(h, data, at)
         beyond = np.min(np.abs(at[:, None] - data), axis=1) > kernels._REACH * h
@@ -643,7 +655,7 @@ class TestGaussianSums:
         # exactly 0, and the nodes at the edge of the reach, which sum part of
         # a cluster, are off
         monkeypatch.setattr(kernels, "_TAIL", 0.0)
-        unguarded = _build_node_grid(h, data, 0.0, 1.5).sums
+        unguarded = _build_node_grid(h, data, _node_layout(h, 0.0, 1.5)).sums
         assert len(calls) == 2 and calls[1][2].size < calls[0][2].size
         positive = want > 0
         assert np.max(np.abs(unguarded - want)[positive] / want[positive]) > 1e-12
@@ -664,7 +676,7 @@ class TestGaussianSums:
         guarded = record_calls(monkeypatch, "_reached_sums")
         directs = record_calls(monkeypatch, "_direct_sums")
         start = time.perf_counter()
-        nodes = _build_node_grid(h, data, 0.0, span)
+        nodes = _build_node_grid(h, data, _node_layout(h, 0.0, span))
         built = [time.perf_counter() - start]
         guarded_nodes = guarded[0][2]
         targets = midpoint_grid(span, 40_000)
@@ -695,7 +707,7 @@ class TestGaussianSums:
             _direct_sums(h, data, sample)
             full.append((time.perf_counter() - start) * guarded_nodes.size / sample.size)
             start = time.perf_counter()
-            _build_node_grid(h, data, 0.0, span)
+            _build_node_grid(h, data, _node_layout(h, 0.0, span))
             built.append(time.perf_counter() - start)
         assert 5 * min(built) < min(full)
 
@@ -705,7 +717,7 @@ class TestGaussianSums:
         # data on [0, 3] against nodes over [1, 2]: the data within 12 h of
         # the nodes enter the lattice, and the guard counts every other one
         data = np.sort(rng.uniform(0.0, 3.0, 2000))
-        nodes = _build_node_grid(h, data, 1.0, 2.0)
+        nodes = _build_node_grid(h, data, _node_layout(h, 1.0, 2.0))
         origin, step, count = _node_layout(h, 1.0, 2.0)
         _, inside = _lattice_sums(h, data, origin, step, count)
         assert np.all(inside < data.size)
@@ -726,7 +738,7 @@ class TestGaussianSums:
             kept = (data.size - inside) * (kernels._TAIL / h) < kernels._TAIL_RTOL * sums
             assert kept.mean() > 0.9
             assert_relative(sums[kept], _direct_sums(h, data, at[kept]), 1e-12)
-        nodes = _build_node_grid(h, data, 0.0, 20.0)
+        nodes = _build_node_grid(h, data, _node_layout(h, 0.0, 20.0))
         assert_relative(nodes.sums, _direct_sums(h, data, at), 1e-12)
         for targets, leave_out in ((data, own_kernel(h)), (midpoint_grid(20.0), 0.0)):
             want = _direct_sums(h, data, targets) - leave_out
@@ -748,7 +760,7 @@ class TestLatticeBlocks:
     def test_no_product_block_exceeds_the_chunk_and_the_nodes_stay_exact(self, monkeypatch, open_range):
         h, data, lo, hi = open_range
         blocks = record_calls(monkeypatch, "matmul", owner=np)
-        nodes = _build_node_grid(h, data, lo, hi)
+        nodes = _build_node_grid(h, data, _node_layout(h, lo, hi))
         assert nodes.sums.size >= 10**5
         sizes = [taps.shape[0] * moments.shape[1] for taps, moments in blocks]
         assert len(sizes) > 100 and max(sizes) <= kernels._CHUNK_ELEMENTS
@@ -763,7 +775,7 @@ class TestLatticeBlocks:
         for width in (300, 3000):
             monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", rows * (width + rows))
             blocks = record_calls(monkeypatch, "matmul", owner=np)
-            sums.append(_build_node_grid(h, data, lo, hi).sums)
+            sums.append(_build_node_grid(h, data, _node_layout(h, lo, hi)).sums)
             taps, moments = blocks[0]
             assert taps.shape[0] == rows and 0.9 * width <= moments.shape[1] - rows <= width
         assert_relative(sums[0], sums[1], 1e-15)
@@ -803,7 +815,7 @@ class TestExponentFloor:
         everywhere_below = below.all(axis=1)
 
         def lattice_path(h, d, t):
-            return _gaussian_sums(h, d, t, nodes=_build_node_grid(h, d, 0.0, span))
+            return _gaussian_sums(h, d, t, nodes=_build_node_grid(h, d, _node_layout(h, 0.0, span)))
 
         for path in (_direct_sums, lattice_path):
             got = path(h, data, targets)
@@ -844,7 +856,7 @@ class TestSharedNodeGrid:
             assert_relative(est.loo_values(), direct(est._v_data, own_kernel(h)), 1e-10)
             assert_relative(est.evaluate(ends), direct(ends), 1e-10)
             # the integral's own nodes and weights, summed directly
-            nodes, weights = est._zones()
+            nodes, weights = est._plan.nodes, est._plan.weights
             chords = chord_measure(est.theta, pat.window, nodes)
             excess = correction_substat_closed(est.theta, pat.window, h, nodes) - chords
             want = _kernel_mass(h, est._v_data, lo, hi) - float(weights @ (direct(nodes) * excess))
@@ -892,7 +904,7 @@ class TestSharedNodeGrid:
         builds = record_calls(monkeypatch, "_build_node_grid")
         directs = record_calls(monkeypatch, "_direct_sums")
         fit_theta(pat, 0.05, search_halfwidth_deg=6.0, threads=1)
-        counts = [_node_layout(h, lo, hi)[2] for h, _, lo, hi in builds]
+        counts = [layout[2] for _, _, layout in builds]
         assert len(builds) > 10
         # direct sums run on guarded nodes and targets only
         assert all(t.size < min(counts) for _, _, t in directs)

@@ -1,0 +1,119 @@
+"""Paired benchmark runs of two source trees, and their summary.
+
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B [--seconds S]
+
+For each seed from A to B, runs ``perfbench/run.py --workload W --seed N
+--seconds S --trace 0`` in each tree, one after the other: the parent first
+at even seeds, the change first at odd ones, so neither tree always runs
+second.  It prints each run's end-to-end metrics, then, for each metric,
+the parent's median and quartiles, the change's median and quartiles, the
+relative change of the medians and the pairs the change won (a pair is one
+seed's two runs; a win is strictly better in the direction ``BENCHMARK.json``
+gives the metric).  Quartiles are ``statistics.quantiles(n=4,
+method="inclusive")``.  Exits 1 if a run fails or is not correct.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def _seeds(text: str) -> range:
+    first, _, last = text.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"expected A-B with A <= B, got {text!r}")
+    return seeds
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles; a single value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+    """One row per metric of the parsed (parent, change) results of ``perfbench/run.py``.
+
+    ``better`` maps each metric to "lower" or "higher"; the rows follow the
+    order of the first parent result's metrics.
+    """
+    rows = []
+    for name in pairs[0][0]["metrics"]:
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        rows.append({
+            "metric": name,
+            "parent": statistics.median(parent),
+            "parent_quartiles": quartiles(parent),
+            "change": statistics.median(change),
+            "change_quartiles": quartiles(change),
+            "won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "pairs": len(pairs),
+        })
+    return rows
+
+
+def format_row(row: dict) -> str:
+    p, c = row["parent"], row["change"]
+    rel = f"{100.0 * (c - p) / p:+.1f}%" if p else "n/a"
+    (p1, p3), (c1, c3) = row["parent_quartiles"], row["change_quartiles"]
+    return (
+        f"{row['metric']}: parent {p:.4g} [{p1:.4g}-{p3:.4g}] -> change {c:.4g} [{c1:.4g}-{c3:.4g}]"
+        f" ({rel}), change better in {row['won']} of {row['pairs']} pairs"
+    )
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run in ``tree``; its last output line, parsed."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]  # fmt: skip
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} exited with code {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="the parent's source tree")
+    parser.add_argument("change", help="the change's source tree")
+    parser.add_argument("--workload", required=True, help="a workload BENCHMARK.json names")
+    parser.add_argument("--seeds", type=_seeds, required=True, help="A-B, or one seed")
+    parser.add_argument("--seconds", type=float, default=6.0, help="each run's --seconds")
+    args = parser.parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    pairs, ok = [], True
+    for seed in args.seeds:
+        order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+        result = {}
+        for side in order:
+            try:
+                result[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+            ok &= result[side]["correct"] is True and result[side]["failed"] == 0
+            values = {k: v["value"] for k, v in result[side]["metrics"].items()}
+            print(f"seed {seed} {side}: correct={result[side]['correct']} {json.dumps(values)}")
+        pairs.append((result["parent"], result["change"]))
+    print(f"# {args.workload}, seeds {args.seeds.start}-{args.seeds.stop - 1}, {args.seconds} s runs")
+    for row in summarize(pairs, better):
+        print(format_row(row))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
