@@ -23,9 +23,9 @@ within ``_KNOT_REACH`` bandwidths of the chord profile's knots, the only
 offsets where the boundary correction differs from the chord (see
 ``SubstationaryIntensity.integral`` and ``kernels._zone_panels``).  The
 zones' nodes and weights, the correction there and its excess over the
-chord read no data: they come with the chord profile, the projection range
-and the correction's rows from the ``kernels._plan`` of the estimator's
-angle, window and h, built once and shared by every estimator at that key.
+chord read no data: they come with the projection range and the
+correction's rows from the ``kernels._plan`` of the estimator's angle,
+window and h, built once and shared by every estimator at that key.
 So a profile evaluation computes only the data's part: the kernel sums at
 the data and at the zones' nodes, the correction at the data, and the
 kernel mass.  The point term reads the offsets of the pattern's own points
@@ -143,7 +143,6 @@ class SubstationaryIntensity:
         # order the points were supplied in
         self._v_data = np.sort(self._v_points)
         self._plan = _plan(self.theta, pattern.window, self.h)
-        self._v_lo, self._v_hi = self._plan.lo, self._plan.hi
 
     @property
     def window(self) -> Window:
@@ -159,16 +158,15 @@ class SubstationaryIntensity:
     def evaluate(self, v):
         """Intensity at orthogonal offset(s) v inside the projection range."""
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
+        lo, hi = self._plan.lo, self._plan.hi
         # written so that NaN fails it
-        if not np.all((v_arr >= self._v_lo - _DOMAIN_TOL) & (v_arr <= self._v_hi + _DOMAIN_TOL)):
-            raise ValueError(
-                f"offset outside the projection range [{self._v_lo:.6g}, {self._v_hi:.6g}]"
-            )
+        if not np.all((v_arr >= lo - _DOMAIN_TOL) & (v_arr <= hi + _DOMAIN_TOL)):
+            raise ValueError(f"offset outside the projection range [{lo:.6g}, {hi:.6g}]")
         return _shaped_like(v, self._values(v_arr))
 
-    def _values(self, v: np.ndarray) -> np.ndarray:
+    def _values(self, v: np.ndarray, loo: bool = False) -> np.ndarray:
         """The estimate at the 1-D offsets v, unchecked: the data's kernel sums over the correction."""
-        sums = _gaussian_sums(self.h, self._v_data, v, nodes=self._grid())
+        sums = _gaussian_sums(self.h, self._v_data, v, loo=loo, nodes=self._grid())
         return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
     def at_points(self, x, y):
@@ -177,13 +175,14 @@ class SubstationaryIntensity:
         The pattern's own coordinate arrays, as ``loglik`` passes them, were
         checked by ``PointPattern`` and projected by the constructor, so they
         read those offsets, in input order; any other locations are checked
-        and projected here.
+        against the window, once, as the other estimators check them, and
+        projected here.
         """
         if x is self.pattern.x and y is self.pattern.y:
             return self._values(self._v_points)
         _require_inside(self.window, x, y)
         _, v = project_xy(self.theta, x, y)
-        return self.evaluate(v)
+        return _shaped_like(v, self._values(v))
 
     def loo_values(self) -> np.ndarray:
         """Estimate at each data point with that point left out.
@@ -191,9 +190,7 @@ class SubstationaryIntensity:
         The values follow the canonical (sorted-offset) order of the data;
         a point with no neighbour within reach gets exactly 0.
         """
-        v = self._v_data
-        sums = _gaussian_sums(self.h, v, v, loo=True, nodes=self._grid())
-        return sums / correction_substat_closed(self.theta, self.window, self.h, v)
+        return self._values(self._v_data, loo=True)
 
     def integral(self) -> float:
         """Integral of the estimate over the window: of lambda_hat(v) times the chord c(v).
@@ -267,7 +264,6 @@ class StationaryIntensity:
     def __init__(self, pattern: PointPattern):
         self.pattern = pattern
         self.value = pattern.n / pattern.window.area
-        self._v_lo, self._v_hi = v_range(_axis(self), pattern.window)
 
     @property
     def window(self) -> Window:
@@ -307,16 +303,16 @@ def _cells(estimator, cells: int | None = None):
 
     ``cells`` per axis, by default ``GRID_CELLS_2D`` over the window for the
     bivariate smoother and ``GRID_CELLS_1D`` over a 1-D estimate's projection
-    range (``_v_lo`` to ``_v_hi``, offsets along its ``_axis``).
+    range: ``v_range`` of its ``_axis`` and window, the range its ``_plan``
+    holds.  The count is not checked here: a count from outside the package
+    arrives through ``io``, which checks it.
     """
     window = estimator.window
     if estimator.kind == "kernel2d":
         spans, default = ((0.0, window.z), (0.0, window.omega)), GRID_CELLS_2D
     else:
-        spans, default = ((estimator._v_lo, estimator._v_hi),), GRID_CELLS_1D
+        spans, default = (v_range(_axis(estimator), window),), GRID_CELLS_1D
     cells = default if cells is None else cells
-    if cells < 1:
-        raise ValueError("cells must be >= 1")
     widths = tuple((hi - lo) / cells for lo, hi in spans)
     axes = tuple(lo + (np.arange(cells) + 0.5) * w for (lo, _), w in zip(spans, widths))
     values = estimator.grid_values(*axes) if len(axes) == 2 else estimator.evaluate(*axes)

@@ -112,6 +112,7 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must be nonempty")
             _distinct(name, vals)
             object.__setattr__(self, name, vals)
+        _coarse_angles(self.search_halfwidth_deg)  # the search's owner; the value stays as given
         if self.target == "table1" and any(a == 1.0 for a in self.a_values):
             raise ValueError(
                 "direction sweeps exclude a=1: the invariance direction of a "

@@ -23,14 +23,13 @@ closed form (``_kernel_mass``).
 
 Whatever reads no data depends on the angle, the window and h alone, so
 ``_plan`` builds it once per such key, keeps the 64 keys used last, and every
-estimator and call at a key reads its ``_Plan``: the chord profile's knots
-and heights, the projection range and its node layout, the correction's
-rows of knots, slopes and scales, and the integral's zone nodes and
-weights with the correction and its excess over the chord there.  A
-profile evaluation then computes only the data's part: the kernel sums at
-the data and at the plan's nodes, the correction at the data, and the
-kernel mass.  A fit's replications score the same coarse angles, so they
-share those angles' plans.
+estimator and call at a key reads its ``_Plan``: the projection range and
+its node layout, the correction's rows of knots, slopes and scales, and
+the integral's zone nodes and weights with the correction and its excess
+over the chord there.  A profile evaluation then computes only the data's
+part: the kernel sums at the data and at the plan's nodes, the correction
+at the data, and the kernel mass.  A fit's replications score the same
+coarse angles, so they share those angles' plans.
 
 Only the Gaussian kernel ships; the normal CDF is evaluated
 through the complementary error function so deep tails underflow to zero
@@ -454,15 +453,13 @@ def _grid_sums(h: float, x_axis, y_axis) -> np.ndarray:
 class _Plan(NamedTuple):
     """What one (subspace, window, h) key fixes before any data is read: see ``_plan``.
 
-    The chord profile's ``knots`` and ``heights`` (``geometry._trapezoid``);
-    the projection range [``lo``, ``hi``] and the ``_node_layout`` over it;
-    the correction's ``rows`` (``_correction_rows``); and the likelihood
+    The projection range [``lo``, ``hi``], the outer knots of the chord
+    profile (``geometry._trapezoid``), and the ``_node_layout`` over it; the
+    correction's ``rows`` (``_correction_rows``); and the likelihood
     integral's Gauss-Legendre ``nodes`` and ``weights`` on its ``_zone_panels``,
     with the correction there, ``corr``, and its ``excess`` over the chord.
     """
 
-    knots: np.ndarray
-    heights: tuple
     lo: float
     hi: float
     layout: tuple[float, float, int]
@@ -487,9 +484,9 @@ def _plan(subspace: Subspace, window: Window, h: float) -> _Plan:
     weights = (half[:, None] * _GAUSS_WEIGHTS).ravel()
     corr = _corrected(h, rows, nodes)
     excess = corr - np.interp(nodes, knots, heights)
-    for values in (knots, nodes, weights, corr, excess):
+    for values in (nodes, weights, corr, excess):
         values.setflags(write=False)
-    return _Plan(knots, heights, lo, hi, _node_layout(h, lo, hi), rows, nodes, weights, corr, excess)
+    return _Plan(lo, hi, _node_layout(h, lo, hi), rows, nodes, weights, corr, excess)
 
 
 def _zone_panels(knots: list, h: float) -> list[tuple[float, float]]:

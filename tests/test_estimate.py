@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import substat.estimate as estimate_module
 from substat.estimate import (
+    _DOMAIN_TOL,
     _EVAL_PAIRS,
     _FORK_MIN_PAIRS,
     _REFINE_EVALS,
@@ -261,6 +262,27 @@ class TestEstimatorInterface:
             with pytest.raises(ValueError):
                 est.at_points(x, y)
 
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_every_estimator_accepts_the_same_locations(self, kind):
+        # a corner pushed out along both axes moves its offset by up to
+        # sqrt(2) times the push, past the range the window's tolerance allows
+        for z in (1.0, 10.0):
+            pat = random_pattern(np.random.default_rng(12), z=z, n=40)
+            x, y = np.array([0.0, z, 0.0, z]), np.array([0.0, 0.0, 1.0, 1.0])
+            out_x, out_y = np.sign(x - 0.5 * z), np.sign(y - 0.5)
+            for deg in (45.0, -45.0, 84.0, -84.0):
+                if kind == "substationary":
+                    est = SubstationaryIntensity(pat, Subspace.from_degrees(deg), 0.1)
+                else:
+                    est = ESTIMATORS[kind](pat)
+                for push in (0.5 * _DOMAIN_TOL, _DOMAIN_TOL):
+                    got = est.at_points(x + push * out_x, y + push * out_y)
+                    assert np.all(np.isfinite(got) & (got > 0.0)), (z, deg, push)
+                push = 10.0 * _DOMAIN_TOL
+                for corner in zip(x + push * out_x, y + push * out_y):
+                    with pytest.raises(ValueError, match="outside the observation window"):
+                        est.at_points(*corner)
+
     def test_loo_values_drop_each_point_from_its_own_estimate(self):
         rng = np.random.default_rng(13)
         pat = random_pattern(rng, z=2.0, n=30)
@@ -503,7 +525,7 @@ class TestLikelihoodIntegral:
                     est = SubstationaryIntensity(PointPattern([0.5], [0.5], Window(z)), theta, h)
                     nodes, weights = est._plan.nodes, est._plan.weights
                     assert nodes.size == weights.size <= bound
-                    assert np.all((nodes >= est._v_lo) & (nodes <= est._v_hi))
+                    assert np.all((nodes >= est._plan.lo) & (nodes <= est._plan.hi))
                     counts.append(nodes.size)
                 # once every gap outgrows two reaches the count stays put
                 assert counts[-1] == counts[-2], (h, theta, counts)

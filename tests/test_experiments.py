@@ -85,6 +85,15 @@ class TestPlanValidation:
             table1_plan(**{name: values})
         assert getattr(table1_plan(**{name: values[1:]}), name) == tuple(map(float, values[1:]))
 
+    @pytest.mark.parametrize("halfwidth", [0.0, -1.0, 90.5, math.nan, math.inf])
+    def test_a_bad_search_halfwidth_raises_when_the_plan_is_built(self, halfwidth):
+        with pytest.raises(ValueError, match="search_halfwidth_deg"):
+            table1_plan(search_halfwidth_deg=halfwidth)
+
+    @pytest.mark.parametrize("halfwidth", [None, 6, 90])
+    def test_a_search_halfwidth_is_kept_as_given(self, halfwidth):
+        assert table1_plan(search_halfwidth_deg=halfwidth).search_halfwidth_deg is halfwidth
+
 
 class TestReplicationStream:
     def test_stable_hash_regression(self):

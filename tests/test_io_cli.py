@@ -639,6 +639,8 @@ class TestCli:
             ("table2", ["--a-values", "3,0.5", "--z-values", "1", "--h-values", "0.05"]),
             ("table1", ["--a-values", "2", "--z-values", "1", "--h-values", "0.05,0"]),
             ("table1", ["--a-values", "2", "--z-values", "5,-1", "--h-values", "0.05"]),
+            ("table1", ["--a-values", "2", "--z-values", "1", "--h-values", "0.05",
+                        "--search-halfwidth", "200"]),
         ],
     )
     def test_experiment_checks_every_cell_before_the_sweep(

@@ -393,7 +393,7 @@ class TestStackedCorrection:
                 np.testing.assert_allclose(got, per_knot_correction(sub, w, h, v[sub]),
                                            rtol=1e-9, atol=0.0)
                 plan, want = kernels._plan(sub, w, h), plans[sub, h]
-                for name in ("knots", "nodes", "weights", "corr", "excess"):
+                for name in ("lo", "hi", "nodes", "weights", "corr", "excess"):
                     assert np.array_equal(getattr(plan, name), getattr(want, name)), (sub, h, name)
                 # the zones' correction is the closed form's, and its excess is over the chord
                 assert np.array_equal(plan.corr, correction_substat_closed(sub, w, h, plan.nodes))
@@ -403,8 +403,18 @@ class TestStackedCorrection:
         assert kernels._plan.cache_info().misses == len(keys)
         for plan in plans.values():
             arrays = [a for a in plan + plan.rows if isinstance(a, np.ndarray)]
-            assert len(arrays) == 11
+            assert len(arrays) == 10
             assert not any(a.flags.writeable for a in arrays)
+
+    def test_the_plans_range_is_v_range(self):
+        # estimate._cells lays a 1-D estimate on v_range; evaluate checks the plan's range
+        for theta in (0.0, 1e-300, 0.1, math.pi / 4, -1.2, -math.pi / 2):
+            for w in (Window(1.0), Window(10.0, 1.0), Window(1.0, 3.0)):
+                for h in (0.01, 0.05):
+                    plan = kernels._plan(Subspace(theta), w, h)
+                    want = v_range(Subspace(theta), w)
+                    assert np.array([plan.lo, plan.hi]).tobytes() == np.array(want).tobytes()
+                    assert type(plan.lo) is float and type(plan.hi) is float
 
 
 class TestQuadratureOracle:
@@ -545,7 +555,7 @@ class TestGaussianSums:
         builds = record_calls(monkeypatch, "_build_node_grid")
         for deg in (0.0, 1.0, 6.0, -10.0, 45.0, 84.0, -89.0):
             est = SubstationaryIntensity(pat, Subspace.from_degrees(deg), h)
-            lo, hi, targets = est._v_lo, est._v_hi, _profile_targets(n, est._plan)
+            lo, hi, targets = est._plan.lo, est._plan.hi, _profile_targets(n, est._plan)
             assert est._plan.layout == _node_layout(h, lo, hi)
             pairs, grid = _sum_pairs(n, est._plan.layout[2], targets)
             # 5e4 + 20*n + 150*G + 80*m kernel pairs against n*m
@@ -844,7 +854,7 @@ class TestSharedNodeGrid:
         pat = beta_pattern(n, seed=n)
         for h in (0.01, 0.05, 0.1):
             est = SubstationaryIntensity(pat, theta, h)
-            lo, hi = est._v_lo, est._v_hi
+            lo, hi = est._plan.lo, est._plan.hi
             _, v_data = project_xy(est.theta, pat.x, pat.y)
             ends = np.array([lo - _DOMAIN_TOL, hi + _DOMAIN_TOL])
 
