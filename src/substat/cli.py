@@ -4,9 +4,11 @@ Subcommands: simulate, estimate-intensity, fit-subspace, select-bandwidth,
 experiment, ingest, apply.  Every subcommand accepts --config and --out;
 simulate, estimate-intensity and experiment take --seed, and fit-subspace,
 experiment and apply take --threads.  ``substat COMMAND --help`` shows each
-option's default.  A config file holds ``key = value`` lines whose keys match
-the option names (underscores); its values replace the option defaults, so
-command-line values take precedence.  A key that names no option of any
+option's built-in default.  A config file holds ``key = value`` lines whose
+keys match the option names (underscores); each is read as ``--option=value``
+ahead of the command line, so it is type- and choice-checked as a
+command-line value is, even where the command line gives the option too, and
+the command-line value takes precedence.  A key that names no option of any
 subcommand is a usage error; keys of other subcommands are ignored, so one
 file can serve a whole session.
 
@@ -123,7 +125,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     def command(name, run, help, *, needs_out=True, pattern=True) -> _Parser:
         p = sub.add_parser(name, help=help, formatter_class=_Help)
         p.set_defaults(run=run)
-        p.add_argument("--config", help="key = value file supplying defaults")
+        p.add_argument("--config", help="key = value file read before the command line")
         p.add_argument("--out", required=needs_out, help="output file path")
         if pattern:
             p.add_argument("--data", required=True, help="input x,y CSV")
@@ -187,29 +189,26 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse ``argv`` with the values of its --config file as the option defaults.
+    """Parse ``argv`` (None: ``sys.argv``) with its --config file's values read first.
 
-    A config value is a string default, which argparse runs through the
-    option's type only when the command line leaves that option out.
+    Each value of an option of the chosen command is read as ``--option=value``
+    ahead of the command line, so argparse checks it as it checks the command
+    line's, and a command-line value, read later, wins.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     cfg = load_config(path) if path else {}
     parser, commands = _build_parser()
-    options = [a for p in commands.values() for a in p._actions if a.option_strings]
-    unknown = sorted(set(cfg) - {a.dest for a in options})
+    options = {a.dest for p in commands.values() for a in p._actions if a.option_strings}
+    unknown = sorted(set(cfg) - options)
     if unknown:
         raise _UsageError(f"{path}: config key {unknown[0]!r} names no option")
-    for action in options:
-        if action.dest in cfg:
-            action.default, action.required = cfg[action.dest], False
-    args = parser.parse_args(argv)
-    for action in commands[args.command]._actions:  # argparse checks no default's choices
-        value = getattr(args, action.dest, None)
-        if action.dest in cfg and action.choices and value not in action.choices:
-            parser.error(f"argument {action.option_strings[0]}: invalid choice: {value!r}")
-    return args
+    command = commands.get(argv[0]) if argv else None
+    actions = command._actions if command else ()
+    given = [f"{a.option_strings[0]}={cfg[a.dest]}" for a in actions if a.option_strings and a.dest in cfg]
+    return parser.parse_args([*argv[:1], *given, *argv[1:]])
 
 
 def _cmd_simulate(args) -> None:

@@ -143,17 +143,13 @@ class SubstationaryIntensity:
         # order the points were supplied in
         self._v_data = np.sort(self._v_points)
         self._plan = _plan(self.theta, pattern.window, self.h)
+        # the one node grid (or None) over the projection range that every evaluation reads
+        targets = _profile_targets(self._v_data.size, self._plan)
+        self._nodes = _node_grid(self.h, self._v_data, self._plan.layout, targets)
 
     @property
     def window(self) -> Window:
         return self.pattern.window
-
-    def _grid(self):
-        """The one node grid (or None) over the projection range that every call reads, built by the first."""
-        if not hasattr(self, "_nodes"):
-            targets = _profile_targets(self._v_data.size, self._plan)
-            self._nodes = _node_grid(self.h, self._v_data, self._plan.layout, targets)
-        return self._nodes
 
     def evaluate(self, v):
         """Intensity at orthogonal offset(s) v inside the projection range."""
@@ -166,7 +162,7 @@ class SubstationaryIntensity:
 
     def _values(self, v: np.ndarray, loo: bool = False) -> np.ndarray:
         """The estimate at the 1-D offsets v, unchecked: the data's kernel sums over the correction."""
-        sums = _gaussian_sums(self.h, self._v_data, v, loo=loo, nodes=self._grid())
+        sums = _gaussian_sums(self.h, self._v_data, v, loo=loo, nodes=self._nodes)
         return sums / correction_substat_closed(self.theta, self.window, self.h, v)
 
     def at_points(self, x, y):
@@ -208,7 +204,7 @@ class SubstationaryIntensity:
         only the data's sums there are taken here.
         """
         plan = self._plan
-        sums = _gaussian_sums(self.h, self._v_data, plan.nodes, nodes=self._grid())
+        sums = _gaussian_sums(self.h, self._v_data, plan.nodes, nodes=self._nodes)
         mass = _kernel_mass(self.h, self._v_data, plan.lo, plan.hi)
         return mass - float(plan.weights @ (sums / plan.corr * plan.excess))
 

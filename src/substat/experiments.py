@@ -118,10 +118,11 @@ class ExperimentPlan:
                 "direction sweeps exclude a=1: the invariance direction of a "
                 "stationary pattern is not identified"
             )
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        if not (isinstance(self.replications, int) and self.replications >= 1):
+            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+        RngStream(self.master_seed)
+        if self.process == "thomas":
+            ThomasModel(PoissonBetaModel(self.a_values[0], Window(1.0)), self.gamma, self.sigma)
 
 
 @dataclass(frozen=True)

@@ -57,3 +57,65 @@ def test_one_pair_is_its_own_quartiles():
 @pytest.mark.parametrize("text, seeds", [("3-5", [3, 4, 5]), ("7", [7]), ("4-4", [4])])
 def test_seed_ranges(text, seeds):
     assert list(bench_pairs._seeds(text)) == seeds
+
+
+DECLARED = ["table2-z10", "table1-z1", "apply-open-n1e3", "apply-bounded-n1e4"]
+
+
+@pytest.mark.parametrize("text, names", [
+    ("all", DECLARED),
+    (" all ", DECLARED),
+    ("table1-z1", ["table1-z1"]),
+    ("apply-open-n1e3,table2-z10", ["apply-open-n1e3", "table2-z10"]),
+    ("table1-z1, apply-bounded-n1e4,", ["table1-z1", "apply-bounded-n1e4"]),
+])
+def test_workload_lists(text, names):
+    assert bench_pairs.workloads(text, DECLARED) == names
+
+
+@pytest.mark.parametrize("text", ["", ",", "table3", "table1-z1,al", "all,table1-z1"])
+def test_a_workload_list_names_only_declared_workloads(text):
+    with pytest.raises(ValueError, match="expected all or workloads of table2-z10, "):
+        bench_pairs.workloads(text, DECLARED)
+
+
+def fake_tree(tmp_path, names):
+    """A tree whose BENCHMARK.json declares ``names`` and the canned lines' metrics."""
+    benchmark = {
+        "workloads": [{"name": w} for w in names],
+        "end_to_end": [{"name": m, "better": b} for m, b in BETTER.items()],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return str(tmp_path)
+
+
+def test_all_prints_one_block_per_declared_workload(tmp_path, monkeypatch, capsys):
+    tree, runs = fake_tree(tmp_path, ["w1", "w2"]), []
+
+    def run_once(side_tree, workload, seed, seconds):
+        runs.append((workload, seed))
+        return json.loads(CANNED[seed][0])
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([tree, tree, "--workload", "all", "--seeds", "0-1", "--seconds", "1"]) == 0
+    assert runs == [("w1", 0), ("w1", 0), ("w1", 1), ("w1", 1), ("w2", 0), ("w2", 0), ("w2", 1), ("w2", 1)]
+    blocks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
+    assert blocks == ["# w1, seeds 0-1, 1.0 s runs", "# w2, seeds 0-1, 1.0 s runs"]
+
+
+def test_a_failed_or_incorrect_run_exits_1_and_the_next_workload_runs(tmp_path, monkeypatch, capsys):
+    tree = fake_tree(tmp_path, ["fails", "wrong", "fine"])
+
+    def run_once(side_tree, workload, seed, seconds):
+        if workload == "fails":
+            raise RuntimeError(f"{side_tree}: {workload} seed {seed} exited with code 1")
+        result = json.loads(CANNED[seed][0])
+        result["correct"] = workload != "wrong"
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([tree, tree, "--workload", "all", "--seeds", "2"]) == 1
+    out = capsys.readouterr()
+    assert "fails seed 2 exited with code 1" in out.err
+    blocks = [line for line in out.out.splitlines() if line.startswith("# ")]
+    assert blocks == ["# wrong, seeds 2-2, 6.0 s runs", "# fine, seeds 2-2, 6.0 s runs"]

@@ -44,6 +44,7 @@ from substat.kernels import (
     _PANEL_WIDTH,
     _direct_sums,
     _node_layout,
+    _plan,
     _sum_pairs,
     _zone_panels,
     correction_2d,
@@ -205,7 +206,7 @@ class TestSubstationaryIntensity:
         pat = random_pattern(rng, z=z, n=n)  # in random order
         assert not np.all(np.diff(pat.x) >= 0)
         est = SubstationaryIntensity(pat, theta, h)
-        assert (est._grid() is None) == (n == 100)
+        assert (est._nodes is None) == (n == 100)
         own = est.at_points(pat.x, pat.y)
         copied = est.at_points(pat.x.copy(), pat.y.copy())
         assert own.tobytes() == copied.tobytes()
@@ -631,6 +632,46 @@ class TestFitTheta:
         fit, count = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2), halfwidth)
         assert len(fit.trace) + 4 == count == built
 
+    # _REFINE_EVALS, the sweep's price of a fit's refinement, against what real
+    # fits build: bounded and open searches, a best node at the bound, flat
+    # (a=1) patterns and profiles whose parabolas are not concave
+    def test_a_fit_builds_at_most_its_coarse_grid_and_the_refinement_a_sweep_prices(
+        self, monkeypatch
+    ):
+        built, vertices, vertex = [], [], estimate_module._vertex
+
+        class Counted(SubstationaryIntensity):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        def recorded(*values):
+            vertices.append(vertex(*values))
+            return vertices[-1]
+
+        monkeypatch.setattr(estimate_module, "SubstationaryIntensity", Counted)
+        monkeypatch.setattr(estimate_module, "_vertex", recorded)
+        rng = np.random.default_rng(30)
+        x = rng.uniform(0.0, 1.0, 300)
+        y = 0.5 + (x - 0.5) * math.tan(math.radians(20)) + rng.normal(0.0, 0.05, 300)
+        keep = (y >= 0.0) & (y <= 1.0)
+        tilted = PointPattern(x[keep], y[keep], Window(1.0))  # a ridge along +20 degrees
+        patterns = [tilted] + [
+            simulate_poisson_beta(PoissonBetaModel(a, Window(1.0)), RngStream(30, seed))
+            for a in (1.0, 1.5, 3.0) for seed in (1, 2)
+        ]
+        extra, at_bound = [], 0
+        for pat in patterns:
+            for h in (0.01, 0.05):
+                for halfwidth in (6.0, None):
+                    del built[:]
+                    fit = fit_theta(pat, h, search_halfwidth_deg=halfwidth)
+                    extra.append(len(built) - len(fit.trace))
+                    best = max(fit.trace, key=lambda tv: tv[1])
+                    at_bound += halfwidth is not None and best == fit.trace[-1]
+        assert max(extra) == _REFINE_EVALS
+        assert at_bound and None in vertices
+
     @pytest.mark.parametrize("halfwidth", [6.0, 10.0, None])
     @pytest.mark.parametrize("peak_deg", [0.37, -2.9, 0.5, 5.97, -5.6])
     def test_refinement_finds_an_off_grid_peak_of_a_quadratic(self, monkeypatch, halfwidth, peak_deg):
@@ -713,6 +754,24 @@ class TestFitTheta:
             nodes = _node_layout(h, knots[0], knots[-1])[2]
             want = _EVAL_PAIRS + _sum_pairs(n, nodes, targets)[0]
             assert _evaluation_pairs(n, window, h, thetas) == want
+
+    # the price's widest angle is a copy of the projection range's length,
+    # which geometry._trapezoid owns: its plan holds the most nodes of the grid's
+    @pytest.mark.parametrize("z, omega", [(1.0, 1.0), (10.0, 1.0), (1.0, 3.0), (100.0, 1.0), (2.5, 0.4)])
+    @pytest.mark.parametrize("h", [0.01, 0.05])
+    def test_the_priced_angle_has_the_most_nodes_of_the_coarse_grid(self, monkeypatch, z, omega, h):
+        window, picked = Window(z, omega), []
+
+        def recorded(theta, *args):
+            picked.append(theta)
+            return _plan(theta, *args)
+
+        monkeypatch.setattr(estimate_module, "_plan", recorded)
+        for halfwidth in (6.0, 30.0, None):
+            thetas = _coarse_angles(halfwidth)[0]
+            _evaluation_pairs(100.0, window, h, thetas)
+            most = max(_plan(Subspace(float(t)), window, h).layout[2] for t in thetas)
+            assert _plan(picked[-1], window, h).layout[2] == most
 
     @pytest.mark.parametrize("n, z", [(100, 1.0), (1000, 10.0), (3000, 30.0)])
     def test_a_smaller_bandwidth_prices_more_at_equal_n(self, n, z):

@@ -90,6 +90,28 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="search_halfwidth_deg"):
             table1_plan(search_halfwidth_deg=halfwidth)
 
+    # the seed's owner is RngStream and a Thomas plan's is ThomasModel; each
+    # refuses its value here, not when the sweep reaches the first cell
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(master_seed=1.5), "master_seed must be a nonnegative integer, got 1.5"),
+            (dict(master_seed=-1), "master_seed must be a nonnegative integer, got -1"),
+            (dict(replications=0), "replications must be an integer >= 1, got 0"),
+            (dict(replications=2.0), "replications must be an integer >= 1, got 2.0"),
+            (dict(replications=2.5), "replications must be an integer >= 1, got 2.5"),
+            (dict(process="thomas", gamma=-1.0), "gamma must be positive, got -1.0"),
+            (dict(process="thomas", sigma=math.nan), "sigma must be positive, got nan"),
+        ],
+    )
+    def test_a_bad_plan_value_raises_naming_it_when_the_plan_is_built(self, bad, message):
+        with pytest.raises(ValueError, match=f"{message}$"):
+            table1_plan(**bad)
+
+    def test_a_poisson_plan_ignores_the_cluster_parameters(self):
+        assert table1_plan(gamma=-1.0, sigma=math.nan).gamma == -1.0
+        assert table1_plan(process="thomas", gamma=2.0, sigma=0.05).sigma == 0.05
+
     @pytest.mark.parametrize("halfwidth", [None, 6, 90])
     def test_a_search_halfwidth_is_kept_as_given(self, halfwidth):
         assert table1_plan(search_halfwidth_deg=halfwidth).search_halfwidth_deg is halfwidth

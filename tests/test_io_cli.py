@@ -526,6 +526,48 @@ class TestCli:
         args = ["apply", "--data", str(data), "--region", "0,2,0,1", "--config", str(cfg)]
         assert main([*args, "--out", str(tmp_path / "report.csv")]) == 0
 
+    # a config value is read as --option=value ahead of the command line, so
+    # argparse checks it even where the command line gives the option too
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("estimator = kernel", "argument --estimator: invalid choice: 'kernel'"),
+            ("resolution = four", "argument --resolution: invalid number value: 'four'"),
+        ],
+    )
+    def test_a_bad_config_value_is_a_usage_error_where_the_command_line_overrides_it(
+        self, tmp_path, capsys, line, message
+    ):
+        data = self.simulate_file(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "g.csv"
+        args = ["estimate-intensity", "--data", str(data), "--region", "0,2,0,1", "--out", str(out)]
+        given = [*args, "--estimator", "stationary", "--resolution", "4"]
+        assert main([*given, "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert main(given) == 0
+
+    def test_a_positional_in_a_config_file_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text("target = table1\n")
+        args = ["experiment", "table1", "--config", str(cfg), "--process", "poisson"]
+        values = ["--a-values", "2", "--z-values", "1", "--h-values", "0.05"]
+        assert main([*args, *values, "--out", str(tmp_path / "cells.csv")]) == 1
+        assert "config key 'target' names no option" in capsys.readouterr().err
+
+    def test_a_negative_region_in_a_config_file_parses(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "fires.csv"
+        data.write_text("x,y\n-116.5,55.0\n-112.25,57.5\n-110.5,54.8\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data}\nregion = -117,-110,54.7,58\n")
+        out = tmp_path / "kept.csv"
+        # main() reads sys.argv, config file included
+        monkeypatch.setattr(sys, "argv", ["substat", "ingest", "--config", str(cfg), "--out", str(out)])
+        assert main() == 0
+        assert f"kept 3 points; window z=7.0 omega={58 - 54.7!r}\n" == capsys.readouterr().out
+
     def test_open_search_halfwidth_on_command_line_and_in_config(self, tmp_path):
         cfg = tmp_path / "plan.cfg"
         cfg.write_text("search_halfwidth = none\n")
@@ -636,21 +678,27 @@ class TestCli:
     @pytest.mark.parametrize(
         "target, values",
         [
-            ("table2", ["--a-values", "3,0.5", "--z-values", "1", "--h-values", "0.05"]),
-            ("table1", ["--a-values", "2", "--z-values", "1", "--h-values", "0.05,0"]),
-            ("table1", ["--a-values", "2", "--z-values", "5,-1", "--h-values", "0.05"]),
-            ("table1", ["--a-values", "2", "--z-values", "1", "--h-values", "0.05",
-                        "--search-halfwidth", "200"]),
+            ("table2", ["--process", "poisson", "--a-values", "3,0.5", "--z-values", "1",
+                        "--h-values", "0.05"]),
+            ("table1", ["--process", "poisson", "--a-values", "2", "--z-values", "1",
+                        "--h-values", "0.05,0"]),
+            ("table1", ["--process", "poisson", "--a-values", "2", "--z-values", "5,-1",
+                        "--h-values", "0.05"]),
+            ("table1", ["--process", "poisson", "--a-values", "2", "--z-values", "1",
+                        "--h-values", "0.05", "--search-halfwidth", "200"]),
+            ("table1", ["--process", "thomas", "--gamma", "-1", "--a-values", "2",
+                        "--z-values", "1", "--h-values", "0.05"]),
         ],
     )
     def test_experiment_checks_every_cell_before_the_sweep(
         self, tmp_path, monkeypatch, target, values
     ):
         draws = record_calls(monkeypatch, "simulate_poisson_beta", substat.experiments)
+        clustered = record_calls(monkeypatch, "simulate_thomas", substat.experiments)
         out = tmp_path / "cells.csv"
-        args = ["experiment", target, "--process", "poisson", "--replications", "2"]
+        args = ["experiment", target, "--replications", "2"]
         assert main([*args, *values, "--out", str(out)]) == 1
-        assert draws == [] and not out.exists()
+        assert draws == clustered == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "values, message",

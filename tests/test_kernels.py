@@ -554,6 +554,7 @@ class TestGaussianSums:
         pat = PointPattern(rng.uniform(0.0, z, n), rng.beta(3.0, 3.0, n), Window(z))
         builds = record_calls(monkeypatch, "_build_node_grid")
         for deg in (0.0, 1.0, 6.0, -10.0, 45.0, 84.0, -89.0):
+            before = len(builds)
             est = SubstationaryIntensity(pat, Subspace.from_degrees(deg), h)
             lo, hi, targets = est._plan.lo, est._plan.hi, _profile_targets(n, est._plan)
             assert est._plan.layout == _node_layout(h, lo, hi)
@@ -561,8 +562,7 @@ class TestGaussianSums:
             # 5e4 + 20*n + 150*G + 80*m kernel pairs against n*m
             cost = 50_000 + 20 * n + 150 * _node_layout(h, lo, hi)[2] + 80 * targets
             assert (pairs, grid) == (min(cost, n * targets), cost < n * targets)
-            before = len(builds)
-            assert (est._grid() is not None) == grid
+            assert (est._nodes is not None) == grid
             assert len(builds) - before == grid
 
     def test_dispatch_follows_the_cost_model(self, monkeypatch):
@@ -876,8 +876,8 @@ class TestSharedNodeGrid:
         for n in (1000, 5000):
             for theta in (0.0, 1e-310, math.radians(3)):
                 est = SubstationaryIntensity(beta_pattern(n, seed=n), theta, 0.05)
-                assert est._grid() is not None
-        assert SubstationaryIntensity(beta_pattern(100, seed=100), 0.0, 0.05)._grid() is None
+                assert est._nodes is not None
+        assert SubstationaryIntensity(beta_pattern(100, seed=100), 0.0, 0.05)._nodes is None
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_call_order_never_changes_a_value(self, n):

@@ -1,16 +1,19 @@
 """Paired benchmark runs of two source trees, and their summary.
 
-    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B [--seconds S]
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W[,W...]|all --seeds A-B [--seconds S]
 
-For each seed from A to B, runs ``perfbench/run.py --workload W --seed N
---seconds S --trace 0`` in each tree, one after the other: the parent first
-at even seeds, the change first at odd ones, so neither tree always runs
-second.  It prints each run's end-to-end metrics, then, for each metric,
+For each workload named (``all``: every workload the change's
+``BENCHMARK.json`` declares, in its order) and each seed from A to B, runs
+``perfbench/run.py --workload W --seed N --seconds S --trace 0`` in each
+tree, one after the other: the parent first at even seeds, the change first
+at odd ones, so neither tree always runs second.  It prints each run's
+end-to-end metrics, then one summary block per workload: for each metric,
 the parent's median and quartiles, the change's median and quartiles, the
 relative change of the medians and the pairs the change won (a pair is one
 seed's two runs; a win is strictly better in the direction ``BENCHMARK.json``
 gives the metric).  Quartiles are ``statistics.quantiles(n=4,
-method="inclusive")``.  Exits 1 if a run fails or is not correct.
+method="inclusive")``.  A workload whose run fails gets no block, and the
+next workload runs.  Exits 1 if any run fails or is not correct.
 """
 
 from __future__ import annotations
@@ -29,6 +32,17 @@ def _seeds(text: str) -> range:
     if not seeds:
         raise argparse.ArgumentTypeError(f"expected A-B with A <= B, got {text!r}")
     return seeds
+
+
+def workloads(text: str, declared: list[str]) -> list[str]:
+    """The workloads of ``--workload``: a comma-separated list of declared ones, or ``all``."""
+    if text.strip() == "all":
+        return list(declared)
+    names = [w.strip() for w in text.split(",") if w.strip()]
+    unknown = [w for w in names if w not in declared]
+    if not names or unknown:
+        raise ValueError(f"expected all or workloads of {', '.join(declared)}, got {text!r}")
+    return names
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -85,33 +99,46 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="the parent's source tree")
-    parser.add_argument("change", help="the change's source tree")
-    parser.add_argument("--workload", required=True, help="a workload BENCHMARK.json names")
-    parser.add_argument("--seeds", type=_seeds, required=True, help="A-B, or one seed")
-    parser.add_argument("--seconds", type=float, default=6.0, help="each run's --seconds")
-    args = parser.parse_args(argv)
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+def pair_runs(args, workload: str, better: dict[str, str]) -> bool:
+    """Run one workload's pairs and print its summary block; False if a run fails or is not correct."""
     pairs, ok = [], True
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
         result = {}
         for side in order:
             try:
-                result[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
+                result[side] = run_once(getattr(args, side), workload, seed, args.seconds)
             except RuntimeError as exc:
                 print(exc, file=sys.stderr)
-                return 1
+                return False
             ok &= result[side]["correct"] is True and result[side]["failed"] == 0
             values = {k: v["value"] for k, v in result[side]["metrics"].items()}
-            print(f"seed {seed} {side}: correct={result[side]['correct']} {json.dumps(values)}")
+            print(f"{workload} seed {seed} {side}: correct={result[side]['correct']} {json.dumps(values)}")
         pairs.append((result["parent"], result["change"]))
-    print(f"# {args.workload}, seeds {args.seeds.start}-{args.seeds.stop - 1}, {args.seconds} s runs")
+    print(f"# {workload}, seeds {args.seeds.start}-{args.seeds.stop - 1}, {args.seconds} s runs")
     for row in summarize(pairs, better):
         print(format_row(row))
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="the parent's source tree")
+    parser.add_argument("change", help="the change's source tree")
+    parser.add_argument("--workload", required=True, help="W[,W...] that BENCHMARK.json names, or all")
+    parser.add_argument("--seeds", type=_seeds, required=True, help="A-B, or one seed")
+    parser.add_argument("--seconds", type=float, default=6.0, help="each run's --seconds")
+    args = parser.parse_args(argv)
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    try:
+        names = workloads(args.workload, [w["name"] for w in benchmark["workloads"]])
+    except ValueError as exc:
+        parser.error(str(exc))
+    ok = True
+    for workload in names:
+        ok &= pair_runs(args, workload, better)
     return 0 if ok else 1
 
 
