@@ -32,10 +32,12 @@ kernel mass.  The point term reads the offsets of the pattern's own points
 that the constructor projected.
 
 The direction theta is estimated by maximizing the log-likelihood for the
-substationary estimator over theta: a 1-degree coarse grid over [-90, 90)
-degrees, then two parabolas, the first through the best node and its
-neighbours and the second through three values 2*``_DELTA_DEG`` wide around
-the first's vertex; the fit is the second's vertex (see ``fit_theta``).
+substationary estimator over theta: a 1-degree coarse grid, which the open
+search over [-90, 90) degrees scores in two stages (every third node, then
+the nodes near the best local maxima of those), then two parabolas, the
+first through the best node and its neighbours and the second through three
+values 2*``_DELTA_DEG`` wide around the first's vertex; the fit is the
+second's vertex (see ``fit_theta``).
 At small h the profile is rough on the scale h/z radians, well below the
 grid step, so the second parabola spans a fixed width rather than
 converging on whichever local maximum of that roughness a search meets.
@@ -99,7 +101,14 @@ GRID_CELLS_2D = 128
 FIT_GRID_STEP_DEG = 1.0
 # the refinement's half-spacing: the profile is scored at v - delta, v and v + delta
 _DELTA_DEG = 0.1
-_REFINE_EVALS = 4  # the most profile evaluations a fit makes after its coarse grid
+_REFINE_EVALS = 4  # the most profile evaluations a fit makes after its coarse-grid nodes
+# the open search's two stages: every _OPEN_STRIDE-th node of the 1-degree grid, then the
+# nodes within _OPEN_REACH nodes of the first stage's _OPEN_PEAKS best local maxima
+_OPEN_STRIDE = 3
+_OPEN_PEAKS = 3
+_OPEN_REACH = 2
+# the nodes beside a first-stage node that the second stage scores: -2, -1, 1 and 2
+_OPEN_OFFSETS = np.array([k for k in range(-_OPEN_REACH, _OPEN_REACH + 1) if k % _OPEN_STRIDE])
 # the fork gate in kernel pairs: an evaluation's work beside its sums, and the fewest a map
 # prices before it forks.  Serial +-6 degree fits (n 92-5991, h 0.01-0.05, one BLAS thread,
 # 2-core VM) took 0.32 ms an evaluation and 3.97 ns a pair; a map forks from about 24 ms
@@ -347,11 +356,12 @@ def loglik(pattern: PointPattern, estimator, *, loo: bool = False) -> float:
 class FitResult:
     """Outcome of the invariance-direction fit.
 
-    trace holds the (theta, log-likelihood) pairs of the coarse grid,
-    which always includes theta = 0.  theta_hat is the refined vertex of
-    ``fit_theta``, not the argmax of the values the fit evaluated: loglik is
-    the largest of those values, so it never falls below any of the trace,
-    while the profile at theta_hat may score lower.
+    trace holds the (theta, log-likelihood) pairs of the coarse-grid nodes
+    the fit scored, in angle order: the whole grid of a bounded search, both
+    stages of the open one.  It always includes theta = 0.  theta_hat is the
+    refined vertex of ``fit_theta``, not the argmax of the values the fit
+    evaluated: loglik is the largest of those values, so it never falls below
+    any of the trace, while the profile at theta_hat may score lower.
     """
 
     theta_hat: Subspace
@@ -467,6 +477,28 @@ def _coarse_angles(search_halfwidth_deg: float | None) -> tuple[np.ndarray, floa
     return (thetas[:-1] if halfwidth == 90.0 else thetas), halfwidth
 
 
+def _most_evals(search_halfwidth_deg: float | None) -> int:
+    """The most profile evaluations a fit makes at this half-width: its grid's nodes and the refinement."""
+    thetas, halfwidth = _coarse_angles(search_halfwidth_deg)
+    if halfwidth == 90.0:  # the open search's two stages
+        return thetas.size // _OPEN_STRIDE + _OPEN_PEAKS * _OPEN_OFFSETS.size + _REFINE_EVALS
+    return thetas.size + _REFINE_EVALS
+
+
+def _second_stage(first: np.ndarray) -> np.ndarray:
+    """The open search's second-stage nodes, as ascending indices into the 1-degree grid.
+
+    ``first`` holds the profile at every ``_OPEN_STRIDE``-th node.  Its local
+    maxima on the circle, at least as high as both neighbours, are ranked by
+    value, ties to the smaller angle; the stage is the nodes within
+    ``_OPEN_REACH`` nodes of the best ``_OPEN_PEAKS`` that the first did not score.
+    """
+    peaks = np.flatnonzero((first >= np.roll(first, 1)) & (first >= np.roll(first, -1)))
+    best = peaks[np.argsort(-first[peaks], kind="stable")[:_OPEN_PEAKS]]
+    near = best[:, None] * _OPEN_STRIDE + _OPEN_OFFSETS
+    return np.unique(near % (first.size * _OPEN_STRIDE))
+
+
 def fit_theta(
     pattern: PointPattern,
     h: float,
@@ -480,8 +512,12 @@ def fit_theta(
     symmetric about 0 with equal steps of at most ``FIT_GRID_STEP_DEG``.  The
     open search covers [-90, 90) degrees in 180 nodes, since +90 degrees
     names the same subspace as -90; a half-width of 90 is the open search.
+    A bounded search scores every node.  The open search scores them in two
+    stages: every third node (60, 0 among them), then the nodes within 2
+    degrees of the best 3 local maxima of those on the circle (at most 12
+    more).  A quarter turn maps the first stage onto itself.
     The bandwidth is held fixed throughout.  ``threads``, the most worker
-    processes for the coarse grid, goes to ``_map_ordered`` with the grid's
+    processes for a stage, goes to ``_map_ordered`` with that stage's
     price (``_evaluation_pairs`` each); the result does not depend on it.
 
     Two parabolas refine the best node, with delta = ``_DELTA_DEG`` (or the
@@ -497,10 +533,11 @@ def fit_theta(
        v + delta], or the best of the three values where they are not
        concave; one more evaluation scores it.
 
-    So a fit makes at most 4 evaluations beyond its coarse grid, none where
-    an angle was already scored.  theta_hat is that refined vertex, not the
-    argmax of the evaluated values; the fit's loglik is the largest value
-    it evaluated (see ``FitResult``).
+    So a fit makes at most 4 evaluations beyond the grid nodes it scored
+    (``_most_evals`` counts both), none where an angle was already scored:
+    the best node's neighbours are among those nodes.  theta_hat is that
+    refined vertex, not the argmax of the evaluated values; the fit's loglik
+    is the largest value it evaluated (see ``FitResult``).
 
     ``search_halfwidth_deg`` confines the search to that many degrees on
     either side of the horizontal axis.  In windows that carry little
@@ -510,9 +547,9 @@ def fit_theta(
     axis bound the search instead of letting it roam (see the experiment
     harness, which fixes its own half-width as part of the protocol).
 
-    A spread of less than 1e-9 across the grid is flagged as a degenerate
-    fit.  Ties, on the grid and among the three values, prefer the smallest
-    angle.  A pattern of fewer than two points raises DataError.
+    A spread of less than 1e-9 across the scored nodes is flagged as a
+    degenerate fit.  Ties, on the grid and among the three values, prefer the
+    smallest angle.  A pattern of fewer than two points raises DataError.
     """
     if pattern.n < 2:
         raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
@@ -522,11 +559,21 @@ def fit_theta(
     def profile(theta: float) -> float:
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
 
-    pairs = thetas.size * _evaluation_pairs(pattern.n, pattern.window, h, thetas)
-    values = np.asarray(_map_ordered(profile, thetas, threads, pairs))
-    trace = tuple(zip((float(t) for t in thetas), (float(g) for g in values)))
+    values = np.full(thetas.size, np.nan)  # the profile at the grid's nodes that a stage scored
 
-    degenerate = bool(values.max() - values.min() < 1e-9)
+    def scan(stage: np.ndarray) -> None:  # one map of the grid's nodes at these indices
+        pairs = stage.size * _evaluation_pairs(pattern.n, pattern.window, h, thetas[stage])
+        values[stage] = _map_ordered(profile, thetas[stage], threads, pairs)
+
+    nodes = np.arange(0, thetas.size, _OPEN_STRIDE if halfwidth == 90.0 else 1)
+    scan(nodes)
+    if halfwidth == 90.0:  # the open search's second stage
+        second = _second_stage(values[nodes])
+        scan(second)
+        nodes = np.union1d(nodes, second)
+    trace = tuple(zip((float(t) for t in thetas[nodes]), (float(g) for g in values[nodes])))
+
+    degenerate = bool(values[nodes].max() - values[nodes].min() < 1e-9)
     if degenerate:
         warnings.warn(
             "profile log-likelihood is flat across directions; "
@@ -535,7 +582,9 @@ def fit_theta(
             stacklevel=2,
         )
 
-    best_idx = int(np.argmax(values))  # first occurrence: smallest angle wins ties
+    # first occurrence: the smallest angle wins ties.  Each neighbour of the best node
+    # was scored: on the open search it is a best first-stage maximum or a node near one
+    best_idx = int(nodes[np.argmax(values[nodes])])
     best, step = float(thetas[best_idx]), float(thetas[1] - thetas[0])
     delta, lo, hi, centre = math.radians(_DELTA_DEG), -math.inf, math.inf, best_idx
     if halfwidth < 90.0:

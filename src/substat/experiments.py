@@ -32,10 +32,10 @@ from .estimate import (
     SubstationaryIntensity,
     _axis,
     _cells,
-    _REFINE_EVALS,
     _coarse_angles,
     _evaluation_pairs,
     _map_ordered,
+    _most_evals,
     fit_theta,
 )
 from .geometry import PointPattern, Subspace, Window, _chord_ends, unproject_xy
@@ -198,12 +198,13 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     ``squared(values)`` over its replications (of the values themselves when
     ``squared`` is None); its samples are the values.  A cell's replications
     run on at most ``threads`` worker processes, by ``_map_ordered``, priced as that
-    many fits' evaluations (``_evaluation_pairs``) at the cell's expected count and h.
+    many fits' most evaluations (``_most_evals``, each ``_evaluation_pairs``) at the
+    cell's expected count and h.
     """
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
     thetas = _coarse_angles(plan.search_halfwidth_deg)[0]
-    evals = plan.replications * (thetas.size + _REFINE_EVALS)
+    evals = plan.replications * _most_evals(plan.search_halfwidth_deg)
     cells: dict[tuple, CellSummary] = {}
     for a in plan.a_values:
         for z in plan.z_values:

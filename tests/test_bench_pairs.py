@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,35 @@ def test_a_failed_or_incorrect_run_exits_1_and_the_next_workload_runs(tmp_path, 
     assert "fails seed 2 exited with code 1" in out.err
     blocks = [line for line in out.out.splitlines() if line.startswith("# ")]
     assert blocks == ["# wrong, seeds 2-2, 6.0 s runs", "# fine, seeds 2-2, 6.0 s runs"]
+
+
+def test_the_last_line_records_the_invocation(tmp_path, monkeypatch, capsys):
+    parent, change = (tmp_path / "parent", tmp_path / "change")
+    for tree in (parent, change):
+        tree.mkdir()
+        fake_tree(tree, ["w1", "w2"])
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+    for args in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + args, cwd=change, check=True)
+    (change / "BENCHMARK.json").write_text((change / "BENCHMARK.json").read_text() + "\n")
+
+    def run_once(side_tree, workload, seed, seconds):
+        return json.loads(CANNED[seed][side_tree == str(change)])
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "w2", "--seeds", "0-3", "--seconds", "2"]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert record["parent"] == {"head": None, "modified": None}  # not a git checkout
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=change, capture_output=True, text=True)
+    assert record["change"] == {"head": head.stdout.strip(), "modified": True}
+    assert record["ok"] is True
+    (workload,) = record["workloads"]
+    assert workload["workload"] == "w2" and workload["seeds"] == [0, 1, 2, 3]
+    assert workload["run_seconds"] == 2.0
+    assert workload["command"] == "perfbench/run.py --workload w2 --seed SEED --seconds 2.0 --trace 0"
+    cal = workload["metrics"][0]
+    assert cal["metric"] == "session_cal" and (cal["won"], cal["pairs"]) == (3, 4)
+    assert cal["parent"] == pytest.approx(9.75) and cal["change"] == pytest.approx(7.8)
+    assert cal["parent_quartiles"] == pytest.approx([9.525, 9.925])
+    assert cal["change_quartiles"] == pytest.approx(bench_pairs.quartiles([7.5, 7.1, 8.1, 9.95]))

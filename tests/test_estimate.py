@@ -21,6 +21,7 @@ from substat.estimate import (
     _coarse_angles,
     _evaluation_pairs,
     _map_ordered,
+    _most_evals,
     bandwidth_cv_scores,
     fit_theta,
     loglik,
@@ -599,8 +600,9 @@ class TestFitTheta:
     def test_open_grid_scores_each_subspace_once(self):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(90, 25))
         thetas = [t for t, _ in fit_theta(pat, 0.05).trace]
-        assert len(thetas) == 180
-        assert len({Subspace(t) for t in thetas}) == 180
+        assert 60 <= len(thetas) <= 72  # the 3-degree stage and at most 3 x 4 nodes near its maxima
+        assert len({Subspace(t) for t in thetas}) == len(thetas)
+        assert thetas == sorted(thetas) and 0.0 in thetas
 
     def test_halfwidth_90_is_the_open_search(self):
         # quarter-turned a=3 pattern whose best subspace lies just past -90
@@ -624,13 +626,16 @@ class TestFitTheta:
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(90, 27))
         return fit_theta(pat, 0.05, search_halfwidth_deg=halfwidth), len(calls)
 
-    @pytest.mark.parametrize("halfwidth, built", [(6.0, 17), (None, 184)])
+    # built is the most a fit builds; with one maximum on the open search's 3-degree
+    # stage, its second stage scores 4 nodes, so the open fit builds 60 + 4 + 4
+    @pytest.mark.parametrize("halfwidth, built", [(6.0, 17), (None, 76)])
     def test_a_fit_builds_its_coarse_grid_and_four_refinement_estimators(
         self, monkeypatch, halfwidth, built
     ):
         peak = math.radians(0.37)
         fit, count = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2), halfwidth)
-        assert len(fit.trace) + 4 == count == built
+        assert len(fit.trace) + 4 == count <= built == _most_evals(halfwidth)
+        assert count == (17 if halfwidth else 68)
 
     # _REFINE_EVALS, the sweep's price of a fit's refinement, against what real
     # fits build: bounded and open searches, a best node at the bound, flat
@@ -681,6 +686,33 @@ class TestFitTheta:
         peak = math.radians(peak_deg)
         fit, _ = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2), halfwidth)
         assert abs(fit.theta_hat.theta - peak) <= 1e-12
+
+    def test_the_open_search_finds_a_peak_beside_its_second_best_coarse_maximum(self, monkeypatch):
+        # a broad bump whose 3-degree node 60 beats node 30 of a sharp peak at 31 degrees;
+        # the second stage scores 28, 29, 31 and 32 around node 30, and 31 is the best node
+        def two_peaks(t):
+            d = math.degrees(t)
+            return max(10.0 - 2.0 * abs(d - 31.0), 9.0 - 0.1 * (d - 60.0) ** 2, -100.0)
+
+        fit, _ = self._fit_known_profile(monkeypatch, two_peaks, halfwidth=None)
+        assert abs(fit.theta_hat.degrees - 31.0) < 1e-9
+        assert fit.loglik == 10.0
+        monkeypatch.setattr(estimate_module, "_OPEN_PEAKS", 1)  # the broad bump alone
+        fit, _ = self._fit_known_profile(monkeypatch, two_peaks, halfwidth=None)
+        assert abs(fit.theta_hat.degrees - 60.0) < 1e-9
+
+    # the best 3-degree node is -90, and the second stage's nodes beside it wrap to +88 and +89
+    @pytest.mark.parametrize("peak_deg", [89.6, -89.4, 88.8, -88.9])
+    def test_an_open_peak_next_to_90_degrees_wraps(self, monkeypatch, peak_deg):
+        peak = math.radians(peak_deg)
+
+        def wrapped(t):  # a quadratic in the angle between subspaces
+            return -(((t - peak + math.pi / 2) % math.pi - math.pi / 2) ** 2)
+
+        fit, _ = self._fit_known_profile(monkeypatch, wrapped, halfwidth=None)
+        scored = {round(math.degrees(t)) for t, _ in fit.trace}
+        assert {-90, -89, -88, 88, 89} <= scored and len(scored) == 64
+        assert angle_gap(fit.theta_hat.theta, peak) < 1e-9
 
     @pytest.mark.parametrize("halfwidth", [6.0, 2.5, 0.05])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -796,8 +828,15 @@ class TestFitTheta:
     def test_an_open_fit_is_identical_at_any_worker_count(self, pools, pool_at_any_size):
         pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(70, 4))
         fits = [fit_theta(pat, 0.05, threads=threads) for threads in (0, 1, 2, 3)]
-        assert pools[-2:] == [2, 3]  # threads=0 takes one worker per CPU
+        assert pools[-4:] == [2, 2, 3, 3]  # threads=0 takes one worker per CPU; each stage forks
         assert all(fit == fits[1] for fit in fits)
+
+    def test_an_open_fit_forks_both_stages_and_keeps_its_result(self, pools, pool_at_any_size):
+        pat = simulate_poisson_beta(PoissonBetaModel(1.5, Window(2.0)), RngStream(70, 6))
+        serial = fit_theta(pat, 0.02, threads=1)
+        assert not pools
+        assert fit_theta(pat, 0.02, threads=2) == serial
+        assert pools == [2, 2]
 
     def test_point_order_never_changes_fit(self):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 1))

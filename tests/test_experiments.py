@@ -10,6 +10,7 @@ from substat.estimate import (
     SubstationaryIntensity,
     _coarse_angles,
     _evaluation_pairs,
+    _most_evals,
 )
 from substat.experiments import (
     TABLE2_ESTIMATORS,
@@ -352,6 +353,15 @@ class TestDeterminism:
                 for z in (1.0, 2.0) for h in (0.05, 0.01)]
         assert self._cell_prices(plan, monkeypatch) == want
         assert want[0] < want[1] and want[2] < want[3]  # the price moves with h
+
+    def test_an_open_cells_price_is_its_fits_two_stages_with_their_refinement(self, monkeypatch):
+        # each replication: the 60 nodes of 3 degrees, at most 12 near their maxima and 4
+        # refinement evaluations, priced at the widest angle of the 1-degree grid
+        plan = table1_plan(z_values=(2.0,), search_halfwidth_deg=None, replications=2)
+        thetas = _coarse_angles(None)[0]
+        assert _most_evals(None) == 76
+        want = [2 * 76 * _evaluation_pairs(200.0, Window(2.0), 0.05, thetas)]
+        assert self._cell_prices(plan, monkeypatch) == want
 
     def test_the_threshold_reads_each_cells_expected_count(self, monkeypatch, pools):
         plan = table1_plan(z_values=(1.0, 2.0), replications=2)

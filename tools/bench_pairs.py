@@ -13,7 +13,11 @@ relative change of the medians and the pairs the change won (a pair is one
 seed's two runs; a win is strictly better in the direction ``BENCHMARK.json``
 gives the metric).  Quartiles are ``statistics.quantiles(n=4,
 method="inclusive")``.  A workload whose run fails gets no block, and the
-next workload runs.  Exits 1 if any run fails or is not correct.
+next workload runs.  The last line printed is one JSON record of the whole
+invocation: each tree's ``git rev-parse HEAD`` (null outside a git checkout)
+and whether its tracked files differ from it, and for each summarized
+workload its seeds, run seconds, command and summary rows, the form that
+``BENCH_pairs.json`` lists.  Exits 1 if any run fails or is not correct.
 """
 
 from __future__ import annotations
@@ -86,12 +90,31 @@ def format_row(row: dict) -> str:
     )
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run in ``tree``; its last output line, parsed."""
-    cmd = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
+def command(workload: str, seed, seconds: float) -> list[str]:
+    """The arguments of one untraced ``perfbench/run.py`` run, after the interpreter."""
+    return [
+        "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]  # fmt: skip
+
+
+def revision(tree: str) -> dict:
+    """The tree's ``git rev-parse HEAD`` and whether its tracked files differ from it, or nulls."""
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
+        except OSError:  # no git
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if head else None
+    return {"head": head, "modified": None if status is None else bool(status)}
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run in ``tree``; its last output line, parsed."""
+    cmd = [sys.executable, *command(workload, seed, seconds)]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -99,8 +122,12 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def pair_runs(args, workload: str, better: dict[str, str]) -> bool:
-    """Run one workload's pairs and print its summary block; False if a run fails or is not correct."""
+def pair_runs(args, workload: str, better: dict[str, str]) -> tuple[bool, dict | None]:
+    """Run one workload's pairs and print its summary block.
+
+    Returns False if a run fails or is not correct, and the workload's record
+    for the final JSON line (None if a run fails).
+    """
     pairs, ok = [], True
     for seed in args.seeds:
         order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
@@ -110,15 +137,23 @@ def pair_runs(args, workload: str, better: dict[str, str]) -> bool:
                 result[side] = run_once(getattr(args, side), workload, seed, args.seconds)
             except RuntimeError as exc:
                 print(exc, file=sys.stderr)
-                return False
+                return False, None
             ok &= result[side]["correct"] is True and result[side]["failed"] == 0
             values = {k: v["value"] for k, v in result[side]["metrics"].items()}
             print(f"{workload} seed {seed} {side}: correct={result[side]['correct']} {json.dumps(values)}")
         pairs.append((result["parent"], result["change"]))
     print(f"# {workload}, seeds {args.seeds.start}-{args.seeds.stop - 1}, {args.seconds} s runs")
-    for row in summarize(pairs, better):
+    rows = summarize(pairs, better)
+    for row in rows:
         print(format_row(row))
-    return ok
+    record = {
+        "workload": workload,
+        "seeds": list(args.seeds),
+        "run_seconds": args.seconds,
+        "command": " ".join(command(workload, "SEED", args.seconds)),
+        "metrics": rows,
+    }
+    return ok, record
 
 
 def main(argv=None) -> int:
@@ -136,9 +171,13 @@ def main(argv=None) -> int:
         names = workloads(args.workload, [w["name"] for w in benchmark["workloads"]])
     except ValueError as exc:
         parser.error(str(exc))
-    ok = True
+    ok, records = True, []
     for workload in names:
-        ok &= pair_runs(args, workload, better)
+        passed, record = pair_runs(args, workload, better)
+        ok &= passed
+        records += [record] if record else []
+    trees = {side: revision(getattr(args, side)) for side in ("parent", "change")}
+    print(json.dumps({**trees, "ok": ok, "workloads": records}))
     return 0 if ok else 1
 
 
