@@ -42,6 +42,7 @@ from .io import (
     DataError,
     RegionSpec,
     _field,
+    _text_lines,
     _write_csv,
     export_intensity_grid,
     export_pattern_csv,
@@ -91,17 +92,13 @@ def _region(text: str) -> RegionSpec:
 
 
 def load_config(path) -> dict[str, str]:
-    """Read ``key = value`` lines; blank lines and # comments are skipped."""
+    """Read ``key = value`` lines as a data file's are read (``io._text_lines``)."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in _text_lines(path):
+        if "=" not in line:
+            raise _UsageError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

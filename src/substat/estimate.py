@@ -395,12 +395,13 @@ def _openblas():
 def _map_ordered(job, args, threads: int, pairs: float) -> list:
     """``job`` of each of the sequence ``args``, in order, on at most ``threads`` processes.
 
-    ``threads`` caps the workers w (0: one per CPU; negative: ValueError).  The caller runs
-    jobs 0, w, 2w, ... and w - 1 forked children, which inherit ``job``, the rest; below
-    ``_FORK_MIN_PAIRS`` kernel pairs, the map's price (``_evaluation_pairs`` an evaluation), or
-    without fork, the caller runs every job.  A job's error re-raises here with its type
-    (a RuntimeError with its repr if it does not pickle); a warning that passes a worker's
-    inherited filters is issued again here with its category, message, file and line.
+    ``threads`` caps the workers w (0: one per CPU; ValueError before any job unless an
+    integer >= 0).  The caller runs jobs 0, w, 2w, ... and w - 1 forked children, which
+    inherit ``job``, the rest; below ``_FORK_MIN_PAIRS`` kernel pairs, the map's price
+    (``_evaluation_pairs`` an evaluation), or without fork, the caller runs every job.  A
+    job's error re-raises here with its type (a RuntimeError with its repr if it does not
+    pickle); a warning that passes a worker's inherited filters is issued again here with
+    its category, message, file and line.
 
     While a map forks, numpy's OpenBLAS (``_openblas``) runs one thread, in the caller's
     share and in the children, which inherit it, so that w workers never run w times its
@@ -409,8 +410,8 @@ def _map_ordered(job, args, threads: int, pairs: float) -> list:
     From Python 3.12 a fork beside another thread warns, failing an error filter; at one BLAS
     thread OpenBLAS still keeps its own second OS thread, so the rule does not silence that.
     """
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
+    if not isinstance(threads, (int, np.integer)) or threads < 0:
+        raise ValueError(f"threads must be an integer >= 0 (0 = one per CPU), got {threads}")
     workers = min(threads or os.cpu_count() or 1, len(args))
     if workers <= 1 or pairs < _FORK_MIN_PAIRS or not hasattr(os, "fork"):
         return [job(a) for a in args]

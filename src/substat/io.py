@@ -49,6 +49,20 @@ class MalformedDataError(DataError):
     """A data file violated the expected format; carries the line number."""
 
 
+def _text_lines(path) -> list[tuple[int, str]]:
+    """The ``(line number, stripped line)`` pairs of a UTF-8 file, less blank and ``#`` lines:
+    the one reader of the package's text files, with or without a byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        numbered = enumerate(fh.read().split("\n"), start=1)  # read() turns CR and CRLF into LF
+    return [(n, line) for n, raw in numbered if (line := raw.strip()) and line[0] != "#"]
+
+
+def _write_lines(path, lines) -> None:
+    """Write each of ``lines`` with an LF, in UTF-8: the one writer of the package's files."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """Axis-aligned rectangle in source coordinates (e.g. lon/lat degrees)."""
@@ -78,41 +92,31 @@ def ingest_csv(path, region: RegionSpec) -> PointPattern:
     origin.  Malformed rows raise MalformedDataError with their line
     number.  An empty result is allowed but logged as a warning.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    header_seen = False
-    # utf-8-sig also strips the byte-order mark that spreadsheet exports start with
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip().lower() for c in line.split(",")]
-                if cols != ["x", "y"]:
-                    raise MalformedDataError(
-                        f"{path}: line {lineno}: expected header 'x,y', got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise MalformedDataError(
-                    f"{path}: line {lineno}: expected two comma-separated values"
-                )
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise MalformedDataError(f"{path}: line {lineno}: {exc}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise MalformedDataError(f"{path}: line {lineno}: non-finite coordinate")
-            xs.append(x)
-            ys.append(y)
-    if not header_seen:
+    lines = _text_lines(path)
+    if not lines:
         raise MalformedDataError(f"{path}: missing 'x,y' header")
-
+    (lineno, header), rows = lines[0], lines[1:]
+    if [c.strip().lower() for c in header.split(",")] != ["x", "y"]:
+        raise MalformedDataError(f"{path}: line {lineno}: expected header 'x,y', got {header!r}")
+    xs, ys, error = [], [], None
+    for lineno, line in rows:
+        parts = line.split(",")
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected two comma-separated values")
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            error = f"line {lineno}: {exc}"
+            break
+        xs.append(x)
+        ys.append(y)
     x_arr = np.asarray(xs, dtype=float)
     y_arr = np.asarray(ys, dtype=float)
+    finite = np.isfinite(x_arr) & np.isfinite(y_arr)
+    if not finite.all():  # on a row above the first unparsed one, so its error comes first
+        error = f"line {rows[int(finite.argmin())][0]}: non-finite coordinate"
+    if error is not None:
+        raise MalformedDataError(f"{path}: {error}")
     keep = (
         (x_arr >= region.x_min)
         & (x_arr <= region.x_max)
@@ -157,12 +161,9 @@ def _distinct(name: str, values) -> None:
 
 def _write_csv(path, comments: dict, header: str, rows) -> None:
     """Write ``# key: value`` comments, the header, then one line per row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in comments.items():
-            fh.write(f"# {key}: {_field(value)}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_field, row)) + "\n")
+    notes = (f"# {key}: {_field(value)}" for key, value in comments.items())
+    body = (",".join(map(_field, row)) for row in rows)
+    _write_lines(path, itertools.chain(notes, [header], body))
 
 
 def export_pattern_csv(pattern: PointPattern, path, metadata: dict | None = None) -> None:
@@ -191,8 +192,8 @@ class GridExport:
 
 
 def _check_resolution(resolution: int | None) -> None:
-    if resolution is not None and resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    if resolution is not None and (not isinstance(resolution, (int, np.integer)) or resolution < 2):
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution}")
 
 
 def export_intensity_grid(estimator, resolution: int | None, path, *, seed=None) -> GridExport:

@@ -22,7 +22,8 @@ takes its Gauss-Legendre quadrature only on the zones within that reach
 closed form (``_kernel_mass``).
 
 Whatever reads no data depends on the angle, the window and h alone, so
-``_plan`` builds it once per such key, keeps the 64 keys used last, and every
+``_plan`` builds it once per such key, keeps the 128 keys used last (an open
+fit reads up to 76, a select-bandwidth and apply session about 90), and every
 estimator and call at a key reads its ``_Plan``: the projection range and
 its node layout, the correction's rows of knots, slopes and scales, and
 the integral's zone nodes and weights with the correction and its excess
@@ -470,7 +471,7 @@ class _Plan(NamedTuple):
     excess: np.ndarray
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=128)
 def _plan(subspace: Subspace, window: Window, h: float) -> _Plan:
     """The ``_Plan`` of one angle, window and h, built once per key.
 

@@ -8,7 +8,7 @@ produces byte-identical SVG.
 
 from __future__ import annotations
 
-from .io import GridExport
+from .io import GridExport, _write_lines
 
 __all__ = ["render_grid_svg", "render_line_svg", "render_heatmap_svg"]
 
@@ -28,14 +28,12 @@ def _scale(values, lo, hi, out_lo, out_hi):
 
 
 def _write_svg(path, body) -> None:
-    parts = [
+    _write_lines(path, [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         *body,
         "</svg>",
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    ])
 
 
 def render_line_svg(grid: GridExport, path) -> None:

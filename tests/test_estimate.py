@@ -868,6 +868,18 @@ class _Unpicklable(Exception):
 
 
 class TestWorkerMap:
+    # 2.0 ran a serial-priced map and failed inside a forking one's setup
+    @pytest.mark.parametrize("threads", [2.0, np.float64(2.0), -1, "2"])
+    @pytest.mark.parametrize("pairs", [1, math.inf])
+    def test_a_worker_count_not_an_integer_of_at_least_0_raises_before_any_job(
+        self, pools, threads, pairs
+    ):
+        ran = []
+        with pytest.raises(ValueError, match="threads must be an integer >= 0"):
+            _map_ordered(ran.append, range(4), threads, pairs)
+        assert ran == [] and pools == []
+        assert _map_ordered(abs, range(4), np.int64(2), pairs) == [0, 1, 2, 3]
+
     def test_a_job_that_raises_in_a_worker_raises_here_with_its_type(self, pools):
         def job(k):
             if k == 1:  # job 1 falls to the first child's share

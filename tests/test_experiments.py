@@ -393,7 +393,7 @@ class TestDeterminism:
         build.cache_clear()
         cold = run_table1(plan, threads=1)
         info = build.cache_info()
-        assert len(set(keys)) <= info.maxsize == 64  # nothing was evicted
+        assert len(set(keys)) <= info.maxsize == 128  # nothing was evicted
         assert (info.misses, info.hits) == (len(set(keys)), len(keys) - len(set(keys)))
         for theta in _coarse_angles(plan.search_halfwidth_deg)[0]:
             key = (Subspace(float(theta)), Window(1.0), 0.01)

@@ -113,12 +113,33 @@ class TestIngest:
         f.write_text("x,y\n0.5,0.5\n1,2,3\n")
         with pytest.raises(MalformedDataError, match="line 3"):
             ingest_csv(f, RegionSpec(0, 1, 0, 1))
+        f.write_bytes(b"# exported\r\nx,y\r\n\r\n0.5,0.5\r\n1,2,3\r\n")  # CRLF endings
+        with pytest.raises(MalformedDataError, match="line 5: expected two comma-separated values$"):
+            ingest_csv(f, RegionSpec(0, 1, 0, 1))
 
     def test_unparseable_number_reports_line_number(self, tmp_path):
         f = tmp_path / "pts.csv"
         f.write_text("x,y\nfoo,0.5\n")
         with pytest.raises(MalformedDataError, match="line 2"):
             ingest_csv(f, RegionSpec(0, 1, 0, 1))
+
+    # the first faulty row is reported, whether it fails to parse or parses to inf or nan
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.5,0.5\ninf,0.5\n", "line 3: non-finite coordinate"),
+            ("0.5,nan\n1,2,3\n", "line 2: non-finite coordinate"),
+            ("-inf,1\nfoo,1\n", "line 2: non-finite coordinate"),
+            ("1,2,3\n0.5,nan\n", "line 2: expected two comma-separated values"),
+            ("foo,1\n0.5,nan\n", "line 2: could not convert string to float: 'foo'"),
+        ],
+    )
+    def test_the_first_faulty_row_is_reported(self, tmp_path, rows, message):
+        f = tmp_path / "pts.csv"
+        f.write_text("x,y\n" + rows)
+        with pytest.raises(MalformedDataError) as raised:
+            ingest_csv(f, RegionSpec(0, 1, 0, 1))
+        assert str(raised.value) == f"{f}: {message}"
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         f = tmp_path / "pts.csv"
@@ -162,6 +183,14 @@ class TestGridExport:
         est = StationaryIntensity(pattern)
         with pytest.raises(ValueError):
             export_intensity_grid(est, 1, tmp_path / "g.csv")
+
+    @pytest.mark.parametrize("resolution", [2.5, 4.0, np.float64(8.0), "8"])
+    def test_a_resolution_that_is_not_an_integer_is_refused(self, tmp_path, pattern, resolution):
+        est, out = StationaryIntensity(pattern), tmp_path / "g.csv"
+        with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+            export_intensity_grid(est, resolution, out)
+        assert not out.exists()
+        assert export_intensity_grid(est, np.int64(3), out).values.size == 3
 
     def test_stationary_grid_is_constant(self, tmp_path, pattern):
         est = StationaryIntensity(pattern)
@@ -266,6 +295,14 @@ class TestApplicationPipeline:
                 run_application_pipeline(pattern, h_values, grid_dir=tmp_path)
         assert fits == [] and not any(tmp_path.iterdir())
 
+    def test_a_fractional_grid_resolution_raises_before_the_first_fit(
+        self, pattern, tmp_path, monkeypatch
+    ):
+        fits = record_calls(monkeypatch, "fit_theta", substat.io)
+        with pytest.raises(ValueError, match="resolution must be an integer >= 2, got 2.5"):
+            run_application_pipeline(pattern, [0.05], grid_dir=tmp_path, grid_resolution=2.5)
+        assert fits == [] and not any(tmp_path.iterdir())
+
     def test_requires_bandwidths_and_points(self, pattern):
         with pytest.raises(ValueError):
             run_application_pipeline(pattern, [])
@@ -297,14 +334,23 @@ class TestRender:
 class TestConfig:
     def test_parse(self, tmp_path):
         f = tmp_path / "run.cfg"
-        f.write_text("# comment\nseed = 7\nh-values = 0.05, 0.1\n\nprocess=poisson\n")
+        f.write_bytes(b"# comment\nseed = 7\r\nh-values = 0.05, 0.1\n\r\nprocess=poisson\r\n")
         cfg = load_config(f)
         assert cfg == {"seed": "7", "h_values": "0.05, 0.1", "process": "poisson"}
 
-    def test_bad_line_rejected(self, tmp_path):
+    def test_bad_line_rejected(self, tmp_path, capsys):
         f = tmp_path / "run.cfg"
-        f.write_text("just some text\n")
+        f.write_text("# comment\n\njust some text\n")
         assert main(["simulate", "--config", str(f)]) == 1
+        assert f"usage error: {f}: line 3: expected 'key = value'" in capsys.readouterr().err
+
+    def test_a_byte_order_mark_is_read_as_in_a_data_file(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_bytes(b"\xef\xbb\xbfseed = 7\nprocess = poisson\n")
+        assert load_config(f) == {"seed": "7", "process": "poisson"}
+        out = tmp_path / "p.csv"
+        assert main(["simulate", "--config", str(f), "--a", "2", "--z", "1", "--out", str(out)]) == 0
+        assert "# seed: 7" in out.read_text().splitlines()
 
 
 class TestCli:

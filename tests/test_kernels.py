@@ -406,6 +406,19 @@ class TestStackedCorrection:
             assert len(arrays) == 10
             assert not any(a.flags.writeable for a in arrays)
 
+    def test_a_second_open_fit_at_the_key_rebuilds_only_angles_the_first_did_not_read(self):
+        # an open fit reads up to 76 plans: 60 + 12 stage nodes and 4 refinement angles;
+        # the cache keeps them all, so the next pattern's fit shares its first stage
+        window, rng = Window(1.0, 1.0), np.random.default_rng(8)
+        first, second = (PointPattern(rng.uniform(0, 1, 100), rng.beta(2, 2, 100), window)
+                         for _ in range(2))
+        kernels._plan.cache_clear()
+        fit_theta(first, 0.05)
+        built = kernels._plan.cache_info().misses
+        fit_theta(second, 0.05)
+        assert built > 60
+        assert kernels._plan.cache_info().misses - built <= 12 + 4
+
     def test_the_plans_range_is_v_range(self):
         # estimate._cells lays a 1-D estimate on v_range; evaluate checks the plan's range
         for theta in (0.0, 1e-300, 0.1, math.pi / 4, -1.2, -math.pi / 2):
