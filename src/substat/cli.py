@@ -68,13 +68,9 @@ _THREADS_HELP = (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); the contract wants 1
-        raise _UsageError(message)
+    def error(self, message):  # argparse would exit(2); a usage error exits 1
+        raise ValueError(message)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -96,7 +92,7 @@ def load_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, line in _text_lines(path):
         if "=" not in line:
-            raise _UsageError(f"{path}: line {lineno}: expected 'key = value'")
+            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         out[key.strip().replace("-", "_")] = value.strip()
     return out
@@ -201,7 +197,7 @@ def _parse(argv) -> argparse.Namespace:
     options = {a.dest for p in commands.values() for a in p._actions if a.option_strings}
     unknown = sorted(set(cfg) - options)
     if unknown:
-        raise _UsageError(f"{path}: config key {unknown[0]!r} names no option")
+        raise ValueError(f"{path}: config key {unknown[0]!r} names no option")
     command = commands.get(argv[0]) if argv else None
     actions = command._actions if command else ()
     given = [f"{a.option_strings[0]}={cfg[a.dest]}" for a in actions if a.option_strings and a.dest in cfg]
@@ -231,7 +227,7 @@ def _cmd_ingest(args) -> None:
 def _cmd_estimate_intensity(args) -> None:
     pattern, kind = args.pattern, args.estimator
     if kind != "stationary" and args.h is None:
-        raise _UsageError(f"--estimator {kind} needs --h")
+        raise ValueError(f"--estimator {kind} needs --h")
     if kind == "substationary":
         est = SubstationaryIntensity(pattern, Subspace.from_degrees(args.theta_deg), args.h)
     elif kind == "kernel2d":
@@ -315,9 +311,6 @@ def main(argv=None) -> int:
                 args.pattern = ingest_csv(args.data, args.region)
             args.run(args)
             return 0
-        except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 1
         except (DataError, OSError) as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return 2

@@ -62,6 +62,8 @@ from .geometry import (
     PointPattern,
     Subspace,
     Window,
+    _count,
+    _distinct,
     _shaped_like,
     project_xy,
     v_range,
@@ -118,6 +120,12 @@ _FORK_MIN_PAIRS = 6_000_000
 
 class BandwidthSelectionError(RuntimeError):
     """Raised when no bandwidth candidate yields a finite criterion."""
+
+
+def _two_points(pattern: PointPattern, task: str) -> None:
+    """Raise DataError below two points: a fit or a leave-one-out score has nothing to read."""
+    if pattern.n < 2:
+        raise DataError(f"{task} needs at least two points, got {pattern.n}")
 
 
 def _require_inside(window: Window, x, y) -> None:
@@ -410,8 +418,7 @@ def _map_ordered(job, args, threads: int, pairs: float) -> list:
     From Python 3.12 a fork beside another thread warns, failing an error filter; at one BLAS
     thread OpenBLAS still keeps its own second OS thread, so the rule does not silence that.
     """
-    if not isinstance(threads, (int, np.integer)) or threads < 0:
-        raise ValueError(f"threads must be an integer >= 0 (0 = one per CPU), got {threads}")
+    _count("threads", threads, 0)
     workers = min(threads or os.cpu_count() or 1, len(args))
     if workers <= 1 or pairs < _FORK_MIN_PAIRS or not hasattr(os, "fork"):
         return [job(a) for a in args]
@@ -478,12 +485,13 @@ def _coarse_angles(search_halfwidth_deg: float | None) -> tuple[np.ndarray, floa
     return (thetas[:-1] if halfwidth == 90.0 else thetas), halfwidth
 
 
-def _most_evals(search_halfwidth_deg: float | None) -> int:
-    """The most profile evaluations a fit makes at this half-width: its grid's nodes and the refinement."""
+def _fit_pairs(n: float, window: Window, h: float, search_halfwidth_deg: float | None) -> float:
+    """A fit's price: its most profile evaluations (its grid's nodes and the refinement), each
+    ``_evaluation_pairs`` at the widest of its coarse angles."""
     thetas, halfwidth = _coarse_angles(search_halfwidth_deg)
-    if halfwidth == 90.0:  # the open search's two stages
-        return thetas.size // _OPEN_STRIDE + _OPEN_PEAKS * _OPEN_OFFSETS.size + _REFINE_EVALS
-    return thetas.size + _REFINE_EVALS
+    two_stages = thetas.size // _OPEN_STRIDE + _OPEN_PEAKS * _OPEN_OFFSETS.size  # the open search
+    nodes = two_stages if halfwidth == 90.0 else thetas.size
+    return (nodes + _REFINE_EVALS) * _evaluation_pairs(n, window, h, thetas)
 
 
 def _second_stage(first: np.ndarray) -> np.ndarray:
@@ -535,7 +543,7 @@ def fit_theta(
        concave; one more evaluation scores it.
 
     So a fit makes at most 4 evaluations beyond the grid nodes it scored
-    (``_most_evals`` counts both), none where an angle was already scored:
+    (``_fit_pairs`` prices both), none where an angle was already scored:
     the best node's neighbours are among those nodes.  theta_hat is that
     refined vertex, not the argmax of the evaluated values; the fit's loglik
     is the largest value it evaluated (see ``FitResult``).
@@ -552,8 +560,7 @@ def fit_theta(
     degenerate fit.  Ties, on the grid and among the three values, prefer the
     smallest angle.  A pattern of fewer than two points raises DataError.
     """
-    if pattern.n < 2:
-        raise DataError(f"subspace fitting needs at least two points, got {pattern.n}")
+    _two_points(pattern, "subspace fitting")
     h = validate_bandwidth(h)
     thetas, halfwidth = _coarse_angles(search_halfwidth_deg)
 
@@ -634,10 +641,10 @@ def bandwidth_cv_scores(
 
     The point term drops each point from its own estimate; the integral
     term keeps all points.  Candidates whose leave-one-out estimate
-    vanishes at some point score -inf, and so does every candidate on a
-    pattern of fewer than two points.  The integral has no cell count:
-    ``integral_cells`` takes only ``SUBSTAT_INTEGRAL_CELLS`` and raises
-    ValueError at any other value.
+    vanishes at some point score -inf.  A repeated candidate raises
+    ValueError, and a pattern of fewer than two points DataError, before
+    any score.  The integral has no cell count: ``integral_cells`` takes
+    only ``SUBSTAT_INTEGRAL_CELLS`` and raises ValueError at any other value.
     """
     if integral_cells != SUBSTAT_INTEGRAL_CELLS:
         raise ValueError(
@@ -646,10 +653,8 @@ def bandwidth_cv_scores(
     candidates = [validate_bandwidth(h) for h in candidates]
     if not candidates:
         raise ValueError("no bandwidth candidates supplied")
-    # below two points there is no leave-one-out estimate, and loglik of an
-    # empty pattern would read 0 rather than -inf
-    if pattern.n < 2:
-        return [(h, float("-inf")) for h in candidates]
+    _distinct("candidates", candidates)
+    _two_points(pattern, "bandwidth selection")
     subspace = _as_subspace(theta)
     scores: list[tuple[float, float]] = []
     for h in candidates:
@@ -675,6 +680,6 @@ def select_bandwidth(pattern: PointPattern, theta, candidates) -> float:
     """Pick the candidate maximizing the leave-one-out likelihood score.
 
     Ties break to the smaller bandwidth.  Raises BandwidthSelectionError
-    if every candidate is degenerate.
+    if every candidate is degenerate, and what ``bandwidth_cv_scores`` raises.
     """
     return _pick_bandwidth(bandwidth_cv_scores(pattern, theta, candidates))

@@ -33,13 +33,12 @@ from .estimate import (
     _axis,
     _cells,
     _coarse_angles,
-    _evaluation_pairs,
+    _fit_pairs,
     _map_ordered,
-    _most_evals,
     fit_theta,
 )
-from .geometry import PointPattern, Subspace, Window, _chord_ends, unproject_xy
-from .io import _distinct, _write_csv
+from .geometry import PointPattern, Subspace, Window, _chord_ends, _count, _distinct, unproject_xy
+from .io import _write_csv
 from .kernels import validate_bandwidth
 from .simulate import (
     PoissonBetaModel,
@@ -118,8 +117,7 @@ class ExperimentPlan:
                 "direction sweeps exclude a=1: the invariance direction of a "
                 "stationary pattern is not identified"
             )
-        if not (isinstance(self.replications, int) and self.replications >= 1):
-            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
+        _count("replications", self.replications, 1)
         RngStream(self.master_seed)
         if self.process == "thomas":
             ThomasModel(PoissonBetaModel(self.a_values[0], Window(1.0)), self.gamma, self.sigma)
@@ -197,22 +195,19 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     returns one value per name.  A cell's metric is the root mean of
     ``squared(values)`` over its replications (of the values themselves when
     ``squared`` is None); its samples are the values.  A cell's replications
-    run on at most ``threads`` worker processes, by ``_map_ordered``, priced as that
-    many fits' most evaluations (``_most_evals``, each ``_evaluation_pairs``) at the
-    cell's expected count and h.
+    run on at most ``threads`` worker processes, by ``_map_ordered``, priced as that many
+    fits (``_fit_pairs``) at h and the base's expected count, which the Thomas process keeps.
     """
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
-    thetas = _coarse_angles(plan.search_halfwidth_deg)[0]
-    evals = plan.replications * _most_evals(plan.search_halfwidth_deg)
+    halfwidth = plan.search_halfwidth_deg
     cells: dict[tuple, CellSummary] = {}
     for a in plan.a_values:
         for z in plan.z_values:
             base = PoissonBetaModel(a, Window(z, 1.0))
             model = ThomasModel(base, gamma=plan.gamma, sigma=plan.sigma) if thomas else base
             for h in plan.h_values:
-                # the base's count is known before any pattern is drawn, and the Thomas process keeps it
-                pairs = evals * _evaluation_pairs(base.expected_count, base.window, h, thetas)
+                pairs = plan.replications * _fit_pairs(base.expected_count, base.window, h, halfwidth)
                 # the map returns before the loop moves on, so job may read a, z, h
                 def job(rep: int) -> tuple:
                     stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)

@@ -43,6 +43,22 @@ class DataError(ValueError):
     """Input data cannot be used (empty, inconsistent, or out of range)."""
 
 
+def _count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer, Python's or numpy's, of at least ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _distinct(name: str, values) -> None:
+    """Raise ValueError naming the first value that ``values`` repeats (2 and 2.0 alike):
+    its work would run twice, and its rows collide in one key or one file."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name} repeats {value!r}")
+        seen.add(value)
+
+
 @dataclass(frozen=True)
 class Window:
     """Rectangular observation window [0, z] x [0, omega]."""

@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .estimate import SubstationaryIntensity, _cells, fit_theta
-from .geometry import DataError, PointPattern, Window
+from .geometry import DataError, PointPattern, Window, _count, _distinct
 from .kernels import validate_bandwidth
 
 __all__ = [
@@ -49,11 +49,17 @@ class MalformedDataError(DataError):
     """A data file violated the expected format; carries the line number."""
 
 
-def _text_lines(path) -> list[tuple[int, str]]:
+def _text_lines(path, fault=ValueError) -> list[tuple[int, str]]:
     """The ``(line number, stripped line)`` pairs of a UTF-8 file, less blank and ``#`` lines:
-    the one reader of the package's text files, with or without a byte-order mark."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        numbered = enumerate(fh.read().split("\n"), start=1)  # read() turns CR and CRLF into LF
+    the one reader of the package's text files, with or without a byte-order mark.  A byte
+    that is not UTF-8 raises ``fault`` naming the path and the byte's line."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            numbered = enumerate(fh.read().split("\n"), start=1)  # read() turns CR and CRLF into LF
+    except UnicodeDecodeError as exc:  # read() decodes the whole file: every byte before it
+        head, byte = exc.object[: exc.start], exc.object[exc.start]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise fault(f"{path}: line {lineno}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
     return [(n, line) for n, raw in numbered if (line := raw.strip()) and line[0] != "#"]
 
 
@@ -92,7 +98,7 @@ def ingest_csv(path, region: RegionSpec) -> PointPattern:
     origin.  Malformed rows raise MalformedDataError with their line
     number.  An empty result is allowed but logged as a warning.
     """
-    lines = _text_lines(path)
+    lines = _text_lines(path, MalformedDataError)
     if not lines:
         raise MalformedDataError(f"{path}: missing 'x,y' header")
     (lineno, header), rows = lines[0], lines[1:]
@@ -149,16 +155,6 @@ def _field(value) -> str:
     return str(value)
 
 
-def _distinct(name: str, values) -> None:
-    """Raise ValueError naming the first value that ``values`` repeats (2 and 2.0 alike):
-    its work would run twice, and its rows collide in one key or one file."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise ValueError(f"{name} repeats {_field(value)}")
-        seen.add(value)
-
-
 def _write_csv(path, comments: dict, header: str, rows) -> None:
     """Write ``# key: value`` comments, the header, then one line per row."""
     notes = (f"# {key}: {_field(value)}" for key, value in comments.items())
@@ -191,11 +187,6 @@ class GridExport:
             raise ValueError("intensity values must be nonnegative")
 
 
-def _check_resolution(resolution: int | None) -> None:
-    if resolution is not None and (not isinstance(resolution, (int, np.integer)) or resolution < 2):
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution}")
-
-
 def export_intensity_grid(estimator, resolution: int | None, path, *, seed=None) -> GridExport:
     """Evaluate an estimator on its midpoint grid (``estimate._cells``) and write it as CSV.
 
@@ -206,7 +197,8 @@ def export_intensity_grid(estimator, resolution: int | None, path, *, seed=None)
     own: 512, or 128 per axis.  Metadata (estimator kind, angle, bandwidth,
     seed) goes into ``#`` comment lines.
     """
-    _check_resolution(resolution)
+    if resolution is not None:
+        _count("resolution", resolution, 2)
     theta = getattr(estimator, "theta", None)
     metadata = {"estimator": estimator.kind, "theta": getattr(theta, "theta", None)}
     metadata.update(h=getattr(estimator, "h", None), seed=seed)
@@ -273,8 +265,8 @@ def run_application_pipeline(
     _distinct("h_values", h_list)
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, got nan")
-    if grid_dir is not None:
-        _check_resolution(grid_resolution)
+    if grid_dir is not None and grid_resolution is not None:
+        _count("resolution", grid_resolution, 2)
     rows = []
     for h in h_list:
         fit = fit_theta(

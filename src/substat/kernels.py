@@ -112,7 +112,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import erfc
 
-from .geometry import Subspace, Window, _shaped_like, _trapezoid
+from .geometry import Subspace, Window, _shaped_like, _trapezoid, chord_measure
 
 __all__ = [
     "normal_cdf",
@@ -484,7 +484,7 @@ def _plan(subspace: Subspace, window: Window, h: float) -> _Plan:
     nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
     weights = (half[:, None] * _GAUSS_WEIGHTS).ravel()
     corr = _corrected(h, rows, nodes)
-    excess = corr - np.interp(nodes, knots, heights)
+    excess = corr - chord_measure(subspace, window, nodes)
     for values in (nodes, weights, corr, excess):
         values.setflags(write=False)
     return _Plan(lo, hi, _node_layout(h, lo, hi), rows, nodes, weights, corr, excess)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta as beta_fn
 
-from .geometry import PointPattern, Window
+from .geometry import PointPattern, Window, _count
 
 __all__ = [
     "POINTS_PER_UNIT_LENGTH",
@@ -53,9 +53,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_index"):
-            val = getattr(self, name)
-            if not isinstance(val, int) or val < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {val!r}")
+            _count(name, getattr(self, name), 0)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(

@@ -20,8 +20,8 @@ from substat.estimate import (
     SubstationaryIntensity,
     _coarse_angles,
     _evaluation_pairs,
+    _fit_pairs,
     _map_ordered,
-    _most_evals,
     bandwidth_cv_scores,
     fit_theta,
     loglik,
@@ -626,16 +626,19 @@ class TestFitTheta:
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(90, 27))
         return fit_theta(pat, 0.05, search_halfwidth_deg=halfwidth), len(calls)
 
-    # built is the most a fit builds; with one maximum on the open search's 3-degree
-    # stage, its second stage scores 4 nodes, so the open fit builds 60 + 4 + 4
+    # built is the most a fit builds, and _fit_pairs prices that many evaluations; with one
+    # maximum on the open search's 3-degree stage, its second stage scores 4 nodes, so the
+    # open fit builds 60 + 4 + 4
     @pytest.mark.parametrize("halfwidth, built", [(6.0, 17), (None, 76)])
     def test_a_fit_builds_its_coarse_grid_and_four_refinement_estimators(
         self, monkeypatch, halfwidth, built
     ):
         peak = math.radians(0.37)
         fit, count = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2), halfwidth)
-        assert len(fit.trace) + 4 == count <= built == _most_evals(halfwidth)
+        assert len(fit.trace) + 4 == count <= built
         assert count == (17 if halfwidth else 68)
+        each = _evaluation_pairs(100.0, Window(1.0), 0.05, _coarse_angles(halfwidth)[0])
+        assert _fit_pairs(100.0, Window(1.0), 0.05, halfwidth) == built * each
 
     # _REFINE_EVALS, the sweep's price of a fit's refinement, against what real
     # fits build: bounded and open searches, a best node at the bound, flat
@@ -989,10 +992,19 @@ class TestSelectBandwidth:
         with pytest.raises(ValueError):
             select_bandwidth(pat, 0.0, [])
 
-    def test_degenerate_pattern_raises(self):
+    def test_a_one_point_pattern_raises_a_data_error(self):
         pat = PointPattern([0.5], [0.5], Window(1, 1))
-        with pytest.raises(BandwidthSelectionError):
+        message = "^bandwidth selection needs at least two points, got 1$"
+        with pytest.raises(DataError, match=message):
+            bandwidth_cv_scores(pat, 0.0, [0.01, 0.05])
+        with pytest.raises(DataError, match=message):
             select_bandwidth(pat, 0.0, [0.01, 0.05])
+
+    def test_a_repeated_candidate_raises_naming_it(self):
+        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(72, 2))
+        for candidates, repeated in (([0.05, 0.1, 0.05], "0.05"), ([2e-2, 0.02], "0.02")):
+            with pytest.raises(ValueError, match=f"^candidates repeats {repeated}$"):
+                bandwidth_cv_scores(pat, 0.0, candidates)
 
     def test_a_point_beyond_every_kernels_reach_scores_minus_inf(self):
         # its leave-one-out estimate is exactly 0 at every bandwidth, not a

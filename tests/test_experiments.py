@@ -10,7 +10,7 @@ from substat.estimate import (
     SubstationaryIntensity,
     _coarse_angles,
     _evaluation_pairs,
-    _most_evals,
+    _fit_pairs,
 )
 from substat.experiments import (
     TABLE2_ESTIMATORS,
@@ -96,8 +96,8 @@ class TestPlanValidation:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (dict(master_seed=1.5), "master_seed must be a nonnegative integer, got 1.5"),
-            (dict(master_seed=-1), "master_seed must be a nonnegative integer, got -1"),
+            (dict(master_seed=1.5), "master_seed must be an integer >= 0, got 1.5"),
+            (dict(master_seed=-1), "master_seed must be an integer >= 0, got -1"),
             (dict(replications=0), "replications must be an integer >= 1, got 0"),
             (dict(replications=2.0), "replications must be an integer >= 1, got 2.0"),
             (dict(replications=2.5), "replications must be an integer >= 1, got 2.5"),
@@ -108,6 +108,14 @@ class TestPlanValidation:
     def test_a_bad_plan_value_raises_naming_it_when_the_plan_is_built(self, bad, message):
         with pytest.raises(ValueError, match=f"{message}$"):
             table1_plan(**bad)
+
+    # a count or a seed may be a numpy integer, and draws as the equal int does
+    def test_numpy_integers_are_a_plan_count_and_seed(self, tmp_path):
+        as_int = run_table1(table1_plan(replications=2, master_seed=7), threads=1)
+        as_numpy = run_table1(table1_plan(replications=np.int64(2), master_seed=np.uint32(7)), threads=1)
+        write_result_csv(as_int, tmp_path / "int.csv")
+        write_result_csv(as_numpy, tmp_path / "numpy.csv")
+        assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
     def test_a_poisson_plan_ignores_the_cluster_parameters(self):
         assert table1_plan(gamma=-1.0, sigma=math.nan).gamma == -1.0
@@ -359,8 +367,9 @@ class TestDeterminism:
         # refinement evaluations, priced at the widest angle of the 1-degree grid
         plan = table1_plan(z_values=(2.0,), search_halfwidth_deg=None, replications=2)
         thetas = _coarse_angles(None)[0]
-        assert _most_evals(None) == 76
-        want = [2 * 76 * _evaluation_pairs(200.0, Window(2.0), 0.05, thetas)]
+        each = _evaluation_pairs(200.0, Window(2.0), 0.05, thetas)
+        assert _fit_pairs(200.0, Window(2.0), 0.05, None) == 76 * each
+        want = [2 * 76 * each]
         assert self._cell_prices(plan, monkeypatch) == want
 
     def test_the_threshold_reads_each_cells_expected_count(self, monkeypatch, pools):

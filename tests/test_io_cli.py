@@ -141,6 +141,25 @@ class TestIngest:
             ingest_csv(f, RegionSpec(0, 1, 0, 1))
         assert str(raised.value) == f"{f}: {message}"
 
+    # the line of a byte that is not UTF-8, counted as the rows' lines are, whatever the endings
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"x,y\n0.5,0.5\n\xff\n", "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+            (
+                b"\xef\xbb\xbfx,y\r\n0.5,0.5\r0.5,0.5\n0.5,\xe20.5\n",
+                "line 4: byte 0xe2 is not UTF-8 (invalid continuation byte)",
+            ),
+            (b"x,y\r\r\n\n0.5,0.5\xc3\n", "line 4: byte 0xc3 is not UTF-8 (invalid continuation byte)"),
+        ],
+    )
+    def test_a_byte_that_is_not_utf8_reports_its_line(self, tmp_path, content, message):
+        f = tmp_path / "pts.csv"
+        f.write_bytes(content)
+        with pytest.raises(MalformedDataError) as raised:
+            ingest_csv(f, RegionSpec(0, 1, 0, 1))
+        assert str(raised.value) == f"{f}: {message}"
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         f = tmp_path / "pts.csv"
         f.write_bytes(b"\xef\xbb\xbfx,y\n0.5,0.5\n")
@@ -343,6 +362,9 @@ class TestConfig:
         f.write_text("# comment\n\njust some text\n")
         assert main(["simulate", "--config", str(f)]) == 1
         assert f"usage error: {f}: line 3: expected 'key = value'" in capsys.readouterr().err
+        f.write_bytes(b"# comment\r\nseed = 7\r\nprocess = \xff\n")  # not UTF-8
+        assert main(["simulate", "--config", str(f)]) == 1
+        assert f"usage error: {f}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
 
     def test_a_byte_order_mark_is_read_as_in_a_data_file(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -631,13 +653,17 @@ class TestCli:
             outputs.append((tmp_path / name).read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_data_error_exit_code(self, tmp_path):
+    def test_data_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2,3\n")
         code = main(
             ["fit-subspace", "--data", str(bad), "--region", "0,1,0,1", "--h", "0.05"]
         )
         assert code == 2
+        bad.write_bytes(b"x,y\n0.5,0.5\n\xff\n")  # not UTF-8
+        args = ["ingest", "--data", str(bad), "--region", "0,1,0,1", "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 2
+        assert f"data error: {bad}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
         code = main(
             [
                 "fit-subspace", "--data", str(tmp_path / "missing.csv"),
@@ -647,15 +673,17 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize("rows", ["", "0.5,0.5\n"])
-    @pytest.mark.parametrize("command", ["fit-subspace", "apply"])
+    @pytest.mark.parametrize("command", ["fit-subspace", "apply", "select-bandwidth"])
     def test_too_few_points_is_a_data_error(self, tmp_path, capsys, command, rows):
         data = tmp_path / "few.csv"
         data.write_text("x,y\n" + rows + "5,5\n")  # the last row lies outside the region
         args = [command, "--data", str(data), "--region", "0,1,0,1"]
         if command == "fit-subspace":
             args += ["--h", "0.05"]
-        else:
+        elif command == "apply":
             args += ["--h-values", "0.05", "--out", str(tmp_path / "report.csv")]
+        else:
+            args += ["--candidates", "0.05"]
         assert main(args) == 2
         assert "at least two points" in capsys.readouterr().err
 
@@ -778,16 +806,29 @@ class TestCli:
         assert fits == [] and not out.exists()
         assert not any((tmp_path / "grids").iterdir())
 
-    def test_numerical_error_exit_code(self, tmp_path):
-        lonely = tmp_path / "one.csv"
-        lonely.write_text("x,y\n0.5,0.5\n")
+    def test_select_bandwidth_refuses_a_repeated_candidate_before_any_score(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        data = self.simulate_file(tmp_path)
+        estimators = record_calls(monkeypatch, "SubstationaryIntensity", substat.estimate)
+        out = tmp_path / "cv.csv"
+        args = ["select-bandwidth", "--data", str(data), "--region", "0,2,0,1", "--out", str(out)]
+        assert main([*args, "--candidates", "0.05,0.1,.05"]) == 1
+        assert "usage error: candidates repeats 0.05" in capsys.readouterr().err
+        assert estimators == [] and not out.exists()
+
+    def test_numerical_error_exit_code(self, tmp_path, capsys):
+        # two points 0.8 apart: at these bandwidths each one's leave-one-out estimate is 0
+        pair = tmp_path / "pair.csv"
+        pair.write_text("x,y\n0.1,0.1\n0.9,0.9\n")
         code = main(
             [
-                "select-bandwidth", "--data", str(lonely), "--region", "0,1,0,1",
-                "--candidates", "0.05,0.1",
+                "select-bandwidth", "--data", str(pair), "--region", "0,1,0,1",
+                "--candidates", "0.001,0.002",
             ]
         )
         assert code == 3
+        assert "numerical failure: every bandwidth candidate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["estimate", "experiments", "geometry", "io", "kernels", "simulate"])

@@ -29,10 +29,17 @@ def box_count(pattern, x0, x1, y0, y1):
 
 class TestRngStream:
     def test_rejects_negative_components(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^master_seed must be an integer >= 0, got -1$"):
             RngStream(-1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^stream_index must be an integer >= 0, got -2$"):
             RngStream(0, -2)
+        with pytest.raises(ValueError, match=r"^stream_index must be an integer >= 0, got np.int8\(-2\)$"):
+            RngStream(0, np.int8(-2))
+
+    def test_numpy_integers_draw_as_the_equal_int(self):
+        a = RngStream(np.int64(7), np.uint64(3)).generator().uniform(size=5)
+        b = RngStream(7, 3).generator().uniform(size=5)
+        assert np.array_equal(a, b)
 
     def test_streams_decorrelate(self):
         a = RngStream(7, 0).generator().uniform(size=5)
