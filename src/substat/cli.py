@@ -64,7 +64,8 @@ logger = logging.getLogger(__name__)
 _GRID_HELP = f"grid cells per axis; None: {GRID_CELLS_1D}, kernel2d {GRID_CELLS_2D}"
 _HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
 _THREADS_HELP = (
-    f"the most worker processes, 0 = one per CPU; maps priced under {_FORK_MIN_PAIRS} kernel pairs run on one"
+    "the most worker processes, 0 = one per CPU; apply splits them across its bandwidths; "
+    f"maps priced under {_FORK_MIN_PAIRS} kernel pairs run on one"
 )
 
 
@@ -228,6 +229,8 @@ def _cmd_estimate_intensity(args) -> None:
     pattern, kind = args.pattern, args.estimator
     if kind != "stationary" and args.h is None:
         raise ValueError(f"--estimator {kind} needs --h")
+    if kind == "stationary" and args.h is not None:  # a shared config file may set h
+        logger.info("--estimator stationary takes no bandwidth; --h %s is not used", _field(args.h))
     if kind == "substationary":
         est = SubstationaryIntensity(pattern, Subspace.from_degrees(args.theta_deg), args.h)
     elif kind == "kernel2d":

@@ -23,7 +23,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .estimate import SubstationaryIntensity, _cells, fit_theta
+from .estimate import SubstationaryIntensity, _cells, _fit_pairs, _map_ordered, _workers, fit_theta
 from .geometry import DataError, PointPattern, Window, _count, _distinct
 from .kernels import validate_bandwidth
 
@@ -258,6 +258,14 @@ def run_application_pipeline(
     on ``grid_resolution`` cells (None: the estimator's own grid).
     Every input is checked before the first fit; a repeated bandwidth
     raises ValueError.
+
+    The k bandwidths' fits are one map of at most ``threads`` processes
+    (``_map_ordered``, priced as the sum of their ``_fit_pairs``), and each fit
+    maps its own angles on ``max(1, w // k)`` of the run's w workers: with one
+    bandwidth the fit has them all, with k >= w each fit runs whole in one
+    worker.  The report does not depend on ``threads``.  Every fit ends before
+    the first grid is written, and a forked fit's warnings reach the caller
+    after its own share's, not in bandwidth order.
     """
     h_list = [validate_bandwidth(h) for h in h_values]
     if not h_list:
@@ -265,13 +273,16 @@ def run_application_pipeline(
     _distinct("h_values", h_list)
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, got nan")
-    if grid_dir is not None and grid_resolution is not None:
+    if grid_resolution is not None:
         _count("resolution", grid_resolution, 2)
+    inner = max(1, _workers(threads) // len(h_list))
+    pairs = sum(_fit_pairs(pattern.n, pattern.window, h, search_halfwidth_deg) for h in h_list)
+
+    def job(h: float):
+        return fit_theta(pattern, h, search_halfwidth_deg=search_halfwidth_deg, threads=inner)
+
     rows = []
-    for h in h_list:
-        fit = fit_theta(
-            pattern, h, search_halfwidth_deg=search_halfwidth_deg, threads=threads
-        )
+    for h, fit in zip(h_list, _map_ordered(job, h_list, threads, pairs)):
         ll_axis = dict(fit.trace)[0.0]
         delta = fit.loglik - ll_axis
         rows.append(

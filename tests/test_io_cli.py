@@ -331,6 +331,75 @@ class TestApplicationPipeline:
             run_application_pipeline(PointPattern([0.5], [0.5], Window(1, 1)), [0.05])
 
 
+class TestBandwidthMap:
+    """apply maps its bandwidths over the workers; each fit maps its angles on its share."""
+
+    H_VALUES = (0.05, 0.1, 0.2)
+
+    def apply(self, data, out, k, threads):
+        out.mkdir()
+        args = ["apply", "--data", str(data), "--region", "0,2,0,1", "--out", str(out / "report.csv")]
+        h_values = ",".join(map(str, self.H_VALUES[:k]))
+        values = ["--h-values", h_values, "--search-halfwidth", "none", "--threads", str(threads)]
+        assert main([*args, *values, "--resolution", "16", "--grid-dir", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_report_and_its_files_are_the_same_at_any_thread_count(
+        self, pattern, tmp_path, capsys, pool_at_any_size, k
+    ):
+        data = tmp_path / "pat.csv"
+        export_pattern_csv(pattern, data)
+        reports, files, printed = [], [], []
+        for threads in (1, 2, 4):
+            grids = tmp_path / f"lib{threads}"
+            grids.mkdir()
+            report = run_application_pipeline(
+                pattern, self.H_VALUES[:k], grid_dir=grids, grid_resolution=16, threads=threads
+            )
+            report.to_csv(grids / "report.csv")
+            reports.append(report)
+            files.append({f.name: f.read_bytes() for f in grids.iterdir()})
+            capsys.readouterr()
+            files.append(self.apply(data, tmp_path / f"cli{threads}", k, threads))
+            printed.append(capsys.readouterr().out.replace(f"cli{threads}", "cli"))
+        assert reports[1:] == reports[:-1] and len(reports[0].rows) == k
+        assert all(f == files[0] for f in files) and len(files[0]) == k + 1
+        assert printed[1:] == printed[:-1]
+
+    @pytest.mark.parametrize(
+        "k, threads, maps",
+        [
+            (1, 2, [2, 2]),  # one fit maps its two stages on both workers
+            (2, 2, [2]),  # one map of the bandwidths; each fit runs whole in its worker
+            (3, 2, [2]),
+            (2, 4, [2, 2, 2]),  # two workers a fit: the caller's own fit maps both its stages
+            (3, 4, [3]),
+        ],
+    )
+    def test_the_callers_maps(self, pattern, pools, pool_at_any_size, k, threads, maps):
+        run_application_pipeline(pattern, self.H_VALUES[:k], threads=threads)
+        assert pools == maps
+
+    def test_a_workers_degenerate_fit_is_logged_once(
+        self, pattern, tmp_path, monkeypatch, caplog, pools, pool_at_any_size
+    ):
+        flat = substat.estimate.loglik  # the second bandwidth's profile is flat: a worker's fit
+
+        def profile(pattern, estimator, **kwargs):
+            return 0.0 if estimator.h == self.H_VALUES[1] else flat(pattern, estimator, **kwargs)
+
+        monkeypatch.setattr(substat.estimate, "loglik", profile)
+        data = tmp_path / "pat.csv"
+        export_pattern_csv(pattern, data)
+        with caplog.at_level("WARNING"):
+            self.apply(data, tmp_path / "out", 2, 2)
+        assert pools == [2]
+        assert [r.message for r in caplog.records if r.name == "substat.cli"] == [
+            "profile log-likelihood is flat across directions; the fitted angle is not informative"
+        ]
+
+
 class TestRender:
     def test_line_svg_is_deterministic(self, tmp_path, pattern):
         est = SubstationaryIntensity(pattern, 0.0, 0.1)
@@ -417,6 +486,22 @@ class TestCli:
             if not line.startswith("#") and line != "v,lambda_hat"
         ]
         assert len(rows) == 4
+
+    def test_the_stationary_estimate_notes_an_unused_bandwidth(self, tmp_path, capsys, caplog):
+        data = self.simulate_file(tmp_path)
+        capsys.readouterr()
+        args = ["estimate-intensity", "--data", str(data), "--region", "0,2,0,1"]
+        runs = []
+        for i, h in enumerate(([], ["--h", "0.05"])):
+            out = tmp_path / f"grid{i}.csv"
+            caplog.clear()
+            with caplog.at_level("INFO"):
+                assert main([*args, "--estimator", "stationary", "--out", str(out), *h]) == 0
+            notes = [r.message for r in caplog.records if r.name == "substat.cli"]
+            runs.append((out.read_bytes(), capsys.readouterr().out.replace(f"grid{i}", "grid"), notes))
+        assert runs[0][:2] == runs[1][:2]  # the same file and stdout
+        assert runs[0][2] == []
+        assert runs[1][2] == ["--estimator stationary takes no bandwidth; --h 0.05 is not used"]
 
     def test_select_bandwidth_prints_choice(self, tmp_path, capsys):
         data = self.simulate_file(tmp_path)
@@ -732,7 +817,9 @@ class TestCli:
         [
             (["--h-values", "0.05,0.1,-1"], "bandwidth"),
             (["--h-values", "0.05", "--resolution", "1", "--grid-dir", "GRIDS"], "resolution"),
+            (["--h-values", "0.05", "--resolution", "1"], "resolution"),  # read by no grid
             (["--h-values", "0.05", "--threshold", "nan"], "threshold"),
+            (["--h-values", "0.05,0.1", "--threads", "-1"], "threads"),
         ],
     )
     def test_apply_checks_every_input_before_the_first_fit(

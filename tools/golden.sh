@@ -93,8 +93,9 @@ run fit-subspace-open fit-subspace --data open.csv --region 0,10,0,1 --h 0.05 \
 # shifted to its lower-left corner
 run ingest ingest --data pattern.csv --region 0.5,1.75,0.2,0.9 --out ingested.csv
 # the application report on an open search: the axis row reads theta = 0
-# from a trace of both stages of the search
+# from a trace of both stages of the search; on two workers the two
+# bandwidths' fits run in two processes
 run apply-open apply --data pattern.csv --region 0,2,0,1 --h-values 0.05,0.1 \
-    --search-halfwidth none --out report-open.csv
+    --search-halfwidth none --threads 2 --out report-open.csv
 
 find . -type f | LC_ALL=C sort | xargs sha256sum
