@@ -42,7 +42,8 @@ from .io import (
     DataError,
     RegionSpec,
     _field,
-    _text_lines,
+    _decoded,
+    _numbered,
     _write_csv,
     export_intensity_grid,
     export_pattern_csv,
@@ -89,9 +90,9 @@ def _region(text: str) -> RegionSpec:
 
 
 def load_config(path) -> dict[str, str]:
-    """Read ``key = value`` lines as a data file's are read (``io._text_lines``)."""
+    """Read ``key = value`` lines as a data file's are read (``io._decoded``, ``io._numbered``)."""
     out: dict[str, str] = {}
-    for lineno, line in _text_lines(path):
+    for lineno, line in _numbered(_decoded(path)):
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")

@@ -67,10 +67,9 @@ class Window:
     omega: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.z > 0.0 and math.isfinite(self.z)):
-            raise ValueError(f"window extent z must be positive, got {self.z}")
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError(f"window extent omega must be positive, got {self.omega}")
+        for name, extent in (("z", self.z), ("omega", self.omega)):
+            if not (extent > 0.0 and math.isfinite(extent)):
+                raise ValueError(f"window extent {name} must be a positive finite number, got {extent}")
 
     @property
     def area(self) -> float:

@@ -1,10 +1,15 @@
 """CSV ingestion and export, plus the end-to-end application pipeline.
 
 File conventions: comma-separated, ``.`` decimal point, UTF-8, LF line
-endings, mandatory header, ``#``-prefixed comment lines skipped.  ``_field``
-is the one place values are written, in fields and ``# key: value`` comments
-alike: floats with ``repr``, whose shortest-roundtrip form makes exports
-bit-reproducible and re-ingestable without loss, booleans in lower case.
+endings, mandatory header, ``#``-prefixed comment lines skipped.  ``_decoded``
+reads every text file into its lines and ``_numbered`` numbers them.  Ingest
+parses the rows below the header in one numpy pass (``_fast_rows``); a file
+that pass refuses goes to the line loop (``_line_rows``), which accepts it or
+names its first faulty line.  Either way a file reads to the same floats.
+``_field`` is the one place values are written, in fields and ``# key:
+value`` comments alike: floats with ``repr``, whose shortest-roundtrip form
+makes exports bit-reproducible and re-ingestable without loss, booleans in
+lower case.
 
 Geographic coordinates are treated as planar: a rectangle in degrees maps
 affinely onto the canonical window with no map projection.  That keeps
@@ -15,6 +20,7 @@ should project before ingesting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -49,18 +55,25 @@ class MalformedDataError(DataError):
     """A data file violated the expected format; carries the line number."""
 
 
-def _text_lines(path, fault=ValueError) -> list[tuple[int, str]]:
-    """The ``(line number, stripped line)`` pairs of a UTF-8 file, less blank and ``#`` lines:
-    the one reader of the package's text files, with or without a byte-order mark.  A byte
-    that is not UTF-8 raises ``fault`` naming the path and the byte's line."""
+def _decoded(path, fault=ValueError) -> list[str]:
+    """The lines of a UTF-8 file, with or without a byte-order mark, split at its CR, CRLF
+    and LF endings: the one reader of the package's text files.  A byte that is not UTF-8
+    raises ``fault`` naming the path and the byte's line."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            numbered = enumerate(fh.read().split("\n"), start=1)  # read() turns CR and CRLF into LF
+            return fh.read().split("\n")  # read() turns CR and CRLF into LF
     except UnicodeDecodeError as exc:  # read() decodes the whole file: every byte before it
         head, byte = exc.object[: exc.start], exc.object[exc.start]
         lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise fault(f"{path}: line {lineno}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
-    return [(n, line) for n, raw in numbered if (line := raw.strip()) and line[0] != "#"]
+
+
+def _numbered(lines):
+    """The ``(line number, stripped line)`` pairs of ``lines``, less blank and ``#`` lines,
+    one at a time, so a reader that stops early strips no further line."""
+    for n, raw in enumerate(lines, start=1):
+        if (line := raw.strip()) and line[0] != "#":
+            yield n, line
 
 
 def _write_lines(path, lines) -> None:
@@ -90,20 +103,32 @@ class RegionSpec:
         return Window(self.x_max - self.x_min, self.y_max - self.y_min)
 
 
-def ingest_csv(path, region: RegionSpec) -> PointPattern:
-    """Load an ``x,y`` CSV, keep points inside the region, canonicalize.
+def _fast_rows(lines: list[str]):
+    """The x and y columns of the rows among ``lines``, in one numpy pass; None where the pass
+    refuses them and the line loop must decide.
 
-    Points outside the closed region are dropped (count logged);
-    coordinates are shifted so the region's lower-left corner becomes the
-    origin.  Malformed rows raise MalformedDataError with their line
-    number.  An empty result is allowed but logged as a warning.
+    With ``comments=None`` numpy skips empty lines, as the loop does, and refuses a ``#``
+    line, a line of whitespace, a row whose field count differs from the others' and every
+    value its parser rejects (``1_0``, ``１``, which ``float()`` takes); this refuses rows
+    that all hold some other count than two fields, a non-finite value, and lines without
+    a row, on which ``loadtxt`` warns.  Numpy parses with the routine ``float()`` calls,
+    so accepted lines give the loop's floats.
     """
-    lines = _text_lines(path, MalformedDataError)
-    if not lines:
-        raise MalformedDataError(f"{path}: missing 'x,y' header")
-    (lineno, header), rows = lines[0], lines[1:]
-    if [c.strip().lower() for c in header.split(",")] != ["x", "y"]:
-        raise MalformedDataError(f"{path}: line {lineno}: expected header 'x,y', got {header!r}")
+    if not any(lines):
+        return None
+    try:
+        xy = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if xy.shape[1] != 2 or not np.isfinite(xy).all():
+        return None
+    return xy[:, 0], xy[:, 1]
+
+
+def _line_rows(path, lines):
+    """The x and y columns of the numbered ``lines`` below the header, parsed row by row, or
+    MalformedDataError naming the first faulty row's line."""
+    rows = list(lines)
     xs, ys, error = [], [], None
     for lineno, line in rows:
         parts = line.split(",")
@@ -123,6 +148,29 @@ def ingest_csv(path, region: RegionSpec) -> PointPattern:
         error = f"line {rows[int(finite.argmin())][0]}: non-finite coordinate"
     if error is not None:
         raise MalformedDataError(f"{path}: {error}")
+    return x_arr, y_arr
+
+
+def ingest_csv(path, region: RegionSpec) -> PointPattern:
+    """Load an ``x,y`` CSV, keep points inside the region, canonicalize.
+
+    Points outside the closed region are dropped (count logged);
+    coordinates are shifted so the region's lower-left corner becomes the
+    origin.  Malformed rows raise MalformedDataError with their line
+    number.  An empty result is allowed but logged as a warning.
+
+    The rows are parsed in one numpy pass (``_fast_rows``); a text that
+    pass refuses goes to the line loop (``_line_rows``), which accepts or
+    refuses it and names a faulty row's line.
+    """
+    lines = _decoded(path, MalformedDataError)
+    numbered = _numbered(lines)
+    lineno, header = next(numbered, (0, None))
+    if header is None:
+        raise MalformedDataError(f"{path}: missing 'x,y' header")
+    if [c.strip().lower() for c in header.split(",")] != ["x", "y"]:
+        raise MalformedDataError(f"{path}: line {lineno}: expected header 'x,y', got {header!r}")
+    x_arr, y_arr = _fast_rows(lines[lineno:]) or _line_rows(path, numbered)
     keep = (
         (x_arr >= region.x_min)
         & (x_arr <= region.x_max)
@@ -259,12 +307,13 @@ def run_application_pipeline(
     Every input is checked before the first fit; a repeated bandwidth
     raises ValueError.
 
-    The k bandwidths' fits are one map of at most ``threads`` processes
-    (``_map_ordered``, priced as the sum of their ``_fit_pairs``), and each fit
-    maps its own angles on ``max(1, w // k)`` of the run's w workers: with one
-    bandwidth the fit has them all, with k >= w each fit runs whole in one
-    worker.  The report does not depend on ``threads``.  Every fit ends before
-    the first grid is written, and a forked fit's warnings reach the caller
+    The k bandwidths' fits run on the run's w workers (``_workers(threads)``) in
+    two maps (``_map_ordered``, each priced as the sum of its fits'
+    ``_fit_pairs``): the first k - k mod w fits one worker each, each fit run
+    whole, then the last k mod w fits, each mapping its own angles on
+    w // (k mod w) workers.  With one bandwidth the fit has them all.  The
+    report does not depend on ``threads``.  Every fit ends before the first
+    grid is written, and a forked fit's warnings reach the caller
     after its own share's, not in bandwidth order.
     """
     h_list = [validate_bandwidth(h) for h in h_values]
@@ -275,14 +324,17 @@ def run_application_pipeline(
         raise ValueError("threshold must be a number, got nan")
     if grid_resolution is not None:
         _count("resolution", grid_resolution, 2)
-    inner = max(1, _workers(threads) // len(h_list))
-    pairs = sum(_fit_pairs(pattern.n, pattern.window, h, search_halfwidth_deg) for h in h_list)
-
-    def job(h: float):
-        return fit_theta(pattern, h, search_halfwidth_deg=search_halfwidth_deg, threads=inner)
-
+    w, k = _workers(threads), len(h_list)
+    whole = k - k % w  # fits that run whole in one worker each; the rest share the w workers
+    fits = []
+    for share, inner in ((h_list[:whole], 1), (h_list[whole:], w // max(1, k - whole))):
+        job = functools.partial(
+            fit_theta, pattern, search_halfwidth_deg=search_halfwidth_deg, threads=inner
+        )
+        pairs = sum(_fit_pairs(pattern.n, pattern.window, h, search_halfwidth_deg) for h in share)
+        fits += _map_ordered(job, share, w, pairs)
     rows = []
-    for h, fit in zip(h_list, _map_ordered(job, h_list, threads, pairs)):
+    for h, fit in zip(h_list, fits):
         ll_axis = dict(fit.trace)[0.0]
         delta = fit.loglik - ll_axis
         rows.append(

@@ -249,6 +249,13 @@ class TestWindowAndPattern:
             Window(0.0, 1.0)
         with pytest.raises(ValueError):
             Window(1.0, -2.0)
+        # inf is positive: the message asks for a finite extent too
+        for z, omega, name, value in ((math.inf, 1.0, "z", "inf"), (1.0, math.nan, "omega", "nan")):
+            with pytest.raises(ValueError) as raised:
+                Window(z, omega)
+            assert str(raised.value) == (
+                f"window extent {name} must be a positive finite number, got {value}"
+            )
 
     def test_area(self):
         assert Window(3, 2).area == 6.0

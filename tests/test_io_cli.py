@@ -88,6 +88,26 @@ class TestRegionSpec:
         assert region.window.omega == pytest.approx(3.3, abs=1e-9)
 
 
+# the first faulty row is reported, whether it fails to parse or parses to inf or nan
+FAULTY_ROWS = [
+    ("0.5,0.5\ninf,0.5\n", "line 3: non-finite coordinate"),
+    ("0.5,nan\n1,2,3\n", "line 2: non-finite coordinate"),
+    ("-inf,1\nfoo,1\n", "line 2: non-finite coordinate"),
+    ("1,2,3\n0.5,nan\n", "line 2: expected two comma-separated values"),
+    ("foo,1\n0.5,nan\n", "line 2: could not convert string to float: 'foo'"),
+]
+
+# the line of a byte that is not UTF-8, counted as the rows' lines are, whatever the endings
+NOT_UTF8 = [
+    (b"x,y\n0.5,0.5\n\xff\n", "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+    (
+        b"\xef\xbb\xbfx,y\r\n0.5,0.5\r0.5,0.5\n0.5,\xe20.5\n",
+        "line 4: byte 0xe2 is not UTF-8 (invalid continuation byte)",
+    ),
+    (b"x,y\r\r\n\n0.5,0.5\xc3\n", "line 4: byte 0xc3 is not UTF-8 (invalid continuation byte)"),
+]
+
+
 class TestIngest:
     def test_keeps_inside_and_drops_outside(self, tmp_path):
         f = tmp_path / "pts.csv"
@@ -123,17 +143,7 @@ class TestIngest:
         with pytest.raises(MalformedDataError, match="line 2"):
             ingest_csv(f, RegionSpec(0, 1, 0, 1))
 
-    # the first faulty row is reported, whether it fails to parse or parses to inf or nan
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ("0.5,0.5\ninf,0.5\n", "line 3: non-finite coordinate"),
-            ("0.5,nan\n1,2,3\n", "line 2: non-finite coordinate"),
-            ("-inf,1\nfoo,1\n", "line 2: non-finite coordinate"),
-            ("1,2,3\n0.5,nan\n", "line 2: expected two comma-separated values"),
-            ("foo,1\n0.5,nan\n", "line 2: could not convert string to float: 'foo'"),
-        ],
-    )
+    @pytest.mark.parametrize("rows, message", FAULTY_ROWS)
     def test_the_first_faulty_row_is_reported(self, tmp_path, rows, message):
         f = tmp_path / "pts.csv"
         f.write_text("x,y\n" + rows)
@@ -141,18 +151,7 @@ class TestIngest:
             ingest_csv(f, RegionSpec(0, 1, 0, 1))
         assert str(raised.value) == f"{f}: {message}"
 
-    # the line of a byte that is not UTF-8, counted as the rows' lines are, whatever the endings
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            (b"x,y\n0.5,0.5\n\xff\n", "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
-            (
-                b"\xef\xbb\xbfx,y\r\n0.5,0.5\r0.5,0.5\n0.5,\xe20.5\n",
-                "line 4: byte 0xe2 is not UTF-8 (invalid continuation byte)",
-            ),
-            (b"x,y\r\r\n\n0.5,0.5\xc3\n", "line 4: byte 0xc3 is not UTF-8 (invalid continuation byte)"),
-        ],
-    )
+    @pytest.mark.parametrize("content, message", NOT_UTF8)
     def test_a_byte_that_is_not_utf8_reports_its_line(self, tmp_path, content, message):
         f = tmp_path / "pts.csv"
         f.write_bytes(content)
@@ -187,6 +186,129 @@ class TestIngest:
         assert back.n == pattern.n
         assert np.array_equal(back.x, pattern.x)
         assert np.array_equal(back.y, pattern.y)
+
+
+# every malformed file of TestIngest and TestCli
+MALFORMED = [
+    b"x,y\n0.5,0.5\n1,2,3\n",
+    b"# exported\r\nx,y\r\n\r\n0.5,0.5\r\n1,2,3\r\n",
+    b"x,y\nfoo,0.5\n",
+    b"0.5,0.5\n",
+    b"x,y\n1,2,3\n",
+    *[b"x,y\n" + rows.encode() for rows, _ in FAULTY_ROWS],
+    *[content for content, _ in NOT_UTF8],
+]
+
+# (file, the path that decides it): numpy's pass accepts the file, or the line loop decides
+CORPUS = [
+    (b"x,y\n+1,0.5\n", "numpy"),
+    (b"x,y\n 1.5 ,0.5\n", "numpy"),
+    (b"x,y\n\t2,0.5\n", "numpy"),
+    (b"x,y\n.5,5.\n", "numpy"),
+    ("x,y\n\xa01.5\xa0,\xa00.5\n".encode(), "numpy"),
+    (b"x,y\r\n1.5,0.5\r\n0.25,0.5\r\n", "numpy"),
+    (b"x,y\r1.5,0.5\r0.25,0.5\r", "numpy"),
+    (b"\xef\xbb\xbfx,y\n1.5,0.5\n", "numpy"),
+    (b"# above\n\n  # indented\nx,y\n1.5,0.5\n", "numpy"),
+    (b"x,y\n1.5,0.5\n\n0.25,0.5", "numpy"),  # an empty line: both skip it
+    (b"x,y\n1e500,0.5\n", "loop"),  # inf, refused by both: the loop names the line
+    (b"x,y\nnan,0.5\n", "loop"),
+    (b"x,y\n0.5,inf\n", "loop"),
+    (b"x,y\n0.5,0.5\n-Infinity,0.5\n", "loop"),
+    (b"x,y\n1_0,0.5\n", "loop"),  # float() takes these three, numpy's parser does not
+    ("x,y\n\uff11,0.5\n".encode(), "loop"),
+    ("x,y\n\u0663,0.5\n".encode(), "loop"),
+    (b"x,y\n0x10,0.5\n", "loop"),
+    (b"x,y\n1d5,0.5\n", "loop"),
+    (b"x,y\n,0.5\n", "loop"),
+    (b"x,y\n0.5\n", "loop"),
+    (b"x,y\n1,2,3\n", "loop"),
+    (b"x,y\n0.5,0.5\n1,2,3\n", "loop"),
+    (b"x,y\n1.5 # c,0.5\n", "loop"),
+    (b"x,y\n0.5,0.5 # c\n", "loop"),
+    (b"x,y\n0.5,0.5\n \t \n0.25,0.5\n", "loop"),  # a whitespace-only line
+    ("x,y\n0.5,0.5\n\xa0\n".encode(), "loop"),
+    (b"x,y\n# below\n1.5,0.5\n", "loop"),
+    (b"x,y\n", "loop"),  # a header without rows
+    (b"x,y", "loop"),
+    (b"x,y\n\n\n", "loop"),
+]
+
+
+def ingested(path):
+    """What ``ingest_csv`` makes of a file: its coordinates' bytes, or its error."""
+    try:
+        pat = ingest_csv(path, RegionSpec(-20.0, 20.0, -20.0, 20.0))
+    except MalformedDataError as exc:
+        return type(exc), str(exc)
+    return pat.x.tobytes(), pat.y.tobytes()
+
+
+class TestIngestPaths:
+    """The numpy pass and the line loop accept and refuse every file alike: the same floats,
+    or the same error, message and line."""
+
+    def both(self, monkeypatch, path):
+        """``ingest_csv``'s outcome, the line loop's alone, and the path that decided it."""
+        got = ingested(path)
+        with monkeypatch.context() as m:
+            m.setattr(substat.io, "_fast_rows", lambda lines: None)
+            loop = ingested(path)
+
+        def no_loop(path, lines):
+            raise AssertionError("the line loop ran")
+
+        with monkeypatch.context() as m:
+            m.setattr(substat.io, "_line_rows", no_loop)
+            try:
+                ingested(path)
+                decided = "numpy"
+            except AssertionError:
+                decided = "loop"
+        return got, loop, decided
+
+    @pytest.mark.parametrize("content", MALFORMED)
+    def test_a_malformed_file_gets_the_loops_error(self, tmp_path, monkeypatch, content):
+        f = tmp_path / "pts.csv"
+        f.write_bytes(content)
+        got, loop, _ = self.both(monkeypatch, f)
+        assert got == loop and got[0] is MalformedDataError
+
+    @pytest.mark.parametrize("content, path", CORPUS)
+    def test_each_path_decides_as_the_loop_does(self, tmp_path, monkeypatch, content, path):
+        f = tmp_path / "pts.csv"
+        f.write_bytes(content)
+        got, loop, decided = self.both(monkeypatch, f)
+        assert got == loop
+        assert decided == path
+
+    def test_many_written_floats_are_read_bit_for_bit(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        values = np.concatenate(
+            [rng.uniform(-20, 20, 300), rng.standard_normal(100) * 1e-300, [0.0, -0.0, 5e-324]]
+        )
+        forms = ("{!r}", "{:.17g}", "{:.3e}", "{:.20f}", "{:+.1f}", " {:.9} ")
+        rows = [
+            f"{forms[i % 6].format(v)},{forms[(i + 1) % 6].format(-v)}"
+            for i, v in enumerate(values.tolist())
+        ]
+        f = tmp_path / "pts.csv"
+        f.write_text("x,y\n" + "\n".join(rows) + "\n")
+        got, loop, decided = self.both(monkeypatch, f)
+        assert got == loop and decided == "numpy"
+        assert len(got[0]) == 8 * values.size
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(["", "1", "-0.5", "2e3", "inf"]),
+        st.text("019.eE+-_ nafiINF#,\t\xa0\n\uff11\u0663x", max_size=8),
+    )
+    def test_a_field_is_read_alike_whatever_its_text(self, tmp_path_factory, number, text):
+        f = tmp_path_factory.mktemp("field") / "pts.csv"
+        f.write_text(f"x,y\n0.5,{number}{text}\n", encoding="utf-8")
+        with pytest.MonkeyPatch.context() as m:
+            got, loop, _ = self.both(m, f)
+        assert got == loop
 
 
 class TestGridExport:
@@ -334,7 +456,7 @@ class TestApplicationPipeline:
 class TestBandwidthMap:
     """apply maps its bandwidths over the workers; each fit maps its angles on its share."""
 
-    H_VALUES = (0.05, 0.1, 0.2)
+    H_VALUES = (0.05, 0.1, 0.2, 0.03, 0.15)
 
     def apply(self, data, out, k, threads):
         out.mkdir()
@@ -344,7 +466,7 @@ class TestBandwidthMap:
         assert main([*args, *values, "--resolution", "16", "--grid-dir", str(out)]) == 0
         return {f.name: f.read_bytes() for f in out.iterdir()}
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_the_report_and_its_files_are_the_same_at_any_thread_count(
         self, pattern, tmp_path, capsys, pool_at_any_size, k
     ):
@@ -372,9 +494,13 @@ class TestBandwidthMap:
         [
             (1, 2, [2, 2]),  # one fit maps its two stages on both workers
             (2, 2, [2]),  # one map of the bandwidths; each fit runs whole in its worker
-            (3, 2, [2]),
+            # k > w: the first k - k mod w fits run whole, one a worker, then the last
+            # k mod w share the workers: the third fit maps its two stages on both
+            (3, 2, [2, 2, 2]),
             (2, 4, [2, 2, 2]),  # two workers a fit: the caller's own fit maps both its stages
             (3, 4, [3]),
+            (5, 2, [2, 2, 2]),
+            (5, 4, [4, 4, 4]),
         ],
     )
     def test_the_callers_maps(self, pattern, pools, pool_at_any_size, k, threads, maps):

@@ -97,5 +97,10 @@ run ingest ingest --data pattern.csv --region 0.5,1.75,0.2,0.9 --out ingested.cs
 # bandwidths' fits run in two processes
 run apply-open apply --data pattern.csv --region 0,2,0,1 --h-values 0.05,0.1 \
     --search-halfwidth none --threads 2 --out report-open.csv
+# a file that ingest's numpy pass refuses and its line loop reads: CRLF
+# endings, a comment and a blank line below the header, and 1_0, which the
+# loop reads as 10
+printf 'x,y\r\n0.5,0.25\r\n# a note\r\n\r\n1_0,0.75\r\n3.5,0.5\r\n' > fallback.csv
+run ingest-fallback ingest --data fallback.csv --region 0,20,0,1 --out ingested-fallback.csv
 
 find . -type f | LC_ALL=C sort | xargs sha256sum
