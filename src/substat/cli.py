@@ -65,7 +65,7 @@ logger = logging.getLogger(__name__)
 _GRID_HELP = f"grid cells per axis; None: {GRID_CELLS_1D}, kernel2d {GRID_CELLS_2D}"
 _HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
 _THREADS_HELP = (
-    "the most worker processes, 0 = one per CPU; apply splits them across its bandwidths; "
+    "the most worker processes, 0 = one per CPU; apply maps its bandwidths, or one bandwidth's angles; "
     f"maps priced under {_FORK_MIN_PAIRS} kernel pairs run on one"
 )
 

@@ -400,24 +400,17 @@ def _openblas():
     return None
 
 
-def _workers(threads: int) -> int:
-    """The worker processes ``threads`` allows: itself, or one per CPU at 0; ValueError
-    unless an integer >= 0.  ``_map_ordered`` reads it, and so does
-    ``io.run_application_pipeline`` to split the workers across its fits."""
-    _count("threads", threads, 0)
-    return threads or os.cpu_count() or 1
-
-
 def _map_ordered(job, args, threads: int, pairs: float) -> list:
     """``job`` of each of the sequence ``args``, in order, on at most ``threads`` processes.
 
-    ``threads`` caps the workers w (``_workers``, checked before any job).  The caller
-    runs jobs 0, w, 2w, ... and w - 1 forked children, which inherit ``job``, the rest;
-    below ``_FORK_MIN_PAIRS`` kernel pairs, the map's price (``_evaluation_pairs`` an
-    evaluation, ``_fit_pairs`` a fit), or without fork, the caller runs every job.  A
-    job's error re-raises here with its type (a RuntimeError with its repr if it does not
-    pickle); a warning that passes a worker's inherited filters is issued again here with
-    its category, message, file and line.
+    ``threads`` caps the workers w, one per CPU at 0; it raises ValueError, before any job,
+    unless an integer >= 0.  The caller runs jobs 0, w, 2w, ... and w - 1 forked children,
+    which inherit ``job``, the rest; below ``_FORK_MIN_PAIRS`` kernel pairs, the map's price
+    (``_evaluation_pairs`` an evaluation, ``_fit_pairs`` a fit), or without fork, the caller
+    runs every job.  No child forks again: a job that maps in turn (``fit_theta``) gets one
+    worker, or is the map's only job.  A job's error re-raises here with its type (a
+    RuntimeError with its repr if it does not pickle); a warning that passes a worker's
+    inherited filters is issued again here with its category, message, file and line.
 
     While a map forks, numpy's OpenBLAS (``_openblas``) runs one thread, in the caller's
     share and in the children, which inherit it, so that w workers never run w times its
@@ -426,7 +419,8 @@ def _map_ordered(job, args, threads: int, pairs: float) -> list:
     From Python 3.12 a fork beside another thread warns, failing an error filter; at one BLAS
     thread OpenBLAS still keeps its own second OS thread, so the rule does not silence that.
     """
-    workers = min(_workers(threads), len(args))
+    _count("threads", threads, 0)
+    workers = min(threads or os.cpu_count() or 1, len(args))
     if workers <= 1 or pairs < _FORK_MIN_PAIRS or not hasattr(os, "fork"):
         return [job(a) for a in args]
     import multiprocessing  # only where a map forks: a serial run never loads it

@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .estimate import SubstationaryIntensity, _cells, _fit_pairs, _map_ordered, _workers, fit_theta
+from .estimate import SubstationaryIntensity, _cells, _fit_pairs, _map_ordered, fit_theta
 from .geometry import DataError, PointPattern, Window, _count, _distinct
 from .kernels import validate_bandwidth
 
@@ -307,14 +307,13 @@ def run_application_pipeline(
     Every input is checked before the first fit; a repeated bandwidth
     raises ValueError.
 
-    The k bandwidths' fits run on the run's w workers (``_workers(threads)``) in
-    two maps (``_map_ordered``, each priced as the sum of its fits'
-    ``_fit_pairs``): the first k - k mod w fits one worker each, each fit run
-    whole, then the last k mod w fits, each mapping its own angles on
-    w // (k mod w) workers.  With one bandwidth the fit has them all.  The
-    report does not depend on ``threads``.  Every fit ends before the first
-    grid is written, and a forked fit's warnings reach the caller
-    after its own share's, not in bandwidth order.
+    The fits run in one map (``_map_ordered``, priced as the sum of the fits'
+    ``_fit_pairs``), one bandwidth a job: with several bandwidths each fit runs
+    whole in one worker, and with one the fit maps its own angles on all of
+    them, so no forked worker forks again.  The report does not depend on
+    ``threads``.  Every fit ends before the first grid is written, and a forked
+    fit's warnings reach the caller after its own share's, not in bandwidth
+    order.
     """
     h_list = [validate_bandwidth(h) for h in h_values]
     if not h_list:
@@ -324,15 +323,12 @@ def run_application_pipeline(
         raise ValueError("threshold must be a number, got nan")
     if grid_resolution is not None:
         _count("resolution", grid_resolution, 2)
-    w, k = _workers(threads), len(h_list)
-    whole = k - k % w  # fits that run whole in one worker each; the rest share the w workers
-    fits = []
-    for share, inner in ((h_list[:whole], 1), (h_list[whole:], w // max(1, k - whole))):
-        job = functools.partial(
-            fit_theta, pattern, search_halfwidth_deg=search_halfwidth_deg, threads=inner
-        )
-        pairs = sum(_fit_pairs(pattern.n, pattern.window, h, search_halfwidth_deg) for h in share)
-        fits += _map_ordered(job, share, w, pairs)
+    inner = threads if len(h_list) == 1 else 1  # a lone fit maps its angles, not the bandwidths
+    job = functools.partial(
+        fit_theta, pattern, search_halfwidth_deg=search_halfwidth_deg, threads=inner
+    )
+    pairs = sum(_fit_pairs(pattern.n, pattern.window, h, search_halfwidth_deg) for h in h_list)
+    fits = _map_ordered(job, h_list, threads, pairs)
     rows = []
     for h, fit in zip(h_list, fits):
         ll_axis = dict(fit.trace)[0.0]

@@ -1,9 +1,19 @@
+import contextlib
 import multiprocessing
+import warnings
 from types import SimpleNamespace
 
 import pytest
 
 from substat import estimate
+
+# hypothesis's pytest plugin imports this module to report a failing example, and the import
+# warns (DeprecationWarning, from mypy_extensions), which the suite's error filter would turn
+# into an INTERNALERROR that hides the example; imported here once, the report finds it loaded.
+# It needs libcst, an optional extra of hypothesis; without it the plugin skips the import too.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

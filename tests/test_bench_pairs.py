@@ -29,11 +29,12 @@ CANNED = [
     (result_line(9.9, 0.46, 9.0), result_line(9.95, 0.50, 9.5)),
 ]
 BETTER = {"session_cal": "lower", "setup_s": "lower", "rate": "higher"}
+DECLARED_METRICS = {m: {"name": m, "better": b, "bound": 0.2} for m, b in BETTER.items()}
 
 
 def test_the_summary_gives_medians_quartiles_and_pairs_won():
     pairs = [(json.loads(p), json.loads(c)) for p, c in CANNED]
-    rows = {row["metric"]: row for row in bench_pairs.summarize(pairs, BETTER)}
+    rows = {row["metric"]: row for row in bench_pairs.summarize(pairs, DECLARED_METRICS)}
     assert list(rows) == ["session_cal", "setup_s", "rate"]
     cal = rows["session_cal"]
     assert cal["parent"] == pytest.approx(9.75)  # the median of 9.3, 9.6, 9.9, 10.0
@@ -45,14 +46,43 @@ def test_the_summary_gives_medians_quartiles_and_pairs_won():
     assert rows["rate"]["won"] == 3  # higher is better: 12 > 10, 13 > 10, 9.5 > 9
     line = bench_pairs.format_row(cal)
     assert line.startswith("session_cal: parent 9.75 [9.525-9.925] -> change 7.8")
-    assert line.endswith("(-20.0%), change better in 3 of 4 pairs")
+    assert line.endswith("(-20.0%), change better in 3 of 4 pairs: no change")  # 3 < 0.9 * 4
+    assert cal["verdict"] == "no change" and rows["rate"]["verdict"] == "no change"
 
 
 def test_one_pair_is_its_own_quartiles():
     pairs = [(json.loads(CANNED[0][0]), json.loads(CANNED[0][1]))]
-    (cal, *_) = bench_pairs.summarize(pairs, BETTER)
+    (cal, *_) = bench_pairs.summarize(pairs, DECLARED_METRICS)
     assert cal["parent_quartiles"] == (9.6, 9.6)
     assert (cal["won"], cal["pairs"]) == (1, 1)
+    assert cal["verdict"] == "no change"  # won, but a gain needs ten pairs
+
+
+# ten parent runs: median 10.0, inclusive quartiles 9.9125 and 10.0875
+TEN = [9.7, 9.8, 9.9, 9.95, 10.0, 10.0, 10.05, 10.1, 10.2, 10.3]
+WIDE = [6.0, 8.0, 9.0, 10.0, 10.0, 10.0, 11.0, 12.0, 13.0, 15.0]  # quartiles 9.25 and 11.75
+
+
+@pytest.mark.parametrize("better, parent, change, expected", [
+    ("lower", TEN, [v - 1.0 for v in TEN], "gain"),  # 10 of 10, a gap of 1 against 0.175
+    ("lower", TEN, [v - 1.0 for v in TEN[:9]] + [10.4], "gain"),  # 9 of 10
+    ("lower", TEN, [v - 1.0 for v in TEN[:8]] + [10.25, 10.35], "no change"),  # 8 of 10
+    ("lower", TEN, [v - 0.1 for v in TEN], "no change"),  # 10 of 10, a gap of 0.1 < 0.175
+    ("higher", TEN, [v + 1.0 for v in TEN], "gain"),
+    ("higher", TEN, [v - 1.0 for v in TEN], "no change"),  # 10% worse, within the bound
+    ("lower", TEN, [v * 1.25 for v in TEN], "regression"),  # 25% worse
+    ("lower", TEN, [v * 1.2 for v in TEN], "no change"),  # 20% worse: at the bound, not past it
+    ("higher", TEN, [v * 0.75 for v in TEN], "regression"),
+    ("lower", WIDE, [v * 1.1 for v in WIDE], "unresolved"),  # spread 25% of the median
+    ("lower", WIDE, [v * 0.95 for v in WIDE], "unresolved"),
+    ("lower", WIDE, [5.9] * 10, "gain"),  # a gap of 4.1 against 2.5
+    ("lower", WIDE, [v * 1.3 for v in WIDE], "regression"),  # a regression is read first
+    ("lower", [10.0, 10.0, 20.0, 20.0], [9.5] * 4, "no change"),  # separate, a gap of 5.5 < 10
+    ("lower", TEN[:9], [v - 1.0 for v in TEN[:9]], "no change"),  # 9 of 9 by a wide gap: < 10 pairs
+    ("lower", WIDE[:9], [5.9] * 9, "no change"),
+])
+def test_verdicts(better, parent, change, expected):
+    assert bench_pairs.compare(parent, change, better, 0.2)["verdict"] == expected
 
 
 @pytest.mark.parametrize("text, seeds", [("3-5", [3, 4, 5]), ("7", [7]), ("4-4", [4])])
@@ -84,7 +114,7 @@ def fake_tree(tmp_path, names):
     """A tree whose BENCHMARK.json declares ``names`` and the canned lines' metrics."""
     benchmark = {
         "workloads": [{"name": w} for w in names],
-        "end_to_end": [{"name": m, "better": b} for m, b in BETTER.items()],
+        "end_to_end": list(DECLARED_METRICS.values()),
     }
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
     return str(tmp_path)
@@ -149,6 +179,7 @@ def test_the_last_line_records_the_invocation(tmp_path, monkeypatch, capsys):
     assert workload["command"] == "perfbench/run.py --workload w2 --seed SEED --seconds 2.0 --trace 0"
     cal = workload["metrics"][0]
     assert cal["metric"] == "session_cal" and (cal["won"], cal["pairs"]) == (3, 4)
+    assert cal["verdict"] == "no change"
     assert cal["parent"] == pytest.approx(9.75) and cal["change"] == pytest.approx(7.8)
     assert cal["parent_quartiles"] == pytest.approx([9.525, 9.925])
     assert cal["change_quartiles"] == pytest.approx(bench_pairs.quartiles([7.5, 7.1, 8.1, 9.95]))

@@ -1,5 +1,6 @@
 import inspect
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -454,7 +455,7 @@ class TestApplicationPipeline:
 
 
 class TestBandwidthMap:
-    """apply maps its bandwidths over the workers; each fit maps its angles on its share."""
+    """apply maps its bandwidths over the workers, or its one bandwidth's angles."""
 
     H_VALUES = (0.05, 0.1, 0.2, 0.03, 0.15)
 
@@ -466,7 +467,7 @@ class TestBandwidthMap:
         assert main([*args, *values, "--resolution", "16", "--grid-dir", str(out)]) == 0
         return {f.name: f.read_bytes() for f in out.iterdir()}
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_the_report_and_its_files_are_the_same_at_any_thread_count(
         self, pattern, tmp_path, capsys, pool_at_any_size, k
     ):
@@ -494,18 +495,28 @@ class TestBandwidthMap:
         [
             (1, 2, [2, 2]),  # one fit maps its two stages on both workers
             (2, 2, [2]),  # one map of the bandwidths; each fit runs whole in its worker
-            # k > w: the first k - k mod w fits run whole, one a worker, then the last
-            # k mod w share the workers: the third fit maps its two stages on both
-            (3, 2, [2, 2, 2]),
-            (2, 4, [2, 2, 2]),  # two workers a fit: the caller's own fit maps both its stages
+            (3, 2, [2]),  # the caller runs the first and third fits, the child the second
+            (2, 4, [2]),  # k < w: k workers, each fit whole in one
             (3, 4, [3]),
-            (5, 2, [2, 2, 2]),
-            (5, 4, [4, 4, 4]),
+            (5, 2, [2]),
+            (5, 4, [4]),
         ],
     )
     def test_the_callers_maps(self, pattern, pools, pool_at_any_size, k, threads, maps):
         run_application_pipeline(pattern, self.H_VALUES[:k], threads=threads)
         assert pools == maps
+
+    def test_no_forked_worker_forks_again(self, pattern, monkeypatch, pool_at_any_size):
+        map_ordered = substat.estimate._map_ordered
+
+        def in_the_caller_alone(job, args, threads, pairs):  # fit_theta's maps, in any process
+            if multiprocessing.parent_process() is not None and threads != 1:
+                raise AssertionError(f"a forked worker maps on {threads} workers")
+            return map_ordered(job, args, threads, pairs)
+
+        monkeypatch.setattr(substat.estimate, "_map_ordered", in_the_caller_alone)
+        report = run_application_pipeline(pattern, self.H_VALUES[:2], threads=4)
+        assert report == run_application_pipeline(pattern, self.H_VALUES[:2], threads=1)
 
     def test_a_workers_degenerate_fit_is_logged_once(
         self, pattern, tmp_path, monkeypatch, caplog, pools, pool_at_any_size

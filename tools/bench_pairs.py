@@ -9,15 +9,16 @@ tree, one after the other: the parent first at even seeds, the change first
 at odd ones, so neither tree always runs second.  It prints each run's
 end-to-end metrics, then one summary block per workload: for each metric,
 the parent's median and quartiles, the change's median and quartiles, the
-relative change of the medians and the pairs the change won (a pair is one
+relative change of the medians, the pairs the change won (a pair is one
 seed's two runs; a win is strictly better in the direction ``BENCHMARK.json``
-gives the metric).  Quartiles are ``statistics.quantiles(n=4,
-method="inclusive")``.  A workload whose run fails gets no block, and the
-next workload runs.  The last line printed is one JSON record of the whole
-invocation: each tree's ``git rev-parse HEAD`` (null outside a git checkout)
-and whether its tracked files differ from it, and for each summarized
-workload its seeds, run seconds, command and summary rows, the form that
-``BENCH_pairs.json`` lists.  Exits 1 if any run fails or is not correct.
+gives the metric) and a verdict against the metric's ``bound`` (``compare``).
+Quartiles are ``statistics.quantiles(n=4, method="inclusive")``.  A workload
+whose run fails gets no block, and the next workload runs.  The last line
+printed is one JSON record of the whole invocation: each tree's ``git
+rev-parse HEAD`` (null outside a git checkout) and whether its tracked files
+differ from it, and for each summarized workload its seeds, run seconds,
+command and summary rows, the form that ``BENCH_pairs.json`` lists.  Exits 1
+if any run fails or is not correct.
 """
 
 from __future__ import annotations
@@ -57,26 +58,52 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric's summary of its paired runs, ``better`` being "lower" or "higher" and
+    ``bound`` the worsening it allows relative to the parent's median.
+
+    The verdict is ``regression`` if the change's median is worse than the parent's by more
+    than the bound; ``gain`` if there are at least ten pairs, the change won at least nine in
+    ten, and its median is better than the parent's by more than the parent's interquartile
+    range; ``unresolved`` if that range is wider than the bound and not every run of the
+    change is better than every run of the parent; ``no change`` otherwise.
+    """
+    sign = -1.0 if better == "lower" else 1.0
+    p, c = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    won = sum(sign * (c_i - p_i) > 0 for p_i, c_i in zip(parent, change))
+    if sign * (p - c) > bound * abs(p):
+        verdict = "regression"
+    elif len(parent) >= 10 and 10 * won >= 9 * len(parent) and sign * (c - p) > q3 - q1:
+        verdict = "gain"
+    elif q3 - q1 > bound * abs(p) and min(sign * v for v in change) <= max(sign * v for v in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "no change"
+    return {
+        "parent": p,
+        "parent_quartiles": (q1, q3),
+        "change": c,
+        "change_quartiles": quartiles(change),
+        "won": won,
+        "pairs": len(parent),
+        "verdict": verdict,
+    }
+
+
+def summarize(pairs: list[tuple[dict, dict]], declared: dict[str, dict]) -> list[dict]:
     """One row per metric of the parsed (parent, change) results of ``perfbench/run.py``.
 
-    ``better`` maps each metric to "lower" or "higher"; the rows follow the
-    order of the first parent result's metrics.
+    ``declared`` maps each metric to its entry in ``BENCHMARK.json``'s ``end_to_end``
+    list, whose ``better`` and ``bound`` ``compare`` reads; the rows follow the order of
+    the first parent result's metrics.
     """
     rows = []
     for name in pairs[0][0]["metrics"]:
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        rows.append({
-            "metric": name,
-            "parent": statistics.median(parent),
-            "parent_quartiles": quartiles(parent),
-            "change": statistics.median(change),
-            "change_quartiles": quartiles(change),
-            "won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-            "pairs": len(pairs),
-        })
+        entry = declared[name]
+        rows.append({"metric": name, **compare(parent, change, entry["better"], entry["bound"])})
     return rows
 
 
@@ -86,7 +113,7 @@ def format_row(row: dict) -> str:
     (p1, p3), (c1, c3) = row["parent_quartiles"], row["change_quartiles"]
     return (
         f"{row['metric']}: parent {p:.4g} [{p1:.4g}-{p3:.4g}] -> change {c:.4g} [{c1:.4g}-{c3:.4g}]"
-        f" ({rel}), change better in {row['won']} of {row['pairs']} pairs"
+        f" ({rel}), change better in {row['won']} of {row['pairs']} pairs: {row['verdict']}"
     )
 
 
@@ -122,7 +149,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def pair_runs(args, workload: str, better: dict[str, str]) -> tuple[bool, dict | None]:
+def pair_runs(args, workload: str, declared: dict[str, dict]) -> tuple[bool, dict | None]:
     """Run one workload's pairs and print its summary block.
 
     Returns False if a run fails or is not correct, and the workload's record
@@ -143,7 +170,7 @@ def pair_runs(args, workload: str, better: dict[str, str]) -> tuple[bool, dict |
             print(f"{workload} seed {seed} {side}: correct={result[side]['correct']} {json.dumps(values)}")
         pairs.append((result["parent"], result["change"]))
     print(f"# {workload}, seeds {args.seeds.start}-{args.seeds.stop - 1}, {args.seconds} s runs")
-    rows = summarize(pairs, better)
+    rows = summarize(pairs, declared)
     for row in rows:
         print(format_row(row))
     record = {
@@ -166,14 +193,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    declared = {m["name"]: m for m in benchmark["end_to_end"]}
     try:
         names = workloads(args.workload, [w["name"] for w in benchmark["workloads"]])
     except ValueError as exc:
         parser.error(str(exc))
     ok, records = True, []
     for workload in names:
-        passed, record = pair_runs(args, workload, better)
+        passed, record = pair_runs(args, workload, declared)
         ok &= passed
         records += [record] if record else []
     trees = {side: revision(getattr(args, side)) for side in ("parent", "change")}
