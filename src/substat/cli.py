@@ -30,7 +30,6 @@ from .estimate import (
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
-    _FORK_MIN_PAIRS,
     _pick_bandwidth,
     bandwidth_cv_scores,
     fit_theta,
@@ -65,8 +64,8 @@ logger = logging.getLogger(__name__)
 _GRID_HELP = f"grid cells per axis; None: {GRID_CELLS_1D}, kernel2d {GRID_CELLS_2D}"
 _HALFWIDTH_HELP = "degrees around the axis to search; none or full = open search"
 _THREADS_HELP = (
-    "the most worker processes, 0 = one per CPU; apply maps its bandwidths, or one bandwidth's angles; "
-    f"maps priced under {_FORK_MIN_PAIRS} kernel pairs run on one"
+    "the most worker processes, 0 = one per CPU; a map forks whenever it gets two or more; "
+    "apply maps its bandwidths, or one bandwidth's angles"
 )
 
 

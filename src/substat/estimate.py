@@ -75,7 +75,6 @@ from .kernels import (
     _kernel_mass,
     _node_grid,
     _plan,
-    _sum_pairs,
     correction_2d,
     correction_substat_closed,
     validate_bandwidth,
@@ -103,7 +102,6 @@ GRID_CELLS_2D = 128
 FIT_GRID_STEP_DEG = 1.0
 # the refinement's half-spacing: the profile is scored at v - delta, v and v + delta
 _DELTA_DEG = 0.1
-_REFINE_EVALS = 4  # the most profile evaluations a fit makes after its coarse-grid nodes
 # the open search's two stages: every _OPEN_STRIDE-th node of the 1-degree grid, then the
 # nodes within _OPEN_REACH nodes of the first stage's _OPEN_PEAKS best local maxima
 _OPEN_STRIDE = 3
@@ -111,11 +109,6 @@ _OPEN_PEAKS = 3
 _OPEN_REACH = 2
 # the nodes beside a first-stage node that the second stage scores: -2, -1, 1 and 2
 _OPEN_OFFSETS = np.array([k for k in range(-_OPEN_REACH, _OPEN_REACH + 1) if k % _OPEN_STRIDE])
-# the fork gate in kernel pairs: an evaluation's work beside its sums, and the fewest a map
-# prices before it forks.  Serial +-6 degree fits (n 92-5991, h 0.01-0.05, one BLAS thread,
-# 2-core VM) took 0.32 ms an evaluation and 3.97 ns a pair; a map forks from about 24 ms
-_EVAL_PAIRS = 81_000
-_FORK_MIN_PAIRS = 6_000_000
 
 
 class BandwidthSelectionError(RuntimeError):
@@ -129,6 +122,9 @@ def _two_points(pattern: PointPattern, task: str) -> None:
 
 
 def _require_inside(window: Window, x, y) -> None:
+    """Every estimator's check of the locations (x, y): one shape, and inside the window."""
+    if np.shape(x) != np.shape(y):
+        raise ValueError("x and y must have the same shape")
     if not np.all(window.contains(x, y, tol=_DOMAIN_TOL)):
         raise ValueError("evaluation location outside the observation window")
 
@@ -243,11 +239,9 @@ class KernelIntensity2D:
         return self.pattern.window
 
     def evaluate(self, x, y):
+        _require_inside(self.window, x, y)
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if x_arr.shape != y_arr.shape:
-            raise ValueError("x and y must have the same shape")
-        _require_inside(self.window, x_arr, y_arr)
         sums = _direct_sums(self.h, self._x_data, x_arr, (self._y_data, y_arr))
         corr = correction_2d(self.window, self.h, x_arr, y_arr)
         return _shaped_like(x, sums / corr)
@@ -302,13 +296,6 @@ def _axis(estimator) -> Subspace:
 def _profile_targets(n: float, plan) -> float:
     """The targets of a profile evaluation's kernel sums: the n data and the plan's integral nodes."""
     return n + plan.nodes.size
-
-
-def _evaluation_pairs(n: float, window: Window, h: float, thetas: np.ndarray) -> float:
-    """A profile evaluation's price: ``_EVAL_PAIRS`` and its sums' ``_sum_pairs`` at the widest angle."""
-    widest = thetas[np.argmax(window.z * np.abs(np.sin(thetas)) + window.omega * np.cos(thetas))]
-    plan = _plan(Subspace(float(widest)), window, h)
-    return _EVAL_PAIRS + _sum_pairs(n, plan.layout[2], _profile_targets(n, plan))[0]
 
 
 def _cells(estimator, cells: int | None = None):
@@ -400,17 +387,17 @@ def _openblas():
     return None
 
 
-def _map_ordered(job, args, threads: int, pairs: float) -> list:
+def _map_ordered(job, args, threads: int) -> list:
     """``job`` of each of the sequence ``args``, in order, on at most ``threads`` processes.
 
-    ``threads`` caps the workers w, one per CPU at 0; it raises ValueError, before any job,
-    unless an integer >= 0.  The caller runs jobs 0, w, 2w, ... and w - 1 forked children,
-    which inherit ``job``, the rest; below ``_FORK_MIN_PAIRS`` kernel pairs, the map's price
-    (``_evaluation_pairs`` an evaluation, ``_fit_pairs`` a fit), or without fork, the caller
-    runs every job.  No child forks again: a job that maps in turn (``fit_theta``) gets one
-    worker, or is the map's only job.  A job's error re-raises here with its type (a
-    RuntimeError with its repr if it does not pickle); a warning that passes a worker's
-    inherited filters is issued again here with its category, message, file and line.
+    ``threads`` caps the workers w, one per CPU at 0, and so does the number of jobs; it
+    raises ValueError, before any job, unless an integer >= 0.  From w = 2 the map forks:
+    the caller runs jobs 0, w, 2w, ... and w - 1 forked children, which inherit ``job``, the
+    rest.  At one worker, or without fork, the caller runs every job.  No child forks again:
+    a job that maps in turn (``fit_theta``) gets one worker, or is the map's only job.  A
+    job's error re-raises here with its type (a RuntimeError with its repr if it does not
+    pickle); a warning that passes a worker's inherited filters is issued again here with
+    its category, message, file and line.
 
     While a map forks, numpy's OpenBLAS (``_openblas``) runs one thread, in the caller's
     share and in the children, which inherit it, so that w workers never run w times its
@@ -421,7 +408,7 @@ def _map_ordered(job, args, threads: int, pairs: float) -> list:
     """
     _count("threads", threads, 0)
     workers = min(threads or os.cpu_count() or 1, len(args))
-    if workers <= 1 or pairs < _FORK_MIN_PAIRS or not hasattr(os, "fork"):
+    if workers <= 1 or not hasattr(os, "fork"):
         return [job(a) for a in args]
     import multiprocessing  # only where a map forks: a serial run never loads it
     def work(k: int, conn) -> None:  # a child: its share's results, error and warnings
@@ -486,15 +473,6 @@ def _coarse_angles(search_halfwidth_deg: float | None) -> tuple[np.ndarray, floa
     return (thetas[:-1] if halfwidth == 90.0 else thetas), halfwidth
 
 
-def _fit_pairs(n: float, window: Window, h: float, search_halfwidth_deg: float | None) -> float:
-    """A fit's price: its most profile evaluations (its grid's nodes and the refinement), each
-    ``_evaluation_pairs`` at the widest of its coarse angles."""
-    thetas, halfwidth = _coarse_angles(search_halfwidth_deg)
-    two_stages = thetas.size // _OPEN_STRIDE + _OPEN_PEAKS * _OPEN_OFFSETS.size  # the open search
-    nodes = two_stages if halfwidth == 90.0 else thetas.size
-    return (nodes + _REFINE_EVALS) * _evaluation_pairs(n, window, h, thetas)
-
-
 def _second_stage(first: np.ndarray) -> np.ndarray:
     """The open search's second-stage nodes, as ascending indices into the 1-degree grid.
 
@@ -527,8 +505,8 @@ def fit_theta(
     degrees of the best 3 local maxima of those on the circle (at most 12
     more).  A quarter turn maps the first stage onto itself.
     The bandwidth is held fixed throughout.  ``threads``, the most worker
-    processes for a stage, goes to ``_map_ordered`` with that stage's
-    price (``_evaluation_pairs`` each); the result does not depend on it.
+    processes for a stage, goes to ``_map_ordered``, which forks a stage
+    from two workers; the result does not depend on it.
 
     Two parabolas refine the best node, with delta = ``_DELTA_DEG`` (or the
     half-width, if that is smaller):
@@ -543,8 +521,8 @@ def fit_theta(
        v + delta], or the best of the three values where they are not
        concave; one more evaluation scores it.
 
-    So a fit makes at most 4 evaluations beyond the grid nodes it scored
-    (``_fit_pairs`` prices both), none where an angle was already scored:
+    So a fit makes at most 4 evaluations beyond the grid nodes it scored,
+    none where an angle was already scored:
     the best node's neighbours are among those nodes.  theta_hat is that
     refined vertex, not the argmax of the evaluated values; the fit's loglik
     is the largest value it evaluated (see ``FitResult``).
@@ -569,16 +547,11 @@ def fit_theta(
         return loglik(pattern, SubstationaryIntensity(pattern, theta, h))
 
     values = np.full(thetas.size, np.nan)  # the profile at the grid's nodes that a stage scored
-
-    def scan(stage: np.ndarray) -> None:  # one map of the grid's nodes at these indices
-        pairs = stage.size * _evaluation_pairs(pattern.n, pattern.window, h, thetas[stage])
-        values[stage] = _map_ordered(profile, thetas[stage], threads, pairs)
-
     nodes = np.arange(0, thetas.size, _OPEN_STRIDE if halfwidth == 90.0 else 1)
-    scan(nodes)
+    values[nodes] = _map_ordered(profile, thetas[nodes], threads)  # one map a stage
     if halfwidth == 90.0:  # the open search's second stage
         second = _second_stage(values[nodes])
-        scan(second)
+        values[second] = _map_ordered(profile, thetas[second], threads)
         nodes = np.union1d(nodes, second)
     trace = tuple(zip((float(t) for t in thetas[nodes]), (float(g) for g in values[nodes])))
 

@@ -33,7 +33,6 @@ from .estimate import (
     _axis,
     _cells,
     _coarse_angles,
-    _fit_pairs,
     _map_ordered,
     fit_theta,
 )
@@ -195,25 +194,22 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     returns one value per name.  A cell's metric is the root mean of
     ``squared(values)`` over its replications (of the values themselves when
     ``squared`` is None); its samples are the values.  A cell's replications
-    run on at most ``threads`` worker processes, by ``_map_ordered``, priced as that many
-    fits (``_fit_pairs``) at h and the base's expected count, which the Thomas process keeps.
+    run on at most ``threads`` worker processes, by ``_map_ordered``.
     """
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
-    halfwidth = plan.search_halfwidth_deg
     cells: dict[tuple, CellSummary] = {}
     for a in plan.a_values:
         for z in plan.z_values:
             base = PoissonBetaModel(a, Window(z, 1.0))
             model = ThomasModel(base, gamma=plan.gamma, sigma=plan.sigma) if thomas else base
             for h in plan.h_values:
-                pairs = plan.replications * _fit_pairs(base.expected_count, base.window, h, halfwidth)
                 # the map returns before the loop moves on, so job may read a, z, h
                 def job(rep: int) -> tuple:
                     stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)
                     return replicate(model, h, simulate(model, stream))
 
-                values = np.array(_map_ordered(job, range(plan.replications), threads, pairs))
+                values = np.array(_map_ordered(job, range(plan.replications), threads))
                 for j, name in enumerate(names):
                     samples = values[:, j]
                     metric, se = _root_mean_with_se(
@@ -228,8 +224,8 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Root-MSE of the fitted angle for every (a, z, h) cell of the plan.
 
-    ``threads`` caps the worker processes of a cell's replications, which fork once their
-    price reaches ``_FORK_MIN_PAIRS`` (see ``_sweep``); results do not depend on it.
+    ``threads`` caps the worker processes of a cell's replications, which fork from two
+    (see ``_sweep``); results do not depend on it.
     """
     if plan.target != "table1":
         raise ValueError("plan target must be 'table1'")

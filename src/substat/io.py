@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .estimate import SubstationaryIntensity, _cells, _fit_pairs, _map_ordered, fit_theta
+from .estimate import SubstationaryIntensity, _cells, _coarse_angles, _map_ordered, fit_theta
 from .geometry import DataError, PointPattern, Window, _count, _distinct
 from .kernels import validate_bandwidth
 
@@ -307,10 +307,10 @@ def run_application_pipeline(
     Every input is checked before the first fit; a repeated bandwidth
     raises ValueError.
 
-    The fits run in one map (``_map_ordered``, priced as the sum of the fits'
-    ``_fit_pairs``), one bandwidth a job: with several bandwidths each fit runs
-    whole in one worker, and with one the fit maps its own angles on all of
-    them, so no forked worker forks again.  The report does not depend on
+    The fits run in one map (``_map_ordered``, which forks from two workers),
+    one bandwidth a job: with several bandwidths each fit runs whole in one
+    worker, and with one the fit maps its own angles on all of them, so no
+    forked worker forks again.  The report does not depend on
     ``threads``.  Every fit ends before the first grid is written, and a forked
     fit's warnings reach the caller after its own share's, not in bandwidth
     order.
@@ -323,12 +323,12 @@ def run_application_pipeline(
         raise ValueError("threshold must be a number, got nan")
     if grid_resolution is not None:
         _count("resolution", grid_resolution, 2)
+    _coarse_angles(search_halfwidth_deg)  # the search's owner checks the half-width
     inner = threads if len(h_list) == 1 else 1  # a lone fit maps its angles, not the bandwidths
     job = functools.partial(
         fit_theta, pattern, search_halfwidth_deg=search_halfwidth_deg, threads=inner
     )
-    pairs = sum(_fit_pairs(pattern.n, pattern.window, h, search_halfwidth_deg) for h in h_list)
-    fits = _map_ordered(job, h_list, threads, pairs)
+    fits = _map_ordered(job, h_list, threads)
     rows = []
     for h, fit in zip(h_list, fits):
         ll_axis = dict(fit.trace)[0.0]

@@ -70,10 +70,10 @@ h/5 over that range by the Taylor form of the fast Gauss transform on the
 node lattice (``_lattice_sums``), whose 20 convolutions are BLAS
 products; every call of that estimator then reads the same nodes, so a
 value at a given offset does not depend on the calls before it.
-``_sum_pairs`` prices the sums in kernel pairs against all the targets m
+It prices the sums in kernel pairs against all the targets m
 those calls ask for (the 1-D smoother's n data and its likelihood
 integral's nodes): 5e4 + 20*n + 150*G + 80*m on a grid of G nodes, n*m by
-the direct sum.  The cheaper path is taken, and the fork gate reads its price.
+the direct sum, and takes the cheaper path.
 Every path works through its targets in blocks of
 2**16 elements (512 KB), so each temporary stays in the L2 cache; the
 lattice holds a few floats per datum and 20 per node, and each of its
@@ -303,17 +303,12 @@ def _node_layout(h: float, lo: float, hi: float) -> tuple[float, float, int]:
     return origin, step, math.ceil((hi - lo) / step) + _STENCIL
 
 
-def _sum_pairs(n: float, nodes: int, targets: float) -> tuple[float, bool]:
-    """The cheaper path's price in kernel pairs of n data's sums at ``targets`` values, where a
-    node grid would hold ``nodes`` nodes, and whether that path is the grid, by the module
-    docstring's rule."""
-    grid = _GRID_COST + _DATUM_COST * n + _NODE_COST * nodes + _TARGET_COST * targets
-    return min(grid, n * targets), grid < n * targets
-
-
 def _node_grid(h: float, data: np.ndarray, layout: tuple, targets: float) -> _NodeGrid | None:
-    """The node grid at a ``_node_layout`` where ``_sum_pairs`` chooses one for ``targets`` values, or None."""
-    return _build_node_grid(h, data, layout) if _sum_pairs(data.size, layout[2], targets)[1] else None
+    """The node grid at a ``_node_layout`` where it costs fewer kernel pairs than the direct sum
+    at ``targets`` values, by the module docstring's rule, or None."""
+    n, nodes = data.size, layout[2]
+    grid = _GRID_COST + _DATUM_COST * n + _NODE_COST * nodes + _TARGET_COST * targets
+    return _build_node_grid(h, data, layout) if grid < n * targets else None
 
 
 def _build_node_grid(h: float, data: np.ndarray, layout: tuple) -> _NodeGrid:

@@ -40,6 +40,12 @@ __all__ = [
 POINTS_PER_UNIT_LENGTH = 100.0
 
 
+def _beta_shape(a: float) -> None:
+    """Raise ValueError unless a is a Beta(a, a) shape of this model: finite and >= 1."""
+    if not (a >= 1.0 and math.isfinite(a)):
+        raise ValueError(f"shape parameter a must be finite and >= 1, got {a}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream: (master seed, stream index).
@@ -73,8 +79,7 @@ class PoissonBetaModel:
     window: Window
 
     def __post_init__(self) -> None:
-        if not (self.a >= 1.0 and math.isfinite(self.a)):
-            raise ValueError(f"shape parameter a must be >= 1, got {self.a}")
+        _beta_shape(self.a)
         if self.window.omega != 1.0:
             raise ValueError("the Beta vertical profile requires a unit-height window")
 
@@ -136,8 +141,7 @@ def beta_sampler(a: float, rng, size=None):
 
     Returns a scalar when size is None, else an array of that shape.
     """
-    if not a >= 1.0:
-        raise ValueError(f"shape parameter a must be >= 1, got {a}")
+    _beta_shape(a)
     gen = _resolve_generator(rng)
     g1 = gen.standard_gamma(a, size=size)
     g2 = gen.standard_gamma(a, size=size)

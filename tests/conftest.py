@@ -5,8 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from substat import estimate
-
 # hypothesis's pytest plugin imports this module to report a failing example, and the import
 # warns (DeprecationWarning, from mypy_extensions), which the suite's error filter would turn
 # into an INTERNALERROR that hides the example; imported here once, the report finds it loaded.
@@ -35,9 +33,3 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context", counting_context)
     return built
-
-
-@pytest.fixture
-def pool_at_any_size(monkeypatch):
-    """Opens the worker pool to maps of every size."""
-    monkeypatch.setattr(estimate, "_FORK_MIN_PAIRS", 0)

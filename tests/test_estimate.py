@@ -10,17 +10,11 @@ from hypothesis import strategies as st
 import substat.estimate as estimate_module
 from substat.estimate import (
     _DOMAIN_TOL,
-    _EVAL_PAIRS,
-    _FORK_MIN_PAIRS,
-    _REFINE_EVALS,
     SUBSTAT_INTEGRAL_CELLS,
     BandwidthSelectionError,
     KernelIntensity2D,
     StationaryIntensity,
     SubstationaryIntensity,
-    _coarse_angles,
-    _evaluation_pairs,
-    _fit_pairs,
     _map_ordered,
     bandwidth_cv_scores,
     fit_theta,
@@ -44,10 +38,6 @@ from substat.kernels import (
     _PANEL_NODES,
     _PANEL_WIDTH,
     _direct_sums,
-    _node_layout,
-    _plan,
-    _sum_pairs,
-    _zone_panels,
     correction_2d,
     correction_substat_closed,
     normal_cdf,
@@ -263,6 +253,20 @@ class TestEstimatorInterface:
         for x, y in ((2.2, 0.5), (-0.5, 0.5), (1.0, 1.2)):
             with pytest.raises(ValueError):
                 est.at_points(x, y)
+
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_every_estimator_refuses_x_and_y_of_different_shapes(self, kind):
+        est = ESTIMATORS[kind](random_pattern(np.random.default_rng(16), z=2.0, n=40))
+        for x, y in ((0.5, [0.4, 0.6]), ([0.5], 0.4), (np.full((2, 3), 0.5), np.full(3, 0.5))):
+            with pytest.raises(ValueError, match="^x and y must have the same shape$"):
+                est.at_points(x, y)
+
+    @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+    def test_every_estimator_gives_one_location_a_float(self, kind):
+        est = ESTIMATORS[kind](random_pattern(np.random.default_rng(17), z=2.0, n=40))
+        got = est.at_points(0.5, 0.4)
+        assert type(got) is float
+        assert got == est.at_points([0.5], [0.4])[0] == est.at_points(np.float64(0.5), 0.4)
 
     @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
     def test_every_estimator_accepts_the_same_locations(self, kind):
@@ -626,9 +630,8 @@ class TestFitTheta:
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(90, 27))
         return fit_theta(pat, 0.05, search_halfwidth_deg=halfwidth), len(calls)
 
-    # built is the most a fit builds, and _fit_pairs prices that many evaluations; with one
-    # maximum on the open search's 3-degree stage, its second stage scores 4 nodes, so the
-    # open fit builds 60 + 4 + 4
+    # built is the most a fit builds; with one maximum on the open search's 3-degree stage,
+    # its second stage scores 4 nodes, so the open fit builds 60 + 4 + 4
     @pytest.mark.parametrize("halfwidth, built", [(6.0, 17), (None, 76)])
     def test_a_fit_builds_its_coarse_grid_and_four_refinement_estimators(
         self, monkeypatch, halfwidth, built
@@ -637,11 +640,9 @@ class TestFitTheta:
         fit, count = self._fit_known_profile(monkeypatch, lambda t: -((t - peak) ** 2), halfwidth)
         assert len(fit.trace) + 4 == count <= built
         assert count == (17 if halfwidth else 68)
-        each = _evaluation_pairs(100.0, Window(1.0), 0.05, _coarse_angles(halfwidth)[0])
-        assert _fit_pairs(100.0, Window(1.0), 0.05, halfwidth) == built * each
 
-    # _REFINE_EVALS, the sweep's price of a fit's refinement, against what real
-    # fits build: bounded and open searches, a best node at the bound, flat
+    # fit_theta's at most 4 refinement evaluations against what real fits
+    # build: bounded and open searches, a best node at the bound, flat
     # (a=1) patterns and profiles whose parabolas are not concave
     def test_a_fit_builds_at_most_its_coarse_grid_and_the_refinement_a_sweep_prices(
         self, monkeypatch
@@ -677,7 +678,7 @@ class TestFitTheta:
                     extra.append(len(built) - len(fit.trace))
                     best = max(fit.trace, key=lambda tv: tv[1])
                     at_bound += halfwidth is not None and best == fit.trace[-1]
-        assert max(extra) == _REFINE_EVALS
+        assert max(extra) == 4
         assert at_bound and None in vertices
 
     @pytest.mark.parametrize("halfwidth", [6.0, 10.0, None])
@@ -746,19 +747,23 @@ class TestFitTheta:
         assert cusp(dip) - 1.0 < second.loglik < first.loglik  # now a probe does
 
     @pytest.mark.parametrize("threads", [0, 2])
-    def test_thread_count_never_changes_fit(self, threads, pools, pool_at_any_size):
+    def test_thread_count_never_changes_fit(self, threads, pools):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(2.0)), RngStream(70, 2))
         serial = fit_theta(pat, 0.05, search_halfwidth_deg=10.0, threads=1)
         assert not pools
         assert fit_theta(pat, 0.05, search_halfwidth_deg=10.0, threads=threads) == serial
         assert len(pools) == 1  # the coarse grid ran on a pool
 
-    def test_bounded_fits_pool_at_three_thousand_points_not_one_hundred(self, pools):
+    # any fit forks its coarse grid; the open search forks its second stage too
+    @pytest.mark.parametrize("halfwidth, built", [(6.0, [2]), (None, [2, 2])])
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_a_fit_of_any_size_forks_and_keeps_its_result(self, pools, n, halfwidth, built):
         rng = np.random.default_rng(71)
-        for n, built in ((100, []), (3000, [2]), (10_000, [2, 2])):
-            x, y = rng.uniform(0.0, 100.0, n), rng.beta(3.0, 3.0, n)
-            fit_theta(PointPattern(x, y, Window(100.0)), 0.05, search_halfwidth_deg=6.0, threads=2)
-            assert pools == built
+        pat = PointPattern(rng.uniform(0.0, 1.0, n), rng.beta(3.0, 3.0, n), Window(1.0))
+        serial = fit_theta(pat, 0.05, search_halfwidth_deg=halfwidth, threads=1)
+        assert not pools
+        assert fit_theta(pat, 0.05, search_halfwidth_deg=halfwidth, threads=2) == serial
+        assert pools == built
 
     def test_a_bounded_fit_near_three_thousand_points_forks_and_keeps_its_result(self, pools):
         pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(30.0)), RngStream(70, 5))
@@ -768,73 +773,13 @@ class TestFitTheta:
         assert fit_theta(pat, 0.05, search_halfwidth_deg=6.0, threads=2) == serial
         assert pools == [2]
 
-    def test_the_threshold_reads_the_fits_price(self, monkeypatch, pools):
-        pat = simulate_poisson_beta(PoissonBetaModel(2.0, Window(1.0)), RngStream(70, 3))
-        thetas = _coarse_angles(1.0)[0]  # a half-width of 1 degree: 3 angles
-        pairs = 3 * _evaluation_pairs(pat.n, pat.window, 0.05, thetas)
-        for floor, built in ((pairs + 1, []), (pairs, [2])):
-            monkeypatch.setattr(estimate_module, "_FORK_MIN_PAIRS", floor)
-            fit_theta(pat, 0.05, search_halfwidth_deg=1.0, threads=2)
-            assert pools == built
-
-    @pytest.mark.parametrize("n", [2, 83, 2909, 10_045])
-    @pytest.mark.parametrize("h", [0.01, 0.05])
-    def test_an_evaluation_is_priced_by_its_sums_at_the_widest_angle(self, n, h):
-        window = Window(10.0)
-        for halfwidth, widest in ((6.0, -6.0), (None, -84.0)):  # atan(10) is 84.3 degrees
-            thetas = _coarse_angles(halfwidth)[0]
-            at = thetas[np.argmin(np.abs(np.degrees(thetas) - widest))]
-            knots = _trapezoid(Subspace(float(at)), window)[0].tolist()
-            targets = n + _PANEL_NODES * len(_zone_panels(knots, h))
-            nodes = _node_layout(h, knots[0], knots[-1])[2]
-            want = _EVAL_PAIRS + _sum_pairs(n, nodes, targets)[0]
-            assert _evaluation_pairs(n, window, h, thetas) == want
-
-    # the price's widest angle is a copy of the projection range's length,
-    # which geometry._trapezoid owns: its plan holds the most nodes of the grid's
-    @pytest.mark.parametrize("z, omega", [(1.0, 1.0), (10.0, 1.0), (1.0, 3.0), (100.0, 1.0), (2.5, 0.4)])
-    @pytest.mark.parametrize("h", [0.01, 0.05])
-    def test_the_priced_angle_has_the_most_nodes_of_the_coarse_grid(self, monkeypatch, z, omega, h):
-        window, picked = Window(z, omega), []
-
-        def recorded(theta, *args):
-            picked.append(theta)
-            return _plan(theta, *args)
-
-        monkeypatch.setattr(estimate_module, "_plan", recorded)
-        for halfwidth in (6.0, 30.0, None):
-            thetas = _coarse_angles(halfwidth)[0]
-            _evaluation_pairs(100.0, window, h, thetas)
-            most = max(_plan(Subspace(float(t)), window, h).layout[2] for t in thetas)
-            assert _plan(picked[-1], window, h).layout[2] == most
-
-    @pytest.mark.parametrize("n, z", [(100, 1.0), (1000, 10.0), (3000, 30.0)])
-    def test_a_smaller_bandwidth_prices_more_at_equal_n(self, n, z):
-        thetas = _coarse_angles(6.0)[0]
-        assert _evaluation_pairs(n, Window(z), 0.01, thetas) > _evaluation_pairs(n, Window(z), 0.05, thetas)
-
-    # a sweep cell prices each replication as its coarse grid and refinement
-    # at the cell's expected count and h
-    @pytest.mark.parametrize("replications, z, h, forks", [
-        (32, 1.0, 0.01, True),  # a table1-z1 cell: 32 x 17 x 100 600 pairs, 54.7 M
-        (8, 10.0, 0.05, True),  # a table2-z10 cell: 8 x 17 x 273 240, 37.2 M
-        (4, 1.0, 0.01, True),  # 6.8 M
-        (2, 1.0, 0.01, False),  # 3.4 M
-    ])
-    def test_sweep_cells_fork_by_their_price(self, replications, z, h, forks, pools):
-        evals = replications * (_coarse_angles(6.0)[0].size + _REFINE_EVALS)
-        pairs = evals * _evaluation_pairs(100.0 * z, Window(z), h, _coarse_angles(6.0)[0])
-        assert _map_ordered(abs, range(replications), 2, pairs) == list(range(replications))
-        assert pools == ([2] if forks else [])
-        assert (pairs >= _FORK_MIN_PAIRS) == forks
-
-    def test_an_open_fit_is_identical_at_any_worker_count(self, pools, pool_at_any_size):
+    def test_an_open_fit_is_identical_at_any_worker_count(self, pools):
         pat = simulate_poisson_beta(PoissonBetaModel(3.0, Window(1.0)), RngStream(70, 4))
         fits = [fit_theta(pat, 0.05, threads=threads) for threads in (0, 1, 2, 3)]
         assert pools[-4:] == [2, 2, 3, 3]  # threads=0 takes one worker per CPU; each stage forks
         assert all(fit == fits[1] for fit in fits)
 
-    def test_an_open_fit_forks_both_stages_and_keeps_its_result(self, pools, pool_at_any_size):
+    def test_an_open_fit_forks_both_stages_and_keeps_its_result(self, pools):
         pat = simulate_poisson_beta(PoissonBetaModel(1.5, Window(2.0)), RngStream(70, 6))
         serial = fit_theta(pat, 0.02, threads=1)
         assert not pools
@@ -871,17 +816,53 @@ class _Unpicklable(Exception):
 
 
 class TestWorkerMap:
-    # 2.0 ran a serial-priced map and failed inside a forking one's setup
+    # one job runs in the caller and four fork: both check the count first
     @pytest.mark.parametrize("threads", [2.0, np.float64(2.0), -1, "2"])
-    @pytest.mark.parametrize("pairs", [1, math.inf])
+    @pytest.mark.parametrize("jobs", [1, 4])
     def test_a_worker_count_not_an_integer_of_at_least_0_raises_before_any_job(
-        self, pools, threads, pairs
+        self, pools, threads, jobs
     ):
         ran = []
         with pytest.raises(ValueError, match="threads must be an integer >= 0"):
-            _map_ordered(ran.append, range(4), threads, pairs)
+            _map_ordered(ran.append, range(jobs), threads)
         assert ran == [] and pools == []
-        assert _map_ordered(abs, range(4), np.int64(2), pairs) == [0, 1, 2, 3]
+        assert _map_ordered(abs, range(jobs), np.int64(2)) == list(range(jobs))
+
+    def test_a_map_forks_from_two_workers(self, pools):
+        assert _map_ordered(abs, range(2), 2) == [0, 1]
+        assert pools == [2]
+        assert _map_ordered(abs, range(2), 1) == [0, 1]  # one worker
+        assert _map_ordered(abs, range(1), 2) == [0]  # one job
+        assert pools == [2]
+
+    # the workers are the smaller of threads (one per CPU at 0) and the jobs
+    @pytest.mark.parametrize("threads, cpus, jobs, built", [
+        (1, 4, 6, []),
+        (2, 4, 0, []),
+        (2, 4, 1, []),
+        (2, 4, 2, [2]),
+        (2, 4, 6, [2]),
+        (3, 4, 2, [2]),
+        (3, 4, 6, [3]),
+        (6, 1, 3, [3]),  # an explicit count is not capped by the CPUs
+        (0, 3, 6, [3]),
+        (0, 3, 2, [2]),
+        (0, 1, 6, []),
+        (0, None, 6, []),  # an unknown CPU count is one worker
+    ])
+    def test_a_map_forks_the_fewer_of_its_workers_and_its_jobs(
+        self, monkeypatch, pools, threads, cpus, jobs, built
+    ):
+        monkeypatch.setattr(estimate_module.os, "cpu_count", lambda: cpus)
+        assert _map_ordered(abs, range(-jobs, 0), threads) == list(range(jobs, 0, -1))
+        assert pools == built
+
+    @pytest.mark.parametrize("threads", [0, 2, 4])
+    def test_without_fork_every_map_runs_in_the_caller(self, monkeypatch, pools, threads):
+        monkeypatch.delattr(estimate_module.os, "fork")
+        ran = []
+        assert _map_ordered(lambda k: ran.append(k) or -k, range(5), threads) == [0, -1, -2, -3, -4]
+        assert ran == [0, 1, 2, 3, 4] and pools == []
 
     def test_a_job_that_raises_in_a_worker_raises_here_with_its_type(self, pools):
         def job(k):
@@ -890,7 +871,7 @@ class TestWorkerMap:
             return k
 
         with pytest.raises(KeyError):
-            _map_ordered(job, range(6), 2, math.inf)
+            _map_ordered(job, range(6), 2)
         assert pools == [2]
         assert multiprocessing.active_children() == []
 
@@ -901,7 +882,7 @@ class TestWorkerMap:
             return k
 
         with pytest.raises(ValueError, match="own share"):
-            _map_ordered(job, range(6), 3, math.inf)
+            _map_ordered(job, range(6), 3)
         assert pools == [3]
         assert multiprocessing.active_children() == []
 
@@ -912,7 +893,7 @@ class TestWorkerMap:
             return k
 
         with pytest.raises(RuntimeError, match="_Unpicklable"):
-            _map_ordered(job, range(4), 2, math.inf)
+            _map_ordered(job, range(4), 2)
         assert multiprocessing.active_children() == []
 
     def test_a_workers_warning_reaches_the_caller(self, pools):
@@ -922,7 +903,7 @@ class TestWorkerMap:
             return k * k
 
         with pytest.warns(RuntimeWarning, match="from a worker") as caught:
-            assert _map_ordered(job, range(5), 2, math.inf) == [0, 1, 4, 9, 16]
+            assert _map_ordered(job, range(5), 2) == [0, 1, 4, 9, 16]
         assert pools == [2]
         assert caught[0].filename == __file__
 
@@ -948,36 +929,36 @@ def blas():
 class TestBlasThreadsInAMap:
     """A map that forks runs one BLAS thread a worker and gives the caller its count back."""
 
-    def test_every_worker_of_a_forked_map_runs_one_blas_thread(self, blas, pools, pool_at_any_size):
-        assert _map_ordered(blas_threads, range(6), 3, 1) == [1] * 6
+    def test_every_worker_of_a_forked_map_runs_one_blas_thread(self, blas, pools):
+        assert _map_ordered(blas_threads, range(6), 3) == [1] * 6
         assert pools == [3]
         assert blas_threads() == 2
 
     @pytest.mark.parametrize("raiser", [0, 1], ids=["caller", "child"])
-    def test_the_callers_count_comes_back_when_a_job_raises(self, blas, pools, pool_at_any_size, raiser):
+    def test_the_callers_count_comes_back_when_a_job_raises(self, blas, pools, raiser):
         def job(k):
             if k == raiser:  # job 0 is the caller's, job 1 the child's
                 raise KeyError(k)
             return k
 
         with pytest.raises(KeyError):
-            _map_ordered(job, range(4), 2, 1)
+            _map_ordered(job, range(4), 2)
         assert pools == [2]
         assert blas_threads() == 2
 
     def test_a_serial_map_leaves_the_count_alone(self, blas, pools):
-        # one worker, and two below the gate
-        assert _map_ordered(blas_threads, range(4), 1, math.inf) == [2] * 4
-        assert _map_ordered(blas_threads, range(4), 2, 1) == [2] * 4
+        # one worker, and one job
+        assert _map_ordered(blas_threads, range(4), 1) == [2] * 4
+        assert _map_ordered(blas_threads, range(1), 2) == [2]
         assert pools == []
         assert blas_threads() == 2
 
-    def test_without_openblas_a_forked_map_gives_the_same_results(self, monkeypatch, pools, pool_at_any_size):
+    def test_without_openblas_a_forked_map_gives_the_same_results(self, monkeypatch, pools):
         rng = np.random.default_rng(5)
         blocks = [rng.random((40, 40)) for _ in range(5)]
         want = [block @ block for block in blocks]
         monkeypatch.setattr(estimate_module, "_openblas", lambda: None)
-        got = _map_ordered(lambda block: block @ block, blocks, 2, 1)
+        got = _map_ordered(lambda block: block @ block, blocks, 2)
         assert pools == [2]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from substat import estimate, experiments, kernels
+from substat import estimate, kernels
 from substat.estimate import (
     GRID_CELLS_1D,
     StationaryIntensity,
     SubstationaryIntensity,
     _coarse_angles,
-    _evaluation_pairs,
-    _fit_pairs,
 )
 from substat.experiments import (
     TABLE2_ESTIMATORS,
@@ -312,7 +310,7 @@ class TestDeterminism:
         r2 = run_table1(plan, threads=1)
         assert r1 == r2
 
-    def test_thread_count_does_not_change_results(self, tmp_path, pools, pool_at_any_size):
+    def test_thread_count_does_not_change_results(self, tmp_path, pools):
         plan = table1_plan(a_values=(1.5, 2.5), replications=4)
         serial = run_table1(plan, threads=1)
         assert not pools
@@ -328,60 +326,23 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="threads"):
             run_table1(table1_plan(replications=1), threads=-1)
 
-    def test_cells_under_the_threshold_replicate_on_the_calling_process(self, pools):
-        # two replications at z=1 price 2 x 17 evaluations of 97 000 pairs at
-        # h=0.05, 100 600 at h=0.01: under the gate; four at h=0.01 reach it
-        plan = table1_plan(a_values=(1.5, 2.5), h_values=(0.05, 0.01), replications=2)
-        run_table1(plan, threads=2)
-        run_table2(table1_plan(target="table2", replications=2), threads=0)
-        assert pools == []
-        run_table1(table1_plan(a_values=(1.5,), h_values=(0.01,), replications=4), threads=2)
-        assert pools == [2]
+    # a cell forks from two replications, whatever its size: one pool per cell
+    @pytest.mark.parametrize("target, replications, threads, built", [
+        ("table1", 1, 2, []),
+        ("table1", 2, 2, [2, 2]),
+        ("table1", 2, 3, [2, 2]),
+        ("table2", 2, 2, [2]),
+    ])
+    def test_every_cell_of_two_replications_forks(self, pools, target, replications, threads, built):
+        plan = table1_plan(target=target, a_values=(1.5, 2.5)[: len(built) or 1],
+                           replications=replications)
+        run = run_table1 if target == "table1" else run_table2
+        serial = run(plan, threads=1)
+        assert not pools
+        assert run(plan, threads=threads) == serial
+        assert pools == built
 
-    @staticmethod
-    def _cell_prices(plan, monkeypatch) -> list:
-        """The price each cell of the plan passes to the worker map, in order."""
-        prices, mapped = [], experiments._map_ordered
-
-        def recorded(job, args, threads, pairs):
-            prices.append(pairs)
-            return mapped(job, args, threads, pairs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(experiments, "_map_ordered", recorded)
-            run_table1(plan, threads=1)
-        return prices
-
-    def test_a_cells_price_is_its_fits_with_their_refinement(self, monkeypatch):
-        # each replication: the 13 coarse angles of 6 degrees and 4 refinement
-        # evaluations, at the cell's expected count, window and h
-        plan = table1_plan(z_values=(1.0, 2.0), h_values=(0.05, 0.01), replications=3)
-        thetas = _coarse_angles(6.0)[0]
-        want = [3 * (13 + 4) * _evaluation_pairs(100.0 * z, Window(z), h, thetas)
-                for z in (1.0, 2.0) for h in (0.05, 0.01)]
-        assert self._cell_prices(plan, monkeypatch) == want
-        assert want[0] < want[1] and want[2] < want[3]  # the price moves with h
-
-    def test_an_open_cells_price_is_its_fits_two_stages_with_their_refinement(self, monkeypatch):
-        # each replication: the 60 nodes of 3 degrees, at most 12 near their maxima and 4
-        # refinement evaluations, priced at the widest angle of the 1-degree grid
-        plan = table1_plan(z_values=(2.0,), search_halfwidth_deg=None, replications=2)
-        thetas = _coarse_angles(None)[0]
-        each = _evaluation_pairs(200.0, Window(2.0), 0.05, thetas)
-        assert _fit_pairs(200.0, Window(2.0), 0.05, None) == 76 * each
-        want = [2 * 76 * each]
-        assert self._cell_prices(plan, monkeypatch) == want
-
-    def test_the_threshold_reads_each_cells_expected_count(self, monkeypatch, pools):
-        plan = table1_plan(z_values=(1.0, 2.0), replications=2)
-        one, two = self._cell_prices(plan, monkeypatch)
-        assert one < two
-        for floor, built in ((two + 1, []), (two, [2]), (one, [2, 2, 2])):
-            monkeypatch.setattr(estimate, "_FORK_MIN_PAIRS", floor)
-            run_table1(plan, threads=2)
-            assert pools == built
-
-    def test_a_sweep_is_identical_at_any_worker_count(self, pools, pool_at_any_size):
+    def test_a_sweep_is_identical_at_any_worker_count(self, pools):
         plan = table1_plan(target="table2", replications=3)
         results = [run_table2(plan, threads=threads) for threads in (0, 1, 2, 3)]
         assert pools[-2:] == [2, 3]  # threads=0 takes one worker per CPU

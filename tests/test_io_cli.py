@@ -469,7 +469,7 @@ class TestBandwidthMap:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_the_report_and_its_files_are_the_same_at_any_thread_count(
-        self, pattern, tmp_path, capsys, pool_at_any_size, k
+        self, pattern, tmp_path, capsys, k
     ):
         data = tmp_path / "pat.csv"
         export_pattern_csv(pattern, data)
@@ -502,24 +502,24 @@ class TestBandwidthMap:
             (5, 4, [4]),
         ],
     )
-    def test_the_callers_maps(self, pattern, pools, pool_at_any_size, k, threads, maps):
+    def test_the_callers_maps(self, pattern, pools, k, threads, maps):
         run_application_pipeline(pattern, self.H_VALUES[:k], threads=threads)
         assert pools == maps
 
-    def test_no_forked_worker_forks_again(self, pattern, monkeypatch, pool_at_any_size):
+    def test_no_forked_worker_forks_again(self, pattern, monkeypatch):
         map_ordered = substat.estimate._map_ordered
 
-        def in_the_caller_alone(job, args, threads, pairs):  # fit_theta's maps, in any process
+        def in_the_caller_alone(job, args, threads):  # fit_theta's maps, in any process
             if multiprocessing.parent_process() is not None and threads != 1:
                 raise AssertionError(f"a forked worker maps on {threads} workers")
-            return map_ordered(job, args, threads, pairs)
+            return map_ordered(job, args, threads)
 
         monkeypatch.setattr(substat.estimate, "_map_ordered", in_the_caller_alone)
         report = run_application_pipeline(pattern, self.H_VALUES[:2], threads=4)
         assert report == run_application_pipeline(pattern, self.H_VALUES[:2], threads=1)
 
     def test_a_workers_degenerate_fit_is_logged_once(
-        self, pattern, tmp_path, monkeypatch, caplog, pools, pool_at_any_size
+        self, pattern, tmp_path, monkeypatch, caplog, pools
     ):
         flat = substat.estimate.loglik  # the second bandwidth's profile is flat: a worker's fit
 
@@ -957,6 +957,10 @@ class TestCli:
             (["--h-values", "0.05", "--resolution", "1"], "resolution"),  # read by no grid
             (["--h-values", "0.05", "--threshold", "nan"], "threshold"),
             (["--h-values", "0.05,0.1", "--threads", "-1"], "threads"),
+            (["--h-values", "0.05", "--search-halfwidth", "200"], "search_halfwidth"),
+            (["--h-values", "0.05", "--search-halfwidth", "0"], "search_halfwidth"),
+            (["--h-values", "0.05", "--search-halfwidth", "-6"], "search_halfwidth"),
+            (["--h-values", "0.05", "--search-halfwidth", "nan"], "search_halfwidth"),
         ],
     )
     def test_apply_checks_every_input_before_the_first_fit(

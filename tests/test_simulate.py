@@ -53,9 +53,19 @@ class TestRngStream:
 
 
 class TestBetaSampler:
-    def test_rejects_small_shape(self):
-        with pytest.raises(ValueError):
-            beta_sampler(0.5, RngStream(0))
+    @pytest.mark.parametrize("a", [0.5, np.inf, np.nan, -np.inf, 0.0, -1.0, 0.999])
+    def test_the_sampler_and_the_model_refuse_the_same_shapes(self, a):
+        message = f"^shape parameter a must be finite and >= 1, got {a}$"
+        with pytest.raises(ValueError, match=message):
+            beta_sampler(a, RngStream(0), 3)
+        with pytest.raises(ValueError, match=message):
+            PoissonBetaModel(a, Window(1.0))
+
+    @pytest.mark.parametrize("a", [1.0, 2.5, 1e6])
+    def test_the_sampler_and_the_model_accept_the_same_shapes(self, a):
+        draws = beta_sampler(a, RngStream(0), 3)
+        assert draws.shape == (3,) and np.all((draws >= 0.0) & (draws <= 1.0))
+        assert PoissonBetaModel(a, Window(1.0)).a == a
 
     def test_uniform_case_passes_ks(self):
         draws = beta_sampler(1.0, RngStream(11, 0), size=10_000)

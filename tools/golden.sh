@@ -53,9 +53,10 @@ run select-bandwidth select-bandwidth --data pattern.csv --region 0,2,0,1 \
     --theta-deg 10 --candidates 0.00001,0.02,0.05,0.1 --out cv.csv
 run fit-subspace fit-subspace --data pattern.csv --region 0,2,0,1 --h 0.05 \
     --threads 2 --out trace.csv
+# a bounded search of two bandwidths on two workers: one fit in each process
 mkdir -p grids
 run apply apply --data thomas.csv --region 0,2,0,1 --h-values 0.05,0.1 \
-    --search-halfwidth 10 --resolution 64 --grid-dir grids --out report.csv
+    --search-halfwidth 10 --resolution 64 --grid-dir grids --threads 2 --out report.csv
 run estimate-substationary estimate-intensity --data pattern.csv --region 0,2,0,1 \
     --estimator substationary --theta-deg 15 --h 0.05 --resolution 64 \
     --out substationary.csv --svg substationary.svg
