@@ -157,8 +157,7 @@ class SubstationaryIntensity:
         self._v_data = np.sort(self._v_points)
         self._plan = _plan(self.theta, pattern.window, self.h)
         # the one node grid (or None) over the projection range that every evaluation reads
-        targets = _profile_targets(self._v_data.size, self._plan)
-        self._nodes = _node_grid(self.h, self._v_data, self._plan.layout, targets)
+        self._nodes = _node_grid(self.h, self._v_data, self._plan)
 
     @property
     def window(self) -> Window:
@@ -291,11 +290,6 @@ class StationaryIntensity:
 def _axis(estimator) -> Subspace:
     """The subspace a 1-D estimate is laid along; the constant takes the horizontal axis."""
     return getattr(estimator, "theta", None) or Subspace(0.0)
-
-
-def _profile_targets(n: float, plan) -> float:
-    """The targets of a profile evaluation's kernel sums: the n data and the plan's integral nodes."""
-    return n + plan.nodes.size
 
 
 def _cells(estimator, cells: int | None = None):

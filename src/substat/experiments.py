@@ -193,38 +193,42 @@ def _sweep(plan: ExperimentPlan, threads: int, names, replicate, squared=None) -
     ``replicate(model, h, pattern)`` scores one simulated replication and
     returns one value per name.  A cell's metric is the root mean of
     ``squared(values)`` over its replications (of the values themselves when
-    ``squared`` is None); its samples are the values.  A cell's replications
-    run on at most ``threads`` worker processes, by ``_map_ordered``.
+    ``squared`` is None); its samples are the values.  Every replication of
+    every cell is one job of a single ``_map_ordered`` call, on at most
+    ``threads`` worker processes; each draws its own stream, so no value
+    depends on the worker that ran it.
     """
     thomas = plan.process == "thomas"
     simulate = simulate_thomas if thomas else simulate_poisson_beta
-    cells: dict[tuple, CellSummary] = {}
+    plan_cells = []
     for a in plan.a_values:
         for z in plan.z_values:
             base = PoissonBetaModel(a, Window(z, 1.0))
             model = ThomasModel(base, gamma=plan.gamma, sigma=plan.sigma) if thomas else base
-            for h in plan.h_values:
-                # the map returns before the loop moves on, so job may read a, z, h
-                def job(rep: int) -> tuple:
-                    stream = replication_stream(plan.master_seed, plan.process, a, z, h, rep)
-                    return replicate(model, h, simulate(model, stream))
+            plan_cells += [(a, z, h, model) for h in plan.h_values]
+    reps = plan.replications
 
-                values = np.array(_map_ordered(job, range(plan.replications), threads))
-                for j, name in enumerate(names):
-                    samples = values[:, j]
-                    metric, se = _root_mean_with_se(
-                        samples if squared is None else squared(samples)
-                    )
-                    cells[(plan.process, a, z, h, name)] = CellSummary(
-                        metric, se, plan.replications, tuple(map(float, samples))
-                    )
+    def job(k: int) -> tuple:  # replication k % reps of cell k // reps
+        a, z, h, model = plan_cells[k // reps]
+        stream = replication_stream(plan.master_seed, plan.process, a, z, h, k % reps)
+        return replicate(model, h, simulate(model, stream))
+
+    values = np.array(_map_ordered(job, range(len(plan_cells) * reps), threads))
+    cells: dict[tuple, CellSummary] = {}
+    for i, (a, z, h, _) in enumerate(plan_cells):
+        for j, name in enumerate(names):
+            samples = values[i * reps : (i + 1) * reps, j]
+            metric, se = _root_mean_with_se(samples if squared is None else squared(samples))
+            cells[(plan.process, a, z, h, name)] = CellSummary(
+                metric, se, reps, tuple(map(float, samples))
+            )
     return cells
 
 
 def run_table1(plan: ExperimentPlan, threads: int = 0) -> ExperimentResult:
     """Root-MSE of the fitted angle for every (a, z, h) cell of the plan.
 
-    ``threads`` caps the worker processes of a cell's replications, which fork from two
+    ``threads`` caps the worker processes of the plan's replications, which fork from two
     (see ``_sweep``); results do not depend on it.
     """
     if plan.target != "table1":

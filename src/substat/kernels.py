@@ -70,10 +70,16 @@ h/5 over that range by the Taylor form of the fast Gauss transform on the
 node lattice (``_lattice_sums``), whose 20 convolutions are BLAS
 products; every call of that estimator then reads the same nodes, so a
 value at a given offset does not depend on the calls before it.
-It prices the sums in kernel pairs against all the targets m
-those calls ask for (the 1-D smoother's n data and its likelihood
-integral's nodes): 5e4 + 20*n + 150*G + 80*m on a grid of G nodes, n*m by
-the direct sum, and takes the cheaper path.
+It takes a grid of G nodes where n*m > ``_GRID_RATIO``*(n + m + G), for the
+n data and all the m targets those calls ask for (the 1-D smoother's n data
+and its likelihood integral's nodes).  The ratio 75 was fitted by
+``tools/node_grid_price.py``, timing the sums at those targets both ways,
+the grid's build included, at one OpenBLAS thread on a 2-core x86-64 VM: on
+Beta and gapped data at 0, 3 and 45 degrees, h 0.01-0.1, every ratio in
+[61, 89) summed the least time over n 100-10**4 and every one in [71, 77)
+over n 150-500 (``BENCH_node_grid.json``).  The ratio alone does not always
+tell the faster path there: at n = 200 and h >= 0.05 the grid it takes ran
+up to 25% slower than the direct sum.
 Every path works through its targets in blocks of
 2**16 elements (512 KB), so each temporary stays in the L2 cache; the
 lattice holds a few floats per datum and 20 per node, and each of its
@@ -150,17 +156,12 @@ _PANEL_NODES = 12
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 # interpolated kernel sums: node spacing in bandwidths, stencil size, guard, and the
-# costs in kernel pairs of one target and of a node grid, measured on a node stage since
-# replaced; they stay, since new costs would move which estimators take a grid, and so
-# their values within 1e-10
+# ratio of a node grid's price, fitted by tools/node_grid_price.py (see the module docstring)
 _NODE_STEP = 0.2
 _STENCIL = 20
 _HALF = _STENCIL // 2
 _GUARD = 1e-2
-_TARGET_COST = 80
-_GRID_COST = 50_000
-_DATUM_COST = 20
-_NODE_COST = 150
+_GRID_RATIO = 75
 # a stencil's offsets and the barycentric weights of equispaced nodes,
 # (-1)^k C(19, k), as columns: the interpolation lays its stencils out down them
 _OFFSETS = np.arange(float(_STENCIL))[:, None]
@@ -209,7 +210,7 @@ def _gaussian_sums(
     the ``_node_grid`` of the same h and data over a range that holds the
     targets: the sums are then read off it, and without it summed directly.
 
-    The module docstring gives the paths, the cost model that decides on a
+    The module docstring gives the paths, the ratio that decides on a
     node grid, the guards and the measured accuracy: every path stays
     within 1e-10 relative error of ``_direct_sums`` and gives its
     nonpositive values exactly.  With ``nodes`` the data must be sorted, as
@@ -303,12 +304,12 @@ def _node_layout(h: float, lo: float, hi: float) -> tuple[float, float, int]:
     return origin, step, math.ceil((hi - lo) / step) + _STENCIL
 
 
-def _node_grid(h: float, data: np.ndarray, layout: tuple, targets: float) -> _NodeGrid | None:
-    """The node grid at a ``_node_layout`` where it costs fewer kernel pairs than the direct sum
-    at ``targets`` values, by the module docstring's rule, or None."""
-    n, nodes = data.size, layout[2]
-    grid = _GRID_COST + _DATUM_COST * n + _NODE_COST * nodes + _TARGET_COST * targets
-    return _build_node_grid(h, data, layout) if grid < n * targets else None
+def _node_grid(h: float, data: np.ndarray, plan: _Plan) -> _NodeGrid | None:
+    """The node grid at a ``_plan``'s layout where it pays (module docstring), or None: priced
+    against a profile evaluation's targets, the data and the plan's integral nodes."""
+    n, targets = data.size, data.size + plan.nodes.size
+    pays = n * targets > _GRID_RATIO * (n + targets + plan.layout[2])
+    return _build_node_grid(h, data, plan.layout) if pays else None
 
 
 def _build_node_grid(h: float, data: np.ndarray, layout: tuple) -> _NodeGrid:

@@ -315,7 +315,7 @@ class TestDeterminism:
         serial = run_table1(plan, threads=1)
         assert not pools
         parallel = run_table1(plan, threads=4)
-        assert pools == [4, 4]  # one pool per cell
+        assert pools == [4]  # one pool for every replication of both cells
         assert serial == parallel
         f1, f2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         write_result_csv(serial, f1)
@@ -326,16 +326,18 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="threads"):
             run_table1(table1_plan(replications=1), threads=-1)
 
-    # a cell forks from two replications, whatever its size: one pool per cell
-    @pytest.mark.parametrize("target, replications, threads, built", [
-        ("table1", 1, 2, []),
-        ("table1", 2, 2, [2, 2]),
-        ("table1", 2, 3, [2, 2]),
-        ("table2", 2, 2, [2]),
+    # a sweep maps every replication of every cell at once: it forks from two
+    # jobs, whatever its size, once
+    @pytest.mark.parametrize("target, cells, replications, threads, built", [
+        ("table1", 1, 1, 2, []),
+        ("table1", 1, 2, 2, [2]),
+        ("table1", 2, 1, 2, [2]),
+        ("table1", 2, 2, 3, [3]),
+        ("table2", 1, 2, 2, [2]),
+        ("table2", 2, 1, 3, [2]),
     ])
-    def test_every_cell_of_two_replications_forks(self, pools, target, replications, threads, built):
-        plan = table1_plan(target=target, a_values=(1.5, 2.5)[: len(built) or 1],
-                           replications=replications)
+    def test_a_sweep_of_two_jobs_forks_once(self, pools, target, cells, replications, threads, built):
+        plan = table1_plan(target=target, a_values=(1.5, 2.5)[:cells], replications=replications)
         run = run_table1 if target == "table1" else run_table2
         serial = run(plan, threads=1)
         assert not pools

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from substat import kernels
-from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, _profile_targets, fit_theta, loglik
+from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, _cells, fit_theta, loglik
 from substat.geometry import (
     PointPattern,
     Subspace,
@@ -568,40 +568,68 @@ class TestGaussianSums:
         for deg in (0.0, 1.0, 6.0, -10.0, 45.0, 84.0, -89.0):
             before = len(builds)
             est = SubstationaryIntensity(pat, Subspace.from_degrees(deg), h)
-            lo, hi, targets = est._plan.lo, est._plan.hi, _profile_targets(n, est._plan)
+            lo, hi, targets = est._plan.lo, est._plan.hi, n + est._plan.nodes.size
             assert est._plan.layout == _node_layout(h, lo, hi)
-            # 5e4 + 20*n + 150*G + 80*m kernel pairs against n*m
-            cost = 50_000 + 20 * n + 150 * _node_layout(h, lo, hi)[2] + 80 * targets
-            grid = cost < n * targets
+            # n*m against 75 times n + m + G
+            grid = n * targets > 75 * (n + targets + _node_layout(h, lo, hi)[2])
             assert (est._nodes is not None) == grid
             assert len(builds) - before == grid
 
-    def test_dispatch_follows_the_cost_model(self, monkeypatch):
+    # each workload's estimators: a table1-z1 cell (n near 100 at z=1, h=0.01) and
+    # table2-z10's (n near 1000 at z=10, h=0.05) over the bounded search,
+    # apply-open-n1e3 (n=1000 at z=10) over the open one and its CV candidates at
+    # the axis, apply-bounded-n1e4 (n=10**4 at z=100) over the bounded search and
+    # its candidates; then the sizes where the direct sum and the grid cross
+    @pytest.mark.parametrize("z, sizes, bandwidths, degrees, grid", [
+        (1.0, (70, 100, 140), (0.01,), (-6.0, -0.1, 0.0, 0.1, 3.0, 6.0), False),
+        (10.0, (900, 1000, 1100), (0.05,), (-6.0, -0.1, 0.0, 0.1, 3.0, 6.0), True),
+        (10.0, (1000,), (0.05, 0.1), (-90.0, -45.0, -12.0, 0.0, 3.0, 45.0, 84.0, 89.0), True),
+        (10.0, (1000,), (0.02, 0.05, 0.1), (0.0,), True),
+        (100.0, (10_000,), (0.05,), (-6.0, 0.0, 0.1, 6.0), True),
+        (100.0, (10_000,), (0.02, 0.1), (0.0,), True),
+        (100.0, (10_000,), (0.05,), (-90.0, -45.0, 45.0, 84.0), True),
+        (3.0, (300,), (0.02,), (3.0, 45.0), True),
+    ])
+    def test_each_workloads_estimators_keep_their_path(self, z, sizes, bandwidths, degrees, grid):
+        rng = np.random.default_rng(38)
+        for n in sizes:
+            pat = PointPattern(rng.uniform(0.0, z, n), rng.beta(3.0, 3.0, n), Window(z))
+            for h in bandwidths:
+                for deg in degrees:
+                    est = SubstationaryIntensity(pat, Subspace.from_degrees(deg), h)
+                    assert (est._nodes is not None) == grid, (n, h, deg)
+
+    def test_dispatch_follows_the_price(self, monkeypatch):
         rng = np.random.default_rng(14)
         calls = record_calls(monkeypatch, "_interpolated_sums")
         builds = record_calls(monkeypatch, "_lattice_sums")
+
+        def across(z, h):  # the plan of the offsets x of a z x 1 window: its range is [0, z]
+            return kernels._plan(Subspace(-math.pi / 2), Window(z), h)
+
         small, grid = np.sort(rng.uniform(0, 1, 100)), np.linspace(0.0, 1.0, 400)
         # a call without a node grid is the direct sum, bit for bit; small
-        # data get no node grid, priced against a profile's 100 + 400 targets
+        # data get no node grid, priced against their 100 + 24-60 targets
         for h in (0.01, 0.05, 0.2):
-            for data in (small, 10 * small):
+            for data, z in ((small, 1.0), (10 * small, 10.0)):
                 want = _direct_sums(h, data, grid)
                 assert np.array_equal(_gaussian_sums(h, data, grid), want)
-                assert _node_grid(h, data, _node_layout(h, data[0], data[-1]), data.size + 400) is None
+                assert _node_grid(h, data, across(z, h)) is None
         assert calls == [] and builds == []
         # large data get a grid, and a 1-D call with it reads the sums off it
         large = rng.uniform(0, 1, 2000)
-        nodes = _node_grid(0.05, np.sort(large), _node_layout(0.05, 0.0, 1.0), 2400)
+        nodes = _node_grid(0.05, np.sort(large), across(1.0, 0.05))
         assert nodes is not None and len(builds) == 1
         assert nodes.sums.size == 5 * 20 + 20  # 1/(h/5) nodes over the range, 20 beside
         _gaussian_sums(0.05, large, large, nodes=nodes)
         assert len(calls) == 1
         # the grid is priced by its nodes as well as its data: 1000 data
-        # over 10 units at h = 0.005 would need 10 020 nodes, which do not
-        # pay on 1400 targets; at h = 0.02, 2520 nodes do
+        # over 10 units at h = 0.002 would need 25 021 nodes, which do not
+        # pay on 1060 targets; at h = 0.02, 2521 nodes do
         spread = np.sort(rng.uniform(0, 10, 1000))
-        for h, pays in ((0.005, False), (0.02, True)):
-            assert (_node_grid(h, spread, _node_layout(h, 0.0, 10.0), 1400) is not None) == pays
+        for h, count, pays in ((0.002, 25_021, False), (0.02, 2521, True)):
+            assert (across(10.0, h).layout[2], across(10.0, h).nodes.size) == (count, 60)
+            assert (_node_grid(h, spread, across(10.0, h)) is not None) == pays
         assert len(builds) == 2
         # two axes take their own product form, never a node grid
         _direct_sums(0.05, large, large, (large, large))
@@ -889,6 +917,33 @@ class TestSharedNodeGrid:
                 est = SubstationaryIntensity(beta_pattern(n, seed=n), theta, 0.05)
                 assert est._nodes is not None
         assert SubstationaryIntensity(beta_pattern(100, seed=100), 0.0, 0.05)._nodes is None
+
+    # the sizes about the crossover of the direct sum and the grid, on Beta,
+    # clustered and gapped data: the grid over each estimator's plan, built
+    # whether or not it pays, holds every value within 1e-10 of the direct sum
+    @pytest.mark.parametrize("kind", ["beta", "cluster", "gapped"])
+    @pytest.mark.parametrize("deg", [0.0, 3.0, 45.0, 84.0])
+    def test_the_grid_holds_about_the_crossover(self, kind, deg):
+        taken = 0
+        for n in (150, 200, 300, 500):
+            rng = np.random.default_rng(n)
+            # y on [0, 1]: Beta(3, 3), three clusters of 0.002-0.04, or Beta with 0.4-0.6 empty
+            y = {
+                "beta": lambda: synthetic_data("beta", n, 1.0, 0.02, n),
+                "cluster": lambda: synthetic_data("cluster", n, 1.0, 0.02, n, clusters=3),
+                "gapped": lambda: split_data(synthetic_data("beta", n, 0.8, 0.02, n), 0.8, 0.2),
+            }[kind]()
+            pat = PointPattern(rng.uniform(0.0, n / 100, n), y, Window(n / 100))
+            for h in (0.01, 0.02, 0.05):
+                est = SubstationaryIntensity(pat, Subspace.from_degrees(deg), h)
+                data, taken = est._v_data, taken + (est._nodes is not None)
+                nodes = _build_node_grid(h, data, est._plan.layout)
+                cells = _cells(est)[0][0]
+                assert cells.size == 512
+                for targets, loo in ((est._v_points, False), (data, True), (est._plan.nodes, False), (cells, False)):
+                    want = _direct_sums(h, data, targets) - (own_kernel(h) if loo else 0.0)
+                    assert_relative(_gaussian_sums(h, data, targets, loo=loo, nodes=nodes), want, 1e-10)
+        assert taken > 0
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_call_order_never_changes_a_value(self, n):
