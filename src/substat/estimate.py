@@ -69,14 +69,15 @@ from .geometry import (
     v_range,
 )
 from .kernels import (
+    _batched_pass,
+    _corrected,
+    _data_terms,
     _direct_sums,
     _gaussian_sums,
     _grid_sums,
-    _kernel_mass,
     _node_grid,
     _plan,
     correction_2d,
-    correction_substat_closed,
     validate_bandwidth,
 )
 
@@ -153,11 +154,25 @@ class SubstationaryIntensity:
         # the data's offsets in input order, which at_points reads for the pattern's own points
         _, self._v_points = project_xy(self.theta, pattern.x, pattern.y)
         # canonical (sorted) order makes every output independent of the
-        # order the points were supplied in
-        self._v_data = np.sort(self._v_points)
+        # order the points were supplied in; _order takes the input order to it
+        self._order = np.argsort(self._v_points)
+        self._v_data = self._v_points[self._order]
         self._plan = _plan(self.theta, pattern.window, self.h)
         # the one node grid (or None) over the projection range that every evaluation reads
         self._nodes = _node_grid(self.h, self._v_data, self._plan)
+        # the one erfc path of every call, chosen by the size of the pass over the data
+        self._batched = _batched_pass(self.h, self._plan.rows, self._v_data)
+        self._terms = None
+
+    def _data_terms(self) -> tuple[np.ndarray, float]:
+        """The correction at the sorted data and the kernel mass over the projection range.
+
+        The same erfc calls give both (``kernels._data_terms``); the first of
+        ``at_points``, ``loo_values`` and ``integral`` to need them takes it.
+        """
+        if self._terms is None:
+            self._terms = _data_terms(self.h, self._plan.rows, self._v_data, self._batched)
+        return self._terms
 
     @property
     def window(self) -> Window:
@@ -172,22 +187,29 @@ class SubstationaryIntensity:
             raise ValueError(f"offset outside the projection range [{lo:.6g}, {hi:.6g}]")
         return _shaped_like(v, self._values(v_arr))
 
-    def _values(self, v: np.ndarray, loo: bool = False) -> np.ndarray:
+    def _values(self, v: np.ndarray) -> np.ndarray:
         """The estimate at the 1-D offsets v, unchecked: the data's kernel sums over the correction."""
-        sums = _gaussian_sums(self.h, self._v_data, v, loo=loo, nodes=self._nodes)
-        return sums / correction_substat_closed(self.theta, self.window, self.h, v)
+        sums = _gaussian_sums(self.h, self._v_data, v, nodes=self._nodes)
+        return sums / _corrected(self.h, self._plan.rows, v, self._batched)
+
+    def _own_values(self, loo: bool = False) -> np.ndarray:
+        """The estimate at the sorted data, each left out of its own sum with ``loo``."""
+        sums = _gaussian_sums(self.h, self._v_data, self._v_data, loo=loo, nodes=self._nodes)
+        return sums / self._data_terms()[0]
 
     def at_points(self, x, y):
         """Intensity at the locations (x, y) in the window.
 
         The pattern's own coordinate arrays, as ``loglik`` passes them, were
         checked by ``PointPattern`` and projected by the constructor, so they
-        read those offsets, in input order; any other locations are checked
-        against the window, once, as the other estimators check them, and
-        projected here.
+        read the values at the sorted data, put back in input order; any other
+        locations are checked against the window, once, as the other estimators
+        check them, and projected here.
         """
         if x is self.pattern.x and y is self.pattern.y:
-            return self._values(self._v_points)
+            values = np.empty(self._order.size)
+            values[self._order] = self._own_values()
+            return values
         _require_inside(self.window, x, y)
         _, v = project_xy(self.theta, x, y)
         return _shaped_like(v, self._values(v))
@@ -198,7 +220,7 @@ class SubstationaryIntensity:
         The values follow the canonical (sorted-offset) order of the data;
         a point with no neighbour within reach gets exactly 0.
         """
-        return self._values(self._v_data, loo=True)
+        return self._own_values(loo=True)
 
     def integral(self) -> float:
         """Integral of the estimate over the window: of lambda_hat(v) times the chord c(v).
@@ -208,7 +230,7 @@ class SubstationaryIntensity:
 
             integral = int_lo^hi S dv - int lambda_hat * (corr - c) dv.
 
-        The first term is closed (``_kernel_mass``); the knot terms are below
+        The first term is closed (``kernels._data_terms``); the knot terms are below
         2**-53 of the plateau beyond ``_KNOT_REACH`` bandwidths of every knot,
         so the second is taken by Gauss-Legendre panels over those zones
         alone, whatever the projection length.  The zones' nodes and weights,
@@ -217,8 +239,7 @@ class SubstationaryIntensity:
         """
         plan = self._plan
         sums = _gaussian_sums(self.h, self._v_data, plan.nodes, nodes=self._nodes)
-        mass = _kernel_mass(self.h, self._v_data, plan.lo, plan.hi)
-        return mass - float(plan.weights @ (sums / plan.corr * plan.excess))
+        return self._data_terms()[1] - float(plan.weights @ (sums / plan.corr * plan.excess))
 
 
 class KernelIntensity2D:

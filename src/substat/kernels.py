@@ -15,11 +15,14 @@ widths from 3e-8*h to 0.1*h, near both axes, the relative error was at
 most 8.7e-14, just above the threshold.
 
 Beyond ``_KNOT_REACH`` = 10 bandwidths of every knot each knot term is
-below 2**-53 of the plateau, so there the correction is the chord itself;
-the likelihood integral (``estimate.SubstationaryIntensity.integral``)
-takes its Gauss-Legendre quadrature only on the zones within that reach
-(``_zone_panels``), and the kernel mass over the projection range in
-closed form (``_kernel_mass``).
+below 2**-53 of the plateau, so there the correction is the chord itself:
+each knot's term is taken only at the offsets within that reach of it, and
+beyond is 0 at a kink and its limit at a jump, -T outwards and 0 inwards
+(``_corrected``).  The likelihood integral
+(``estimate.SubstationaryIntensity.integral``) takes its Gauss-Legendre
+quadrature only on the zones within that reach (``_zone_panels``), and the
+kernel mass over the projection range in closed form from the data within
+that reach of its ends (``_data_terms``).
 
 Whatever reads no data depends on the angle, the window and h alone, so
 ``_plan`` builds it once per such key, keeps the 128 keys used last (an open
@@ -34,7 +37,28 @@ coarse angles, so they share those angles' plans.
 
 Only the Gaussian kernel ships; the normal CDF is evaluated
 through the complementary error function so deep tails underflow to zero
-instead of losing precision to cancellation.
+instead of losing precision to cancellation.  The module's erfc
+(``_erfc``) has two elementwise paths: the standard library's
+``math.erfc`` mapped over the arguments, and cephes' rationals, the
+coefficients of scipy's erfc, for all the arguments at once through one
+matrix of powers and one matrix product (``_erfc_rational``).  Against
+scipy's erfc either is within 4e-15 relative for |t| <= 5 and 1e-13
+wherever scipy's value exceeds 1e-300.  On a 2-core x86-64 VM at one
+OpenBLAS thread (best of 7 runs, arguments in [0, 7.1], as within the
+knots' reach), ``math.erfc`` took about 1.5 us a call and 65 ns an
+element, and the power matrix, in blocks of ``_ERFC_BLOCK`` elements,
+about 20 us a call and 20 ns an element; they crossed at about 400
+elements a call, the value of ``_ERFC_CROSSOVER``.  Each
+``estimate.SubstationaryIntensity`` picks its path once, when it is built,
+as it picks its node grid: the power matrix if more than
+``_ERFC_CROSSOVER`` of its data's offsets lie within reach of a knot or an
+end, counted by two ``np.searchsorted`` a point on its sorted data
+(``_batched_pass``).  Every call of that estimator takes that path, so no
+value depends on the calls before it.  Its correction at the data and its
+kernel mass's tails share those erfc calls (``_data_terms``): an end is a
+row of the correction's block, or shares the knot on it (a ramp's foot,
+or a jump of no width).  ``normal_cdf``, ``correction_substat_closed`` and
+the plans' integral nodes take the standard library's path.
 
 This module owns the kernel's arithmetic, its normalizing constants
 included; ``_kernel_block`` is the one copy of the Gaussian's exponent.  An
@@ -116,7 +140,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erfc
 
 from .geometry import Subspace, Window, _shaped_like, _trapezoid, chord_measure
 
@@ -148,6 +171,36 @@ _CORRECTION_ELEMENTS = 2**14
 # zones (_zone_panels) were measured
 _JUMP_WIDTH = 1e-3
 _KNOT_REACH = 10
+# the complementary error function (_erfc): cephes' rationals, the coefficients of scipy's
+# erfc (Moshier 1989, after Cody 1969), highest power first: 1 - x*T/U in x^2 below 1,
+# exp(-x^2)*P/Q in x below 8 and exp(-x^2)*R/S above; U, Q and S are monic
+_ERFC_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+           7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERFC_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# the rationals' numerators (T, P, R) and denominators (U, Q, S) as rows over the powers
+# x^p of _ERFC_POWERS (no polynomial has x^9); beyond the cap erfc(x) is below 1e-318
+_ERFC_POWERS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 10)
+_ERFC_ROWS = np.array([
+    [dict(zip(range(0, step * len(c), step), c[::-1])).get(p, 0.0) for p in _ERFC_POWERS]
+    for c, step in zip((_ERFC_T, _ERFC_P, _ERFC_R, _ERFC_U, _ERFC_Q, _ERFC_S), (2, 1, 1, 2, 1, 1))
+])
+_ERFC_CAP = 27.0
+# elements per block of the power-matrix pass: its 10 rows of powers fill 160 KB (2**11
+# timed fastest of 2**10-2**12 at 10**3-10**4 elements)
+_ERFC_BLOCK = 2**11
+# an estimator with more offsets than this within reach takes the power matrix (module docstring)
+_ERFC_CROSSOVER = 400
 # the likelihood integral's quadrature where the correction's knot terms act: Gauss-Legendre
 # panels of at most _PANEL_WIDTH bandwidths, of _PANEL_NODES nodes each (a convergence
 # test in tests/test_estimate.py holds the integral within 1e-9 of a fine reference)
@@ -191,11 +244,60 @@ def validate_bandwidth(h: float) -> float:
 
 
 def normal_cdf(t):
-    """Standard normal CDF via erfc, accurate in both tails."""
+    """Standard normal CDF via erfc, accurate in both tails: on the standard library's path."""
     t = np.asarray(t, dtype=float)
-    with np.errstate(under="ignore"):
-        out = 0.5 * erfc(-t / _SQRT_2)
+    return 0.5 * _erfc((-t / _SQRT_2).ravel(), False).reshape(t.shape)
+
+
+def _erfc(t: np.ndarray, batched: bool) -> np.ndarray:
+    """erfc at each element of the 1-D array t: ``math.erfc`` mapped over it, or with
+    ``batched`` cephes' rationals in blocks of ``_ERFC_BLOCK`` (``_erfc_rational``).
+
+    Either path gives each element's value whatever the others are.
+    """
+    if not batched:
+        return np.fromiter(map(math.erfc, t.tolist()), float, t.size)
+    out = np.empty(t.size)
+    for i in range(0, t.size, _ERFC_BLOCK):
+        out[i : i + _ERFC_BLOCK] = _erfc_rational(t[i : i + _ERFC_BLOCK])
     return out
+
+
+def _erfc_rational(t: np.ndarray) -> np.ndarray:
+    """cephes' erfc at each element of t, its three rationals taken by one matrix product.
+
+    With x = |t|: 1 - x*T(x^2)/U(x^2) below 1, exp(-x^2)*P(x)/Q(x) below 8 and
+    exp(-x^2)*R(x)/S(x) from 8 on; 2 less that value where t < 0.  The powers
+    1, x, ..., x^8 and x^10 of x (at most ``_ERFC_CAP``) are the rows of one
+    matrix, and ``_ERFC_ROWS`` @ it gives all six polynomials at once, each a
+    sum of positive terms.  The matrix takes two columns at least, so numpy's
+    product is a BLAS matrix product, whose columns do not depend on each
+    other (a lone column goes to a matrix-vector product, which rounds
+    otherwise).  NaN gives NaN.
+    """
+    x = np.abs(t)
+    m = x.size
+    powers = np.empty((len(_ERFC_POWERS), max(m, 2)))
+    powers[0] = 1.0
+    np.minimum(x, _ERFC_CAP, out=powers[1, :m])
+    powers[1, m:] = 0.0
+    for k in range(2, 9):
+        np.multiply(powers[k - 1], powers[1], out=powers[k])
+    np.multiply(powers[8], powers[2], out=powers[9])
+    rationals = (_ERFC_ROWS @ powers)[:, :m]
+    below = x < 1.0
+    q = np.where(below, rationals[0], rationals[1])
+    den = np.where(below, rationals[3], rationals[4])
+    far = x >= 8.0
+    if far.any():
+        q[far], den[far] = rationals[2, far], rationals[5, far]
+    q /= den
+    q *= np.where(below, -x, np.exp(-x * x))  # erfc(x) = 1 - x*q below 1
+    q += below
+    negative = t < 0.0
+    if negative.any():
+        q[negative] = 2.0 - q[negative]
+    return q
 
 
 def _gaussian_sums(
@@ -215,30 +317,13 @@ def _gaussian_sums(
     within 1e-10 relative error of ``_direct_sums`` and gives its
     nonpositive values exactly.  With ``nodes`` the data must be sorted, as
     ``SubstationaryIntensity._v_data`` is: the guards find each value's
-    reach by ``np.searchsorted`` (``_reached_sums``), and so does
-    ``_kernel_mass``.
+    reach by ``np.searchsorted`` (``_reached_sums``).
     """
     own = 1.0 / (h * _SQRT_2PI) if loo else 0.0
     if nodes is not None:
         return _interpolated_sums(h, data, targets, own, nodes)
     sums = _direct_sums(h, data, targets)
     return sums - own if loo else sums
-
-
-def _kernel_mass(h: float, data: np.ndarray, lo: float, hi: float) -> float:
-    """The integral of ``_gaussian_sums`` over [lo, hi]: n less each kernel's tails beyond them.
-
-    The tail Q(x) = erfc(x/sqrt(2))/2 at x = (hi - v_j)/h, or (v_j - lo)/h, is
-    below 1e-308 beyond ``_FLOOR_REACH`` bandwidths, too small to move n, so
-    only the data within that reach of an end take an erfc; the data must
-    be sorted.
-    """
-    reach = _FLOOR_REACH * h
-    top = data[np.searchsorted(data, hi - reach) :]
-    bottom = data[: np.searchsorted(data, lo + reach)]
-    with np.errstate(under="ignore"):
-        tails = erfc((hi - top) / (h * _SQRT_2)).sum() + erfc((bottom - lo) / (h * _SQRT_2)).sum()
-    return data.size - 0.5 * float(tails)
 
 
 def _kernel_block(h: float, offsets: np.ndarray) -> np.ndarray:
@@ -460,7 +545,7 @@ class _Plan(NamedTuple):
     lo: float
     hi: float
     layout: tuple[float, float, int]
-    rows: tuple
+    rows: _Rows
     nodes: np.ndarray
     weights: np.ndarray
     corr: np.ndarray
@@ -479,7 +564,7 @@ def _plan(subspace: Subspace, window: Window, h: float) -> _Plan:
     mid, half = np.array(_zone_panels(knots.tolist(), h)).T
     nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
     weights = (half[:, None] * _GAUSS_WEIGHTS).ravel()
-    corr = _corrected(h, rows, nodes)
+    corr = _corrected(h, rows, nodes, False)
     excess = corr - chord_measure(subspace, window, nodes)
     for values in (nodes, weights, corr, excess):
         values.setflags(write=False)
@@ -506,56 +591,122 @@ def _zone_panels(knots: list, h: float) -> list[tuple[float, float]]:
     return panels
 
 
-def _correction_rows(knots: np.ndarray, top: float, h: float) -> tuple:
-    """The plateau and the rows of ``_corrected``'s block, for the chord's knots and plateau.
+class _Rows(NamedTuple):
+    """The correction's terms at one key, for ``_corrected``: see ``_correction_rows``.
 
-    (top, column, kinks, scale, tails, runs, bends), each array read-only;
-    ``bends`` is empty where no jump has a width.
+    ``points`` are the knots, the wide ramps' feet, then their heads, then
+    the jumps' midpoints, and after them each end of the projection range,
+    lo and hi, that is not a knot.  ``kinks`` holds h*s_k at each kink,
+    ``scale`` each point's erfc argument t = (v - point)*scale, taken as |t|
+    at a kink, and ``tails`` each knot's weight of t*erfc(t) at a kink and of
+    erfc(t) at a jump.  ``runs`` holds each wide ramp's head less its foot,
+    and ``bends`` each jump's weight of (v - m_j)*exp(-((v - m_j)/h)**2/2)/sqrt(2*pi),
+    empty where no jump has a width.  ``ends`` names the two points whose erfc
+    values at the data are the kernel mass's tails beyond lo and hi: an end,
+    or the knot there, a ramp's foot or a jump of no width, whose argument
+    is the end's.
     """
+
+    top: float
+    points: np.ndarray
+    kinks: np.ndarray
+    scale: np.ndarray
+    tails: np.ndarray
+    runs: np.ndarray
+    bends: np.ndarray
+    ends: tuple[int, int]
+
+
+def _correction_rows(knots: np.ndarray, top: float, h: float) -> _Rows:
+    """The ``_Rows`` of the chord's outer knots and plateau T, each array read-only."""
     k = knots.tolist()
     # the rise and the fall: foot (at height 0), head, width and outward sign
     ramps = [(k[0], k[1], k[1] - k[0], -1.0), (k[3], k[2], k[3] - k[2], 1.0)]
     narrow = _JUMP_WIDTH * h
     wide = [(foot, head, h * top / width) for foot, head, width, _ in ramps if width >= narrow]
     jumps = [(0.5 * (foot + head), out, width) for foot, head, width, out in ramps if width < narrow]
-    # the block's rows: the wide ramps' feet and heads, with h * s_k, then the jumps
-    column = np.array([f for f, _, _ in wide] + [e for _, e, _ in wide] + [m for m, _, _ in jumps])
+    # the wide ramps' feet and heads, with h * s_k, then the jumps, then the ends that are no knot
+    points = [f for f, _, _ in wide] + [e for _, e, _ in wide] + [m for m, _, _ in jumps]
     kinks = np.array([s for *_, s in wide] + [-s for *_, s in wide])
-    # erfc(t) is 2*Q(x_k) at t = x_k/sqrt(2), at the kinks, and 2*Phi(o_j/h) at the jumps
-    scale = np.array([1.0] * kinks.size + [-out for _, out, _ in jumps]) / (h * _SQRT_2)
+    # erfc(t) is 2*Q(x_k) at t = x_k/sqrt(2) at a kink and an end, and 2*Phi(o_j/h) at a jump
+    signs = [1.0] * kinks.size + [-out for _, out, _ in jumps]
+    ends = []
+    for end, sign in ((k[0], 1.0), (k[3], -1.0)):
+        if end not in points:
+            points, signs = points + [end], signs + [sign]
+        ends.append(points.index(end))
+    points = np.array(points)
+    scale = np.array(signs) / (h * _SQRT_2)
     tails = np.concatenate((kinks / -_SQRT_2, np.full(len(jumps), -0.5 * top)))
     runs = np.array([head - foot for foot, head, _ in wide])[:, None]
-    # each jump's width term T*(w/h)**2/24 * x*phi(x) at x = o_j/h, as the weight of
-    # (v - m_j) * exp(-((v - m_j)/h)**2/2) / sqrt(2*pi)
+    # each jump's width term T*(w/h)**2/24 * x*phi(x) at x = o_j/h
     bends = np.array([top * (width / h) ** 2 / 24.0 * out / h for _, out, width in jumps])
     bends = bends if bends.any() else np.empty(0)
-    for rows in (column, kinks, scale, tails, runs, bends):
+    for rows in (points, kinks, scale, tails, runs, bends):
         rows.setflags(write=False)
-    return top, column, kinks, scale, tails, runs, bends
+    return _Rows(top, points, kinks, scale, tails, runs, bends, tuple(ends))
 
 
-def _corrected(h: float, rows: tuple, v: np.ndarray) -> np.ndarray:
-    """``correction_substat_closed`` at the offsets v by a plan's ``rows``, shaped like v."""
-    top, column, kinks, scale, tails, runs, bends = rows
-    r = kinks.size
-    flat, total = v.ravel(), np.empty(v.size)
-    step = max(1, _CORRECTION_ELEMENTS // column.size)
+def _batched_pass(h: float, rows: _Rows, data: np.ndarray) -> bool:
+    """Whether ``_corrected`` over the sorted data with the ends' rows takes the power matrix:
+    more than ``_ERFC_CROSSOVER`` of its offsets within reach of a point (module docstring)."""
+    reach = _KNOT_REACH * h
+    near = data.searchsorted(rows.points + reach) - data.searchsorted(rows.points - reach, "right")
+    return int(near.sum()) > _ERFC_CROSSOVER
+
+
+def _corrected(
+    h: float, rows: _Rows, v: np.ndarray, batched: bool, ends: bool = False
+) -> np.ndarray | tuple[np.ndarray, float]:
+    """``correction_substat_closed`` at the offsets v by a plan's ``rows``, shaped like v.
+
+    Each knot's erfc term is taken only at the offsets within ``_KNOT_REACH``
+    bandwidths of it, all of a block's in one ``_erfc`` call; beyond, a
+    kink's term is 0 and a jump's its limit, -T outwards and 0 inwards (the
+    module docstring bounds both below 2**-53 of the plateau).  A NaN offset
+    is within every reach, so it gives NaN.  With ``ends`` the same calls take
+    the ends' rows, and the sum of their erfc values over v comes back too:
+    twice the kernel tails beyond lo and hi of data at v (``_data_terms``).
+    """
+    top, points, kinks, scale, tails, runs, bends, end_rows = rows
+    r, knots = kinks.size, tails.size
+    taken = points.size if ends else knots
+    column, scale = points[:taken, None], scale[:taken, None]
+    reach = _KNOT_REACH * h
+    flat, total, tail = v.ravel(), np.empty(v.size), 0.0
+    step = max(1, _CORRECTION_ELEMENTS // taken)
     share, density = 1.0, 0.0  # c(v) / T and the kinks' term on the axes, which have no kinks
     for i in range(0, flat.size, step):
-        d = flat[i : i + step] - column[:, None]
-        t = d * scale[:, None]
+        d = flat[i : i + step] - column
+        t = d * scale
         np.abs(t[:r], out=t[:r])
-        with np.errstate(under="ignore"):
-            block = erfc(t)
+        near = ~(np.abs(d) >= reach)
+        block = np.where(t < 0.0, 2.0, 0.0)  # erfc's limits, 2 outwards of a jump
+        block[near] = _erfc(t[near], batched)
+        if ends:
+            tail += float(block[list(end_rows)].sum())
         block[:r] *= t[:r]
         if r:
             share = np.minimum.reduce(d[: r // 2] / runs, axis=0, initial=1.0)
             density = kinks @ _kernel_block(h, d[:r]) / _SQRT_2PI
-        total[i : i + step] = top * np.maximum(share, 0.0) + tails @ block + density
+        total[i : i + step] = top * np.maximum(share, 0.0) + tails @ block[:knots] + density
         if bends.size:
-            near = d[r:]
-            total[i : i + step] += bends @ (near * _kernel_block(h, near.copy())) / _SQRT_2PI
-    return total.reshape(v.shape)
+            near_jumps = d[r:knots]
+            total[i : i + step] += bends @ (near_jumps * _kernel_block(h, near_jumps.copy())) / _SQRT_2PI
+    return (total.reshape(v.shape), tail) if ends else total.reshape(v.shape)
+
+
+def _data_terms(h: float, rows: _Rows, data: np.ndarray, batched: bool) -> tuple[np.ndarray, float]:
+    """The correction at the sorted data and their kernel mass over [lo, hi], in the same erfc calls.
+
+    The mass, the integral of ``_gaussian_sums`` over [lo, hi], is n less
+    each kernel's tails beyond the ends, Q(x) = erfc(x/sqrt(2))/2 at
+    x = (v_j - lo)/h and (hi - v_j)/h, the erfc values at the ends' rows.
+    Beyond ``_KNOT_REACH`` bandwidths Q is below 1e-23, too small to move n,
+    so only the data within reach of an end take one.
+    """
+    corr, tail = _corrected(h, rows, data, batched, ends=True)
+    return corr, data.size - 0.5 * tail
 
 
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
@@ -577,7 +728,7 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
     """
     h = validate_bandwidth(h)
     v_arr = np.asarray(v, dtype=float)
-    return _shaped_like(v_arr, _corrected(h, _plan(subspace, window, h).rows, v_arr))
+    return _shaped_like(v_arr, _corrected(h, _plan(subspace, window, h).rows, v_arr, False))
 
 
 def correction_2d(window: Window, h: float, x, y):

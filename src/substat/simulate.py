@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .geometry import PointPattern, Window, _count
 
@@ -91,8 +90,12 @@ class PoissonBetaModel:
         """True first-order intensity as a function of the vertical coordinate."""
         y = np.asarray(y, dtype=float)
         inside = (y >= 0.0) & (y <= 1.0)
-        # the Beta(a, a) density; 0 ** 0 is 1, so a = 1 is 1 on the closed [0, 1]
-        density = np.where(inside, y * (1.0 - y), 0.0) ** (self.a - 1.0) / beta_fn(self.a, self.a)
+        # the Beta(a, a) density as (4y(1 - y))**(a - 1), at most 1, times 4**(1 - a)/B(a, a),
+        # taken in log space, so that neither factor underflows at large a where the density
+        # does not; 0 ** 0 is 1, so a = 1 is 1 on the closed [0, 1]
+        a = self.a
+        scale = math.exp(math.lgamma(2.0 * a) - 2.0 * math.lgamma(a) - (a - 1.0) * math.log(4.0))
+        density = np.where(inside, 4.0 * y * (1.0 - y), 0.0) ** (a - 1.0) * scale
         return POINTS_PER_UNIT_LENGTH * np.where(inside, density, 0.0)
 
 

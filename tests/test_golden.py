@@ -2,9 +2,9 @@
 
 ``tools/golden.sh`` runs the CLI steps against the package in ``src`` and
 prints one sha256 line per output; ``tools/golden.expected`` holds the
-listing of the current tree.  A listing made by another Python, numpy or
-scipy may differ in its last bits, so the test skips when the toolchain
-line differs.
+listing of the current tree.  A listing made by another Python or numpy
+may differ in its last bits, so the test skips when the toolchain line
+differs.
 """
 
 import difflib

@@ -1076,22 +1076,26 @@ def test_the_package_ships_no_test_instrument():
     assert "return_parents" not in inspect.signature(substat.simulate_thomas).parameters
 
 
-def test_importing_the_package_loads_no_scipy_module_but_special():
+def test_importing_the_package_loads_no_scipy_module():
     # a fresh interpreter, since this one has imported scipy for other tests;
-    # the package's work, not only its import, must leave the heavy modules out
+    # the package's work, not only its import, must leave scipy out: a fit, a
+    # CV, a correction, and one table-2 replication, which reaches correction_2d
+    # and the Beta truth
     code = """
 import sys
 import numpy as np
 import substat.cli
 from substat import PointPattern, Subspace, Window, bandwidth_cv_scores
 from substat import correction_substat_closed, fit_theta
+from substat.experiments import ExperimentPlan, run_table2
 rng = np.random.default_rng(7)
 pattern = PointPattern(rng.uniform(0, 2, 80), rng.beta(3, 3, 80), Window(2, 1))
 fit_theta(pattern, 0.1, search_halfwidth_deg=6.0)
 bandwidth_cv_scores(pattern, Subspace(0.0), (0.05, 0.1))
 print(correction_substat_closed(Subspace(0.0), Window(1, 1), 0.05, 0.5))
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.stats")
-print(sorted(name for name in heavy if name in sys.modules))
+run_table2(ExperimentPlan(process="poisson", a_values=(3.0,), z_values=(1.0,), h_values=(0.05,),
+                          replications=1, master_seed=5, target="table2"), threads=1)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

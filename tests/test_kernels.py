@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
+from scipy.special import erfc as scipy_erfc
 
 from substat import kernels
 from substat.estimate import _DOMAIN_TOL, SubstationaryIntensity, _cells, fit_theta, loglik
@@ -22,9 +23,9 @@ from substat.geometry import (
 from substat.kernels import (
     _build_node_grid,
     _direct_sums,
+    _erfc,
     _gaussian_sums,
     _interpolated_sums,
-    _kernel_mass,
     _lattice_sums,
     _node_grid,
     _node_layout,
@@ -156,6 +157,63 @@ class TestNormalCdf:
         assert np.allclose(deriv, normal_pdf(x), rtol=1e-7, atol=1e-9)
 
 
+class TestErfc:
+    """Both paths of the package's erfc against scipy's, whose cephes rationals the
+    power matrix evaluates."""
+
+    SWEEP = np.concatenate((np.linspace(-40.0, 40.0, 160_001), [0.0, -0.0, np.inf, -np.inf]))
+
+    @staticmethod
+    def assert_close(got, want, t):
+        # scipy's exp(-t^2) loses about t^2 * 2**-53, so far out only 1e-13 holds
+        rel = np.abs(got - want) / np.where(want > 0.0, want, 1.0)
+        assert np.max(rel[np.abs(t) <= 5.0]) <= 4e-15
+        assert np.max(rel[want > 1e-300]) <= 1e-13
+        assert np.all(np.abs(got[want <= 1e-300]) <= 1e-300)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_each_path_matches_scipy(self, batched):
+        got = _erfc(self.SWEEP, batched)
+        self.assert_close(got, scipy_erfc(self.SWEEP), self.SWEEP)
+        assert got[-4:].tolist() == [1.0, 1.0, 0.0, 2.0]
+
+    def test_the_paths_agree(self):
+        self.assert_close(_erfc(self.SWEEP, True), _erfc(self.SWEEP, False), self.SWEEP)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_nan_propagates_alone(self, batched):
+        t = np.array([0.5, np.nan, -3.0, 9.0, np.nan])
+        got = _erfc(t, batched)
+        assert np.array_equal(np.isnan(got), np.isnan(t))
+        assert np.all(got[~np.isnan(t)] == _erfc(t[~np.isnan(t)], batched))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_a_value_never_depends_on_the_others(self, batched):
+        # blocks of the power matrix, and a lone column, which numpy would hand a
+        # matrix-vector product
+        t = np.random.default_rng(5).uniform(-9.0, 9.0, 10_000)
+        whole = _erfc(t, batched)
+        for size in (1, 2, 3, 999):
+            pieces = [_erfc(t[i : i + size], batched) for i in range(0, 3000, size)]
+            assert np.array_equal(np.concatenate(pieces)[:3000], whole[:3000])
+
+    def test_estimators_on_both_sides_of_the_crossover_hold_the_closed_form(self):
+        # direct sums, so that only the correction's path can move a value; at
+        # h = 0.2 every datum is within reach of the four kinks of an oblique angle
+        rng = np.random.default_rng(3)
+        pat = PointPattern(rng.uniform(0, 1, 120), rng.beta(2, 2, 120), Window(1.0, 1.0))
+        paths = set()
+        for h in (0.01, 0.05, 0.2):
+            for theta in (0.0, 0.3, 1.2, -math.pi / 2):
+                est = SubstationaryIntensity(pat, theta, h)
+                assert est._nodes is None
+                paths.add(est._batched)
+                corr = correction_substat_closed(est.theta, pat.window, h, est._v_points)
+                want = _direct_sums(h, est._v_data, est._v_points) / corr
+                assert_relative(est.at_points(pat.x, pat.y), want, 1e-13)
+        assert paths == {False, True}
+
+
 class TestClosedFormCorrection:
     def test_horizontal_axis_formula(self):
         # z * [Phi((omega-v)/h) - Phi(-v/h)] with z=3, omega=1, h=0.1, v=0.2
@@ -175,7 +233,7 @@ class TestClosedFormCorrection:
             ((0.0,), 3.0, 0.0, "0x1.8p+0"),
             ((0.0,), 3.0, 0.03, "0x1.da8e543261135p+0"),
             ((0.0,), 3.0, 0.5, "0x1.7ffff19285ca7p+1"),
-            ((0.0,), 3.0, 0.97, "0x1.da8e543261136p+0"),
+            ((0.0,), 3.0, 0.97, "0x1.da8e543261135p+0"),
             ((-math.pi / 2, math.pi / 2), 2.0, 0.0, "0x1.ffffffffffffep-2"),
             ((-math.pi / 2, math.pi / 2), 2.0, 0.1, "0x1.aec4bd120d37cp-1"),
             ((-math.pi / 2, math.pi / 2), 2.0, 1.0, "0x1p+0"),
@@ -184,10 +242,26 @@ class TestClosedFormCorrection:
     )
     def test_values_on_the_exact_axes_are_pinned(self, thetas, z, v, bits):
         # on the axes the chord profile has jumps and no ramp; these bits held
-        # before the ramps' terms were skipped there
+        # before the ramps' terms were skipped there, but the one at 0.97, which
+        # moved by an ulp with the standard library's erfc
         for theta in thetas:
             got = correction_substat_closed(Subspace(theta), Window(z, 1.0), 0.1, np.array([v]))
             assert got[0] == float.fromhex(bits)
+
+    @pytest.mark.parametrize(
+        "theta, at_inf",
+        [(0.0, 0.0), (-math.pi / 2, np.nan), (0.05, np.nan), (0.8, np.nan)],
+    )
+    def test_nan_and_infinite_offsets_give_what_they_gave_before_the_reach(self, theta, at_inf):
+        # a NaN offset is within every knot's reach, so it gives NaN; an infinite
+        # one gives 0 on the 0-degree axis, and NaN wherever a kink's t*erfc(t)
+        # or a jump's width term is inf*0, as with erfc taken at every offset
+        v = np.array([np.nan, np.inf, -np.inf, 0.5])
+        with np.errstate(invalid="ignore"):
+            got = correction_substat_closed(Subspace(theta), Window(3.0, 1.0), 0.05, v)
+        assert np.isnan(got[0])
+        np.testing.assert_array_equal(got[1:3], [at_inf, at_inf])
+        assert got[3] > 0.0
 
     @pytest.mark.parametrize("theta", ORACLE_THETAS)
     @pytest.mark.parametrize("dims", ORACLE_WINDOWS)
@@ -908,7 +982,9 @@ class TestSharedNodeGrid:
             nodes, weights = est._plan.nodes, est._plan.weights
             chords = chord_measure(est.theta, pat.window, nodes)
             excess = correction_substat_closed(est.theta, pat.window, h, nodes) - chords
-            want = _kernel_mass(h, est._v_data, lo, hi) - float(weights @ (direct(nodes) * excess))
+            # the kernel mass in [lo, hi], each datum's kernel less its two tails
+            mass = np.sum(normal_cdf((hi - est._v_data) / h) - normal_cdf((lo - est._v_data) / h))
+            want = mass - float(weights @ (direct(nodes) * excess))
             assert est.integral() == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_the_data_of_large_patterns_near_the_axis_are_interpolated(self):

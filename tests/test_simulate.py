@@ -158,6 +158,22 @@ class TestPoissonBeta:
         inside = (y >= 0.0) & (y <= 1.0)
         assert np.all(PoissonBetaModel(1.0, Window(1.0)).intensity(y[inside]) == 100.0)
 
+    def test_a3_intensity_is_the_closed_form(self):
+        # Beta(3, 3) has density 30*(y*(1 - y))**2
+        y = np.linspace(0.0, 1.0, 2001)[1:-1]
+        got = PoissonBetaModel(3.0, Window(1.0)).intensity(y)
+        np.testing.assert_allclose(got, 100 * 30 * (y * (1 - y)) ** 2, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("a", [600.0, 1e6])
+    def test_large_shapes_give_a_finite_intensity_of_mass_100(self, a):
+        # (y*(1 - y))**(a - 1) and B(a, a) both underflow here; the density, of
+        # standard deviation 1/(2*sqrt(2a + 1)), does not
+        model = PoissonBetaModel(a, Window(1.0))
+        assert np.all(np.isfinite(model.intensity([0.5, 0.49, 0.1])))
+        sd = 0.5 / np.sqrt(2 * a + 1)
+        y = np.linspace(0.5 - 12 * sd, 0.5 + 12 * sd, 20001)
+        assert np.trapezoid(model.intensity(y), y) == pytest.approx(100.0, rel=1e-6)
+
     def test_package_import_leaves_scipy_stats_out(self):
         code = "import sys, substat; assert 'scipy.stats' not in sys.modules"
         src = os.path.dirname(os.path.dirname(substat.__file__))

@@ -8,7 +8,7 @@
 # OUT is an empty or missing directory for the outputs.  Every command runs
 # inside OUT with relative paths, its stdout is kept as ``NN-name.stdout``,
 # and the script prints one ``sha256  path`` line per file written, sorted by
-# path, after a first ``# python ... numpy ... scipy ...`` line that names the
+# path, after a first ``# python ... numpy ...`` line that names the
 # toolchain, so a diff also flags a toolchain change.  The listing of the
 # current tree is kept in ``tools/golden.expected``; diff against it:
 #
@@ -28,8 +28,8 @@ mkdir -p "$2"
 cd "$2"
 python=${PYTHON:-python3}
 
-"$python" -c 'import platform, numpy, scipy
-print(f"# python {platform.python_version()} numpy {numpy.__version__} scipy {scipy.__version__}")'
+"$python" -c 'import platform, numpy
+print(f"# python {platform.python_version()} numpy {numpy.__version__}")'
 
 step=0
 run() {
