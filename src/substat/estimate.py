@@ -69,9 +69,7 @@ from .geometry import (
     v_range,
 )
 from .kernels import (
-    _batched_pass,
     _corrected,
-    _data_terms,
     _direct_sums,
     _gaussian_sums,
     _grid_sums,
@@ -158,21 +156,22 @@ class SubstationaryIntensity:
         self._order = np.argsort(self._v_points)
         self._v_data = self._v_points[self._order]
         self._plan = _plan(self.theta, pattern.window, self.h)
-        # the one node grid (or None) over the projection range that every evaluation reads
+        # the one node grid (or None) over the projection range that every evaluation reads;
+        # it also picks every call's erfc path: the power matrix with a grid, else math.erfc
         self._nodes = _node_grid(self.h, self._v_data, self._plan)
-        # the one erfc path of every call, chosen by the size of the pass over the data
-        self._batched = _batched_pass(self.h, self._plan.rows, self._v_data)
-        self._terms = None
 
-    def _data_terms(self) -> tuple[np.ndarray, float]:
-        """The correction at the sorted data and the kernel mass over the projection range.
+    @functools.cached_property
+    def _terms(self) -> tuple[np.ndarray, float]:
+        """The correction at the sorted data and their kernel mass over [lo, hi], taken once.
 
-        The same erfc calls give both (``kernels._data_terms``); the first of
-        ``at_points``, ``loo_values`` and ``integral`` to need them takes it.
+        The mass is n less each kernel's tails beyond the ends, erfc(x/sqrt(2))/2
+        at x = (v_j - lo)/h and (hi - v_j)/h: the ends' rows of the correction's
+        own erfc calls (``kernels._corrected`` with ``ends``), only at the data
+        within ``_KNOT_REACH`` bandwidths, beyond which a tail is below 1e-23.
         """
-        if self._terms is None:
-            self._terms = _data_terms(self.h, self._plan.rows, self._v_data, self._batched)
-        return self._terms
+        batched = self._nodes is not None
+        corr, tail = _corrected(self.h, self._plan.rows, self._v_data, batched, ends=True)
+        return corr, self._v_data.size - 0.5 * tail
 
     @property
     def window(self) -> Window:
@@ -190,12 +189,12 @@ class SubstationaryIntensity:
     def _values(self, v: np.ndarray) -> np.ndarray:
         """The estimate at the 1-D offsets v, unchecked: the data's kernel sums over the correction."""
         sums = _gaussian_sums(self.h, self._v_data, v, nodes=self._nodes)
-        return sums / _corrected(self.h, self._plan.rows, v, self._batched)
+        return sums / _corrected(self.h, self._plan.rows, v, self._nodes is not None)
 
     def _own_values(self, loo: bool = False) -> np.ndarray:
         """The estimate at the sorted data, each left out of its own sum with ``loo``."""
         sums = _gaussian_sums(self.h, self._v_data, self._v_data, loo=loo, nodes=self._nodes)
-        return sums / self._data_terms()[0]
+        return sums / self._terms[0]
 
     def at_points(self, x, y):
         """Intensity at the locations (x, y) in the window.
@@ -230,7 +229,7 @@ class SubstationaryIntensity:
 
             integral = int_lo^hi S dv - int lambda_hat * (corr - c) dv.
 
-        The first term is closed (``kernels._data_terms``); the knot terms are below
+        The first term is closed (``_terms``); the knot terms are below
         2**-53 of the plateau beyond ``_KNOT_REACH`` bandwidths of every knot,
         so the second is taken by Gauss-Legendre panels over those zones
         alone, whatever the projection length.  The zones' nodes and weights,
@@ -239,7 +238,7 @@ class SubstationaryIntensity:
         """
         plan = self._plan
         sums = _gaussian_sums(self.h, self._v_data, plan.nodes, nodes=self._nodes)
-        return self._data_terms()[1] - float(plan.weights @ (sums / plan.corr * plan.excess))
+        return self._terms[1] - float(plan.weights @ (sums / plan.corr * plan.excess))
 
 
 class KernelIntensity2D:
@@ -305,7 +304,8 @@ class StationaryIntensity:
         return self.evaluate(x)  # the constant, shaped like x
 
     def integral(self) -> float:
-        return self.value * self.window.area
+        """The count n: the constant's integral, exact, not n / area * area."""
+        return float(self.pattern.n)
 
 
 def _axis(estimator) -> Subspace:

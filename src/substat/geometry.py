@@ -44,8 +44,8 @@ class DataError(ValueError):
 
 
 def _count(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an integer, Python's or numpy's, of at least ``least``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    """Raise ValueError unless ``value`` is an integer (Python's or numpy's, no bool) >= ``least``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -22,43 +22,41 @@ beyond is 0 at a kink and its limit at a jump, -T outwards and 0 inwards
 (``estimate.SubstationaryIntensity.integral``) takes its Gauss-Legendre
 quadrature only on the zones within that reach (``_zone_panels``), and the
 kernel mass over the projection range in closed form from the data within
-that reach of its ends (``_data_terms``).
+that reach of its ends (``estimate.SubstationaryIntensity._terms``).
 
 Whatever reads no data depends on the angle, the window and h alone, so
-``_plan`` builds it once per such key, keeps the 128 keys used last (an open
-fit reads up to 76, a select-bandwidth and apply session about 90), and every
-estimator and call at a key reads its ``_Plan``: the projection range and
-its node layout, the correction's rows of knots, slopes and scales, and
+``_plan`` builds it once per such key, keeps the 128 keys used last, and
+every estimator and call at a key reads its ``_Plan``: the projection range
+and its node layout, the correction's rows of knots, slopes and scales, and
 the integral's zone nodes and weights with the correction and its excess
-over the chord there.  A profile evaluation then computes only the data's
-part: the kernel sums at the data and at the plan's nodes, the correction
-at the data, and the kernel mass.  A fit's replications score the same
-coarse angles, so they share those angles' plans.
+over the chord there.  An open fit reads up to 76 keys; a select-bandwidth
+then apply session on 1000 points (open search, two bandwidths) reads 157
+and hits 6 at one worker, apply's default, as it outgrows the cache, and at
+two workers the caller reads 81 and hits 69.  A profile evaluation then
+computes only the data's part: the kernel sums at the data and at the plan's
+nodes, the correction at the data, and the kernel mass.  A fit's
+replications score the same coarse angles, so they share those angles' plans.
 
-Only the Gaussian kernel ships; the normal CDF is evaluated
-through the complementary error function so deep tails underflow to zero
-instead of losing precision to cancellation.  The module's erfc
-(``_erfc``) has two elementwise paths: the standard library's
-``math.erfc`` mapped over the arguments, and cephes' rationals, the
-coefficients of scipy's erfc, for all the arguments at once through one
-matrix of powers and one matrix product (``_erfc_rational``).  Against
-scipy's erfc either is within 4e-15 relative for |t| <= 5 and 1e-13
-wherever scipy's value exceeds 1e-300.  On a 2-core x86-64 VM at one
-OpenBLAS thread (best of 7 runs, arguments in [0, 7.1], as within the
-knots' reach), ``math.erfc`` took about 1.5 us a call and 65 ns an
-element, and the power matrix, in blocks of ``_ERFC_BLOCK`` elements,
-about 20 us a call and 20 ns an element; they crossed at about 400
-elements a call, the value of ``_ERFC_CROSSOVER``.  Each
-``estimate.SubstationaryIntensity`` picks its path once, when it is built,
-as it picks its node grid: the power matrix if more than
-``_ERFC_CROSSOVER`` of its data's offsets lie within reach of a knot or an
-end, counted by two ``np.searchsorted`` a point on its sorted data
-(``_batched_pass``).  Every call of that estimator takes that path, so no
-value depends on the calls before it.  Its correction at the data and its
-kernel mass's tails share those erfc calls (``_data_terms``): an end is a
-row of the correction's block, or shares the knot on it (a ramp's foot,
-or a jump of no width).  ``normal_cdf``, ``correction_substat_closed`` and
-the plans' integral nodes take the standard library's path.
+Only the Gaussian kernel ships; the normal CDF is evaluated through the
+complementary error function so deep tails underflow to zero instead of
+losing precision to cancellation.  The module's erfc (``_erfc``) has two
+elementwise paths: the standard library's ``math.erfc`` mapped over the
+arguments, and cephes' rationals, the coefficients of scipy's erfc, for all
+the arguments at once through one matrix of powers and one matrix product
+(``_erfc_rational``), whose domain |t| < 8 holds the knots' reach,
+|t| < 10/sqrt(2).  Against scipy's erfc either is within 4e-15 relative for
+|t| <= 5 and 1e-13 over that reach.  On a 2-core x86-64 VM at one OpenBLAS
+thread (best of 7 runs, arguments in [0, 7.1]), ``math.erfc`` took about
+1.5 us a call and 65 ns an element, and the power matrix, in blocks of
+``_ERFC_BLOCK`` elements, about 20 us a call and 20 ns an element.  The node
+grid picks the path: an ``estimate.SubstationaryIntensity`` with a node grid
+(``_node_grid``) takes every erfc of its correction by the power matrix, and
+one without takes ``math.erfc``, so no value depends on the calls before it.
+Its correction at the data and its kernel mass's tails share those erfc
+calls (``_corrected`` with ``ends``): an end is a row of the correction's
+block, or shares the knot on it (a ramp's foot, or a jump of no width).
+``normal_cdf``, ``correction_substat_closed`` and the plans' integral nodes
+take the standard library's path.
 
 This module owns the kernel's arithmetic, its normalizing constants
 included; ``_kernel_block`` is the one copy of the Gaussian's exponent.  An
@@ -101,9 +99,13 @@ and its likelihood integral's nodes).  The ratio 75 was fitted by
 the grid's build included, at one OpenBLAS thread on a 2-core x86-64 VM: on
 Beta and gapped data at 0, 3 and 45 degrees, h 0.01-0.1, every ratio in
 [61, 89) summed the least time over n 100-10**4 and every one in [71, 77)
-over n 150-500 (``BENCH_node_grid.json``).  The ratio alone does not always
-tell the faster path there: at n = 200 and h >= 0.05 the grid it takes ran
-up to 25% slower than the direct sum.
+over n 150-500 (``BENCH_node_grid.json``).  With each way also taking the
+correction at the data on the erfc path it picks, the same host read
+[61, 89) and [77, 80): at n 150-500 the picks under 75 summed 2.4% above the
+best pick, against 0.2% for the sums alone in a run beside it.  The ratio
+alone does not always tell the faster path there: at n = 200 and h >= 0.05
+the grid it takes ran up to 25% slower than the direct sum, and up to 57%
+with the correction.
 Every path works through its targets in blocks of
 2**16 elements (512 KB), so each temporary stays in the L2 cache; the
 lattice holds a few floats per datum and 20 per node, and each of its
@@ -172,8 +174,8 @@ _CORRECTION_ELEMENTS = 2**14
 _JUMP_WIDTH = 1e-3
 _KNOT_REACH = 10
 # the complementary error function (_erfc): cephes' rationals, the coefficients of scipy's
-# erfc (Moshier 1989, after Cody 1969), highest power first: 1 - x*T/U in x^2 below 1,
-# exp(-x^2)*P/Q in x below 8 and exp(-x^2)*R/S above; U, Q and S are monic
+# erfc (Moshier 1989, after Cody 1969), highest power first: 1 - x*T/U in x^2 below 1 and
+# exp(-x^2)*P/Q in x below 8; U and Q are monic
 _ERFC_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
            7.00332514112805075473e3, 5.55923013010394962768e4)
 _ERFC_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
@@ -184,23 +186,16 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.463210564422
 _ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-# the rationals' numerators (T, P, R) and denominators (U, Q, S) as rows over the powers
-# x^p of _ERFC_POWERS (no polynomial has x^9); beyond the cap erfc(x) is below 1e-318
+# the rationals' numerators (T, P) and denominators (U, Q) as rows over the powers x^p of
+# _ERFC_POWERS (no polynomial has x^9)
 _ERFC_POWERS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 10)
 _ERFC_ROWS = np.array([
     [dict(zip(range(0, step * len(c), step), c[::-1])).get(p, 0.0) for p in _ERFC_POWERS]
-    for c, step in zip((_ERFC_T, _ERFC_P, _ERFC_R, _ERFC_U, _ERFC_Q, _ERFC_S), (2, 1, 1, 2, 1, 1))
+    for c, step in zip((_ERFC_T, _ERFC_P, _ERFC_U, _ERFC_Q), (2, 1, 2, 1))
 ])
-_ERFC_CAP = 27.0
 # elements per block of the power-matrix pass: its 10 rows of powers fill 160 KB (2**11
 # timed fastest of 2**10-2**12 at 10**3-10**4 elements)
 _ERFC_BLOCK = 2**11
-# an estimator with more offsets than this within reach takes the power matrix (module docstring)
-_ERFC_CROSSOVER = 400
 # the likelihood integral's quadrature where the correction's knot terms act: Gauss-Legendre
 # panels of at most _PANEL_WIDTH bandwidths, of _PANEL_NODES nodes each (a convergence
 # test in tests/test_estimate.py holds the integral within 1e-9 of a fine reference)
@@ -253,7 +248,10 @@ def _erfc(t: np.ndarray, batched: bool) -> np.ndarray:
     """erfc at each element of the 1-D array t: ``math.erfc`` mapped over it, or with
     ``batched`` cephes' rationals in blocks of ``_ERFC_BLOCK`` (``_erfc_rational``).
 
-    Either path gives each element's value whatever the others are.
+    Either path gives each element's value whatever the others are.  The
+    batched path's domain is |t| < 8 and NaN, which covers every argument
+    ``_corrected`` takes, the offsets within ``_KNOT_REACH`` bandwidths of a
+    point (|t| < 10/sqrt(2)); the standard library's path takes any t.
     """
     if not batched:
         return np.fromiter(map(math.erfc, t.tolist()), float, t.size)
@@ -264,22 +262,21 @@ def _erfc(t: np.ndarray, batched: bool) -> np.ndarray:
 
 
 def _erfc_rational(t: np.ndarray) -> np.ndarray:
-    """cephes' erfc at each element of t, its three rationals taken by one matrix product.
+    """cephes' erfc at each element of t, |t| < 8, its two rationals taken by one matrix product.
 
-    With x = |t|: 1 - x*T(x^2)/U(x^2) below 1, exp(-x^2)*P(x)/Q(x) below 8 and
-    exp(-x^2)*R(x)/S(x) from 8 on; 2 less that value where t < 0.  The powers
-    1, x, ..., x^8 and x^10 of x (at most ``_ERFC_CAP``) are the rows of one
-    matrix, and ``_ERFC_ROWS`` @ it gives all six polynomials at once, each a
-    sum of positive terms.  The matrix takes two columns at least, so numpy's
-    product is a BLAS matrix product, whose columns do not depend on each
-    other (a lone column goes to a matrix-vector product, which rounds
-    otherwise).  NaN gives NaN.
+    With x = |t|: 1 - x*T(x^2)/U(x^2) below 1 and exp(-x^2)*P(x)/Q(x) from 1 on;
+    2 less that value where t < 0.  The powers 1, x, ..., x^8 and x^10 of x
+    are the rows of one matrix, and ``_ERFC_ROWS`` @ it gives all four
+    polynomials at once, each a sum of positive terms.  The matrix takes two
+    columns at least, so numpy's product is a BLAS matrix product, whose
+    columns do not depend on each other (a lone column goes to a
+    matrix-vector product, which rounds otherwise).  NaN gives NaN.
     """
     x = np.abs(t)
     m = x.size
     powers = np.empty((len(_ERFC_POWERS), max(m, 2)))
     powers[0] = 1.0
-    np.minimum(x, _ERFC_CAP, out=powers[1, :m])
+    powers[1, :m] = x
     powers[1, m:] = 0.0
     for k in range(2, 9):
         np.multiply(powers[k - 1], powers[1], out=powers[k])
@@ -287,11 +284,7 @@ def _erfc_rational(t: np.ndarray) -> np.ndarray:
     rationals = (_ERFC_ROWS @ powers)[:, :m]
     below = x < 1.0
     q = np.where(below, rationals[0], rationals[1])
-    den = np.where(below, rationals[3], rationals[4])
-    far = x >= 8.0
-    if far.any():
-        q[far], den[far] = rationals[2, far], rationals[5, far]
-    q /= den
+    q /= np.where(below, rationals[2], rationals[3])
     q *= np.where(below, -x, np.exp(-x * x))  # erfc(x) = 1 - x*q below 1
     q += below
     negative = t < 0.0
@@ -647,14 +640,6 @@ def _correction_rows(knots: np.ndarray, top: float, h: float) -> _Rows:
     return _Rows(top, points, kinks, scale, tails, runs, bends, tuple(ends))
 
 
-def _batched_pass(h: float, rows: _Rows, data: np.ndarray) -> bool:
-    """Whether ``_corrected`` over the sorted data with the ends' rows takes the power matrix:
-    more than ``_ERFC_CROSSOVER`` of its offsets within reach of a point (module docstring)."""
-    reach = _KNOT_REACH * h
-    near = data.searchsorted(rows.points + reach) - data.searchsorted(rows.points - reach, "right")
-    return int(near.sum()) > _ERFC_CROSSOVER
-
-
 def _corrected(
     h: float, rows: _Rows, v: np.ndarray, batched: bool, ends: bool = False
 ) -> np.ndarray | tuple[np.ndarray, float]:
@@ -666,7 +651,8 @@ def _corrected(
     module docstring bounds both below 2**-53 of the plateau).  A NaN offset
     is within every reach, so it gives NaN.  With ``ends`` the same calls take
     the ends' rows, and the sum of their erfc values over v comes back too:
-    twice the kernel tails beyond lo and hi of data at v (``_data_terms``).
+    twice the kernel tails beyond lo and hi of data at v
+    (``estimate.SubstationaryIntensity._terms``).
     """
     top, points, kinks, scale, tails, runs, bends, end_rows = rows
     r, knots = kinks.size, tails.size
@@ -694,19 +680,6 @@ def _corrected(
             near_jumps = d[r:knots]
             total[i : i + step] += bends @ (near_jumps * _kernel_block(h, near_jumps.copy())) / _SQRT_2PI
     return (total.reshape(v.shape), tail) if ends else total.reshape(v.shape)
-
-
-def _data_terms(h: float, rows: _Rows, data: np.ndarray, batched: bool) -> tuple[np.ndarray, float]:
-    """The correction at the sorted data and their kernel mass over [lo, hi], in the same erfc calls.
-
-    The mass, the integral of ``_gaussian_sums`` over [lo, hi], is n less
-    each kernel's tails beyond the ends, Q(x) = erfc(x/sqrt(2))/2 at
-    x = (v_j - lo)/h and (hi - v_j)/h, the erfc values at the ends' rows.
-    Beyond ``_KNOT_REACH`` bandwidths Q is below 1e-23, too small to move n,
-    so only the data within reach of an end take one.
-    """
-    corr, tail = _corrected(h, rows, data, batched, ends=True)
-    return corr, data.size - 0.5 * tail
 
 
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):

@@ -371,6 +371,11 @@ class TestStationaryIntensity:
     def test_count_over_area(self):
         pat = PointPattern(np.linspace(0.1, 0.9, 50), np.full(50, 0.5), Window(1, 1))
         assert StationaryIntensity(pat).value == 50.0
+        # the integral is the count itself, where n / area * area misses it by an ulp
+        for n, window in ((7, Window(100)), (3, Window(0.7))):
+            pat = PointPattern(np.linspace(0.1, 0.6, n), np.full(n, 0.5), window)
+            assert pat.n / window.area * window.area != n
+            assert StationaryIntensity(pat).integral() == n
 
     def test_empty_pattern(self):
         assert StationaryIntensity(PointPattern.empty(Window(1, 1))).value == 0.0
@@ -817,7 +822,7 @@ class _Unpicklable(Exception):
 
 class TestWorkerMap:
     # one job runs in the caller and four fork: both check the count first
-    @pytest.mark.parametrize("threads", [2.0, np.float64(2.0), -1, "2"])
+    @pytest.mark.parametrize("threads", [2.0, np.float64(2.0), -1, "2", True])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_a_worker_count_not_an_integer_of_at_least_0_raises_before_any_job(
         self, pools, threads, jobs

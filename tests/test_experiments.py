@@ -96,9 +96,11 @@ class TestPlanValidation:
         [
             (dict(master_seed=1.5), "master_seed must be an integer >= 0, got 1.5"),
             (dict(master_seed=-1), "master_seed must be an integer >= 0, got -1"),
+            (dict(master_seed=True), "master_seed must be an integer >= 0, got True"),
             (dict(replications=0), "replications must be an integer >= 1, got 0"),
             (dict(replications=2.0), "replications must be an integer >= 1, got 2.0"),
             (dict(replications=2.5), "replications must be an integer >= 1, got 2.5"),
+            (dict(replications=True), "replications must be an integer >= 1, got True"),
             (dict(process="thomas", gamma=-1.0), "gamma must be positive, got -1.0"),
             (dict(process="thomas", sigma=math.nan), "sigma must be positive, got nan"),
         ],

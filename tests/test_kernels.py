@@ -159,9 +159,11 @@ class TestNormalCdf:
 
 class TestErfc:
     """Both paths of the package's erfc against scipy's, whose cephes rationals the
-    power matrix evaluates."""
+    power matrix evaluates: the standard library's anywhere, the power matrix over
+    |t| <= 7.08, just past the correction's |t| < 10/sqrt(2), and NaN."""
 
     SWEEP = np.concatenate((np.linspace(-40.0, 40.0, 160_001), [0.0, -0.0, np.inf, -np.inf]))
+    REACH = np.concatenate((np.linspace(-7.08, 7.08, 14_161), [0.0, -0.0]))
 
     @staticmethod
     def assert_close(got, want, t):
@@ -173,12 +175,15 @@ class TestErfc:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_each_path_matches_scipy(self, batched):
-        got = _erfc(self.SWEEP, batched)
-        self.assert_close(got, scipy_erfc(self.SWEEP), self.SWEEP)
-        assert got[-4:].tolist() == [1.0, 1.0, 0.0, 2.0]
+        sweep = self.REACH if batched else self.SWEEP
+        got = _erfc(np.append(sweep, np.nan), batched)
+        assert math.isnan(got[-1])
+        self.assert_close(got[:-1], scipy_erfc(sweep), sweep)
+        if not batched:
+            assert got[-5:-1].tolist() == [1.0, 1.0, 0.0, 2.0]
 
     def test_the_paths_agree(self):
-        self.assert_close(_erfc(self.SWEEP, True), _erfc(self.SWEEP, False), self.SWEEP)
+        self.assert_close(_erfc(self.REACH, True), _erfc(self.REACH, False), self.REACH)
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_nan_propagates_alone(self, batched):
@@ -197,21 +202,54 @@ class TestErfc:
             pieces = [_erfc(t[i : i + size], batched) for i in range(0, 3000, size)]
             assert np.array_equal(np.concatenate(pieces)[:3000], whole[:3000])
 
-    def test_estimators_on_both_sides_of_the_crossover_hold_the_closed_form(self):
-        # direct sums, so that only the correction's path can move a value; at
-        # h = 0.2 every datum is within reach of the four kinks of an oblique angle
+    def test_estimators_without_a_grid_take_math_erfc_and_hold_the_closed_form(self, monkeypatch):
+        # direct sums, so that only the correction can move a value; at h = 0.2
+        # every datum is within reach of the four kinks of an oblique angle
+        batched = record_calls(monkeypatch, "_erfc_rational")
         rng = np.random.default_rng(3)
         pat = PointPattern(rng.uniform(0, 1, 120), rng.beta(2, 2, 120), Window(1.0, 1.0))
-        paths = set()
         for h in (0.01, 0.05, 0.2):
             for theta in (0.0, 0.3, 1.2, -math.pi / 2):
                 est = SubstationaryIntensity(pat, theta, h)
                 assert est._nodes is None
-                paths.add(est._batched)
                 corr = correction_substat_closed(est.theta, pat.window, h, est._v_points)
                 want = _direct_sums(h, est._v_data, est._v_points) / corr
                 assert_relative(est.at_points(pat.x, pat.y), want, 1e-13)
-        assert paths == {False, True}
+                est.integral()
+        assert batched == []
+
+    def test_a_grid_estimators_correction_at_the_data_holds_the_closed_form(self, monkeypatch):
+        batched = record_calls(monkeypatch, "_erfc_rational")
+        pat = beta_pattern(2000, seed=8)
+        for theta in (0.0, 1e-7, 0.3, 1.2, -math.pi / 2):
+            for h in (0.01, 0.05, 0.2):
+                est = SubstationaryIntensity(pat, theta, h)
+                assert est._nodes is not None
+                want = correction_substat_closed(est.theta, est.window, h, est._v_data)
+                assert_relative(est._terms[0], want, 1e-13)
+        assert batched
+
+
+class TestPowerMatrixDomain:
+    """The power matrix sees only arguments within its domain, |t| < 8 or NaN."""
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-7, math.radians(3), math.pi / 4, -math.pi / 2])
+    def test_every_estimator_call_hands_it_arguments_within_its_domain(self, monkeypatch, theta):
+        arguments = record_calls(monkeypatch, "_erfc_rational")
+        grids = set()
+        for n in (60, 2000):
+            pat = beta_pattern(n, seed=n)
+            for h in (0.01, 0.02, 0.05, 0.1, 0.2):
+                est = SubstationaryIntensity(pat, theta, h)
+                grids.add(est._nodes is not None)
+                est.at_points(pat.x, pat.y)
+                est.loo_values()
+                est.integral()
+                assert _cells(est)[0][0].size == 512  # evaluate on the export grid
+        assert grids == {False, True}
+        t = np.concatenate([args[0] for args in arguments])
+        assert t.size > 0
+        assert not np.any(np.abs(t) >= 8.0)
 
 
 class TestClosedFormCorrection:

@@ -5,8 +5,11 @@
 A profile evaluation of ``SubstationaryIntensity`` takes its 1-D kernel sums at
 the n data and at its plan's integral nodes, m targets in all, either directly
 (n*m pairs) or from a node grid of G nodes over the projection range
-(``kernels._node_grid``).  For each setting, data kind by n, h and angle, the
-script times both ways of taking those sums, the grid's build included:
+(``kernels._node_grid``), and the boundary correction at the data on the erfc
+path the grid picks: ``math.erfc`` without one, the power matrix with one
+(``kernels._corrected``).  For each setting, data kind by n, h and angle, the
+script times both ways, ``direct`` (direct sums, ``math.erfc``) and ``grid``
+(the grid's build and its sums, the power matrix):
 ``--runs`` rounds, each timing the two ways once, the direct sum first at even
 rounds and the grid first at odd ones, after one warm-up call of each.  The
 data are n points at 100 per unit area in a z x 1 window, z = max(1, n/100),
@@ -14,16 +17,13 @@ uniform along it and Beta(3, 3) across it (``beta``), or the same with the
 band 0.4 < y < 0.6 left empty (``gapped``), projected at 0, 3 and 45 degrees.
 
 Each line gives the setting, the ratio n*m / (n + m + G), the median time of
-each way in microseconds with its quartiles, and the pick of the old rule
-(5e4 + 20n + 150G + 80m kernel pairs against n*m) and of today's
-(n*m > ``kernels._GRID_RATIO`` * (n + m + G)).  A ``gate`` column reads
-``slower`` where today's pick is the slower one of two different picks by more
-than the spread, the larger of their two interquartile ranges.  Then come the
-summed median times under each rule and under the best pick, the ratios c
-that minimize the summed time (any c in a half-open interval between two
-settings' ratios picks alike; the fitted c is the interval's geometric
-middle, or its end if it is open), and the largest slowdown of each rule's
-pick against the faster way.  The last line printed is one JSON record of
+each way in microseconds with its quartiles, and the way that the rule
+n*m > ``kernels._GRID_RATIO`` * (n + m + G) picks.  Then come the summed
+median times under the rule and under the best pick, the largest slowdown of
+the rule's pick against the faster way, and the ratios c that minimize the
+summed time (any c in a half-open interval between two settings' ratios
+picks alike; the fitted c is the interval's geometric middle, or its end if
+it is open).  The last line printed is one JSON record of
 the run, with the tree's revision as ``tools/bench_pairs.py`` records it,
 the form that ``BENCH_node_grid.json`` lists.
 
@@ -70,11 +70,6 @@ def pattern(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, Windo
     return x, y, Window(z, 1.0)
 
 
-def old_pick(n: int, m: int, nodes: int) -> bool:
-    """The rule the ratio replaced: a grid where 5e4 + 20n + 150G + 80m pairs are below n*m."""
-    return 50_000 + 20 * n + 150 * nodes + 80 * m < n * m
-
-
 def time_setting(kind: str, n: int, h: float, deg: float, runs: int, seed: int) -> dict:
     x, y, window = pattern(kind, n, seed)
     subspace = Subspace.from_degrees(deg)
@@ -85,11 +80,13 @@ def time_setting(kind: str, n: int, h: float, deg: float, runs: int, seed: int) 
     def direct() -> None:
         kernels._gaussian_sums(h, data, points)
         kernels._gaussian_sums(h, data, plan.nodes)
+        kernels._corrected(h, plan.rows, data, False, ends=True)
 
     def grid() -> None:
         nodes = kernels._build_node_grid(h, data, plan.layout)
         kernels._gaussian_sums(h, data, points, nodes=nodes)
         kernels._gaussian_sums(h, data, plan.nodes, nodes=nodes)
+        kernels._corrected(h, plan.rows, data, True, ends=True)
 
     ways = {"direct": direct, "grid": grid}
     spent: dict[str, list[float]] = {name: [] for name in ways}
@@ -106,14 +103,7 @@ def time_setting(kind: str, n: int, h: float, deg: float, runs: int, seed: int) 
     for name, times in spent.items():
         q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
         row[name] = {"median_us": statistics.median(times), "quartiles_us": [q1, q3]}
-    row["old"] = "grid" if old_pick(n, m, nodes) else "direct"
-    row["new"] = "grid" if row["ratio"] > kernels._GRID_RATIO else "direct"
-    row["gate"] = "ok"
-    if row["old"] != row["new"]:
-        new, old = row[row["new"]], row[row["old"]]
-        spread = max(q3 - q1 for q1, q3 in (new["quartiles_us"], old["quartiles_us"]))
-        if new["median_us"] > old["median_us"] + spread:
-            row["gate"] = "slower"
+    row["pick"] = "grid" if row["ratio"] > kernels._GRID_RATIO else "direct"
     return row
 
 
@@ -127,10 +117,10 @@ def picked(rows: list[dict], grid) -> float:
     return sum(row["grid" if grid(row) else "direct"]["median_us"] for row in rows)
 
 
-def worst(rows: list[dict], grid) -> float:
-    """The largest time of the way ``grid(row)`` picks over the faster way's, less 1."""
-    times = [(row["grid"]["median_us"], row["direct"]["median_us"], grid(row)) for row in rows]
-    return max((g if pick else d) / min(g, d) - 1.0 for g, d, pick in times)
+def worst(rows: list[dict]) -> float:
+    """The largest time of the way the ratio picks over the faster way's, less 1."""
+    fastest = (min(row["grid"]["median_us"], row["direct"]["median_us"]) for row in rows)
+    return max(row[row["pick"]]["median_us"] / least - 1.0 for row, least in zip(rows, fastest))
 
 
 def fit_ratio(rows: list[dict]) -> tuple[float, float, float]:
@@ -156,7 +146,7 @@ def main(argv=None) -> int:
 
     rows = []
     print(f"{'kind':7s} {'n':6s} {'h':5s} {'deg':4s} {'ratio':>7s}  {'direct_us [q1-q3]':>26s} "
-          f"{'grid_us [q1-q3]':>26s} old    new    gate")
+          f"{'grid_us [q1-q3]':>26s} pick")
     for kind in KINDS:
         for n in sizes:
             for h in BANDWIDTHS:
@@ -165,35 +155,26 @@ def main(argv=None) -> int:
                     rows.append(row)
                     print(f"{kind:7s} {n:<6d} {h:<5g} {deg:<4g} {row['ratio']:7.1f}  "
                           f"{timing(row['direct']):>26s} {timing(row['grid']):>26s} "
-                          f"{row['old']:6s} {row['new']:6s} {row['gate']}", flush=True)
+                          f"{row['pick']}", flush=True)
 
     ratio = kernels._GRID_RATIO
-    rules = {
-        "old": lambda row: old_pick(row["n"], row["m"], row["nodes"]),
-        "new": lambda row: row["ratio"] > ratio,
-        "best": lambda row: row["grid"]["median_us"] < row["direct"]["median_us"],
-    }
-    totals = {name: picked(rows, rule) for name, rule in rules.items()}
-    slowest = {name: worst(rows, rule) for name, rule in rules.items() if name != "best"}
+    totals = {"ratio": picked(rows, lambda row: row["pick"] == "grid"),
+              "best": picked(rows, lambda row: row["grid"]["median_us"] < row["direct"]["median_us"])}
+    slowest = worst(rows)
     lo, hi, fitted = fit_ratio(rows)
-    slower = [row for row in rows if row["gate"] == "slower"]
-    print(f"summed median us: old rule {totals['old']:.0f}, ratio {ratio} {totals['new']:.0f}, "
-          f"best pick {totals['best']:.0f}")
-    print(f"largest slowdown against the faster way: old rule {slowest['old']:.1%}, "
-          f"ratio {ratio} {slowest['new']:.1%}")
+    print(f"summed median us: ratio {ratio} {totals['ratio']:.0f}, best pick {totals['best']:.0f}")
+    print(f"largest slowdown against the faster way: ratio {ratio} {slowest:.1%}")
     print(f"fitted ratio {fitted:.1f}: every c in [{lo:.1f}, {hi:.1f}) sums the least time")
-    print(f"settings slower under ratio {ratio} than under the old rule beyond their spread: "
-          f"{len(slower)}")
     record = {
         "note": "node grid against the direct sum: sums at the data and the integral nodes, "
-                "grid build included",
+                "grid build included, and the correction at the data on each way's erfc path",
         "tree": revision(ROOT),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
         "runs": args.runs, "seed": args.seed, "grid_ratio": ratio,
         "fitted_ratio": fitted, "least_time_ratios": [lo, hi if math.isfinite(hi) else None],
-        "summed_median_us": totals, "largest_slowdown": slowest, "gate_slower": len(slower),
+        "summed_median_us": totals, "largest_slowdown": slowest,
         "settings": rows,
     }
     print(json.dumps(record))
