@@ -166,11 +166,11 @@ class SubstationaryIntensity:
 
         The mass is n less each kernel's tails beyond the ends, erfc(x/sqrt(2))/2
         at x = (v_j - lo)/h and (hi - v_j)/h: the ends' rows of the correction's
-        own erfc calls (``kernels._corrected`` with ``ends``), only at the data
-        within ``_KNOT_REACH`` bandwidths, beyond which a tail is below 1e-23.
+        own erfc calls (``kernels._corrected``), only at the data within
+        ``_KNOT_REACH`` bandwidths, beyond which a tail is below 1e-23.
         """
         batched = self._nodes is not None
-        corr, tail = _corrected(self.h, self._plan.rows, self._v_data, batched, ends=True)
+        corr, tail = _corrected(self.h, self._plan.rows, self._v_data, batched)
         return corr, self._v_data.size - 0.5 * tail
 
     @property
@@ -189,7 +189,7 @@ class SubstationaryIntensity:
     def _values(self, v: np.ndarray) -> np.ndarray:
         """The estimate at the 1-D offsets v, unchecked: the data's kernel sums over the correction."""
         sums = _gaussian_sums(self.h, self._v_data, v, nodes=self._nodes)
-        return sums / _corrected(self.h, self._plan.rows, v, self._nodes is not None)
+        return sums / _corrected(self.h, self._plan.rows, v, self._nodes is not None)[0]
 
     def _own_values(self, loo: bool = False) -> np.ndarray:
         """The estimate at the sorted data, each left out of its own sum with ``loo``."""
@@ -418,8 +418,9 @@ def _map_ordered(job, args, threads: int) -> list:
     share and in the children, which inherit it, so that w workers never run w times its
     default threads on the cores; the caller's count comes back when the map ends, also
     after an error.  A serial map, or a numpy without that library, leaves BLAS as it is.
-    From Python 3.12 a fork beside another thread warns, failing an error filter; at one BLAS
-    thread OpenBLAS still keeps its own second OS thread, so the rule does not silence that.
+    From Python 3.12 a fork beside another OS thread warns, failing an error filter.
+    OpenBLAS's fork handler stops its pool, so the caller forks with one OS thread
+    (``tests/test_fork_threads.py`` counts them); another BLAS may not.
     """
     _count("threads", threads, 0)
     workers = min(threads or os.cpu_count() or 1, len(args))

@@ -128,27 +128,20 @@ def _fast_rows(lines: list[str]):
 def _line_rows(path, lines):
     """The x and y columns of the numbered ``lines`` below the header, parsed row by row, or
     MalformedDataError naming the first faulty row's line."""
-    rows = list(lines)
-    xs, ys, error = [], [], None
-    for lineno, line in rows:
+    xs, ys = [], []
+    for lineno, line in lines:
         parts = line.split(",")
         try:
             if len(parts) != 2:
                 raise ValueError("expected two comma-separated values")
             x, y = float(parts[0]), float(parts[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("non-finite coordinate")
         except ValueError as exc:
-            error = f"line {lineno}: {exc}"
-            break
+            raise MalformedDataError(f"{path}: line {lineno}: {exc}") from None
         xs.append(x)
         ys.append(y)
-    x_arr = np.asarray(xs, dtype=float)
-    y_arr = np.asarray(ys, dtype=float)
-    finite = np.isfinite(x_arr) & np.isfinite(y_arr)
-    if not finite.all():  # on a row above the first unparsed one, so its error comes first
-        error = f"line {rows[int(finite.argmin())][0]}: non-finite coordinate"
-    if error is not None:
-        raise MalformedDataError(f"{path}: {error}")
-    return x_arr, y_arr
+    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
 def ingest_csv(path, region: RegionSpec) -> PointPattern:

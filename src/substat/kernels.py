@@ -29,10 +29,9 @@ Whatever reads no data depends on the angle, the window and h alone, so
 every estimator and call at a key reads its ``_Plan``: the projection range
 and its node layout, the correction's rows of knots, slopes and scales, and
 the integral's zone nodes and weights with the correction and its excess
-over the chord there.  An open fit reads up to 76 keys; a select-bandwidth
-then apply session on 1000 points (open search, two bandwidths) reads 157
-and hits 6 at one worker, apply's default, as it outgrows the cache, and at
-two workers the caller reads 81 and hits 69.  A profile evaluation then
+over the chord there.  An open fit reads up to 76 keys (the keys a session
+reads and hits: CHANGES.md, "The node grid also picks each estimator's erfc
+path").  A profile evaluation then
 computes only the data's part: the kernel sums at the data and at the plan's
 nodes, the correction at the data, and the kernel mass.  A fit's
 replications score the same coarse angles, so they share those angles' plans.
@@ -45,15 +44,14 @@ arguments, and cephes' rationals, the coefficients of scipy's erfc, for all
 the arguments at once through one matrix of powers and one matrix product
 (``_erfc_rational``), whose domain |t| < 8 holds the knots' reach,
 |t| < 10/sqrt(2).  Against scipy's erfc either is within 4e-15 relative for
-|t| <= 5 and 1e-13 over that reach.  On a 2-core x86-64 VM at one OpenBLAS
-thread (best of 7 runs, arguments in [0, 7.1]), ``math.erfc`` took about
-1.5 us a call and 65 ns an element, and the power matrix, in blocks of
-``_ERFC_BLOCK`` elements, about 20 us a call and 20 ns an element.  The node
-grid picks the path: an ``estimate.SubstationaryIntensity`` with a node grid
-(``_node_grid``) takes every erfc of its correction by the power matrix, and
-one without takes ``math.erfc``, so no value depends on the calls before it.
+|t| <= 5 and 1e-13 over that reach.  ``math.erfc`` costs less a call and the
+power matrix less an element (timings: CHANGES.md, "The package stops
+importing scipy").  The node grid picks the path: an
+``estimate.SubstationaryIntensity`` with a node grid (``_node_grid``) takes
+every erfc of its correction by the power matrix, and one without takes
+``math.erfc``, so no value depends on the calls before it.
 Its correction at the data and its kernel mass's tails share those erfc
-calls (``_corrected`` with ``ends``): an end is a row of the correction's
+calls (``_corrected`` returns both): an end is a row of the correction's
 block, or shares the knot on it (a ramp's foot, or a jump of no width).
 ``normal_cdf``, ``correction_substat_closed`` and the plans' integral nodes
 take the standard library's path.
@@ -62,13 +60,12 @@ This module owns the kernel's arithmetic, its normalizing constants
 included; ``_kernel_block`` is the one copy of the Gaussian's exponent.  An
 exponent below ``_EXP_FLOOR`` = -707, a displacement beyond about 37.6
 bandwidths, gives a term of exactly 0.  Below
-it ``np.exp`` leaves its vector path: on a 2-core Xeon VM it took about
-1 ns per element above the floor, 7 ns at -inf, 20 ns below -745 and
-150 ns between -745 and -708, where its result is subnormal.  The terms
-the floor drops are too small to move any sum that holds a term above
-1e-250.  A block checks for such exponents with one ``min`` (about 0.25 ns
-per element) and, only if it finds one, clamps them, takes the exp and
-zeroes them (about 1 ns more per element).
+it ``np.exp`` leaves its vector path and runs many times slower, most where
+its result is subnormal (timings: CHANGES.md, "Start without scipy.optimize
+or scipy.integrate").  The terms the floor drops are too small to move any
+sum that holds a term above 1e-250.  A block checks for such exponents with
+one ``min`` and, only if it finds one, clamps them, takes the exp and
+zeroes them.
 
 The engine, ``_gaussian_sums(h, data, targets)``, is one-axis: it takes the
 kernel sums of the 1-D smoother along the orthogonal offset and their
@@ -95,17 +92,12 @@ value at a given offset does not depend on the calls before it.
 It takes a grid of G nodes where n*m > ``_GRID_RATIO``*(n + m + G), for the
 n data and all the m targets those calls ask for (the 1-D smoother's n data
 and its likelihood integral's nodes).  The ratio 75 was fitted by
-``tools/node_grid_price.py``, timing the sums at those targets both ways,
-the grid's build included, at one OpenBLAS thread on a 2-core x86-64 VM: on
-Beta and gapped data at 0, 3 and 45 degrees, h 0.01-0.1, every ratio in
-[61, 89) summed the least time over n 100-10**4 and every one in [71, 77)
-over n 150-500 (``BENCH_node_grid.json``).  With each way also taking the
-correction at the data on the erfc path it picks, the same host read
-[61, 89) and [77, 80): at n 150-500 the picks under 75 summed 2.4% above the
-best pick, against 0.2% for the sums alone in a run beside it.  The ratio
-alone does not always tell the faster path there: at n = 200 and h >= 0.05
-the grid it takes ran up to 25% slower than the direct sum, and up to 57%
-with the correction.
+``tools/node_grid_price.py``, which times the sums at those targets and the
+correction at the data both ways, the grid's build included, at one
+OpenBLAS thread: 75 lies among the ratios whose picks sum the least time
+(the fitted intervals and their host: ``BENCH_node_grid.json``).  One ratio
+does not always pick the faster path: near n = 200 the grid it takes can
+run slower than the direct sum.
 Every path works through its targets in blocks of
 2**16 elements (512 KB), so each temporary stays in the L2 cache; the
 lattice holds a few floats per datum and 20 per node, and each of its
@@ -158,11 +150,11 @@ _SQRT_2 = math.sqrt(2.0)
 _EXP_FLOOR = -707.0
 # the floor's reach in bandwidths, sqrt(1414) rounded up: every term beyond it is exactly 0
 _FLOOR_REACH = math.ceil(100.0 * math.sqrt(-2.0 * _EXP_FLOOR)) / 100.0
-# elements per temporary block: 512 KB, so a block and its sibling
-# temporaries stay within a 2 MB L2 cache (2**16 timed fastest of 2**16-2**20)
+# elements per temporary block: 512 KB, so a block and its sibling temporaries stay
+# within a 2 MB L2 cache (timed: CHANGES.md, "kernel blocks sized to the L2 cache")
 _CHUNK_ELEMENTS = 2**16
-# elements per block of the boundary correction's knots against its offsets:
-# 128 KB (2**14 timed fastest of 2**13-2**16 at 10**4 offsets)
+# elements per block of the boundary correction's knots against its offsets: 128 KB
+# (timed: CHANGES.md, "_corrected always returns the kernel mass's tails")
 _CORRECTION_ELEMENTS = 2**14
 # the correction's knots: a ramp narrower than _JUMP_WIDTH bandwidths is a jump at its
 # midpoint with the second-order term of its width, exact to about (width/h)**4 of the
@@ -193,8 +185,8 @@ _ERFC_ROWS = np.array([
     [dict(zip(range(0, step * len(c), step), c[::-1])).get(p, 0.0) for p in _ERFC_POWERS]
     for c, step in zip((_ERFC_T, _ERFC_P, _ERFC_U, _ERFC_Q), (2, 1, 2, 1))
 ])
-# elements per block of the power-matrix pass: its 10 rows of powers fill 160 KB (2**11
-# timed fastest of 2**10-2**12 at 10**3-10**4 elements)
+# elements per block of the power-matrix pass: its 10 rows of powers fill 160 KB
+# (timed: CHANGES.md, "_corrected always returns the kernel mass's tails")
 _ERFC_BLOCK = 2**11
 # the likelihood integral's quadrature where the correction's knot terms act: Gauss-Legendre
 # panels of at most _PANEL_WIDTH bandwidths, of _PANEL_NODES nodes each (a convergence
@@ -557,7 +549,7 @@ def _plan(subspace: Subspace, window: Window, h: float) -> _Plan:
     mid, half = np.array(_zone_panels(knots.tolist(), h)).T
     nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES).ravel()
     weights = (half[:, None] * _GAUSS_WEIGHTS).ravel()
-    corr = _corrected(h, rows, nodes, False)
+    corr = _corrected(h, rows, nodes, False)[0]
     excess = corr - chord_measure(subspace, window, nodes)
     for values in (nodes, weights, corr, excess):
         values.setflags(write=False)
@@ -640,27 +632,23 @@ def _correction_rows(knots: np.ndarray, top: float, h: float) -> _Rows:
     return _Rows(top, points, kinks, scale, tails, runs, bends, tuple(ends))
 
 
-def _corrected(
-    h: float, rows: _Rows, v: np.ndarray, batched: bool, ends: bool = False
-) -> np.ndarray | tuple[np.ndarray, float]:
-    """``correction_substat_closed`` at the offsets v by a plan's ``rows``, shaped like v.
+def _corrected(h: float, rows: _Rows, v: np.ndarray, batched: bool) -> tuple[np.ndarray, float]:
+    """``correction_substat_closed`` at the offsets v by a plan's ``rows``, shaped like v, and
+    the sum over v of the ends' erfc values: twice the kernel tails beyond lo and hi of data
+    at v (``estimate.SubstationaryIntensity._terms``).
 
-    Each knot's erfc term is taken only at the offsets within ``_KNOT_REACH``
+    Each point's erfc term is taken only at the offsets within ``_KNOT_REACH``
     bandwidths of it, all of a block's in one ``_erfc`` call; beyond, a
     kink's term is 0 and a jump's its limit, -T outwards and 0 inwards (the
     module docstring bounds both below 2**-53 of the plateau).  A NaN offset
-    is within every reach, so it gives NaN.  With ``ends`` the same calls take
-    the ends' rows, and the sum of their erfc values over v comes back too:
-    twice the kernel tails beyond lo and hi of data at v
-    (``estimate.SubstationaryIntensity._terms``).
+    is within every reach, so it gives NaN.
     """
-    top, points, kinks, scale, tails, runs, bends, end_rows = rows
+    top, points, kinks, scale, tails, runs, bends, ends = rows
     r, knots = kinks.size, tails.size
-    taken = points.size if ends else knots
-    column, scale = points[:taken, None], scale[:taken, None]
+    column, scale = points[:, None], scale[:, None]
     reach = _KNOT_REACH * h
     flat, total, tail = v.ravel(), np.empty(v.size), 0.0
-    step = max(1, _CORRECTION_ELEMENTS // taken)
+    step = max(1, _CORRECTION_ELEMENTS // points.size)
     share, density = 1.0, 0.0  # c(v) / T and the kinks' term on the axes, which have no kinks
     for i in range(0, flat.size, step):
         d = flat[i : i + step] - column
@@ -669,8 +657,7 @@ def _corrected(
         near = ~(np.abs(d) >= reach)
         block = np.where(t < 0.0, 2.0, 0.0)  # erfc's limits, 2 outwards of a jump
         block[near] = _erfc(t[near], batched)
-        if ends:
-            tail += float(block[list(end_rows)].sum())
+        tail += float(block[list(ends)].sum())
         block[:r] *= t[:r]
         if r:
             share = np.minimum.reduce(d[: r // 2] / runs, axis=0, initial=1.0)
@@ -679,7 +666,7 @@ def _corrected(
         if bends.size:
             near_jumps = d[r:knots]
             total[i : i + step] += bends @ (near_jumps * _kernel_block(h, near_jumps.copy())) / _SQRT_2PI
-    return (total.reshape(v.shape), tail) if ends else total.reshape(v.shape)
+    return total.reshape(v.shape), tail
 
 
 def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
@@ -701,7 +688,7 @@ def correction_substat_closed(subspace: Subspace, window: Window, h: float, v):
     """
     h = validate_bandwidth(h)
     v_arr = np.asarray(v, dtype=float)
-    return _shaped_like(v_arr, _corrected(h, _plan(subspace, window, h).rows, v_arr, False))
+    return _shaped_like(v_arr, _corrected(h, _plan(subspace, window, h).rows, v_arr, False)[0])
 
 
 def correction_2d(window: Window, h: float, x, y):

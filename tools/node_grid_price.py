@@ -80,13 +80,13 @@ def time_setting(kind: str, n: int, h: float, deg: float, runs: int, seed: int) 
     def direct() -> None:
         kernels._gaussian_sums(h, data, points)
         kernels._gaussian_sums(h, data, plan.nodes)
-        kernels._corrected(h, plan.rows, data, False, ends=True)
+        kernels._corrected(h, plan.rows, data, False)
 
     def grid() -> None:
         nodes = kernels._build_node_grid(h, data, plan.layout)
         kernels._gaussian_sums(h, data, points, nodes=nodes)
         kernels._gaussian_sums(h, data, plan.nodes, nodes=nodes)
-        kernels._corrected(h, plan.rows, data, True, ends=True)
+        kernels._corrected(h, plan.rows, data, True)
 
     ways = {"direct": direct, "grid": grid}
     spent: dict[str, list[float]] = {name: [] for name in ways}
